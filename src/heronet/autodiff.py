@@ -301,9 +301,14 @@ def relu(a: Tensor) -> Tensor:
     return _make(data, (a,), bw)
 
 
+def _stable_sigmoid(x: np.ndarray) -> tuple:
+    """exp(-|x|) and the overflow-free sigmoid of x built from it."""
+    e = np.exp(-np.abs(x))
+    return e, np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    data = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    _, data = _stable_sigmoid(a.data)
 
     def bw(g):
         return (g * data * (1.0 - data),)
@@ -473,9 +478,8 @@ def euclidean(a: Tensor, b: Tensor) -> Tensor:
 
 def softplus(a: Tensor) -> Tensor:
     """log(1 + exp(x)), computed as max(x, 0) + log1p(exp(-|x|))."""
-    x = a.data
-    data = np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
-    sig = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e, sig = _stable_sigmoid(a.data)
+    data = np.maximum(a.data, 0.0) + np.log1p(e)
 
     def bw(g):
         return (g * sig,)

@@ -2,13 +2,20 @@
 
 A checkpoint is two files sharing a stem: `<stem>.json` holds the manifest
 (tensor names, shapes, byte offsets, stage tag, config snapshot, seed,
-step) and `<stem>.bin` holds every tensor as little-endian float32 in
-manifest order.  Saving the same parameters twice produces byte-identical
-files; loading restores bit-identical float32 weights.
+step, blob sha256) and `<stem>.bin` holds every tensor as little-endian
+float32 in manifest order.  Saving the same parameters twice produces
+byte-identical files; loading restores bit-identical float32 weights.
+
+Each file is written to a temporary name and moved into place, the blob
+before the manifest, so a kill at any instant leaves every file whole.
+A manifest that does not describe the blob beside it (a kill between
+the two moves) fails its hash check on load instead of loading stale
+weights.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict
@@ -25,6 +32,15 @@ def _stem(path) -> str:
         if path.endswith(suffix):
             return path[: -len(suffix)]
     return path
+
+
+def _write_atomic(path: str, data: bytes) -> None:
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
 
 
 def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
@@ -45,14 +61,13 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
         "step": int(step),
         "config": asdict(config),
         "blob_bytes": len(blob),
+        "blob_sha256": hashlib.sha256(blob).hexdigest(),
         "tensors": tensors,
     }
     json_path, bin_path = stem + ".json", stem + ".bin"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(bin_path, "wb") as fh:
-        fh.write(bytes(blob))
+    _write_atomic(bin_path, bytes(blob))
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    _write_atomic(json_path, text.encode("utf-8"))
     return json_path, bin_path
 
 
@@ -70,6 +85,11 @@ def load_checkpoint(path) -> tuple:
     if len(blob) != manifest["blob_bytes"]:
         raise ValueError(f"blob length {len(blob)} does not match manifest "
                          f"{manifest['blob_bytes']}")
+    if "blob_sha256" not in manifest:
+        raise ValueError(f"manifest at {stem!r} stores no blob hash; re-run "
+                         "the stage that wrote it")
+    if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
+        raise ValueError(f"blob hash does not match manifest at {stem!r}")
     params = {}
     for entry in manifest["tensors"]:
         shape = tuple(entry["shape"])

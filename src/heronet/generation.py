@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .corpus import EOS_ID, BOS_ID, PAD_ID, Vocab, encode_text
 from .model import (Hidden, ModelConfig, encode_mean_pool, decoder_logits,
                     sample_batch, tile_hidden)
-from .retrieval import PoolCache, retrieve_top_m
+from .retrieval import PoolCache, retrieve_top_m_batch
 
 
 class TeacherBatch(NamedTuple):
@@ -177,40 +177,46 @@ def splice_knowledge(query: str, knowledge: str | None,
 
 
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
-                        query_text: str, pool, cache: PoolCache, m: int,
-                        n: int, kg: bool, rng=None, max_gen_len: int = 32,
-                        enc_prefix: str = "", sqd_cache=None):
-    """Retrieve m candidates and decode n; returns (generated, retrieved, src).
+                        query_texts: list, pool, cache: PoolCache, m: int,
+                        n: int, kg: bool, rngs=None, max_gen_len: int = 32,
+                        enc_prefix: str = "", sqd_cache=None) -> list:
+    """Retrieve m candidates and decode n for each query of a chunk.
 
-    With knowledge grounding on, the top retrieved response is spliced
-    onto the query before decoding.  The first generated candidate is
-    greedy (deterministic); the rest are temperature-1 samples, so n > 1
-    requires an rng.  enc_prefix selects which encoder drives the
-    retrieval recall stage; the generator always uses the main one.
+    Returns one (generated, retrieved, src) per query text.  The chunk
+    shares one retrieval call, one encoder pass over its sources and one
+    greedy decode.  With knowledge grounding on, each query's top
+    retrieved response is spliced onto it before decoding.  The first
+    generated candidate is greedy (deterministic); the rest are
+    temperature-1 samples drawn query by query, in order, from rngs[i],
+    so n > 1 requires rngs.  Queries sharing one stream pass the same rng
+    for each.  enc_prefix selects which encoder drives the retrieval
+    recall stage; the generator always uses the main one.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need at least one candidate source")
-    retrieved = []
+    if n > 1 and (rngs is None or len(rngs) != len(query_texts)):
+        raise ValueError("sampling extra candidates requires an rng per query")
+    retrieved = [[] for _ in query_texts]
     if m >= 1:
-        q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
-        retrieved = retrieve_top_m(params, cfg, q_ids, pool, cache, m,
-                                   enc_prefix=enc_prefix,
-                                   sqd_cache=sqd_cache)
-    src_text = query_text
-    if kg and retrieved:
-        src_text = splice_knowledge(query_text, retrieved[0].response,
-                                    cfg.max_seq_len)
-    generated = []
+        q_ids = [encode_text(q, vocab, cfg.max_seq_len) for q in query_texts]
+        retrieved = retrieve_top_m_batch(params, cfg, q_ids, pool, cache, m,
+                                         enc_prefix=enc_prefix,
+                                         sqd_cache=sqd_cache)
+    srcs = [splice_knowledge(q, r[0].response, cfg.max_seq_len)
+            if kg and r else q for q, r in zip(query_texts, retrieved)]
+    generated = [[] for _ in query_texts]
     if n >= 1:
-        if n > 1 and rng is None:
-            raise ValueError("sampling extra candidates requires an rng")
-        src_ids = encode_text(src_text, vocab, cfg.max_seq_len)
+        src_ids = [encode_text(s, vocab, cfg.max_seq_len) for s in srcs]
         with ad.no_grad():
-            hidden, _ = encode_mean_pool(params, cfg, [src_ids])
-        generated.append(sample_batch(params, cfg, hidden, mode="greedy",
-                                      max_len=max_gen_len)[0])
-        if n > 1:
-            generated.extend(sample_batch(params, cfg, tile_hidden(hidden, n - 1),
-                                          mode="sample", temperature=1.0,
-                                          rng=rng, max_len=max_gen_len))
-    return generated, retrieved, src_text
+            hidden, _ = encode_mean_pool(params, cfg, src_ids)
+        greedy = sample_batch(params, cfg, hidden, mode="greedy",
+                              max_len=max_gen_len)
+        for i, ids in enumerate(src_ids):
+            generated[i].append(greedy[i])
+            if n > 1:
+                row = Hidden(Tensor(hidden.states.data[i:i + 1, :len(ids)]),
+                             hidden.mask[i:i + 1, :len(ids)])
+                generated[i].extend(sample_batch(
+                    params, cfg, tile_hidden(row, n - 1), mode="sample",
+                    temperature=1.0, rng=rngs[i], max_len=max_gen_len))
+    return list(zip(generated, retrieved, srcs))

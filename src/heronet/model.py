@@ -174,22 +174,33 @@ def pad_batch(seqs: list, pad: int = PAD_ID):
     return ids, mask
 
 
-def _attention(params, base, x_q, x_kv, n_heads, kv_mask, causal=False):
+def _split_heads(x, n_heads):
+    b_sz, t, d = x.data.shape
+    return ad.transpose(ad.reshape(x, (b_sz, t, n_heads, d // n_heads)),
+                        (0, 2, 1, 3))
+
+
+def _project_kv(params, base, x_kv, n_heads):
+    """Per-head keys and values (B, H, T, d/H) of one attention block."""
+    return (_split_heads(ad.matmul(x_kv, params[f"{base}.wk"]), n_heads),
+            _split_heads(ad.matmul(x_kv, params[f"{base}.wv"]), n_heads))
+
+
+def _attend(params, base, x_q, k, v, n_heads, kv_mask, causal=False):
+    """Attention of the rows x_q over keys and values from _project_kv.
+
+    Under `causal` the t_q queries are the last t_q of the t_k key
+    positions, so each sees its own position and the ones before it.
+    """
     dt = x_q.data.dtype
     b_sz, t_q, d = x_q.data.shape
-    t_k = x_kv.data.shape[1]
+    t_k = k.data.shape[2]
     dh = d // n_heads
-
-    def split(x, t):
-        return ad.transpose(ad.reshape(x, (b_sz, t, n_heads, dh)), (0, 2, 1, 3))
-
-    q = split(ad.matmul(x_q, params[f"{base}.wq"]), t_q)
-    k = split(ad.matmul(x_kv, params[f"{base}.wk"]), t_k)
-    v = split(ad.matmul(x_kv, params[f"{base}.wv"]), t_k)
+    q = _split_heads(ad.matmul(x_q, params[f"{base}.wq"]), n_heads)
     scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
     bias = (1.0 - kv_mask.astype(dt))[:, None, None, :] * np.asarray(-1e9, dtype=dt)
     if causal:
-        tri = np.triu(np.full((t_q, t_k), -1e9, dtype=dt), k=1)
+        tri = np.triu(np.full((t_q, t_k), -1e9, dtype=dt), k=t_k - t_q + 1)
         bias = bias + tri[None, None]
     attn = ad.softmax(scores + Tensor(bias))
     ctx = ad.matmul(attn, v)
@@ -206,12 +217,12 @@ def _ln(params, base, x):
     return ad.layer_norm(x, params[f"{base}.g"], params[f"{base}.b"], eps=LN_EPS)
 
 
-def _embed(params, table_name, pos_name, ids, max_seq_len):
-    t = ids.shape[1]
+def _embed(params, table_name, pos_name, ids, max_seq_len, offset=0):
+    t = offset + ids.shape[1]
     if t > max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {max_seq_len}")
     tok = ad.embedding(params[table_name], ids)
-    pos = ad.embedding(params[pos_name], np.arange(t))
+    pos = ad.embedding(params[pos_name], np.arange(offset, t))
     return tok + pos
 
 
@@ -220,7 +231,8 @@ def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
     for i in range(n_layers):
         base = f"{prefix}enc.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        x = x + _attention(params, f"{base}.attn", normed, normed, n_heads, mask)
+        k, v = _project_kv(params, f"{base}.attn", normed, n_heads)
+        x = x + _attend(params, f"{base}.attn", normed, k, v, n_heads, mask)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln2", x))
     return _ln(params, f"{prefix}enc.ln_f", x)
 
@@ -277,17 +289,72 @@ def match_score(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
     return ad.sigmoid(match_logit(params, e_q, e_r))
 
 
-def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask):
-    x = _embed(params, "embed.tok", "dec.pos", dec_ids, cfg.max_seq_len)
+class DecodeCache:
+    """Keys and values an incremental decode reuses at every step.
+
+    The cross-attention K/V of the encoder states are projected once, and
+    each layer's self-attention K/V grow by the positions fed so far.
+    """
+
+    def __init__(self, params: dict, cfg: ModelConfig, hidden: Hidden):
+        self.cross = [_project_kv(params, f"dec.{i}.cross", hidden.states,
+                                  cfg.n_heads) for i in range(cfg.n_layers)]
+        self.past = [None] * cfg.n_layers
+        self.length = 0
+
+    def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
+        """Append new positions' K/V; returns every cached position's."""
+        if self.past[layer] is not None:
+            k_old, v_old = self.past[layer]
+            k, v = ad.concat([k_old, k], axis=2), ad.concat([v_old, v], axis=2)
+        self.past[layer] = (k, v)
+        return k, v
+
+
+def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
+                   cache: DecodeCache | None = None):
+    """Decoder output rows for dec_ids.
+
+    With a cache, dec_ids continue the positions it already holds: their
+    self-attention K/V join the cached ones, the cached cross-attention
+    K/V are reused, and dec_mask spans the cached positions too.
+    """
+    offset = 0 if cache is None else cache.length
+    x = _embed(params, "embed.tok", "dec.pos", dec_ids, cfg.max_seq_len,
+               offset)
     for i in range(cfg.n_layers):
         base = f"dec.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        x = x + _attention(params, f"{base}.self", normed, normed, cfg.n_heads,
-                           dec_mask, causal=True)
-        x = x + _attention(params, f"{base}.cross", _ln(params, f"{base}.ln2", x),
-                           hidden.states, cfg.n_heads, hidden.mask)
+        k, v = _project_kv(params, f"{base}.self", normed, cfg.n_heads)
+        if cache is None:
+            cross_k, cross_v = _project_kv(params, f"{base}.cross",
+                                           hidden.states, cfg.n_heads)
+        else:
+            k, v = cache.extend(i, k, v)
+            cross_k, cross_v = cache.cross[i]
+        x = x + _attend(params, f"{base}.self", normed, k, v, cfg.n_heads,
+                        dec_mask, causal=True)
+        x = x + _attend(params, f"{base}.cross", _ln(params, f"{base}.ln2", x),
+                        cross_k, cross_v, cfg.n_heads, hidden.mask)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln3", x))
+    if cache is not None:
+        cache.length += dec_ids.shape[1]
     return _ln(params, "dec.ln_f", x)
+
+
+def decode_step(params: dict, cfg: ModelConfig, hidden: Hidden,
+                cache: DecodeCache, new_ids) -> np.ndarray:
+    """Next-token logits (B, vocab) after feeding new_ids (B, t).
+
+    The ids continue the positions the cache holds, which they join.  Only
+    the last position is projected to the vocabulary.  Inference only: run
+    it under no_grad.
+    """
+    new_ids = np.asarray(new_ids, dtype=np.int64)
+    b_sz, t = new_ids.shape
+    mask = np.ones((b_sz, cache.length + t), dtype=np.float64)
+    x = _decode_states(params, cfg, hidden, new_ids, mask, cache)
+    return ad.matmul(x[:, -1], params["out.w"]).data
 
 
 def decoder_logits(params: dict, cfg: ModelConfig, hidden: Hidden, dec_ids,
@@ -329,6 +396,11 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     rows; the returned sequences include it.  A start that already ends at
     EOS is returned unchanged.  max_len counts the whole output, start
     included.
+
+    Decoding is incremental: a DecodeCache projects the cross-attention
+    K/V of the encoder states once, the first step feeds BOS plus start,
+    and every later step embeds and attends only the token just chosen,
+    against the cached self-attention K/V of the positions before it.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -344,12 +416,13 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     prefix = np.tile(np.asarray([BOS_ID] + start, dtype=np.int64), (b_sz, 1))
     done = np.full(b_sz, bool(start) and start[-1] == EOS_ID)
     with ad.no_grad():
+        cache = DecodeCache(params, cfg, hidden)
+        fresh = prefix  # positions the cache has not seen yet
         for _ in range(max(0, max_len - len(start))):
             if done.all():
                 break
-            mask = np.ones(prefix.shape, dtype=np.float64)
-            logits = decoder_logits(params, cfg, hidden, prefix, mask)
-            last = logits.data[:, -1].astype(np.float64)
+            last = decode_step(params, cfg, hidden, cache, fresh)
+            last = last.astype(np.float64)
             last[:, PAD_ID] = -np.inf
             last[:, BOS_ID] = -np.inf
             if mode == "greedy" or temperature <= 0:
@@ -366,7 +439,8 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
                                 for i in range(b_sz)], dtype=np.int64)
                 tok = np.minimum(tok, cfg.vocab_size - 1)
             tok = np.where(done, PAD_ID, tok)
-            prefix = np.concatenate([prefix, tok[:, None]], axis=1)
+            fresh = tok[:, None]
+            prefix = np.concatenate([prefix, fresh], axis=1)
             done |= tok == EOS_ID
             if done.all():
                 break

@@ -11,7 +11,11 @@ Re-rank training freezes everything except the matching head: candidate
 embeddings are computed gradient-free, so the optimizer can only move
 psi_m.  Each training group is the inference-time candidate set widened
 with the m best BM25 responses as extra lexical negatives, plus the
-gold response labelled 1 against everyone else's 0.
+gold response labelled 1 against everyone else's 0.  Training works a
+chunk of batch_size queries at a time: one generate_candidates call
+retrieves and decodes for the whole chunk, then each query's set is
+assembled and encoded on its own.  Chat and evaluation build one
+query's set at a time.
 """
 
 from __future__ import annotations
@@ -98,18 +102,24 @@ def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
                         pool, cache: PoolCache, bm25_r: Bm25Index | None,
                         m: int, n: int, kg: bool, rng, max_gen_len: int,
                         enc_prefix: str = "", include_truth: bool = False,
-                        sqd_cache=None):
+                        sqd_cache=None, precomputed=None):
     """The candidate pool for one query: m retrieved plus n generated.
 
-    Passing a BM25 index widens the set with the m best BM25 responses
+    precomputed is this query's (generated, retrieved, src) entry from a
+    generate_candidates call over its whole chunk; without it the query's
+    candidates are generated here, the samples drawn from rng.  Passing a
+    BM25 index widens the set with the m best BM25 responses
     (training-time lexical negatives); inference and evaluation pass
     None.  include_truth appends the gold response with the truth tag;
     deduplication later guarantees it appears exactly once.
     """
     query_text = splice_context(pair)
-    generated, retrieved, _ = generate_candidates(
-        params, cfg, vocab, query_text, pool, cache, m, n, kg, rng,
-        max_gen_len, enc_prefix, sqd_cache)
+    if precomputed is None:
+        precomputed = generate_candidates(
+            params, cfg, vocab, [query_text], pool, cache, m, n, kg,
+            None if rng is None else [rng], max_gen_len, enc_prefix,
+            sqd_cache)[0]
+    generated, retrieved, _ = precomputed
     cands = [(encode_text(c.response, vocab), "retrieved")
              for c in retrieved]
     cands += [(list(g), "generated") for g in generated]
@@ -132,17 +142,25 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
 
     Candidates are drawn fresh each epoch (generation is sampled), their
     embeddings are computed without gradient, and groups are batched so
-    one optimizer step covers batch_size queries.
+    one optimizer step covers batch_size queries.  The chunk's retrieval
+    and decoding run as one batch; the sampled extras still come from rng
+    query by query, in order.  Each query's candidate set is still encoded
+    on its own: one encoder pass over the whole chunk would pad every set
+    to the chunk's longest sequence and move the loss by float rounding.
     """
     losses = []
     for lo in range(0, len(pairs), batch_size):
         chunk = pairs[lo:lo + batch_size]
+        drawn = generate_candidates(
+            params, cfg, vocab, [splice_context(p) for p in chunk], pool,
+            cache, m, n, kg, [rng] * len(chunk), max_gen_len, enc_prefix,
+            sqd_cache)
         emb_rows, q_rows, labels = [], [], []
-        for pair in chunk:
+        for pair, precomputed in zip(chunk, drawn):
             cands, query_text = build_candidate_set(
                 params, cfg, vocab, pair, pool, cache, bm25_r, m, n, kg,
                 rng, max_gen_len, enc_prefix, include_truth=True,
-                sqd_cache=sqd_cache)
+                sqd_cache=sqd_cache, precomputed=precomputed)
             merged = dedupe_candidates(cands)
             q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
             seqs = [q_ids] + [c for c, _ in merged]

@@ -1,6 +1,7 @@
 """Checkpoint round trips and byte-level stability."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -93,6 +94,74 @@ class TestErrors:
         with pytest.raises(ValueError, match="blob length"):
             load_checkpoint(stem)
 
+    def test_manifest_without_hash_rejected(self, small_params, tmp_path):
+        stem = tmp_path / "ck"
+        jp, _ = save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        manifest = json.loads(open(jp).read())
+        del manifest["blob_sha256"]
+        open(jp, "w").write(json.dumps(manifest))
+        with pytest.raises(ValueError, match="no blob hash"):
+            load_checkpoint(stem)
+
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "nope")
+
+
+class TestCrashSafety:
+    """A kill at any instant of a save never loads mismatched files."""
+
+    @staticmethod
+    def _killed_at(monkeypatch, suffix):
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.fspath(dst).endswith(suffix):
+                raise KeyboardInterrupt  # the process dies here
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+
+    def test_kill_between_moves_is_detected(self, small_params, tmp_path,
+                                            monkeypatch):
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=1)
+        newer = {n: Tensor(t.data + 1.0) for n, t in small_params.items()}
+        self._killed_at(monkeypatch, ".json")
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
+        monkeypatch.undo()
+        # the step-2 blob sits next to the step-1 manifest, same size
+        manifest = json.loads((tmp_path / "ck.json").read_text())
+        assert manifest["step"] == 1
+        assert manifest["blob_bytes"] == (tmp_path / "ck.bin").stat().st_size
+        with pytest.raises(ValueError, match="hash"):
+            load_checkpoint(stem)
+        save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
+        loaded, manifest = load_checkpoint(stem)
+        assert manifest["step"] == 2
+        assert np.array_equal(loaded["out.w"].data, newer["out.w"].data)
+
+    def test_kill_before_moves_keeps_previous(self, small_params, tmp_path,
+                                              monkeypatch):
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=1)
+        newer = {n: Tensor(t.data + 1.0) for n, t in small_params.items()}
+        self._killed_at(monkeypatch, ".bin")
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
+        monkeypatch.undo()
+        loaded, manifest = load_checkpoint(stem)
+        assert manifest["step"] == 1
+        assert np.array_equal(loaded["out.w"].data,
+                              small_params["out.w"].data)
+
+    def test_resave_byte_identical_and_leaves_no_temp(self, small_params,
+                                                      tmp_path):
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=4)
+        first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=4)
+        second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(first) == ["ck.bin", "ck.json"]
+        assert first == second

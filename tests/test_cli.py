@@ -1,13 +1,21 @@
 """End-to-end command line behavior via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import heronet
 from heronet.config import parse_config
+
+# The child interpreter imports the same heronet the tests do, whether it
+# came from PYTHONPATH or from pytest's pythonpath setting.
+_SRC = str(Path(heronet.__file__).resolve().parents[1])
+_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
 
 TINY = """\
 m = 2
@@ -38,7 +46,7 @@ seed = 5
 def run_cli(*args, stdin=""):
     return subprocess.run([sys.executable, "-m", "heronet.cli", *args],
                           input=stdin, capture_output=True, text=True,
-                          timeout=300)
+                          timeout=300, env=_ENV)
 
 
 @pytest.fixture(scope="module")

@@ -12,6 +12,7 @@ from heronet import autodiff as ad
 from heronet.autodiff import Tensor
 from heronet.corpus import BOS_ID, EOS_ID, PAD_ID
 from heronet.model import (
+    DecodeCache,
     Hidden,
     ModelConfig,
     Projected,
@@ -19,6 +20,7 @@ from heronet.model import (
     add_retrieval_encoder,
     clone_params,
     decode_next,
+    decode_step,
     decoder_logits,
     encode_mean_pool,
     init_params,
@@ -390,6 +392,64 @@ class TestSampling:
             sample_batch(params, CFG, hidden, mode="beam")
         with pytest.raises(ValueError, match="rng"):
             sample_batch(params, CFG, hidden, mode="sample")
+
+
+class TestCachedDecoding:
+    """The K/V-cached decode against the teacher-forced decoder."""
+
+    @pytest.fixture(scope="class")
+    def decoded(self):
+        # float32 as in training; weights widened so logits are O(1), and
+        # the EOS column scaled so row 1 finishes early while the rest run
+        # to the max_seq_len - 1 cap
+        params = init_params(CFG, seed=0)
+        rng = np.random.default_rng(0)
+        for t in params.values():
+            t.data += rng.normal(0, 0.5, t.data.shape).astype(np.float32)
+        params["out.w"].data[:, EOS_ID] *= 3
+        ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20]])
+        hidden, _ = encode_mean_pool(params, CFG, ids, mask)
+        start = [6, 7]
+        seqs = sample_batch(params, CFG, hidden, mode="greedy",
+                            max_len=CFG.max_seq_len + 3, start=start)
+        # the decoder input sample_batch built: finished rows carry PAD
+        width = max(len(s) for s in seqs)
+        dec = np.full((len(seqs), 1 + width), PAD_ID, dtype=np.int64)
+        dec[:, 0] = BOS_ID
+        for r, s in enumerate(seqs):
+            dec[r, 1:1 + len(s)] = s
+        with ad.no_grad():
+            tf = decoder_logits(params, CFG, hidden, dec).data
+        return params, hidden, start, seqs, dec, tf
+
+    def test_rows_finish_early_and_at_cap(self, decoded):
+        _, _, start, seqs, _, _ = decoded
+        assert all(s[:len(start)] == start for s in seqs)
+        lengths = [len(s) for s in seqs]
+        assert max(lengths) == CFG.max_seq_len - 1
+        assert EOS_ID in seqs[1] and len(seqs[1]) < CFG.max_seq_len - 1
+
+    def test_greedy_tokens_are_teacher_forced_argmax(self, decoded):
+        _, _, start, seqs, _, tf = decoded
+        for r, seq in enumerate(seqs):
+            for j in range(len(start), len(seq)):
+                logits = tf[r, j].astype(np.float64)
+                logits[[PAD_ID, BOS_ID]] = -np.inf
+                assert seq[j] == int(logits.argmax())
+
+    def test_step_logits_match_teacher_forcing(self, decoded):
+        params, hidden, start, _, dec, tf = decoded
+        first = 1 + len(start)
+        with ad.no_grad():
+            cache = DecodeCache(params, CFG, hidden)
+            steps = [decode_step(params, CFG, hidden, cache, dec[:, :first])]
+            for j in range(first, dec.shape[1]):
+                steps.append(decode_step(params, CFG, hidden, cache,
+                                         dec[:, j:j + 1]))
+        assert cache.length == dec.shape[1] == CFG.max_seq_len
+        for offset, logits in enumerate(steps):
+            np.testing.assert_allclose(logits, tf[:, first - 1 + offset],
+                                       rtol=1e-5, atol=1e-5)
 
 
 # --- parameter store machinery ----------------------------------------------

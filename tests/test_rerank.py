@@ -218,3 +218,30 @@ def test_rerank_train_deterministic_given_seed(small_world):
                                        rng=np.random.default_rng(4),
                                        max_gen_len=8))
     assert runs[0] == runs[1]
+
+
+def test_rerank_train_assembles_each_pair_once(small_world, monkeypatch):
+    # candidates are generated once per chunk, then assembled pair by pair
+    from heronet import rerank as rr
+
+    corpus, vocab, cfg, params, cache, bm25_r = small_world
+    calls = {"build": 0, "generate": []}
+    build, generate = rr.build_candidate_set, rr.generate_candidates
+
+    def counted_build(*args, **kwargs):
+        calls["build"] += 1
+        return build(*args, **kwargs)
+
+    def counted_generate(*args, **kwargs):
+        calls["generate"].append(len(args[3]))
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(rr, "build_candidate_set", counted_build)
+    monkeypatch.setattr(rr, "generate_candidates", counted_generate)
+    local = clone_params(params)
+    opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
+    rerank_train_epoch(local, cfg, vocab, corpus.train[:7], corpus.pool,
+                       cache, bm25_r, m=2, n=2, kg=True, batch_size=3,
+                       opt=opt, rng=np.random.default_rng(5), max_gen_len=8)
+    assert calls["build"] == 7
+    assert calls["generate"] == [3, 3, 1]
