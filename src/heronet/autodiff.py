@@ -232,6 +232,26 @@ def neg(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """a @ b with numpy broadcasting.
+
+    A stack of rows times a 2-D weight, (..., k) @ (k, n), runs as one
+    (rows, k) @ (k, n) GEMM both ways; the weight gradient is then a
+    single a2.T @ g2 rather than a per-row stack summed afterwards.  A
+    mismatched k falls through to numpy, which raises.
+    """
+    if (b.data.ndim == 2 and a.data.ndim >= 3
+            and a.data.shape[-1] == b.data.shape[0]):
+        k, n = b.data.shape
+        lead = a.data.shape[:-1]
+        data = (a.data.reshape(-1, k) @ b.data).reshape(lead + (n,))
+
+        def bw_flat(g):
+            g2 = g.reshape(-1, n)
+            return ((g2 @ b.data.T).reshape(a.data.shape),
+                    a.data.reshape(-1, k).T @ g2)
+
+        return _make(data, (a, b), bw_flat)
+
     data = a.data @ b.data
 
     def bw(g):

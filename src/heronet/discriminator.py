@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .model import ModelConfig, encode_mean_pool, match_logit
+from .model import ModelConfig, encode_unique, match_logit
 
 
 def hinge_loss(s_pos: Tensor, s_ret: Tensor, s_gen: Tensor, delta1: float,
@@ -42,26 +42,13 @@ def hinge_loss(s_pos: Tensor, s_ret: Tensor, s_gen: Tensor, delta1: float,
     return loss
 
 
-def _encode_unique(params, cfg, groups):
-    """Encode each distinct sequence once; return (embeddings, index lists)."""
-    uniq: dict = {}
-    for group in groups:
-        for seq in group:
-            uniq.setdefault(tuple(seq), len(uniq))
-    table = [list(k) for k in uniq]
-    _, pooled = encode_mean_pool(params, cfg, table)
-    idx = [np.array([uniq[tuple(s)] for s in group], dtype=np.int64)
-           for group in groups]
-    return pooled, idx
-
-
 def score_pairs(params: dict, cfg: ModelConfig, queries: list,
                 responses: list) -> np.ndarray:
     """Gradient-free discriminator scores for aligned (query, response) lists."""
     if len(queries) != len(responses):
         raise ValueError("queries and responses must align")
     with ad.no_grad():
-        pooled, (qi, ri) = _encode_unique(params, cfg, [queries, responses])
+        pooled, (qi, ri) = encode_unique(params, cfg, [queries, responses])
         z = match_logit(params, ad.getitem(pooled, qi), ad.getitem(pooled, ri))
         return ad.sigmoid(z).data.copy()
 
@@ -86,7 +73,7 @@ def disc_step(params: dict, cfg: ModelConfig, queries: list, positives: list,
         raise ValueError("need at least one negative of each kind")
     flat_ret = [seq for g in retrieved for seq in g]
     flat_gen = [seq for g in generated for seq in g]
-    pooled, (qi, pi, ri, gi) = _encode_unique(
+    pooled, (qi, pi, ri, gi) = encode_unique(
         params, cfg, [queries, positives, flat_ret, flat_gen])
     e_q = ad.getitem(pooled, qi)
     s_pos = ad.sigmoid(match_logit(params, e_q, ad.getitem(pooled, pi)))

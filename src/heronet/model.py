@@ -256,6 +256,44 @@ def encode_mean_pool(params: dict, cfg: ModelConfig, ids, mask=None,
     return Hidden(h, mask), pooled
 
 
+# Distinct-row tables at least this large are encoded in this many
+# equal-count length buckets; smaller ones stay one batch, where a split
+# costs more in per-call overhead than it saves in padding.
+_BUCKET_MIN_ROWS = 64
+_N_BUCKETS = 4
+
+
+def encode_unique(params: dict, cfg: ModelConfig, groups: list,
+                  prefix: str = ""):
+    """Encode each distinct sequence of `groups` once; pooled rows only.
+
+    groups is a list of lists of token sequences.  The distinct ones are
+    sorted by length (stably) and encoded in buckets, each padded only to
+    its own longest row.  Returns the (U, d_model) pooled table and, per
+    group, an int index array into it, aligned with the group's
+    sequences, so a caller gathers its rows with ad.getitem.
+    """
+    uniq: dict = {}
+    for group in groups:
+        for seq in group:
+            uniq.setdefault(tuple(seq), len(uniq))
+    table = list(uniq)
+    order = sorted(range(len(table)), key=lambda i: len(table[i]))
+    n_buckets = 1 if len(table) < _BUCKET_MIN_ROWS else _N_BUCKETS
+    parts = []
+    for bucket in np.array_split(np.asarray(order, dtype=np.int64), n_buckets):
+        _, pooled = encode_mean_pool(params, cfg,
+                                     [list(table[i]) for i in bucket],
+                                     prefix=prefix)
+        parts.append(pooled)
+    pooled = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
+    row_of = np.empty(len(table), dtype=np.int64)
+    row_of[order] = np.arange(len(table))
+    idx = [row_of[np.array([uniq[tuple(s)] for s in group], dtype=np.int64)]
+           for group in groups]
+    return pooled, idx
+
+
 def adapter_apply(params: dict, task: str, e: Tensor) -> Projected:
     """Affine projection plus LayerNorm; tags the output with its task."""
     name = {"sqd": "psi_d", "qrm": "psi_m"}.get(task)
@@ -268,13 +306,6 @@ def adapter_apply(params: dict, task: str, e: Tensor) -> Projected:
     out = ad.layer_norm(z, params[f"{name}.ln.g"], params[f"{name}.ln.b"],
                         eps=LN_EPS)
     return Projected(out, task)
-
-
-def sentence_distance(a: Projected, b: Projected) -> Tensor:
-    """Euclidean distance between two SQD projections."""
-    if a.task != "sqd" or b.task != "sqd":
-        raise ValueError("sentence_distance expects SQD-tagged projections")
-    return ad.euclidean(a.vec, b.vec)
 
 
 def match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
@@ -309,6 +340,14 @@ class DecodeCache:
             k, v = ad.concat([k_old, k], axis=2), ad.concat([v_old, v], axis=2)
         self.past[layer] = (k, v)
         return k, v
+
+    def keep_rows(self, rows: np.ndarray) -> None:
+        """Keep only the given batch rows of every cached K/V (inference)."""
+        def sub(kv):
+            return None if kv is None else tuple(Tensor(t.data[rows])
+                                                 for t in kv)
+        self.cross = [sub(kv) for kv in self.cross]
+        self.past = [sub(kv) for kv in self.past]
 
 
 def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
@@ -401,6 +440,8 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     K/V of the encoder states once, the first step feeds BOS plus start,
     and every later step embeds and attends only the token just chosen,
     against the cached self-attention K/V of the positions before it.
+    A row that has emitted EOS leaves the step batch and the cache; it is
+    padded with PAD from then on, and its draw is still taken and unused.
     """
     if mode not in ("greedy", "sample"):
         raise ValueError(f"unknown decode mode {mode!r}")
@@ -417,6 +458,7 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     done = np.full(b_sz, bool(start) and start[-1] == EOS_ID)
     with ad.no_grad():
         cache = DecodeCache(params, cfg, hidden)
+        live = np.arange(b_sz)  # rows still decoding, in batch order
         fresh = prefix  # positions the cache has not seen yet
         for _ in range(max(0, max_len - len(start))):
             if done.all():
@@ -434,16 +476,23 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
                 p /= p.sum(axis=-1, keepdims=True)
                 cdf = p.cumsum(axis=-1)
                 cdf[:, -1] = 1.0
-                u = rng.random(b_sz)
+                u = rng.random(b_sz)[live]
                 tok = np.array([int(np.searchsorted(cdf[i], u[i], side="right"))
-                                for i in range(b_sz)], dtype=np.int64)
+                                for i in range(len(live))], dtype=np.int64)
                 tok = np.minimum(tok, cfg.vocab_size - 1)
-            tok = np.where(done, PAD_ID, tok)
-            fresh = tok[:, None]
-            prefix = np.concatenate([prefix, fresh], axis=1)
-            done |= tok == EOS_ID
+            step = np.full(b_sz, PAD_ID, dtype=np.int64)
+            step[live] = tok
+            prefix = np.concatenate([prefix, step[:, None]], axis=1)
+            done |= step == EOS_ID
             if done.all():
                 break
+            going = tok != EOS_ID
+            if not going.all():
+                live, tok = live[going], tok[going]
+                cache.keep_rows(going)
+                hidden = Hidden(Tensor(hidden.states.data[going]),
+                                hidden.mask[going])
+            fresh = tok[:, None]
     out = []
     for row in prefix[:, 1:]:
         seq = []

@@ -13,9 +13,10 @@ psi_m.  Each training group is the inference-time candidate set widened
 with the m best BM25 responses as extra lexical negatives, plus the
 gold response labelled 1 against everyone else's 0.  Training works a
 chunk of batch_size queries at a time: one generate_candidates call
-retrieves and decodes for the whole chunk, then each query's set is
-assembled and encoded on its own.  Chat and evaluation build one
-query's set at a time.
+retrieves and decodes for the whole chunk, each query's set is
+assembled on its own, and one encode_unique call embeds every distinct
+sequence of the chunk.  Chat and evaluation build one query's set at a
+time.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import Vocab, encode_text, splice_context
 from .generation import generate_candidates
-from .model import ModelConfig, encode_mean_pool, match_logit, param_subset
+from .model import ModelConfig, encode_unique, match_logit
 from .retrieval import PoolCache, qrm_bce
 
 
@@ -61,14 +62,9 @@ def dedupe_candidates(candidates: list) -> list:
 
 def _score_candidates(params, cfg, query_ids, cand_ids):
     """Match scores of every candidate against the query, gradient-free."""
-    uniq: dict = {}
-    for seq in [query_ids] + cand_ids:
-        uniq.setdefault(tuple(seq), len(uniq))
     with ad.no_grad():
-        _, pooled = encode_mean_pool(params, cfg, [list(k) for k in uniq])
-        qi = np.full(len(cand_ids), uniq[tuple(query_ids)], dtype=np.int64)
-        ci = np.array([uniq[tuple(s)] for s in cand_ids], dtype=np.int64)
-        z = match_logit(params, ad.getitem(pooled, qi),
+        pooled, (qi, ci) = encode_unique(params, cfg, [[query_ids], cand_ids])
+        z = match_logit(params, ad.getitem(pooled, np.repeat(qi, len(ci))),
                         ad.getitem(pooled, ci))
         return ad.sigmoid(z).data.copy()
 
@@ -144,9 +140,8 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
     embeddings are computed without gradient, and groups are batched so
     one optimizer step covers batch_size queries.  The chunk's retrieval
     and decoding run as one batch; the sampled extras still come from rng
-    query by query, in order.  Each query's candidate set is still encoded
-    on its own: one encoder pass over the whole chunk would pad every set
-    to the chunk's longest sequence and move the loss by float rounding.
+    query by query, in order.  The chunk's queries and candidate sets are
+    then encoded together, each distinct sequence once.
     """
     losses = []
     for lo in range(0, len(pairs), batch_size):
@@ -155,7 +150,7 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
             params, cfg, vocab, [splice_context(p) for p in chunk], pool,
             cache, m, n, kg, [rng] * len(chunk), max_gen_len, enc_prefix,
             sqd_cache)
-        emb_rows, q_rows, labels = [], [], []
+        q_seqs, c_seqs, labels = [], [], []
         for pair, precomputed in zip(chunk, drawn):
             cands, query_text = build_candidate_set(
                 params, cfg, vocab, pair, pool, cache, bm25_r, m, n, kg,
@@ -163,15 +158,14 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
                 sqd_cache=sqd_cache, precomputed=precomputed)
             merged = dedupe_candidates(cands)
             q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
-            seqs = [q_ids] + [c for c, _ in merged]
-            with ad.no_grad():
-                _, pooled = encode_mean_pool(params, cfg, seqs)
-            emb_rows.append(pooled.data[1:])
-            q_rows.append(np.repeat(pooled.data[:1], len(merged), axis=0))
+            q_seqs.extend([q_ids] * len(merged))
+            c_seqs.extend(c for c, _ in merged)
             labels.extend(1.0 if prov == "truth" else 0.0
                           for _, prov in merged)
-        z = match_logit(params, Tensor(np.concatenate(q_rows)),
-                        Tensor(np.concatenate(emb_rows)))
+        with ad.no_grad():
+            pooled, (qi, ci) = encode_unique(params, cfg, [q_seqs, c_seqs])
+        z = match_logit(params, Tensor(pooled.data[qi]),
+                        Tensor(pooled.data[ci]))
         loss = qrm_bce(z, np.asarray(labels))
         opt.zero_grad()
         ad.backward(loss)

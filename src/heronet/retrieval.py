@@ -25,7 +25,7 @@ from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import CandidatePool, Vocab, encode_text
 from .model import (ModelConfig, adapter_apply, encode_mean_pool,
-                    match_logit, match_score)
+                    encode_unique, match_logit, match_score)
 
 
 @dataclass
@@ -155,30 +155,28 @@ def mine_sqd_batch(queries: list, pool: CandidatePool, vocab: Vocab,
     return TripletBatch(anchors, positives, negatives)
 
 
-def triplet_hinge(d_pos: Tensor, d_neg: Tensor, margin: float) -> Tensor:
-    """mean over anchors of sum over negatives of max(0, margin + d+ - d-)."""
-    b = d_pos.data.shape[0]
-    gap = ad.relu(ad.reshape(d_pos, (b, 1)) + (margin - d_neg))
-    return ad.tmean(ad.tsum(gap, axis=1))
-
-
 def sqd_step(params: dict, cfg: ModelConfig, batch: TripletBatch,
              margin: float, opt: ad.Adam, enc_prefix: str = "") -> float:
-    """One triplet-hinge update of the encoder and the SQD adapter."""
+    """One triplet-hinge update of the encoder and the SQD adapter.
+
+    The loss is the mean over anchors of the sum over that anchor's
+    negatives of max(0, margin + d(a, p) - d(a, n)).  Every distinct
+    sequence in the batch is encoded and projected once; anchors,
+    positives and negatives gather their rows from that table.
+    """
     b = len(batch.anchors)
     flat_negs = [n for group in batch.negatives for n in group]
     if not flat_negs:
         raise ValueError("triplet batch has no negatives")
     owner = np.concatenate([np.full(len(g), i, dtype=np.int64)
                             for i, g in enumerate(batch.negatives)])
-    seqs = batch.anchors + batch.positives + flat_negs
-    _, pooled = encode_mean_pool(params, cfg, seqs, prefix=enc_prefix)
+    pooled, (ai, pi, ni) = encode_unique(
+        params, cfg, [batch.anchors, batch.positives, flat_negs],
+        prefix=enc_prefix)
     proj = adapter_apply(params, "sqd", pooled).vec
-    a = ad.getitem(proj, slice(0, b))
-    p = ad.getitem(proj, slice(b, 2 * b))
-    n = ad.getitem(proj, slice(2 * b, None))
-    d_pos = ad.euclidean(a, p)                             # (B,)
-    d_neg = ad.euclidean(ad.getitem(a, owner), n)          # (F,)
+    d_pos = ad.euclidean(ad.getitem(proj, ai), ad.getitem(proj, pi))  # (B,)
+    d_neg = ad.euclidean(ad.getitem(proj, ai[owner]),
+                         ad.getitem(proj, ni))                     # (F,)
     gap = ad.relu(ad.getitem(d_pos, owner) + (margin - d_neg))
     # ragged per-anchor sums via a constant indicator matrix
     seg = np.zeros((b, len(flat_negs)))
@@ -265,13 +263,8 @@ def qrm_step(params: dict, cfg: ModelConfig, batch: MatchBatch,
     gather their two sides from that table, so repeated anchors cost
     nothing extra and all sides carry gradient.
     """
-    uniq: dict = {}
-    for seq in batch.queries + batch.responses:
-        uniq.setdefault(tuple(seq), len(uniq))
-    table = [list(k) for k in uniq]
-    q_idx = np.array([uniq[tuple(s)] for s in batch.queries], dtype=np.int64)
-    r_idx = np.array([uniq[tuple(s)] for s in batch.responses], dtype=np.int64)
-    _, pooled = encode_mean_pool(params, cfg, table, prefix=enc_prefix)
+    pooled, (q_idx, r_idx) = encode_unique(
+        params, cfg, [batch.queries, batch.responses], prefix=enc_prefix)
     z = match_logit(params, ad.getitem(pooled, q_idx), ad.getitem(pooled, r_idx))
     loss = qrm_bce(z, batch.labels)
     opt.zero_grad()

@@ -87,6 +87,28 @@ class TestShapes:
         nw = numeric_grad(lambda x: (a @ x).sum(), w.copy())
         np.testing.assert_allclose(tw.grad, nw, atol=1e-7)
 
+    @pytest.mark.parametrize("lead", [(2, 3), (2, 3, 2)])
+    def test_matmul_flattened_weight_product(self, lead):
+        """A 3-D or 4-D lhs against a 2-D rhs runs as one GEMM; both
+        gradients must still match finite differences."""
+        a = RNG.normal(size=lead + (4,))
+        b = RNG.normal(size=(4, 5))
+        w = RNG.normal(size=lead + (5,))
+        ta = ad.Tensor(a.copy(), requires_grad=True)
+        tb = ad.Tensor(b.copy(), requires_grad=True)
+        out = ad.matmul(ta, tb)
+        np.testing.assert_allclose(out.data, a @ b, rtol=1e-12, atol=1e-12)
+        ad.backward((out * ad.Tensor(w)).sum())
+        na = numeric_grad(lambda x: ((x @ b) * w).sum(), a.copy())
+        nb = numeric_grad(lambda x: ((a @ x) * w).sum(), b.copy())
+        assert ta.grad.shape == a.shape and tb.grad.shape == b.shape
+        np.testing.assert_allclose(ta.grad, na, atol=1e-7)
+        np.testing.assert_allclose(tb.grad, nb, atol=1e-7)
+
+    def test_matmul_mismatched_inner_dim_raises(self):
+        with pytest.raises(ValueError):
+            ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((6, 2))))
+
     def test_reshape_transpose_concat_getitem(self):
         x = RNG.normal(size=(2, 6))
         t = ad.Tensor(x.copy(), requires_grad=True)

@@ -15,7 +15,6 @@ from heronet.model import (
     DecodeCache,
     Hidden,
     ModelConfig,
-    Projected,
     adapter_apply,
     add_retrieval_encoder,
     clone_params,
@@ -23,6 +22,7 @@ from heronet.model import (
     decode_step,
     decoder_logits,
     encode_mean_pool,
+    encode_unique,
     init_params,
     match_logit,
     match_score,
@@ -31,7 +31,6 @@ from heronet.model import (
     params_fingerprint,
     sample_batch,
     sample_sequence,
-    sentence_distance,
 )
 
 CFG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_layers=2,
@@ -200,6 +199,101 @@ class TestGuards:
             ModelConfig(vocab_size=10, d_model=10, n_heads=4)
 
 
+# --- encode each distinct sequence once --------------------------------------
+
+def _rand_seqs(rng, n, lo=1, hi=None):
+    hi = CFG.max_seq_len if hi is None else hi
+    return [[int(t) for t in rng.integers(3, CFG.vocab_size,
+                                          size=int(rng.integers(lo, hi)))]
+            for _ in range(n)]
+
+
+class TestEncodeUnique:
+    """encode_unique against one padded encode_mean_pool, in float64."""
+
+    def _grads(self, params, loss):
+        for t in params.values():
+            t.grad = None
+        ad.backward(loss)
+        return {n: t.grad for n, t in params.items()}
+
+    @pytest.mark.parametrize("case", ["duplicates", "one_row", "buckets",
+                                      "sqd_enc"])
+    def test_matches_one_padded_batch(self, case):
+        params = init_params(CFG, seed=5, dtype=np.float64)
+        prefix = ""
+        rng = np.random.default_rng(31)
+        if case == "duplicates":
+            base = _rand_seqs(rng, 6)
+            groups = [base[:4], [base[1], base[1], base[5]], base[2:]]
+        elif case == "one_row":
+            groups = [[[7, 8, 9]], [[7, 8, 9], [7, 8, 9]]]
+        else:
+            base = _rand_seqs(rng, 90)
+            groups = [base[:50] + base[:10], base[40:] + base[60:70]]
+        if case == "sqd_enc":
+            add_retrieval_encoder(params, CFG, seed=5)
+            prefix = "sqd_enc."
+        flat = [s for g in groups for s in g]
+        weights = rng.normal(size=(len(flat), CFG.d_model))
+
+        _, ref = encode_mean_pool(params, CFG, flat, prefix=prefix)
+        want_grads = self._grads(params, ad.tsum(ref * Tensor(weights)))
+
+        pooled, idx = encode_unique(params, CFG, groups, prefix=prefix)
+        assert len(idx) == len(groups)
+        assert pooled.data.shape[0] == len({tuple(s) for s in flat})
+        got = ad.getitem(pooled, np.concatenate(idx))
+        np.testing.assert_allclose(got.data, ref.data, rtol=0, atol=1e-9)
+        got_grads = self._grads(params, ad.tsum(got * Tensor(weights)))
+        for name, want in want_grads.items():
+            if want is None:
+                assert got_grads[name] is None, name
+            else:
+                np.testing.assert_allclose(got_grads[name], want, rtol=0,
+                                           atol=1e-9, err_msg=name)
+        touched = [n for n, g in want_grads.items() if g is not None]
+        assert touched and all(
+            n.startswith((prefix + "embed.", prefix + "enc.")) for n in touched)
+
+    def _spy_encodes(self, monkeypatch, groups):
+        from heronet import model
+        calls = []
+        real = model.encode_mean_pool
+
+        def spy(params, cfg, ids, mask=None, prefix=""):
+            hidden, pooled = real(params, cfg, ids, mask, prefix)
+            calls.append(([list(s) for s in ids], hidden.mask.shape[1]))
+            return hidden, pooled
+
+        monkeypatch.setattr(model, "encode_mean_pool", spy)
+        encode_unique(init_params(CFG, seed=5), CFG, groups)
+        return calls
+
+    def test_small_table_is_one_encode(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        base = _rand_seqs(rng, 63)
+        calls = self._spy_encodes(monkeypatch, [base, base[:20]])
+        assert len(calls) == 1
+        assert sorted(map(tuple, calls[0][0])) == sorted(set(map(tuple, base)))
+
+    def test_large_table_buckets_pad_to_own_longest(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        base = _rand_seqs(rng, 101)
+        distinct = set(map(tuple, base))
+        calls = self._spy_encodes(monkeypatch, [base, base[::3]])
+        assert len(calls) == 4
+        sizes = [len(rows) for rows, _ in calls]
+        assert max(sizes) - min(sizes) <= 1
+        seen = [tuple(s) for rows, _ in calls for s in rows]
+        assert len(seen) == len(set(seen)) and set(seen) == distinct
+        lengths = [[len(s) for s in rows] for rows, _ in calls]
+        for prev, nxt in zip(lengths, lengths[1:]):
+            assert max(prev) <= min(nxt)
+        assert [width for _, width in calls] == [max(n) for n in lengths]
+        assert calls[0][1] < calls[-1][1]
+
+
 # --- adapters and scoring --------------------------------------------------
 
 class TestAdapters:
@@ -229,47 +323,6 @@ class TestAdapters:
             adapter_apply(params, "sqd", Tensor(np.zeros((2, 5))))
         with pytest.raises(ValueError, match="task"):
             adapter_apply(params, "other", Tensor(np.zeros((2, CFG.d_model))))
-
-
-class TestDistance:
-    def test_three_four_five(self):
-        a = Projected(Tensor(np.array([0.0, 0.0])), "sqd")
-        b = Projected(Tensor(np.array([3.0, 4.0])), "sqd")
-        assert sentence_distance(a, b).data == pytest.approx(5.0)
-
-    def test_identity_and_symmetry(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            x = rng.normal(size=4)
-            y = rng.normal(size=4)
-            a, b = Projected(Tensor(x), "sqd"), Projected(Tensor(y), "sqd")
-            assert sentence_distance(a, a).data == 0.0
-            assert sentence_distance(a, b).data == sentence_distance(b, a).data
-
-    def test_component_oracle(self):
-        rng = np.random.default_rng(13)
-        x, y = rng.normal(size=64), rng.normal(size=64)
-        d = sentence_distance(Projected(Tensor(x), "sqd"),
-                              Projected(Tensor(y), "sqd")).data
-        assert d == pytest.approx(np.sqrt(((x - y) ** 2).sum()), rel=1e-12)
-
-    def test_triangle_inequality(self):
-        rng = np.random.default_rng(21)
-        for _ in range(1000):
-            x, y, z = rng.normal(size=(3, 6))
-            pa = Projected(Tensor(x), "sqd")
-            pb = Projected(Tensor(y), "sqd")
-            pc = Projected(Tensor(z), "sqd")
-            dac = sentence_distance(pa, pc).data
-            dab = sentence_distance(pa, pb).data
-            dbc = sentence_distance(pb, pc).data
-            assert dac <= dab + dbc + 1e-12
-
-    def test_mixed_tags_rejected(self, toy):
-        a = Projected(Tensor(np.zeros(4)), "sqd")
-        b = Projected(Tensor(np.zeros(4)), "qrm")
-        with pytest.raises(ValueError):
-            sentence_distance(a, b)
 
 
 class TestMatchScore:
@@ -450,6 +503,53 @@ class TestCachedDecoding:
         for offset, logits in enumerate(steps):
             np.testing.assert_allclose(logits, tf[:, first - 1 + offset],
                                        rtol=1e-5, atol=1e-5)
+
+    def test_sampling_drops_finished_rows(self, monkeypatch):
+        """A row leaves the step batch once it emits EOS, yet every row
+        still takes one draw per step: each sampled token replays from
+        the teacher-forced logits and the same uniform stream."""
+        from heronet import model
+        params = init_params(CFG, seed=0, dtype=np.float64)
+        rng = np.random.default_rng(0)
+        for t in params.values():
+            t.data += rng.normal(0, 0.5, t.data.shape)
+        params["out.w"].data[:, EOS_ID] *= 4
+        ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20],
+                               [7, 7], [13, 14, 15, 16]])
+        hidden, _ = encode_mean_pool(params, CFG, ids, mask)
+        widths = []
+        real = model.decode_step
+
+        def spy(params, cfg, hidden, cache, new_ids):
+            widths.append(len(new_ids))
+            return real(params, cfg, hidden, cache, new_ids)
+
+        monkeypatch.setattr(model, "decode_step", spy)
+        seqs = sample_batch(params, CFG, hidden, mode="sample",
+                            rng=np.random.default_rng(1),
+                            max_len=CFG.max_seq_len)
+        assert widths == [sum(len(s) > j for s in seqs)
+                          for j in range(len(widths))]
+        assert widths[0] == len(seqs) and 1 < min(widths) < len(seqs)
+
+        dec = np.full((len(seqs), 1 + max(map(len, seqs))), PAD_ID,
+                      dtype=np.int64)
+        dec[:, 0] = BOS_ID
+        for r, seq in enumerate(seqs):
+            dec[r, 1:1 + len(seq)] = seq
+        with ad.no_grad():
+            tf = decoder_logits(params, CFG, hidden, dec).data
+        replay = np.random.default_rng(1)
+        for j in range(len(widths)):
+            u = replay.random(len(seqs))
+            for r, seq in enumerate(seqs):
+                if len(seq) > j:
+                    logits = tf[r, j].copy()
+                    logits[[PAD_ID, BOS_ID]] = -np.inf
+                    p = np.exp(logits - logits.max())
+                    cdf = np.cumsum(p / p.sum())
+                    cdf[-1] = 1.0
+                    assert seq[j] == int(np.searchsorted(cdf, u[r], "right"))
 
 
 # --- parameter store machinery ----------------------------------------------

@@ -245,3 +245,38 @@ def test_rerank_train_assembles_each_pair_once(small_world, monkeypatch):
                        opt=opt, rng=np.random.default_rng(5), max_gen_len=8)
     assert calls["build"] == 7
     assert calls["generate"] == [3, 3, 1]
+
+
+def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
+        small_world, monkeypatch):
+    # one encode_unique call per chunk; inside it, every distinct query
+    # and candidate sequence of the chunk reaches the encoder exactly once
+    from heronet import model
+    from heronet import rerank as rr
+
+    corpus, vocab, cfg, params, cache, bm25_r = small_world
+    chunks = []
+    encode, encode_unique = model.encode_mean_pool, rr.encode_unique
+
+    def spy_encode(params, cfg, ids, mask=None, prefix=""):
+        chunks[-1]["rows"].extend(tuple(s) for s in ids)
+        return encode(params, cfg, ids, mask, prefix)
+
+    def spy_unique(params, cfg, groups, prefix=""):
+        chunks.append({"groups": groups, "rows": []})
+        return encode_unique(params, cfg, groups, prefix)
+
+    monkeypatch.setattr(model, "encode_mean_pool", spy_encode)
+    monkeypatch.setattr(rr, "encode_unique", spy_unique)
+    local = clone_params(params)
+    opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
+    pairs = corpus.train[:6] + corpus.train[:1]
+    rerank_train_epoch(local, cfg, vocab, pairs, corpus.pool, cache, bm25_r,
+                       m=2, n=2, kg=True, batch_size=4, opt=opt,
+                       rng=np.random.default_rng(5), max_gen_len=8)
+    assert len(chunks) == 2
+    for chunk in chunks:
+        offered = [tuple(s) for g in chunk["groups"] for s in g]
+        assert len(chunk["rows"]) == len(set(chunk["rows"]))
+        assert set(chunk["rows"]) == set(offered)
+        assert len(chunk["rows"]) < len(offered)

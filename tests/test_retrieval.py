@@ -17,7 +17,7 @@ from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
                                qrm_step, retrieve_top_m, separation_ratio,
-                               sqd_pool_distances, sqd_step, triplet_hinge)
+                               sqd_pool_distances, sqd_step)
 
 
 @pytest.fixture(scope="module")
@@ -39,31 +39,6 @@ def logit(p):
 
 # ---------------------------------------------------------------------------
 # loss oracles
-
-
-def test_triplet_hinge_hand_value():
-    loss = triplet_hinge(Tensor(np.array([1.0])),
-                         Tensor(np.array([[0.5]])), margin=0.5)
-    assert loss.item() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_triplet_hinge_satisfied_margin_is_zero():
-    loss = triplet_hinge(Tensor(np.array([0.2])),
-                         Tensor(np.array([[5.0, 9.0]])), margin=1.0)
-    assert loss.item() == 0.0
-
-
-def test_triplet_hinge_matches_loop_oracle():
-    rng = np.random.default_rng(0)
-    for _ in range(25):
-        b, m = int(rng.integers(1, 5)), int(rng.integers(1, 6))
-        d_pos = rng.random(b) * 2
-        d_neg = rng.random((b, m)) * 2
-        margin = float(rng.random())
-        want = np.mean([sum(max(0.0, margin + d_pos[i] - d_neg[i, j])
-                            for j in range(m)) for i in range(b)])
-        got = triplet_hinge(Tensor(d_pos), Tensor(d_neg), margin).item()
-        assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_qrm_bce_hand_values():
@@ -202,6 +177,60 @@ def test_sqd_step_decreases_loss_on_fixed_batch(small_world):
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
     assert losses[1] <= losses[0] + 1e-6
+
+
+def test_sqd_step_matches_per_triplet_hinge(small_world):
+    """The deduplicated gather must score exactly like encoding each
+    triplet's sequences on their own: mean over anchors of the sum over
+    negatives of max(0, margin + d(a, p) - d(a, n))."""
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    from heronet.model import clone_params
+    local = clone_params(params)
+    rng = np.random.default_rng(10)
+    queries = [p.query for p in corpus.train[:5]] + [corpus.train[0].query]
+    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=3, rng=rng)
+    margin = 3.0
+
+    def proj(seq):
+        _, pooled = encode_mean_pool(local, cfg, [seq])
+        return adapter_apply(local, "sqd", pooled).vec.data[0]
+
+    with ad.no_grad():
+        per_anchor = []
+        for a, p, negs in zip(batch.anchors, batch.positives,
+                              batch.negatives):
+            d_pos = np.linalg.norm(proj(a) - proj(p))
+            per_anchor.append(sum(
+                max(0.0, margin + d_pos - np.linalg.norm(proj(a) - proj(n)))
+                for n in negs))
+    opt = ad.Adam(param_subset(local, "sqd"), lr=0.0)
+    got = sqd_step(local, cfg, batch, margin=margin, opt=opt)
+    assert got > 0.0
+    assert got == pytest.approx(np.mean(per_anchor), rel=1e-9)
+
+
+def test_sqd_step_encodes_each_distinct_sequence_once(small_world,
+                                                      monkeypatch):
+    from heronet import model
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    rows = []
+    encode = model.encode_mean_pool
+
+    def spy(params, cfg, ids, mask=None, prefix=""):
+        rows.extend(tuple(s) for s in ids)
+        return encode(params, cfg, ids, mask, prefix)
+
+    monkeypatch.setattr(model, "encode_mean_pool", spy)
+    queries = [p.query for p in corpus.train[:4]] + [corpus.train[0].query]
+    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=4,
+                           rng=np.random.default_rng(8), word_dropout=0.0)
+    offered = batch.anchors + batch.positives + [
+        n for g in batch.negatives for n in g]
+    sqd_step(model.clone_params(params), cfg, batch, margin=1.0,
+             opt=ad.Adam({}, lr=0.0))
+    assert len(rows) == len(set(rows))
+    assert set(rows) == {tuple(s) for s in offered}
+    assert len(rows) < len(offered)
 
 
 def test_sqd_step_touches_only_encoder_and_sqd_adapter(small_world):
