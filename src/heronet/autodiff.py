@@ -369,10 +369,8 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def transpose(a: Tensor, axes) -> Tensor:
-    inv = np.argsort(axes)
-
     def bw(g):
-        return (g.transpose(inv),)
+        return (g.transpose(np.argsort(axes)),)
 
     return _make(a.data.transpose(axes), (a,), bw)
 
@@ -454,21 +452,25 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift."""
-    mu = a.data.mean(axis=-1, keepdims=True)
+    """Normalize over the last axis, then scale and shift.
+
+    Means are taken as sum / d, which equals np.mean bit for bit and
+    skips its per-call overhead.
+    """
+    d = a.data.shape[-1]
+    mu = a.data.sum(axis=-1, keepdims=True) / d
     xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     data = gain.data * xhat + bias.data
 
     def bw(g):
-        d = a.data.shape[-1]
         dxhat = g * gain.data
         dx = inv * (
             dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+            - dxhat.sum(axis=-1, keepdims=True) / d
+            - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d)
         )
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if g.ndim > 1 else g * xhat

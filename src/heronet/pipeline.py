@@ -500,7 +500,7 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
             cfg.n, kg, rng, cfg.max_gen_len, prefix, include_truth=True,
             sqd_cache=sqd_cache)
         q_ids = encode_text(query_text, vocab, mcfg.max_seq_len)
-        ranked = rerank(params, mcfg, q_ids, cands)
+        ranked = rerank(params, mcfg, q_ids, cands, cache)
         hyps.append(decode_ids(ranked[0].tokens, vocab))
         refs.append(pair.response)
         trace.append({"query_id": i,
@@ -516,10 +516,10 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
                                   replace=False)
         subset = np.concatenate([[truth_id], distract])
         bare_q = encode_text(pair.query, vocab, mcfg.max_seq_len)
-        dists = sqd_pool_distances(params, mcfg, [bare_q], sqd_cache,
-                                   prefix)[0]
         with ad.no_grad():
             _, pooled = encode_mean_pool(params, mcfg, [bare_q])
+        dists = sqd_pool_distances(params, mcfg, [bare_q], sqd_cache,
+                                   prefix, pooled)[0]
         ranks.append((_subset_rank(subset, dists, cache.resp_emb,
                                    pooled.data, params, truth_id, cfg.m),
                       cfg.eval_candidates))
@@ -618,7 +618,7 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
             cfg.n, not cfg.no_kg, rng, cfg.max_gen_len, prefix,
             include_truth=False, sqd_cache=sqd_cache)
         q_ids = encode_text(query_text, vocab, mcfg.max_seq_len)
-        ranked = rerank(params, mcfg, q_ids, cands)
+        ranked = rerank(params, mcfg, q_ids, cands, cache)
         k = min(cfg.k, len(ranked))
         emit(f"response: {decode_ids(ranked[0].tokens, vocab)}")
         emit(f"top {k} candidates:")

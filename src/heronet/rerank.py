@@ -7,6 +7,14 @@ matching head, and sorts by descending score with ties broken by
 original candidate position.  Evaluation sets add exactly one
 truth-tagged entry so ranking quality is measurable.
 
+Every retrieved candidate, and any other candidate whose tokens equal a
+pool response's, already has its embedding in the main encoder's
+PoolCache: scoring gathers that row and encodes only the query and the
+remaining distinct sequences (see model.encode_unique).  That is sound
+only while the encoder is the one the cache was built from, which holds
+here: chat and evaluation change no parameters, and re-rank training
+moves the matching head alone.
+
 Re-rank training freezes everything except the matching head: candidate
 embeddings are computed gradient-free, so the optimizer can only move
 psi_m.  Each training group is the inference-time candidate set widened
@@ -15,8 +23,8 @@ gold response labelled 1 against everyone else's 0.  Training works a
 chunk of batch_size queries at a time: one generate_candidates call
 retrieves and decodes for the whole chunk, each query's set is
 assembled on its own, and one encode_unique call embeds every distinct
-sequence of the chunk.  Chat and evaluation build one query's set at a
-time.
+sequence of the chunk, encoding only those the pool cache does not
+hold.  Chat and evaluation build one query's set at a time.
 """
 
 from __future__ import annotations
@@ -60,38 +68,34 @@ def dedupe_candidates(candidates: list) -> list:
     return [(list(k), kept[k]) for k in order]
 
 
-def _score_candidates(params, cfg, query_ids, cand_ids):
+def _score_candidates(params, cfg, query_ids, cand_ids, cache):
     """Match scores of every candidate against the query, gradient-free."""
     with ad.no_grad():
-        pooled, (qi, ci) = encode_unique(params, cfg, [[query_ids], cand_ids])
+        pooled, (qi, ci) = encode_unique(params, cfg, [[query_ids], cand_ids],
+                                         cache=cache)
         z = match_logit(params, ad.getitem(pooled, np.repeat(qi, len(ci))),
                         ad.getitem(pooled, ci))
         return ad.sigmoid(z).data.copy()
 
 
 def rerank(params: dict, cfg: ModelConfig, query_ids: list,
-           candidates: list) -> list:
+           candidates: list, cache: PoolCache) -> list:
     """Deduplicate, score, and sort candidates for one query.
 
-    Returns RankedCandidate entries in descending score order; equal
-    scores keep their original candidate order.
+    cache is the main encoder's PoolCache, built from these parameters:
+    a candidate that is a pool response is scored from its cached
+    embedding, the others are encoded.  Returns RankedCandidate entries
+    in descending score order; equal scores keep their original
+    candidate order.
     """
     if not candidates:
         raise ValueError("nothing to rank")
     merged = dedupe_candidates(candidates)
-    scores = _score_candidates(params, cfg, query_ids, [c for c, _ in merged])
+    scores = _score_candidates(params, cfg, query_ids, [c for c, _ in merged],
+                               cache)
     order = np.lexsort((np.arange(len(merged)), -scores))
     return [RankedCandidate(tuple(merged[i][0]), float(scores[i]),
                             merged[i][1]) for i in order]
-
-
-def select_outputs(ranked: list, k: int):
-    """The rank-1 response plus the top-k list shown alongside it."""
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    if k > len(ranked):
-        raise ValueError(f"k={k} exceeds candidate count {len(ranked)}")
-    return ranked[0], ranked[:k]
 
 
 def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
@@ -141,7 +145,9 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
     one optimizer step covers batch_size queries.  The chunk's retrieval
     and decoding run as one batch; the sampled extras still come from rng
     query by query, in order.  The chunk's queries and candidate sets are
-    then encoded together, each distinct sequence once.
+    then embedded together, each distinct sequence once: pool responses
+    from cache, whose encoder this epoch leaves untouched, and the rest
+    through the encoder.
     """
     losses = []
     for lo in range(0, len(pairs), batch_size):
@@ -163,7 +169,8 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
             labels.extend(1.0 if prov == "truth" else 0.0
                           for _, prov in merged)
         with ad.no_grad():
-            pooled, (qi, ci) = encode_unique(params, cfg, [q_seqs, c_seqs])
+            pooled, (qi, ci) = encode_unique(params, cfg, [q_seqs, c_seqs],
+                                             cache=cache)
         z = match_logit(params, Tensor(pooled.data[qi]),
                         Tensor(pooled.data[ci]))
         loss = qrm_bce(z, np.asarray(labels))

@@ -10,7 +10,9 @@ neighbours, so the two tasks feed each other.
 Candidate-pool embeddings are expensive to recompute, so they are built
 once per epoch into a PoolCache and treated as constants; adapter
 projections stay fresh because they are recomputed from the cached raw
-embeddings on every call.
+embeddings on every call.  While the encoder stays frozen, the cache also
+stands in for encoding a pool response again: the re-ranker gathers its
+row (see model.encode_unique).
 """
 
 from __future__ import annotations
@@ -30,12 +32,21 @@ from .model import (ModelConfig, adapter_apply, encode_mean_pool,
 
 @dataclass
 class PoolCache:
-    """Per-epoch constants: raw mean-pooled embeddings and token lists."""
+    """Per-epoch constants: raw mean-pooled embeddings and token lists.
+
+    resp_row, derived on construction, maps each response's token tuple
+    to its row of resp_emb (the first row when responses repeat).
+    """
 
     query_ids: list          # token id list per pool entry, entry order
     resp_ids: list
     query_emb: np.ndarray    # (P, d_model) raw pooled encoder output
     resp_emb: np.ndarray     # (P, d_model)
+
+    def __post_init__(self):
+        self.resp_row: dict = {}
+        for i, ids in enumerate(self.resp_ids):
+            self.resp_row.setdefault(tuple(ids), i)
 
 
 def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
@@ -71,10 +82,20 @@ def project_cached(params: dict, emb: np.ndarray, task: str) -> np.ndarray:
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
-                       cache: PoolCache, enc_prefix: str = "") -> np.ndarray:
-    """(B, P) SQD distances between fresh query encodings and the pool."""
+                       cache: PoolCache, enc_prefix: str = "",
+                       main_pooled: Tensor | None = None) -> np.ndarray:
+    """(B, P) SQD distances between fresh query encodings and the pool.
+
+    main_pooled, the main encoder's pooled rows of query_batch when the
+    caller already has them, spares encoding the batch again while the
+    SQD head shares that encoder; a separate SQD encoder (enc_prefix)
+    always encodes the batch itself.
+    """
     with ad.no_grad():
-        _, pooled = encode_mean_pool(params, cfg, query_batch, prefix=enc_prefix)
+        pooled = main_pooled
+        if pooled is None or enc_prefix:
+            _, pooled = encode_mean_pool(params, cfg, query_batch,
+                                         prefix=enc_prefix)
         q = adapter_apply(params, "sqd", pooled).vec.data
     p = project_cached(params, cache.query_emb, "sqd")
     diff = q[:, None, :] - p[None, :, :]
@@ -309,10 +330,11 @@ def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
     if m < 1:
         raise ValueError("m must be at least 1")
     sqd_cache = cache if sqd_cache is None else sqd_cache
-    dists = sqd_pool_distances(params, cfg, queries, sqd_cache, enc_prefix)
     width = min(width_mult * m, pool.size)
     with ad.no_grad():
         _, pooled = encode_mean_pool(params, cfg, queries)
+        dists = sqd_pool_distances(params, cfg, queries, sqd_cache,
+                                   enc_prefix, pooled)
         results = []
         for i in range(len(queries)):
             stage1 = np.lexsort((np.arange(pool.size), dists[i]))[:width]

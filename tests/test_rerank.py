@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heronet import autodiff as ad
 from heronet.bm25 import Bm25Index
@@ -10,10 +12,9 @@ from heronet.corpus import (build_vocab, encode_text,
 from heronet.discriminator import score_pairs
 from heronet.model import (ModelConfig, clone_params, init_params,
                            param_subset, params_fingerprint)
-from heronet.rerank import (RankedCandidate, build_candidate_set,
-                            dedupe_candidates, rerank, rerank_train_epoch,
-                            select_outputs)
-from heronet.retrieval import build_pool_cache, pool_token_lists
+from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
+                            rerank_train_epoch)
+from heronet.retrieval import PoolCache, build_pool_cache, pool_token_lists
 
 
 @pytest.fixture(scope="module")
@@ -51,6 +52,24 @@ def test_dedupe_distinct_sequences_untouched():
     assert dedupe_candidates(cands) == cands
 
 
+_PROVS = ["retrieved", "generated", "bm25", "truth"]
+
+
+@given(st.lists(st.tuples(st.lists(st.integers(3, 6), max_size=3),
+                          st.sampled_from(_PROVS)), max_size=12))
+def test_dedupe_properties(cands):
+    merged = dedupe_candidates(cands)
+    keys = [tuple(ids) for ids, _ in cands]
+    # kept entries: each distinct sequence once, in first-seen order
+    assert [tuple(ids) for ids, _ in merged] == list(dict.fromkeys(keys))
+    for ids, prov in merged:
+        provs = [p for k, (_, p) in zip(keys, cands) if k == tuple(ids)]
+        # any truth-tagged copy promotes the kept entry; otherwise the
+        # first copy's tag stands
+        assert prov == ("truth" if "truth" in provs else provs[0])
+    assert dedupe_candidates(merged) == merged
+
+
 # ---------------------------------------------------------------------------
 # ranking
 
@@ -60,7 +79,7 @@ def test_rerank_scores_match_discriminator_head(small_world):
     q = encode_text(corpus.test[0].query, vocab)
     cands = [(encode_text(e.response, vocab), "retrieved")
              for e in corpus.pool.entries[:5]]
-    ranked = rerank(params, cfg, q, cands)
+    ranked = rerank(params, cfg, q, cands, cache)
     assert len(ranked) == 5
     scores = [c.score for c in ranked]
     assert scores == sorted(scores, reverse=True)
@@ -77,7 +96,7 @@ def test_rerank_tie_break_keeps_candidate_order(small_world):
     q = encode_text(corpus.test[0].query, vocab)
     cands = [(encode_text(e.response, vocab), "retrieved")
              for e in corpus.pool.entries[:4]]
-    ranked = rerank(local, cfg, q, cands)
+    ranked = rerank(local, cfg, q, cands, cache)
     assert [list(c.tokens) for c in ranked] == [c for c, _ in cands]
     assert all(c.score == 0.5 for c in ranked)
 
@@ -86,7 +105,8 @@ def test_rerank_dedupes_before_scoring(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     q = encode_text(corpus.test[1].query, vocab)
     resp = encode_text(corpus.pool.entries[0].response, vocab)
-    ranked = rerank(params, cfg, q, [(resp, "retrieved"), (resp, "truth")])
+    ranked = rerank(params, cfg, q, [(resp, "retrieved"), (resp, "truth")],
+                    cache)
     assert len(ranked) == 1
     assert ranked[0].provenance == "truth"
 
@@ -97,7 +117,7 @@ def test_rerank_preserves_provenance(small_world):
     cands = [(encode_text(corpus.pool.entries[0].response, vocab), "retrieved"),
              ([7, 9, 11], "generated"),
              (encode_text(corpus.pool.entries[1].response, vocab), "bm25")]
-    ranked = rerank(params, cfg, q, cands)
+    ranked = rerank(params, cfg, q, cands, cache)
     assert sorted(c.provenance for c in ranked) == ["bm25", "generated",
                                                     "retrieved"]
 
@@ -105,24 +125,63 @@ def test_rerank_preserves_provenance(small_world):
 def test_rerank_rejects_empty(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     with pytest.raises(ValueError):
-        rerank(params, cfg, [7], [])
+        rerank(params, cfg, [7], [], cache)
 
 
-def test_select_outputs_rank1_and_topk():
-    ranked = [RankedCandidate((1,), 0.9, "generated"),
-              RankedCandidate((2,), 0.8, "retrieved"),
-              RankedCandidate((3,), 0.2, "bm25")]
-    best, top = select_outputs(ranked, 2)
-    assert best is ranked[0]
-    assert top == ranked[:2]
+def _mixed_candidates(corpus, vocab, cache):
+    # pool responses, one sequence outside the pool, and a duplicate
+    pool_resp = [encode_text(e.response, vocab)
+                 for e in corpus.pool.entries[:4]]
+    outside = [7, 9, 11]
+    assert tuple(outside) not in cache.resp_row
+    return ([(ids, "retrieved") for ids in pool_resp]
+            + [(outside, "generated"), (pool_resp[0], "truth")])
 
 
-def test_select_outputs_rejects_bad_k():
-    ranked = [RankedCandidate((1,), 0.9, "generated")]
-    with pytest.raises(ValueError):
-        select_outputs(ranked, 0)
-    with pytest.raises(ValueError):
-        select_outputs(ranked, 2)
+def test_rerank_from_cache_matches_fresh_encoding(small_world):
+    # float32, as served: cached rows were padded with other pool
+    # responses, fresh ones only with their own set
+    corpus, vocab, cfg, _, _, _ = small_world
+    params = init_params(cfg, seed=11, dtype=np.float32)
+    cache = build_pool_cache(params, cfg, vocab, corpus.pool)
+    d = cfg.d_model
+    no_pool = PoolCache([], [], np.zeros((0, d)), np.zeros((0, d)))
+    q = encode_text(corpus.test[3].query, vocab)
+    cands = _mixed_candidates(corpus, vocab, cache)
+    got = rerank(params, cfg, q, cands, cache)
+    want = rerank(params, cfg, q, cands, no_pool)
+    assert len(got) == len(want) == 5
+    want_by_tokens = {c.tokens: c for c in want}
+    for c in got:
+        assert c.score == pytest.approx(want_by_tokens[c.tokens].score,
+                                        abs=1e-6)
+        assert c.provenance == want_by_tokens[c.tokens].provenance
+
+
+def test_rerank_encodes_only_query_and_sequences_outside_pool(small_world,
+                                                              monkeypatch):
+    from heronet import model
+
+    corpus, vocab, cfg, params, cache, bm25_r = small_world
+    calls = []
+    real = model.encode_mean_pool
+
+    def spy(params, cfg, ids, mask=None, prefix=""):
+        calls.append([tuple(s) for s in ids])
+        return real(params, cfg, ids, mask, prefix)
+
+    monkeypatch.setattr(model, "encode_mean_pool", spy)
+    q = encode_text(corpus.test[3].query, vocab)
+    rerank(params, cfg, q, _mixed_candidates(corpus, vocab, cache), cache)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted([tuple(q), (7, 9, 11)])
+    # a query that is itself a pool response, among pool responses only,
+    # needs no encoder pass at all
+    calls.clear()
+    pool_q = cache.resp_ids[5]
+    rerank(params, cfg, pool_q,
+           [(ids, "retrieved") for ids in cache.resp_ids[:3]], cache)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +308,9 @@ def test_rerank_train_assembles_each_pair_once(small_world, monkeypatch):
 
 def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
         small_world, monkeypatch):
-    # one encode_unique call per chunk; inside it, every distinct query
-    # and candidate sequence of the chunk reaches the encoder exactly once
+    # one encode_unique call per chunk, handed the pool cache; inside it,
+    # pool responses never reach the encoder and every other distinct
+    # query and candidate sequence of the chunk reaches it exactly once
     from heronet import model
     from heronet import rerank as rr
 
@@ -262,9 +322,9 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
         chunks[-1]["rows"].extend(tuple(s) for s in ids)
         return encode(params, cfg, ids, mask, prefix)
 
-    def spy_unique(params, cfg, groups, prefix=""):
-        chunks.append({"groups": groups, "rows": []})
-        return encode_unique(params, cfg, groups, prefix)
+    def spy_unique(params, cfg, groups, prefix="", cache=None):
+        chunks.append({"groups": groups, "rows": [], "cache": cache})
+        return encode_unique(params, cfg, groups, prefix, cache)
 
     monkeypatch.setattr(model, "encode_mean_pool", spy_encode)
     monkeypatch.setattr(rr, "encode_unique", spy_unique)
@@ -276,7 +336,9 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
                        rng=np.random.default_rng(5), max_gen_len=8)
     assert len(chunks) == 2
     for chunk in chunks:
-        offered = [tuple(s) for g in chunk["groups"] for s in g]
+        assert chunk["cache"] is cache
+        offered = {tuple(s) for g in chunk["groups"] for s in g}
+        in_pool = {s for s in offered if s in cache.resp_row}
+        assert in_pool  # retrieved, BM25 and truth entries are pool responses
         assert len(chunk["rows"]) == len(set(chunk["rows"]))
-        assert set(chunk["rows"]) == set(offered)
-        assert len(chunk["rows"]) < len(offered)
+        assert set(chunk["rows"]) == offered - in_pool

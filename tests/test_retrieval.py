@@ -16,8 +16,9 @@ from heronet.model import ModelConfig, adapter_apply, encode_mean_pool, init_par
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
-                               qrm_step, retrieve_top_m, separation_ratio,
-                               sqd_pool_distances, sqd_step)
+                               qrm_step, retrieve_top_m, retrieve_top_m_batch,
+                               separation_ratio, sqd_pool_distances,
+                               sqd_step)
 
 
 @pytest.fixture(scope="module")
@@ -445,6 +446,44 @@ def test_retrieve_oversized_m_returns_whole_pool(small_world):
     assert sorted(c.pool_id for c in got) == list(range(corpus.pool.size))
 
 
+@pytest.mark.parametrize("separate", [False, True])
+def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
+                                                       monkeypatch, separate):
+    # stage one reuses the main encoder's query rows while the SQD head
+    # shares that encoder; a separate SQD encoder still encodes for itself
+    from heronet import retrieval
+    from heronet.model import add_retrieval_encoder, clone_params
+
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    prefix = "sqd_enc." if separate else ""
+    local = clone_params(params)
+    sqd_cache = cache
+    if separate:
+        add_retrieval_encoder(local, cfg, seed=5)
+        sqd_cache = build_pool_cache(local, cfg, vocab, corpus.pool,
+                                     enc_prefix=prefix)
+    qs = [encode_text(p.query, vocab) for p in corpus.test[:3]]
+    with ad.no_grad():
+        _, main = encode_mean_pool(local, cfg, qs)
+    want = sqd_pool_distances(local, cfg, qs, sqd_cache, prefix)
+    np.testing.assert_array_equal(
+        sqd_pool_distances(local, cfg, qs, sqd_cache, prefix, main), want)
+    calls = []
+    real = retrieval.encode_mean_pool
+
+    def spy(params, cfg, ids, mask=None, prefix=""):
+        calls.append(prefix)
+        return real(params, cfg, ids, mask, prefix)
+
+    monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
+    got = retrieve_top_m_batch(local, cfg, qs, corpus.pool, cache, m=3,
+                               enc_prefix=prefix, sqd_cache=sqd_cache)
+    assert calls == (["", prefix] if separate else [""])
+    for i, row in enumerate(got):
+        stage1 = np.lexsort((np.arange(corpus.pool.size), want[i]))[:12]
+        assert {c.pool_id for c in row} <= set(stage1.tolist())
+
+
 def test_retrieve_rejects_bad_m(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[0].query, vocab)
@@ -468,6 +507,16 @@ def test_pool_cache_batch_size_invariance(small_world):
     small = build_pool_cache(params, cfg, vocab, corpus.pool, batch_size=7)
     assert np.allclose(small.query_emb, cache.query_emb, atol=1e-12)
     assert np.allclose(small.resp_emb, cache.resp_emb, atol=1e-12)
+
+
+def test_pool_cache_maps_responses_to_first_row(small_world):
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    for i, ids in enumerate(cache.resp_ids):
+        j = cache.resp_row[tuple(ids)]
+        assert j <= i and cache.resp_ids[j] == ids
+    emb = np.arange(6.0).reshape(3, 2)
+    dup = PoolCache([[1], [2], [3]], [[4, 5], [6], [4, 5]], emb, emb)
+    assert dup.resp_row == {(4, 5): 0, (6,): 1}
 
 
 def test_separation_ratio_finite_and_positive(small_world):
