@@ -13,6 +13,7 @@ gradient at coincident points (see `euclidean`).
 from __future__ import annotations
 
 import contextlib
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -114,9 +115,6 @@ class Tensor:
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes):
-        return transpose(self, axes)
 
     def __getitem__(self, key):
         return getitem(self, key)
@@ -266,6 +264,26 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), bw)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b: a (..., k) stack of rows, a (k, n) weight and an (n,) bias.
+
+    One node: forward is one (rows, k) @ (k, n) GEMM plus the bias, and
+    backward is one GEMM each for x and w and a single row sum for b.
+    """
+    k, n = w.data.shape
+    x2 = x.data.reshape(-1, k)
+    data = x2 @ w.data
+    data += b.data
+    data = data.reshape(x.data.shape[:-1] + (n,))
+
+    def bw(g):
+        g2 = g.reshape(-1, n)
+        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
+                g2.sum(axis=0))
+
+    return _make(data, (x, w, b), bw)
+
+
 def exp(a: Tensor) -> Tensor:
     data = np.exp(a.data)
 
@@ -368,13 +386,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _make(a.data.reshape(shape), (a,), bw)
 
 
-def transpose(a: Tensor, axes) -> Tensor:
-    def bw(g):
-        return (g.transpose(np.argsort(axes)),)
-
-    return _make(a.data.transpose(axes), (a,), bw)
-
-
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     parts = list(parts)
     sizes = [p.data.shape[axis] for p in parts]
@@ -437,6 +448,72 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         return ((g - dot) * data,)
 
     return _make(data, (a,), bw)
+
+
+def _attention_bias(kv_mask, causal: bool, t_q: int, t_k: int, dtype):
+    """Additive -1e9 score bias for padded keys and future positions.
+
+    None when nothing is masked: an all-ones kv_mask and a causal block
+    whose t_q = 1 query is the last key position (every cached decode
+    step) both leave every score as it is.
+    """
+    bias = None
+    if not kv_mask.all():
+        bias = ((1.0 - kv_mask.astype(dtype))[:, None, None, :]
+                * np.asarray(-1e9, dtype=dtype))
+    if causal and t_q > 1:
+        tri = np.triu(np.full((t_q, t_k), -1e9, dtype=dtype),
+                      k=t_k - t_q + 1)[None, None]
+        bias = tri if bias is None else bias + tri
+    return bias
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
+              kv_mask: np.ndarray, causal: bool = False) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    q is (B, Tq, d); k and v are (B, Tk, d), with d split evenly into
+    n_heads heads.  kv_mask (B, Tk) holds 1 for keys to attend to and 0
+    for padding.  Under `causal` the Tq queries are the last Tq of the Tk
+    key positions, so each sees its own position and the ones before it.
+    Returns the heads' contexts merged back to (B, Tq, d).  Backward
+    keeps only the attention weights besides the inputs.  Every product
+    keeps the operand order of the same computation built from matmul,
+    softmax and the elementwise nodes, so results match it bit for bit.
+    """
+    b_sz, t_q, d = q.data.shape
+    t_k = k.data.shape[1]
+    dh = d // n_heads
+    q4 = q.data.reshape(b_sz, t_q, n_heads, dh).transpose(0, 2, 1, 3)
+    k4 = k.data.reshape(b_sz, t_k, n_heads, dh).transpose(0, 2, 1, 3)
+    v4 = v.data.reshape(b_sz, t_k, n_heads, dh).transpose(0, 2, 1, 3)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    # the scores, turned in place into the softmax weights
+    attn = q4 @ k4.transpose(0, 1, 3, 2)
+    attn *= scale
+    bias = _attention_bias(kv_mask, causal, t_q, t_k, q.data.dtype)
+    if bias is not None:
+        attn += bias
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    data = (attn @ v4).transpose(0, 2, 1, 3).reshape(b_sz, t_q, d)
+
+    def bw(g):
+        g4 = g.reshape(b_sz, t_q, n_heads, dh).transpose(0, 2, 1, 3)
+        g_attn = g4 @ v4.transpose(0, 1, 3, 2)
+        gv4 = attn.transpose(0, 1, 3, 2) @ g4
+        g_scores = g_attn  # the softmax and scale backward, in place
+        g_scores -= (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores *= attn
+        g_scores *= scale
+        gq4 = g_scores @ k4
+        gk_t = q4.transpose(0, 1, 3, 2) @ g_scores  # (B, H, dh, Tk)
+        return (gq4.transpose(0, 2, 1, 3).reshape(b_sz, t_q, d),
+                gk_t.transpose(0, 3, 1, 2).reshape(b_sz, t_k, d),
+                gv4.transpose(0, 2, 1, 3).reshape(b_sz, t_k, d))
+
+    return _make(data, (q, k, v), bw)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

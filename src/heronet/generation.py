@@ -97,23 +97,6 @@ def warmup_step(params: dict, cfg: ModelConfig, src_ids: list,
     return float(loss.item())
 
 
-def mc_rollouts(params: dict, cfg: ModelConfig, hidden: Hidden, prefix: list,
-                n: int, rng, max_len: int = 32) -> list:
-    """n Monte Carlo completions of `prefix` at temperature 1.
-
-    The hidden must be a single source row.  A prefix that already ends
-    at EOS has nothing left to decide, so all n copies equal the prefix.
-    """
-    if n < 1:
-        raise ValueError("need at least one rollout")
-    prefix = [int(t) for t in prefix]
-    if prefix and prefix[-1] == EOS_ID:
-        return [list(prefix) for _ in range(n)]
-    return sample_batch(params, cfg, tile_hidden(hidden, n), mode="sample",
-                        temperature=1.0, rng=rng, max_len=max_len,
-                        start=prefix)
-
-
 def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
             rollouts: list, rewards: list, alpha: float,
             opt: ad.Adam) -> GenLossReport:

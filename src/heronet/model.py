@@ -19,7 +19,6 @@ under the prefix "sqd_enc." with its own embedding and position tables.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -56,13 +55,6 @@ class Hidden(NamedTuple):
 
     states: Tensor  # (B, T, d_model)
     mask: np.ndarray  # (B, T) 1.0 for real tokens, 0.0 for padding
-
-
-class Projected(NamedTuple):
-    """Adapter output tagged with the task it belongs to."""
-
-    vec: Tensor  # (..., d_proj)
-    task: str  # "sqd" or "qrm"
 
 
 def _param(rng, shape, dtype, scale=0.02):
@@ -174,43 +166,27 @@ def pad_batch(seqs: list, pad: int = PAD_ID):
     return ids, mask
 
 
-def _split_heads(x, n_heads):
-    b_sz, t, d = x.data.shape
-    return ad.transpose(ad.reshape(x, (b_sz, t, n_heads, d // n_heads)),
-                        (0, 2, 1, 3))
-
-
-def _project_kv(params, base, x_kv, n_heads):
-    """Per-head keys and values (B, H, T, d/H) of one attention block."""
-    return (_split_heads(ad.matmul(x_kv, params[f"{base}.wk"]), n_heads),
-            _split_heads(ad.matmul(x_kv, params[f"{base}.wv"]), n_heads))
+def _project_kv(params, base, x_kv):
+    """Keys and values (B, T, d) of one attention block."""
+    return (ad.matmul(x_kv, params[f"{base}.wk"]),
+            ad.matmul(x_kv, params[f"{base}.wv"]))
 
 
 def _attend(params, base, x_q, k, v, n_heads, kv_mask, causal=False):
     """Attention of the rows x_q over keys and values from _project_kv.
 
-    Under `causal` the t_q queries are the last t_q of the t_k key
-    positions, so each sees its own position and the ones before it.
+    k and v are (B, T_k, d); the heads are split and merged inside
+    ad.attention.  Under `causal` the t_q queries are the last t_q of the
+    t_k key positions, so each sees its own position and the ones before it.
     """
-    dt = x_q.data.dtype
-    b_sz, t_q, d = x_q.data.shape
-    t_k = k.data.shape[2]
-    dh = d // n_heads
-    q = _split_heads(ad.matmul(x_q, params[f"{base}.wq"]), n_heads)
-    scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))) * (1.0 / math.sqrt(dh))
-    bias = (1.0 - kv_mask.astype(dt))[:, None, None, :] * np.asarray(-1e9, dtype=dt)
-    if causal:
-        tri = np.triu(np.full((t_q, t_k), -1e9, dtype=dt), k=t_k - t_q + 1)
-        bias = bias + tri[None, None]
-    attn = ad.softmax(scores + Tensor(bias))
-    ctx = ad.matmul(attn, v)
-    ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (b_sz, t_q, d))
+    q = ad.matmul(x_q, params[f"{base}.wq"])
+    ctx = ad.attention(q, k, v, n_heads, kv_mask, causal)
     return ad.matmul(ctx, params[f"{base}.wo"])
 
 
 def _feed_forward(params, base, x):
-    h = ad.relu(ad.matmul(x, params[f"{base}.w1"]) + params[f"{base}.b1"])
-    return ad.matmul(h, params[f"{base}.w2"]) + params[f"{base}.b2"]
+    h = ad.relu(ad.linear(x, params[f"{base}.w1"], params[f"{base}.b1"]))
+    return ad.linear(h, params[f"{base}.w2"], params[f"{base}.b2"])
 
 
 def _ln(params, base, x):
@@ -231,7 +207,7 @@ def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
     for i in range(n_layers):
         base = f"{prefix}enc.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        k, v = _project_kv(params, f"{base}.attn", normed, n_heads)
+        k, v = _project_kv(params, f"{base}.attn", normed)
         x = x + _attend(params, f"{base}.attn", normed, k, v, n_heads, mask)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln2", x))
     return _ln(params, f"{prefix}enc.ln_f", x)
@@ -310,24 +286,23 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list,
     return pooled, idx
 
 
-def adapter_apply(params: dict, task: str, e: Tensor) -> Projected:
-    """Affine projection plus LayerNorm; tags the output with its task."""
+def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
+    """Affine projection plus LayerNorm of the task's adapter."""
     name = {"sqd": "psi_d", "qrm": "psi_m"}.get(task)
     if name is None:
         raise ValueError(f"unknown adapter task {task!r}")
     w = params[f"{name}.w"]
     if e.data.shape[-1] != w.data.shape[0]:
         raise ValueError("embedding dimension does not match adapter")
-    z = ad.matmul(e, w) + params[f"{name}.b"]
-    out = ad.layer_norm(z, params[f"{name}.ln.g"], params[f"{name}.ln.b"],
-                        eps=LN_EPS)
-    return Projected(out, task)
+    z = ad.linear(e, w, params[f"{name}.b"])
+    return ad.layer_norm(z, params[f"{name}.ln.g"], params[f"{name}.ln.b"],
+                         eps=LN_EPS)
 
 
 def match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
     """Pre-sigmoid matching score from concat(p_q, p_r, |p_q - p_r|)."""
-    p_q = adapter_apply(params, "qrm", e_q).vec
-    p_r = adapter_apply(params, "qrm", e_r).vec
+    p_q = adapter_apply(params, "qrm", e_q)
+    p_r = adapter_apply(params, "qrm", e_r)
     feats = ad.concat([p_q, p_r, ad.absolute(p_q - p_r)], axis=-1)
     return ad.tsum(feats * params["psi_m.w_m"], axis=-1)
 
@@ -341,11 +316,13 @@ class DecodeCache:
 
     The cross-attention K/V of the encoder states are projected once, and
     each layer's self-attention K/V grow by the positions fed so far.
+    Every K/V is (B, T, d_model), heads unsplit, so new positions join
+    along axis 1 and a batch row is a leading-axis slice.
     """
 
     def __init__(self, params: dict, cfg: ModelConfig, hidden: Hidden):
-        self.cross = [_project_kv(params, f"dec.{i}.cross", hidden.states,
-                                  cfg.n_heads) for i in range(cfg.n_layers)]
+        self.cross = [_project_kv(params, f"dec.{i}.cross", hidden.states)
+                      for i in range(cfg.n_layers)]
         self.past = [None] * cfg.n_layers
         self.length = 0
 
@@ -353,7 +330,7 @@ class DecodeCache:
         """Append new positions' K/V; returns every cached position's."""
         if self.past[layer] is not None:
             k_old, v_old = self.past[layer]
-            k, v = ad.concat([k_old, k], axis=2), ad.concat([v_old, v], axis=2)
+            k, v = ad.concat([k_old, k], axis=1), ad.concat([v_old, v], axis=1)
         self.past[layer] = (k, v)
         return k, v
 
@@ -380,10 +357,10 @@ def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
     for i in range(cfg.n_layers):
         base = f"dec.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        k, v = _project_kv(params, f"{base}.self", normed, cfg.n_heads)
+        k, v = _project_kv(params, f"{base}.self", normed)
         if cache is None:
             cross_k, cross_v = _project_kv(params, f"{base}.cross",
-                                           hidden.states, cfg.n_heads)
+                                           hidden.states)
         else:
             k, v = cache.extend(i, k, v)
             cross_k, cross_v = cache.cross[i]
@@ -522,27 +499,12 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     return out
 
 
-def sample_sequence(params: dict, cfg: ModelConfig, hidden: Hidden,
-                    mode: str = "greedy", temperature: float = 1.0, rng=None,
-                    max_len: int = 32) -> list:
-    """Single-row convenience wrapper around sample_batch."""
-    if hidden.states.data.shape[0] != 1:
-        raise ValueError("sample_sequence expects a single-row Hidden")
-    return sample_batch(params, cfg, hidden, mode, temperature, rng, max_len)[0]
-
-
 def tile_hidden(hidden: Hidden, n: int) -> Hidden:
     """Repeat a single-row Hidden n times (detached; for batched decoding)."""
     if hidden.states.data.shape[0] != 1:
         raise ValueError("tile_hidden expects a single-row Hidden")
     states = Tensor(np.repeat(hidden.states.data, n, axis=0))
     return Hidden(states, np.repeat(hidden.mask, n, axis=0))
-
-
-def clone_params(params: dict) -> dict:
-    """Deep copy of the store; detached from any graph."""
-    return {n: Tensor(t.data.copy(), requires_grad=t.requires_grad)
-            for n, t in params.items()}
 
 
 def params_fingerprint(params: dict, names=None) -> bytes:

@@ -78,7 +78,7 @@ def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
 def project_cached(params: dict, emb: np.ndarray, task: str) -> np.ndarray:
     """Run cached raw embeddings through the current adapter, gradient-free."""
     with ad.no_grad():
-        return adapter_apply(params, task, Tensor(emb)).vec.data
+        return adapter_apply(params, task, Tensor(emb)).data
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
@@ -96,7 +96,7 @@ def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
         if pooled is None or enc_prefix:
             _, pooled = encode_mean_pool(params, cfg, query_batch,
                                          prefix=enc_prefix)
-        q = adapter_apply(params, "sqd", pooled).vec.data
+        q = adapter_apply(params, "sqd", pooled).data
     p = project_cached(params, cache.query_emb, "sqd")
     diff = q[:, None, :] - p[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
@@ -194,7 +194,7 @@ def sqd_step(params: dict, cfg: ModelConfig, batch: TripletBatch,
     pooled, (ai, pi, ni) = encode_unique(
         params, cfg, [batch.anchors, batch.positives, flat_negs],
         prefix=enc_prefix)
-    proj = adapter_apply(params, "sqd", pooled).vec
+    proj = adapter_apply(params, "sqd", pooled)
     d_pos = ad.euclidean(ad.getitem(proj, ai), ad.getitem(proj, pi))  # (B,)
     d_neg = ad.euclidean(ad.getitem(proj, ai[owner]),
                          ad.getitem(proj, ni))                     # (F,)
@@ -377,7 +377,7 @@ def separation_ratio(params: dict, cfg: ModelConfig, vocab: Vocab,
         for lo in range(0, len(seqs), 64):
             _, pooled = encode_mean_pool(params, cfg, seqs[lo:lo + 64],
                                          prefix=enc_prefix)
-            rows.append(adapter_apply(params, "sqd", pooled).vec.data)
+            rows.append(adapter_apply(params, "sqd", pooled).data)
     emb = np.concatenate(rows, axis=0)
     intra, cross = [], []
     for i in range(len(tagged)):

@@ -1,5 +1,8 @@
 """Finite-difference checks for every tape primitive, in double precision."""
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 
@@ -22,16 +25,36 @@ def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-def check_unary(op, x, tol=1e-7):
-    t = ad.Tensor(x.copy(), requires_grad=True)
-    out = op(t).sum()
-    ad.backward(out)
+def gradcheck(fn, arrays, tol=1e-6):
+    """Check every input's tape gradient of sum(fn(*inputs) * w) against
+    central differences, for a fixed random w; returns the output."""
+    tensors = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    w = np.random.default_rng(0).normal(size=out.data.shape)
+    ad.backward(ad.tsum(out * ad.Tensor(w)))
+    for i, (t, a) in enumerate(zip(tensors, arrays)):
+        def f(x, i=i):
+            args = [ad.Tensor(x if j == i else arrays[j])
+                    for j in range(len(arrays))]
+            return float((fn(*args).data * w).sum())
 
-    def f(arr):
-        return op(ad.Tensor(arr)).data.sum()
+        np.testing.assert_allclose(t.grad, numeric_grad(f, a.copy()),
+                                   rtol=tol, atol=tol)
+    return out
 
-    num = numeric_grad(f, x.copy())
-    np.testing.assert_allclose(t.grad, num, rtol=tol, atol=tol)
+
+def primitives_in(out: ad.Tensor) -> set:
+    """Names of the autodiff functions that built the nodes of a graph."""
+    names, seen, stack = set(), set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            names.add(node._backward.__qualname__.split(".")[0])
+        stack.extend(node._parents)
+    return names
 
 
 RNG = np.random.default_rng(20240811)
@@ -48,17 +71,17 @@ class TestElementwise:
     def test_mul_div_sub(self):
         a = RNG.normal(size=(5,)) + 3.0
         for op in (lambda t: t * 2.5, lambda t: 1.0 / t, lambda t: t - 0.5, lambda t: ad.div(ad.Tensor(np.ones(5)), t)):
-            check_unary(op, a.copy())
+            gradcheck(op, [a.copy()], tol=1e-7)
 
     @pytest.mark.parametrize("op", [ad.exp, ad.log, ad.log1p, ad.sqrt, ad.square, ad.sigmoid, ad.softplus])
     def test_smooth_unary(self, op):
         x = RNG.uniform(0.2, 2.0, size=(4, 3))
-        check_unary(op, x)
+        gradcheck(op, [x], tol=1e-7)
 
     def test_abs_relu_away_from_kink(self):
         x = RNG.choice([-1.0, 1.0], size=20) * RNG.uniform(0.5, 2.0, size=20)
-        check_unary(ad.absolute, x.copy())
-        check_unary(ad.relu, x.copy())
+        gradcheck(ad.absolute, [x.copy()], tol=1e-7)
+        gradcheck(ad.relu, [x.copy()], tol=1e-7)
 
     def test_relu_subgradient_zero_at_kink(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
@@ -109,12 +132,12 @@ class TestShapes:
         with pytest.raises(ValueError):
             ad.matmul(ad.Tensor(np.ones((2, 3, 4))), ad.Tensor(np.ones((6, 2))))
 
-    def test_reshape_transpose_concat_getitem(self):
+    def test_reshape_concat_getitem(self):
         x = RNG.normal(size=(2, 6))
         t = ad.Tensor(x.copy(), requires_grad=True)
-        y = ad.concat([t.reshape(3, 4).transpose((1, 0)), ad.Tensor(np.ones((4, 1)))], axis=1)
+        y = ad.concat([t.reshape(3, 4), ad.Tensor(np.ones((3, 1)))], axis=1)
         ad.backward((y[:, :3] * 2.0).sum())
-        num = numeric_grad(lambda a: (np.concatenate([a.reshape(3, 4).T, np.ones((4, 1))], axis=1)[:, :3] * 2.0).sum(), x.copy())
+        num = numeric_grad(lambda a: (np.concatenate([a.reshape(3, 4), np.ones((3, 1))], axis=1)[:, :3] * 2.0).sum(), x.copy())
         np.testing.assert_allclose(t.grad, num, atol=1e-7)
 
     def test_sum_mean_axis(self):
@@ -251,3 +274,186 @@ class TestMachinery:
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
         assert np.all(np.abs(a) < np.array([1.0, 2.0]))
+
+
+def unfused_attention(q, k, v, n_heads, kv_mask, causal):
+    """Multi-head attention composed from the elementwise, reduction and
+    matmul primitives, one head at a time: the reference for ad.attention."""
+    b_sz, t_q, d = q.data.shape
+    t_k = k.data.shape[1]
+    dh = d // n_heads
+    bias = (1.0 - kv_mask)[:, None, :] * -1e9
+    if causal:
+        bias = bias + np.triu(np.full((t_q, t_k), -1e9), k=t_k - t_q + 1)
+    heads = []
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh = ad.reshape(q[:, :, cols], (b_sz, t_q, 1, dh))
+        kh = ad.reshape(k[:, :, cols], (b_sz, 1, t_k, dh))
+        scores = ad.tsum(qh * kh, axis=-1) * (1.0 / math.sqrt(dh))
+        attn = ad.softmax(scores + ad.Tensor(bias))
+        heads.append(ad.matmul(attn, v[:, :, cols]))
+    return ad.concat(heads, axis=-1)
+
+
+# (t_q, t_k, kv_mask, causal): padded keys under cross-attention, a causal
+# block over its own positions, and cached steps whose queries are the
+# last t_q < t_k positions
+ATTENTION_CASES = {
+    "padded-keys": (3, 4, [[1, 1, 1, 0], [1, 1, 0, 0]], False),
+    "causal-square": (4, 4, [[1, 1, 1, 1], [1, 1, 1, 0]], True),
+    "cached-step": (2, 5, [[1] * 5, [1] * 5], True),
+    "cached-one": (1, 5, [[1] * 5, [1, 1, 1, 1, 0]], True),
+}
+
+
+def attention_inputs(case, d=8):
+    t_q, t_k, mask, causal = ATTENTION_CASES[case]
+    rng = np.random.default_rng(len(case))
+    q = rng.normal(size=(2, t_q, d))
+    k = rng.normal(size=(2, t_k, d))
+    v = rng.normal(size=(2, t_k, d))
+    return q, k, v, np.asarray(mask, dtype=np.float64), causal
+
+
+class TestAttention:
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_gradcheck(self, case, n_heads):
+        q, k, v, mask, causal = attention_inputs(case)
+        gradcheck(lambda a, b, c: ad.attention(a, b, c, n_heads, mask, causal),
+                  [q, k, v])
+
+    @pytest.mark.parametrize("n_heads", [1, 4])
+    @pytest.mark.parametrize("case", sorted(ATTENTION_CASES))
+    def test_matches_unfused_composition(self, case, n_heads):
+        q, k, v, mask, causal = attention_inputs(case)
+        w = RNG.normal(size=q.shape)
+        runs = []
+        for build in (lambda a, b, c: ad.attention(a, b, c, n_heads, mask,
+                                                   causal),
+                      lambda a, b, c: unfused_attention(a, b, c, n_heads,
+                                                        mask, causal)):
+            ts = [ad.Tensor(x.copy(), requires_grad=True) for x in (q, k, v)]
+            out = build(*ts)
+            ad.backward(ad.tsum(out * ad.Tensor(w)))
+            runs.append([out.data] + [t.grad for t in ts])
+        for fused, plain in zip(*runs):
+            np.testing.assert_allclose(fused, plain, rtol=1e-12, atol=1e-12)
+
+    def test_masked_keys_get_no_weight(self):
+        q, k, v, mask, _ = attention_inputs("padded-keys")
+        out = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v), 2, mask)
+        v_junk = v.copy()
+        v_junk[mask == 0] = 1e6
+        again = ad.attention(ad.Tensor(q), ad.Tensor(k), ad.Tensor(v_junk), 2,
+                             mask)
+        np.testing.assert_array_equal(out.data, again.data)
+
+    def test_bias_only_when_something_is_masked(self):
+        ones = np.ones((2, 5))
+        padded = np.array([[1.0] * 5, [1, 1, 1, 0, 0]])
+        bias = ad._attention_bias
+        assert bias(ones, False, 3, 5, np.float32) is None
+        assert bias(ones, True, 1, 5, np.float32) is None  # a cached step
+        assert bias(padded, False, 3, 5, np.float32).shape == (2, 1, 1, 5)
+        tri = bias(ones, True, 2, 5, np.float32)
+        assert tri.shape == (1, 1, 2, 5) and tri.dtype == np.float32
+        np.testing.assert_array_equal(tri[0, 0] < 0, [[0, 0, 0, 0, 1],
+                                                      [0, 0, 0, 0, 0]])
+
+
+class TestLinear:
+    @pytest.mark.parametrize("lead", [(3,), (2, 3)])
+    def test_gradcheck(self, lead):
+        x = RNG.normal(size=lead + (4,))
+        w = RNG.normal(size=(4, 5))
+        b = RNG.normal(size=(5,))
+        out = gradcheck(ad.linear, [x, w, b])
+        np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-12,
+                                   atol=1e-12)
+        assert primitives_in(out) == {"linear"}
+
+
+# ---------------------------------------------------------------------------
+# every function that records tape nodes has a float64 gradcheck here
+
+# the cases draw from their own stream, leaving RNG's draws to the tests above
+CASE_RNG = np.random.default_rng(20240812)
+
+
+def _positive(*shape):
+    return CASE_RNG.uniform(0.5, 2.0, size=shape)
+
+
+def _away_from_zero(*shape):
+    return CASE_RNG.choice([-1.0, 1.0], size=shape) * _positive(*shape)
+
+
+_IDS = np.array([[1, 1, 4], [0, 1, 6]])
+_LAST = np.array([[0, 4, 2], [3, 3, 1]])
+
+# primitive -> (a function of float64 leaf tensors using it, the leaves)
+GRADCHECKS = {
+    "add": (ad.add, [CASE_RNG.normal(size=(3, 4)), CASE_RNG.normal(size=(4,))]),
+    "sub": (ad.sub, [CASE_RNG.normal(size=(3, 1)), CASE_RNG.normal(size=(3, 4))]),
+    "mul": (ad.mul, [CASE_RNG.normal(size=(3, 4)), CASE_RNG.normal(size=(3, 1))]),
+    "div": (ad.div, [CASE_RNG.normal(size=(3, 4)), _positive(4)]),
+    "neg": (ad.neg, [CASE_RNG.normal(size=(3, 4))]),
+    "matmul": (ad.matmul, [CASE_RNG.normal(size=(2, 3, 4)),
+                           CASE_RNG.normal(size=(4, 5))]),
+    "linear": (ad.linear, [CASE_RNG.normal(size=(2, 3, 4)),
+                           CASE_RNG.normal(size=(4, 5)), CASE_RNG.normal(size=(5,))]),
+    "exp": (ad.exp, [CASE_RNG.normal(size=(3, 4))]),
+    "log": (ad.log, [_positive(3, 4)]),
+    "log1p": (ad.log1p, [_positive(3, 4)]),
+    "sqrt": (ad.sqrt, [_positive(3, 4)]),
+    "square": (ad.square, [CASE_RNG.normal(size=(3, 4))]),
+    "absolute": (ad.absolute, [_away_from_zero(3, 4)]),
+    "relu": (ad.relu, [_away_from_zero(3, 4)]),
+    "sigmoid": (ad.sigmoid, [CASE_RNG.normal(size=(3, 4)) * 3]),
+    "softplus": (ad.softplus, [CASE_RNG.normal(size=(3, 4)) * 3]),
+    "tsum": (lambda a: ad.tsum(a, axis=1), [CASE_RNG.normal(size=(2, 3, 4))]),
+    "tmean": (lambda a: ad.tmean(a, axis=0, keepdims=True),
+              [CASE_RNG.normal(size=(3, 4))]),
+    "reshape": (lambda a: ad.reshape(a, (4, 3)), [CASE_RNG.normal(size=(2, 6))]),
+    "concat": (lambda a, b: ad.concat([a, b], axis=1),
+               [CASE_RNG.normal(size=(2, 3)), CASE_RNG.normal(size=(2, 2))]),
+    "getitem": (lambda a: a[1:, ::2], [CASE_RNG.normal(size=(3, 4))]),
+    "embedding": (lambda t: ad.embedding(t, _IDS), [CASE_RNG.normal(size=(7, 3))]),
+    "gather_last": (lambda a: ad.gather_last(a, _LAST),
+                    [CASE_RNG.normal(size=(2, 3, 5))]),
+    "softmax": (ad.softmax, [CASE_RNG.normal(size=(3, 5))]),
+    "log_softmax": (ad.log_softmax, [CASE_RNG.normal(size=(3, 5))]),
+    "attention": (lambda q, k, v: ad.attention(
+        q, k, v, 2, np.array([[1.0, 1, 1, 1], [1, 1, 1, 0]]), causal=True),
+        [CASE_RNG.normal(size=(2, 3, 4)), CASE_RNG.normal(size=(2, 4, 4)),
+         CASE_RNG.normal(size=(2, 4, 4))]),
+    "layer_norm": (ad.layer_norm, [CASE_RNG.normal(size=(4, 6)),
+                                   CASE_RNG.normal(size=(6,)),
+                                   CASE_RNG.normal(size=(6,))]),
+    "euclidean": (ad.euclidean, [CASE_RNG.normal(size=(3, 1, 4)),
+                                 CASE_RNG.normal(size=(1, 5, 4))]),
+}
+
+# every module-level function of autodiff that calls _make
+TAPE_PRIMITIVES = sorted(
+    name for name, f in vars(ad).items()
+    if inspect.isfunction(f) and f.__module__ == ad.__name__
+    and "_make" in f.__code__.co_names)
+
+
+class TestEveryPrimitive:
+    def test_every_tape_primitive_has_a_gradcheck(self):
+        assert {"attention", "linear", "matmul", "layer_norm"} <= set(
+            TAPE_PRIMITIVES)
+        missing = sorted(set(TAPE_PRIMITIVES) - set(GRADCHECKS))
+        stale = sorted(set(GRADCHECKS) - set(TAPE_PRIMITIVES))
+        assert not missing, f"tape primitives without a gradcheck: {missing}"
+        assert not stale, f"gradchecks of no tape primitive: {stale}"
+
+    @pytest.mark.parametrize("name", sorted(GRADCHECKS))
+    def test_gradcheck(self, name):
+        fn, arrays = GRADCHECKS[name]
+        out = gradcheck(fn, arrays)
+        assert name in primitives_in(out)

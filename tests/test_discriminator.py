@@ -8,10 +8,13 @@ from heronet.autodiff import Tensor
 from heronet.corpus import (build_vocab, encode_text,
                             generate_synthetic_corpus, splice_context)
 from heronet.discriminator import disc_step, hinge_loss, score_pairs
-from heronet.generation import mc_rollouts, pg_step
-from heronet.model import (ModelConfig, clone_params, encode_mean_pool,
-                           init_params, param_subset, params_fingerprint)
+from heronet.generation import pg_step
+from heronet.model import (ModelConfig, encode_mean_pool, init_params,
+                           param_subset, params_fingerprint, sample_batch,
+                           tile_hidden)
 from heronet.retrieval import build_pool_cache, retrieve_top_m
+
+from helpers import clone_params
 
 
 @pytest.fixture(scope="module")
@@ -37,8 +40,8 @@ def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
         retrieved.append([encode_text(c.response, vocab) for c in cands])
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, [q])
-        generated.append(mc_rollouts(params, cfg, hidden, [], n, rng,
-                                     max_len=10))
+        generated.append(sample_batch(params, cfg, tile_hidden(hidden, n),
+                                      mode="sample", rng=rng, max_len=10))
     return queries, positives, retrieved, generated
 
 
@@ -216,7 +219,8 @@ def test_alternating_adversarial_steps_stay_finite(small_world):
         for s in src:
             with ad.no_grad():
                 hid, _ = encode_mean_pool(local, cfg, [s])
-            rs = mc_rollouts(local, cfg, hid, [], 2, rng, max_len=8)
+            rs = sample_batch(local, cfg, tile_hidden(hid, 2), mode="sample",
+                              rng=rng, max_len=8)
             rolls.append(rs)
             rewards.append(score_pairs(local, cfg, [s] * len(rs), rs))
         rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5,

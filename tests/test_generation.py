@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
 
 from heronet import autodiff as ad
 from heronet.autodiff import Tensor
@@ -12,13 +11,14 @@ from heronet.corpus import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, build_vocab,
                             encode_text, generate_synthetic_corpus,
                             splice_context)
 from heronet.generation import (GenLossReport, build_teacher_batch,
-                                generate_candidates, mc_rollouts, pg_step,
-                                sequence_ce, splice_knowledge, warmup_loss,
-                                warmup_step)
-from heronet.model import (ModelConfig, clone_params, decode_next,
-                           encode_mean_pool, init_params, param_subset,
-                           params_fingerprint)
+                                generate_candidates, pg_step, sequence_ce,
+                                splice_knowledge, warmup_loss, warmup_step)
+from heronet.model import (ModelConfig, decode_next, encode_mean_pool,
+                           init_params, param_subset, params_fingerprint,
+                           sample_batch, tile_hidden)
 from heronet.retrieval import build_pool_cache
+
+from helpers import clone_params
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +132,7 @@ def test_warmup_step_descends_and_respects_subset(small_world):
 
 
 # ---------------------------------------------------------------------------
-# rollouts
+# rollouts: temperature-1 samples of one source, continuing a forced start
 
 
 def test_rollouts_eos_prefix_returns_copies(small_world):
@@ -140,8 +140,8 @@ def test_rollouts_eos_prefix_returns_copies(small_world):
     src, _ = batch_inputs(corpus, vocab, cfg, 1)
     hidden, _ = encode_mean_pool(params, cfg, src)
     prefix = [9, 10, EOS_ID]
-    outs = mc_rollouts(params, cfg, hidden, prefix, n=4,
-                       rng=np.random.default_rng(0))
+    outs = sample_batch(params, cfg, tile_hidden(hidden, 4), mode="sample",
+                        rng=np.random.default_rng(0), start=prefix)
     assert outs == [prefix] * 4
     assert outs[0] is not outs[1]  # independent copies
 
@@ -151,59 +151,14 @@ def test_rollouts_terminate_and_extend_prefix(small_world):
     src, _ = batch_inputs(corpus, vocab, cfg, 1)
     hidden, _ = encode_mean_pool(params, cfg, src)
     prefix = [9, 10]
-    outs = mc_rollouts(params, cfg, hidden, prefix, n=6,
-                       rng=np.random.default_rng(1), max_len=20)
+    outs = sample_batch(params, cfg, tile_hidden(hidden, 6), mode="sample",
+                        rng=np.random.default_rng(1), max_len=20,
+                        start=prefix)
     assert len(outs) == 6
     for seq in outs:
         assert seq[:2] == prefix
         assert seq[-1] == EOS_ID or len(seq) <= 20
         assert PAD_ID not in seq and BOS_ID not in seq
-
-
-def test_rollouts_seeded_reproducibility(small_world):
-    corpus, vocab, cfg, params, cache = small_world
-    src, _ = batch_inputs(corpus, vocab, cfg, 1)
-    hidden, _ = encode_mean_pool(params, cfg, src)
-    a = mc_rollouts(params, cfg, hidden, [], 5, np.random.default_rng(7))
-    b = mc_rollouts(params, cfg, hidden, [], 5, np.random.default_rng(7))
-    assert a == b
-
-
-def test_rollouts_first_token_matches_decoder_distribution(small_world):
-    corpus, vocab, cfg, params, cache = small_world
-    src, _ = batch_inputs(corpus, vocab, cfg, 1)
-    hidden, _ = encode_mean_pool(params, cfg, src)
-    probs = decode_next(params, cfg, hidden, [BOS_ID]).copy()
-    probs[PAD_ID] = probs[BOS_ID] = 0.0
-    probs /= probs.sum()
-    draws = 600
-    outs = mc_rollouts(params, cfg, hidden, [], draws,
-                       np.random.default_rng(2), max_len=1)
-    counts = np.zeros(cfg.vocab_size)
-    for seq in outs:
-        counts[seq[0]] += 1
-    # the distribution is near-uniform over a large vocabulary, so pool
-    # consecutive token ids into bins of expected count >= 10
-    obs, exp, o_acc, e_acc = [], [], 0.0, 0.0
-    for t in range(cfg.vocab_size):
-        o_acc += counts[t]
-        e_acc += probs[t] * draws
-        if e_acc >= 10.0:
-            obs.append(o_acc)
-            exp.append(e_acc)
-            o_acc = e_acc = 0.0
-    obs[-1] += o_acc
-    exp[-1] += e_acc
-    p = stats.chisquare(obs, exp).pvalue
-    assert p > 0.01
-
-
-def test_rollouts_reject_bad_n(small_world):
-    corpus, vocab, cfg, params, cache = small_world
-    src, _ = batch_inputs(corpus, vocab, cfg, 1)
-    hidden, _ = encode_mean_pool(params, cfg, src)
-    with pytest.raises(ValueError):
-        mc_rollouts(params, cfg, hidden, [], 0, np.random.default_rng(0))
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +167,8 @@ def test_rollouts_reject_bad_n(small_world):
 
 def fresh_rollouts(params, cfg, src, n, seed):
     hidden, _ = encode_mean_pool(params, cfg, [src])
-    return mc_rollouts(params, cfg, hidden, [], n,
-                       np.random.default_rng(seed), max_len=12)
+    return sample_batch(params, cfg, tile_hidden(hidden, n), mode="sample",
+                        rng=np.random.default_rng(seed), max_len=12)
 
 
 def test_pg_equal_rewards_reduce_to_ce_update(small_world):

@@ -17,7 +17,6 @@ from heronet.model import (
     ModelConfig,
     adapter_apply,
     add_retrieval_encoder,
-    clone_params,
     decode_next,
     decode_step,
     decoder_logits,
@@ -30,8 +29,9 @@ from heronet.model import (
     param_subset,
     params_fingerprint,
     sample_batch,
-    sample_sequence,
 )
+
+from helpers import clone_params
 
 CFG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_layers=2,
                   d_proj=4, max_seq_len=12)
@@ -304,17 +304,16 @@ class TestAdapters:
         out = adapter_apply(params, "sqd", e)
         z = e.data @ p["psi_d.w"] + p["psi_d.b"]
         want = o_ln(z, p["psi_d.ln.g"], p["psi_d.ln.b"])
-        assert out.task == "sqd"
-        assert np.allclose(out.vec.data, want, atol=1e-10)
+        assert np.allclose(out.data, want, atol=1e-10)
 
     def test_shift_invariance(self, toy):
         params, _ = toy
         rng = np.random.default_rng(3)
         e = Tensor(rng.normal(size=(2, CFG.d_model)))
-        base = adapter_apply(params, "qrm", e).vec.data
+        base = adapter_apply(params, "qrm", e).data
         shifted = clone_params(params)
         shifted["psi_m.b"].data += 4.2
-        again = adapter_apply(shifted, "qrm", e).vec.data
+        again = adapter_apply(shifted, "qrm", e).data
         assert np.allclose(base, again, atol=1e-8)
 
     def test_dimension_mismatch_rejected(self, toy):
@@ -375,32 +374,32 @@ class TestSampling:
     def test_greedy_deterministic(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        a = sample_sequence(params, CFG, hidden, mode="greedy", max_len=8)
-        b = sample_sequence(params, CFG, hidden, mode="greedy", max_len=8)
+        [a] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
+        [b] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
         assert a == b
 
     def test_temperature_zero_equals_greedy(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        g = sample_sequence(params, CFG, hidden, mode="greedy", max_len=8)
-        s = sample_sequence(params, CFG, hidden, mode="sample", temperature=0.0,
-                            max_len=8)
+        [g] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
+        [s] = sample_batch(params, CFG, hidden, mode="sample",
+                           temperature=0.0, max_len=8)
         assert g == s
 
     def test_seeded_sampling_reproducible(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        a = sample_sequence(params, CFG, hidden, mode="sample",
-                            rng=np.random.default_rng(42), max_len=8)
-        b = sample_sequence(params, CFG, hidden, mode="sample",
-                            rng=np.random.default_rng(42), max_len=8)
+        [a] = sample_batch(params, CFG, hidden, mode="sample",
+                           rng=np.random.default_rng(42), max_len=8)
+        [b] = sample_batch(params, CFG, hidden, mode="sample",
+                           rng=np.random.default_rng(42), max_len=8)
         assert a == b
 
     def test_distinct_seeds_vary(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        outs = {tuple(sample_sequence(params, CFG, hidden, mode="sample",
-                                      rng=np.random.default_rng(s), max_len=8))
+        outs = {tuple(sample_batch(params, CFG, hidden, mode="sample",
+                                   rng=np.random.default_rng(s), max_len=8)[0])
                 for s in range(20)}
         assert len(outs) >= 2
 

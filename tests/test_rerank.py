@@ -10,11 +10,13 @@ from heronet.bm25 import Bm25Index
 from heronet.corpus import (build_vocab, encode_text,
                             generate_synthetic_corpus)
 from heronet.discriminator import score_pairs
-from heronet.model import (ModelConfig, clone_params, init_params,
-                           param_subset, params_fingerprint)
+from heronet.model import (ModelConfig, init_params, param_subset,
+                           params_fingerprint)
 from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
                             rerank_train_epoch)
 from heronet.retrieval import PoolCache, build_pool_cache, pool_token_lists
+
+from helpers import clone_params
 
 
 @pytest.fixture(scope="module")

@@ -20,6 +20,8 @@ from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                separation_ratio, sqd_pool_distances,
                                sqd_step)
 
+from helpers import clone_params
+
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -167,7 +169,6 @@ def test_mine_sqd_oversized_m_warns(small_world):
 
 def test_sqd_step_decreases_loss_on_fixed_batch(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params
     local = clone_params(params)
     rng = np.random.default_rng(8)
     queries = [p.query for p in corpus.train[:8]]
@@ -185,7 +186,6 @@ def test_sqd_step_matches_per_triplet_hinge(small_world):
     triplet's sequences on their own: mean over anchors of the sum over
     negatives of max(0, margin + d(a, p) - d(a, n))."""
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params
     local = clone_params(params)
     rng = np.random.default_rng(10)
     queries = [p.query for p in corpus.train[:5]] + [corpus.train[0].query]
@@ -194,7 +194,7 @@ def test_sqd_step_matches_per_triplet_hinge(small_world):
 
     def proj(seq):
         _, pooled = encode_mean_pool(local, cfg, [seq])
-        return adapter_apply(local, "sqd", pooled).vec.data[0]
+        return adapter_apply(local, "sqd", pooled).data[0]
 
     with ad.no_grad():
         per_anchor = []
@@ -227,7 +227,7 @@ def test_sqd_step_encodes_each_distinct_sequence_once(small_world,
                            rng=np.random.default_rng(8), word_dropout=0.0)
     offered = batch.anchors + batch.positives + [
         n for g in batch.negatives for n in g]
-    sqd_step(model.clone_params(params), cfg, batch, margin=1.0,
+    sqd_step(clone_params(params), cfg, batch, margin=1.0,
              opt=ad.Adam({}, lr=0.0))
     assert len(rows) == len(set(rows))
     assert set(rows) == {tuple(s) for s in offered}
@@ -236,7 +236,7 @@ def test_sqd_step_encodes_each_distinct_sequence_once(small_world,
 
 def test_sqd_step_touches_only_encoder_and_sqd_adapter(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params, params_fingerprint
+    from heronet.model import params_fingerprint
     local = clone_params(params)
     frozen = [n for n in local
               if n.startswith(("dec.", "out.", "psi_m."))]
@@ -344,7 +344,6 @@ def test_mine_qrm_deterministic(small_world):
 
 def test_qrm_step_decreases_loss_on_fixed_batch(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params
     local = clone_params(params)
     batch = mine_qrm_batch(corpus.train[:6], local, cfg, vocab, corpus.pool,
                            cache, m=3)
@@ -357,7 +356,7 @@ def test_qrm_step_decreases_loss_on_fixed_batch(small_world):
 def test_qrm_step_matches_direct_bce(small_world):
     """The deduplicated gather must score exactly like naive per-pair encoding."""
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params, match_logit
+    from heronet.model import match_logit
     local = clone_params(params)
     batch = mine_qrm_batch(corpus.train[:2], local, cfg, vocab, corpus.pool,
                            cache, m=2)
@@ -380,8 +379,8 @@ def test_qrm_step_matches_direct_bce(small_world):
 def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m, width_mult=4):
     with ad.no_grad():
         _, pooled = encode_mean_pool(params, cfg, [query_ids])
-        q_sqd = adapter_apply(params, "sqd", pooled).vec.data[0]
-        p_sqd = adapter_apply(params, "sqd", Tensor(cache.query_emb)).vec.data
+        q_sqd = adapter_apply(params, "sqd", pooled).data[0]
+        p_sqd = adapter_apply(params, "sqd", Tensor(cache.query_emb)).data
         d = np.sqrt(((q_sqd - p_sqd) ** 2).sum(axis=1))
         ranked = sorted(range(pool.size), key=lambda j: (d[j], j))
         stage1 = ranked[: min(width_mult * m, pool.size)]
@@ -426,7 +425,6 @@ def test_retrieve_scores_non_increasing(small_world):
 
 def test_retrieve_tied_scores_order_by_pool_id(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import clone_params
     local = clone_params(params)
     local["psi_m.w_m"].data[:] = 0.0  # all match scores collapse to 0.5
     q = encode_text(corpus.test[0].query, vocab)
@@ -452,7 +450,7 @@ def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
     # stage one reuses the main encoder's query rows while the SQD head
     # shares that encoder; a separate SQD encoder still encodes for itself
     from heronet import retrieval
-    from heronet.model import add_retrieval_encoder, clone_params
+    from heronet.model import add_retrieval_encoder
 
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     prefix = "sqd_enc." if separate else ""
