@@ -272,9 +272,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """
     k, n = w.data.shape
     x2 = x.data.reshape(-1, k)
-    data = x2 @ w.data
-    data += b.data
-    data = data.reshape(x.data.shape[:-1] + (n,))
+    data = (x2 @ w.data + b.data).reshape(x.data.shape[:-1] + (n,))
 
     def bw(g):
         g2 = g.reshape(-1, n)
