@@ -253,8 +253,8 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list,
     is one of its pool responses takes that response's resp_emb row, as
     a constant, and only the rest reach the encoder.  This holds only
     while the cache was built from the current parameters of the same
-    encoder, so pass one where that encoder is frozen (chat, evaluation,
-    re-rank training); a step that trains the encoder passes none.
+    encoder, so pass one where that encoder is frozen (re-rank training);
+    a step that trains the encoder passes none.
     """
     uniq: dict = {}
     for group in groups:
@@ -286,61 +286,82 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list,
     return pooled, idx
 
 
-def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
-    """Affine projection plus LayerNorm of the task's adapter."""
+def adapter_params(params: dict, task: str) -> tuple:
+    """The tensors adapter_apply reads for a task: (w, b, ln.g, ln.b)."""
     name = {"sqd": "psi_d", "qrm": "psi_m"}.get(task)
     if name is None:
         raise ValueError(f"unknown adapter task {task!r}")
-    w = params[f"{name}.w"]
+    return tuple(params[f"{name}.{part}"]
+                 for part in ("w", "b", "ln.g", "ln.b"))
+
+
+def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
+    """Affine projection plus LayerNorm of the task's adapter."""
+    w, b, g, beta = adapter_params(params, task)
     if e.data.shape[-1] != w.data.shape[0]:
         raise ValueError("embedding dimension does not match adapter")
-    z = ad.linear(e, w, params[f"{name}.b"])
-    return ad.layer_norm(z, params[f"{name}.ln.g"], params[f"{name}.ln.b"],
-                         eps=LN_EPS)
+    return ad.layer_norm(ad.linear(e, w, b), g, beta, eps=LN_EPS)
 
 
-def match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
-    """Pre-sigmoid matching score from concat(p_q, p_r, |p_q - p_r|)."""
-    p_q = adapter_apply(params, "qrm", e_q)
-    p_r = adapter_apply(params, "qrm", e_r)
+def match_projected(params: dict, p_q: Tensor, p_r: Tensor) -> Tensor:
+    """Pre-sigmoid matching score of rows already through psi_m.
+
+    The head reads concat(p_q, p_r, |p_q - p_r|); p_q and p_r are aligned
+    (N, d_proj) rows.
+    """
     feats = ad.concat([p_q, p_r, ad.absolute(p_q - p_r)], axis=-1)
     return ad.tsum(feats * params["psi_m.w_m"], axis=-1)
 
 
-def match_score(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
-    return ad.sigmoid(match_logit(params, e_q, e_r))
+def match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
+    """Pre-sigmoid matching score of pooled encoder rows."""
+    return match_projected(params, adapter_apply(params, "qrm", e_q),
+                           adapter_apply(params, "qrm", e_r))
 
 
 class DecodeCache:
     """Keys and values an incremental decode reuses at every step.
 
-    The cross-attention K/V of the encoder states are projected once, and
-    each layer's self-attention K/V grow by the positions fed so far.
-    Every K/V is (B, T, d_model), heads unsplit, so new positions join
-    along axis 1 and a batch row is a leading-axis slice.
+    The cross-attention K/V of the encoder states are projected once.  Each
+    layer's self-attention K/V live in preallocated (B, max_seq_len,
+    d_model) buffers, heads unsplit: new positions are written in place
+    along axis 1, and attention reads a view of the filled part.  The
+    buffers hold plain arrays, so the cache is for inference only: run it
+    under no_grad.
     """
 
     def __init__(self, params: dict, cfg: ModelConfig, hidden: Hidden):
         self.cross = [_project_kv(params, f"dec.{i}.cross", hidden.states)
                       for i in range(cfg.n_layers)]
-        self.past = [None] * cfg.n_layers
+        states = hidden.states.data
+        shape = (states.shape[0], cfg.max_seq_len, cfg.d_model)
+        self.past = [(np.empty(shape, dtype=states.dtype),
+                      np.empty(shape, dtype=states.dtype))
+                     for _ in range(cfg.n_layers)]
         self.length = 0
 
     def extend(self, layer: int, k: Tensor, v: Tensor) -> tuple:
-        """Append new positions' K/V; returns every cached position's."""
-        if self.past[layer] is not None:
-            k_old, v_old = self.past[layer]
-            k, v = ad.concat([k_old, k], axis=1), ad.concat([v_old, v], axis=1)
-        self.past[layer] = (k, v)
-        return k, v
+        """Write new positions' K/V; returns every cached position's."""
+        end = self.length + k.data.shape[1]
+        k_buf, v_buf = self.past[layer]
+        k_buf[:, self.length:end] = k.data
+        v_buf[:, self.length:end] = v.data
+        return Tensor(k_buf[:, :end]), Tensor(v_buf[:, :end])
 
     def keep_rows(self, rows: np.ndarray) -> None:
-        """Keep only the given batch rows of every cached K/V (inference)."""
-        def sub(kv):
-            return None if kv is None else tuple(Tensor(t.data[rows])
-                                                 for t in kv)
-        self.cross = [sub(kv) for kv in self.cross]
-        self.past = [sub(kv) for kv in self.past]
+        """Keep only the given batch rows of every cached K/V.
+
+        The self-attention buffers are compacted in place and sliced to
+        the rows kept; only their filled positions are copied.
+        """
+        self.cross = [tuple(Tensor(t.data[rows]) for t in kv)
+                      for kv in self.cross]
+
+        def sub(buf):
+            kept = buf[rows, :self.length]
+            buf[:len(kept), :self.length] = kept
+            return buf[:len(kept)]
+        self.past = [(sub(k_buf), sub(v_buf)) for k_buf, v_buf in self.past]
 
 
 def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
@@ -470,9 +491,9 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
                 cdf = p.cumsum(axis=-1)
                 cdf[:, -1] = 1.0
                 u = rng.random(b_sz)[live]
-                tok = np.array([int(np.searchsorted(cdf[i], u[i], side="right"))
-                                for i in range(len(live))], dtype=np.int64)
-                tok = np.minimum(tok, cfg.vocab_size - 1)
+                # inverse CDF: each row of cdf is non-decreasing and ends
+                # at 1.0 > u, so the count of entries <= u is a token id
+                tok = (cdf <= u[:, None]).sum(axis=-1)
             step = np.full(b_sz, PAD_ID, dtype=np.int64)
             step[live] = tok
             prefix = np.concatenate([prefix, step[:, None]], axis=1)

@@ -40,13 +40,13 @@ from .generation import (pg_step, sequence_ce, splice_knowledge,
                          build_teacher_batch, warmup_step)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
-from .model import (Hidden, ModelConfig, add_retrieval_encoder,
-                    encode_mean_pool, init_params, match_score, param_subset,
-                    params_fingerprint, sample_batch)
+from .model import (Hidden, ModelConfig, adapter_apply,
+                    add_retrieval_encoder, encode_mean_pool, init_params,
+                    param_subset, params_fingerprint, sample_batch)
 from .rerank import build_candidate_set, rerank, rerank_train_epoch
 from .retrieval import (build_pool_cache, mine_qrm_batch, mine_sqd_batch,
-                        pool_token_lists, qrm_step, retrieve_top_m_batch,
-                        sqd_pool_distances, sqd_step)
+                        pool_match_scores, pool_token_lists, qrm_step,
+                        retrieve_top_m_batch, sqd_pool_distances, sqd_step)
 
 
 class StageOrderError(RuntimeError):
@@ -461,20 +461,32 @@ def stage_rerank_train(cfg: TrainConfig, out) -> dict:
 # evaluation
 
 
-def _subset_rank(entry_ids, dists, resp_emb, q_emb, params, truth_id, m):
-    """Two-stage rank of the truth entry inside one candidate subset."""
+def _subset_rank(entry_ids, dists, table, p_q, params, truth_id, m):
+    """Two-stage rank of the truth entry inside one candidate subset.
+
+    table is the pool responses through psi_m and p_q the query's row.
+    """
     entry_ids = np.asarray(entry_ids)
     d = dists[entry_ids]
     order1 = np.lexsort((entry_ids, d))
     width = min(4 * m, len(entry_ids))
     stage1 = entry_ids[order1[:width]]
     rest = entry_ids[order1[width:]]
-    with ad.no_grad():
-        q_rep = Tensor(np.repeat(q_emb, len(stage1), axis=0))
-        scores = match_score(params, q_rep, Tensor(resp_emb[stage1])).data
+    scores = pool_match_scores(params, p_q, table, stage1)
     order2 = np.lexsort((stage1, -scores))
     ranked = list(stage1[order2]) + list(rest)
     return ranked.index(truth_id) + 1
+
+
+def _pooled_query(params, mcfg, vocab, text):
+    """The main encoder's (1, d_model) pooled row of one query text.
+
+    Retrieval and the re-ranker of that query both read this row.
+    """
+    with ad.no_grad():
+        _, pooled = encode_mean_pool(
+            params, mcfg, [encode_text(text, vocab, mcfg.max_seq_len)])
+    return pooled
 
 
 def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
@@ -495,12 +507,12 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         # -- generation through the full rerank path; candidate sets hold
         #    m retrieved + n generated + exactly one truth entry
         rng = np.random.default_rng([cfg.seed, seeds.EVAL, i, 1])
-        cands, query_text = build_candidate_set(
+        q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
+        cands, _ = build_candidate_set(
             params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
             cfg.n, kg, rng, cfg.max_gen_len, prefix, include_truth=True,
-            sqd_cache=sqd_cache)
-        q_ids = encode_text(query_text, vocab, mcfg.max_seq_len)
-        ranked = rerank(params, mcfg, q_ids, cands, cache)
+            sqd_cache=sqd_cache, query_pooled=q_pooled)
+        ranked = rerank(params, mcfg, q_pooled, cands, cache)
         hyps.append(decode_ids(ranked[0].tokens, vocab))
         refs.append(pair.response)
         trace.append({"query_id": i,
@@ -518,10 +530,12 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         bare_q = encode_text(pair.query, vocab, mcfg.max_seq_len)
         with ad.no_grad():
             _, pooled = encode_mean_pool(params, mcfg, [bare_q])
+            p_q = adapter_apply(params, "qrm", pooled).data[0]
         dists = sqd_pool_distances(params, mcfg, [bare_q], sqd_cache,
                                    prefix, pooled)[0]
-        ranks.append((_subset_rank(subset, dists, cache.resp_emb,
-                                   pooled.data, params, truth_id, cfg.m),
+        ranks.append((_subset_rank(subset, dists,
+                                   cache.projected(params, "qrm"), p_q,
+                                   params, truth_id, cfg.m),
                       cfg.eval_candidates))
         scores = bm25_r.scores(bare_q)[subset]
         order = np.lexsort((subset, -scores))
@@ -613,12 +627,12 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         pair = DialoguePair(context=[], query=text, response="")
         rng = np.random.default_rng([cfg.seed, seeds.CHAT,
                                      zlib.crc32(text.encode())])
-        cands, query_text = build_candidate_set(
+        q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
+        cands, _ = build_candidate_set(
             params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
             cfg.n, not cfg.no_kg, rng, cfg.max_gen_len, prefix,
-            include_truth=False, sqd_cache=sqd_cache)
-        q_ids = encode_text(query_text, vocab, mcfg.max_seq_len)
-        ranked = rerank(params, mcfg, q_ids, cands, cache)
+            include_truth=False, sqd_cache=sqd_cache, query_pooled=q_pooled)
+        ranked = rerank(params, mcfg, q_pooled, cands, cache)
         k = min(cfg.k, len(ranked))
         emit(f"response: {decode_ids(ranked[0].tokens, vocab)}")
         emit(f"top {k} candidates:")

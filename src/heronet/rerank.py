@@ -8,12 +8,14 @@ original candidate position.  Evaluation sets add exactly one
 truth-tagged entry so ranking quality is measurable.
 
 Every retrieved candidate, and any other candidate whose tokens equal a
-pool response's, already has its embedding in the main encoder's
-PoolCache: scoring gathers that row and encodes only the query and the
-remaining distinct sequences (see model.encode_unique).  That is sound
-only while the encoder is the one the cache was built from, which holds
-here: chat and evaluation change no parameters, and re-rank training
-moves the matching head alone.
+pool response's, already has its psi_m row in the main encoder's
+PoolCache table: scoring gathers that row.  The query arrives as the
+pooled row retrieval encoded for it, so only the remaining distinct
+candidates are encoded, and they go through psi_m in one call with the
+query.  That is sound only while the encoder is the one the cache was
+built from, which holds here: chat and evaluation change no parameters,
+and re-rank training moves the matching head alone (its own scoring
+projects raw cached rows, since psi_m trains).
 
 Re-rank training freezes everything except the matching head: candidate
 embeddings are computed gradient-free, so the optimizer can only move
@@ -38,7 +40,8 @@ from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import Vocab, encode_text, splice_context
 from .generation import generate_candidates
-from .model import ModelConfig, encode_unique, match_logit
+from .model import (ModelConfig, adapter_apply, encode_unique, match_logit,
+                    match_projected)
 from .retrieval import PoolCache, qrm_bce
 
 
@@ -68,31 +71,49 @@ def dedupe_candidates(candidates: list) -> list:
     return [(list(k), kept[k]) for k in order]
 
 
-def _score_candidates(params, cfg, query_ids, cand_ids, cache):
-    """Match scores of every candidate against the query, gradient-free."""
+def _score_candidates(params, cfg, query_pooled, cand_ids, cache):
+    """Match scores of every distinct candidate against the query.
+
+    Pool responses take their row of the psi_m table; the others are
+    encoded and projected in one adapter call together with the query.
+    """
+    pool_rows = [cache.resp_row.get(tuple(c)) for c in cand_ids]
+    hits = [i for i, r in enumerate(pool_rows) if r is not None]
+    fresh = [i for i, r in enumerate(pool_rows) if r is None]
     with ad.no_grad():
-        pooled, (qi, ci) = encode_unique(params, cfg, [[query_ids], cand_ids],
-                                         cache=cache)
-        z = match_logit(params, ad.getitem(pooled, np.repeat(qi, len(ci))),
-                        ad.getitem(pooled, ci))
+        rows = query_pooled
+        if fresh:
+            pooled, (fi,) = encode_unique(params, cfg,
+                                          [[cand_ids[i] for i in fresh]])
+            rows = ad.concat([query_pooled, ad.getitem(pooled, fi)], axis=0)
+        proj = adapter_apply(params, "qrm", rows).data
+        p_r = np.empty((len(cand_ids), proj.shape[1]), dtype=proj.dtype)
+        p_r[fresh] = proj[1:]
+        if hits:
+            p_r[hits] = cache.projected(params, "qrm")[
+                [pool_rows[i] for i in hits]]
+        z = match_projected(params, Tensor(np.repeat(proj[:1], len(cand_ids),
+                                                     axis=0)),
+                            Tensor(p_r))
         return ad.sigmoid(z).data.copy()
 
 
-def rerank(params: dict, cfg: ModelConfig, query_ids: list,
+def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
            candidates: list, cache: PoolCache) -> list:
     """Deduplicate, score, and sort candidates for one query.
 
-    cache is the main encoder's PoolCache, built from these parameters:
-    a candidate that is a pool response is scored from its cached
-    embedding, the others are encoded.  Returns RankedCandidate entries
-    in descending score order; equal scores keep their original
-    candidate order.
+    query_pooled is the query's (1, d_model) pooled row from the main
+    encoder, the row retrieval encoded for it.  cache is the main
+    encoder's PoolCache, built from these parameters: a candidate that is
+    a pool response is scored from its cached row, the others are
+    encoded.  Returns RankedCandidate entries in descending score order;
+    equal scores keep their original candidate order.
     """
     if not candidates:
         raise ValueError("nothing to rank")
     merged = dedupe_candidates(candidates)
-    scores = _score_candidates(params, cfg, query_ids, [c for c, _ in merged],
-                               cache)
+    scores = _score_candidates(params, cfg, query_pooled,
+                               [c for c, _ in merged], cache)
     order = np.lexsort((np.arange(len(merged)), -scores))
     return [RankedCandidate(tuple(merged[i][0]), float(scores[i]),
                             merged[i][1]) for i in order]
@@ -102,25 +123,28 @@ def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
                         pool, cache: PoolCache, bm25_r: Bm25Index | None,
                         m: int, n: int, kg: bool, rng, max_gen_len: int,
                         enc_prefix: str = "", include_truth: bool = False,
-                        sqd_cache=None, precomputed=None):
+                        sqd_cache=None, precomputed=None,
+                        query_pooled=None):
     """The candidate pool for one query: m retrieved plus n generated.
 
     precomputed is this query's (generated, retrieved, src) entry from a
     generate_candidates call over its whole chunk; without it the query's
-    candidates are generated here, the samples drawn from rng.  Passing a
-    BM25 index widens the set with the m best BM25 responses
-    (training-time lexical negatives); inference and evaluation pass
-    None.  include_truth appends the gold response with the truth tag;
-    deduplication later guarantees it appears exactly once.
+    candidates are generated here, the samples drawn from rng, and
+    query_pooled, the query's pooled row when the caller has it, spares
+    retrieval encoding it again.  Passing a BM25 index widens the set
+    with the m best BM25 responses (training-time lexical negatives);
+    inference and evaluation pass None.  include_truth appends the gold
+    response with the truth tag; deduplication later guarantees it
+    appears exactly once.
     """
     query_text = splice_context(pair)
     if precomputed is None:
         precomputed = generate_candidates(
             params, cfg, vocab, [query_text], pool, cache, m, n, kg,
             None if rng is None else [rng], max_gen_len, enc_prefix,
-            sqd_cache)[0]
+            sqd_cache, query_pooled)[0]
     generated, retrieved, _ = precomputed
-    cands = [(encode_text(c.response, vocab), "retrieved")
+    cands = [(list(cache.resp_ids[c.pool_id]), "retrieved")
              for c in retrieved]
     cands += [(list(g), "generated") for g in generated]
     if bm25_r is not None and m >= 1:

@@ -8,11 +8,15 @@ cross-entropy over groups built from the SQD head's own nearest
 neighbours, so the two tasks feed each other.
 
 Candidate-pool embeddings are expensive to recompute, so they are built
-once per epoch into a PoolCache and treated as constants; adapter
-projections stay fresh because they are recomputed from the cached raw
-embeddings on every call.  While the encoder stays frozen, the cache also
-stands in for encoding a pool response again: the re-ranker gathers its
-row (see model.encode_unique).
+once per epoch into a PoolCache and treated as constants.  The cache also
+keeps the pool run through each adapter: queries through psi_d for the
+SQD distances, responses through psi_m for the QRM head.  Each such table
+remembers the adapter parameters it was made from and is made again once
+they change, so a training step that moves an adapter is seen on the
+next call, while chat and evaluation, which move nothing, project the
+pool once.  Queries are projected once per call and pool rows gathered
+from the tables.  While the encoder stays frozen, the cache also stands
+in for encoding a pool response again: re-ranking reads its rows.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import CandidatePool, Vocab, encode_text
-from .model import (ModelConfig, adapter_apply, encode_mean_pool,
-                    encode_unique, match_logit, match_score)
+from .model import (ModelConfig, adapter_apply, adapter_params,
+                    encode_mean_pool, encode_unique, match_logit,
+                    match_projected)
 
 
 @dataclass
@@ -36,6 +41,7 @@ class PoolCache:
 
     resp_row, derived on construction, maps each response's token tuple
     to its row of resp_emb (the first row when responses repeat).
+    projected() serves the pool through an adapter.
     """
 
     query_ids: list          # token id list per pool entry, entry order
@@ -47,6 +53,26 @@ class PoolCache:
         self.resp_row: dict = {}
         for i, ids in enumerate(self.resp_ids):
             self.resp_row.setdefault(tuple(ids), i)
+        self._tables: dict = {}  # task -> (adapter arrays, table)
+
+    def projected(self, params: dict, task: str) -> np.ndarray:
+        """(P, d_proj) pool rows through the task's adapter, gradient-free.
+
+        "sqd" runs the pool queries through psi_d, "qrm" the responses
+        through psi_m.  A table keeps a copy of the adapter parameters it
+        was made from and is made again when the current ones differ.
+        """
+        current = [t.data for t in adapter_params(params, task)]
+        made = self._tables.get(task)
+        if made is None or not all(
+                a.dtype == b.dtype and np.array_equal(a, b)
+                for a, b in zip(made[0], current)):
+            emb = self.query_emb if task == "sqd" else self.resp_emb
+            with ad.no_grad():
+                table = adapter_apply(params, task, Tensor(emb)).data
+            made = ([a.copy() for a in current], table)
+            self._tables[task] = made
+        return made[1]
 
 
 def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
@@ -75,12 +101,6 @@ def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
                      embed_all(resp_ids))
 
 
-def project_cached(params: dict, emb: np.ndarray, task: str) -> np.ndarray:
-    """Run cached raw embeddings through the current adapter, gradient-free."""
-    with ad.no_grad():
-        return adapter_apply(params, task, Tensor(emb)).data
-
-
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
                        cache: PoolCache, enc_prefix: str = "",
                        main_pooled: Tensor | None = None) -> np.ndarray:
@@ -97,7 +117,7 @@ def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
             _, pooled = encode_mean_pool(params, cfg, query_batch,
                                          prefix=enc_prefix)
         q = adapter_apply(params, "sqd", pooled).data
-    p = project_cached(params, cache.query_emb, "sqd")
+    p = cache.projected(params, "sqd")
     diff = q[:, None, :] - p[None, :, :]
     return np.sqrt((diff * diff).sum(axis=-1))
 
@@ -311,10 +331,25 @@ class RetrievedCandidate:
                 f"score={self.score:.4f})")
 
 
+def pool_match_scores(params: dict, p_q: np.ndarray, table: np.ndarray,
+                      ids) -> np.ndarray:
+    """QRM scores of one query row against the pool responses `ids`.
+
+    p_q is the query's (d_proj,) row and table the pool responses through
+    psi_m (PoolCache.projected), both under the current psi_m.
+    """
+    with ad.no_grad():
+        z = match_projected(params, Tensor(np.repeat(p_q[None], len(ids),
+                                                     axis=0)),
+                            Tensor(table[ids]))
+        return ad.sigmoid(z).data
+
+
 def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
                          pool: CandidatePool, cache: PoolCache, m: int,
                          width_mult: int = 4, enc_prefix: str = "",
-                         sqd_cache: PoolCache | None = None) -> list:
+                         sqd_cache: PoolCache | None = None,
+                         main_pooled: Tensor | None = None) -> list:
     """Recall by SQD distance, rank the survivors by QRM score.
 
     Stage one keeps the width_mult*m pool entries whose queries sit
@@ -325,37 +360,32 @@ def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
 
     When the SQD head lives on a separate encoder (enc_prefix), stage one
     reads that encoder's cache (sqd_cache) while stage two always scores
-    on the main encoder's embeddings.
+    on the main encoder's embeddings.  main_pooled, the main encoder's
+    pooled rows of queries when the caller already has them, spares
+    encoding the batch here.  Each query is projected once per adapter;
+    the pool rows come from the caches' tables.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
     sqd_cache = cache if sqd_cache is None else sqd_cache
     width = min(width_mult * m, pool.size)
     with ad.no_grad():
-        _, pooled = encode_mean_pool(params, cfg, queries)
+        pooled = main_pooled
+        if pooled is None:
+            _, pooled = encode_mean_pool(params, cfg, queries)
         dists = sqd_pool_distances(params, cfg, queries, sqd_cache,
                                    enc_prefix, pooled)
-        results = []
-        for i in range(len(queries)):
-            stage1 = np.lexsort((np.arange(pool.size), dists[i]))[:width]
-            q_rep = Tensor(np.repeat(pooled.data[i:i + 1], len(stage1),
-                                     axis=0))
-            scores = match_score(params, q_rep,
-                                 Tensor(cache.resp_emb[stage1])).data
-            order = np.lexsort((stage1, -scores))[:min(m, len(stage1))]
-            results.append([RetrievedCandidate(
-                int(stage1[j]), pool.entries[int(stage1[j])].response,
-                float(scores[j])) for j in order])
+        p_q = adapter_apply(params, "qrm", pooled).data
+    table = cache.projected(params, "qrm")
+    results = []
+    for i in range(len(queries)):
+        stage1 = np.lexsort((np.arange(pool.size), dists[i]))[:width]
+        scores = pool_match_scores(params, p_q[i], table, stage1)
+        order = np.lexsort((stage1, -scores))[:min(m, len(stage1))]
+        results.append([RetrievedCandidate(
+            int(stage1[j]), pool.entries[int(stage1[j])].response,
+            float(scores[j])) for j in order])
     return results
-
-
-def retrieve_top_m(params: dict, cfg: ModelConfig, query_ids: list,
-                   pool: CandidatePool, cache: PoolCache, m: int,
-                   width_mult: int = 4, enc_prefix: str = "",
-                   sqd_cache: PoolCache | None = None) -> list:
-    """Single-query convenience wrapper around retrieve_top_m_batch."""
-    return retrieve_top_m_batch(params, cfg, [query_ids], pool, cache, m,
-                                width_mult, enc_prefix, sqd_cache)[0]
 
 
 def separation_ratio(params: dict, cfg: ModelConfig, vocab: Vocab,

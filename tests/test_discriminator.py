@@ -12,7 +12,7 @@ from heronet.generation import pg_step
 from heronet.model import (ModelConfig, encode_mean_pool, init_params,
                            param_subset, params_fingerprint, sample_batch,
                            tile_hidden)
-from heronet.retrieval import build_pool_cache, retrieve_top_m
+from heronet.retrieval import build_pool_cache, retrieve_top_m_batch
 
 from helpers import clone_params
 
@@ -36,7 +36,8 @@ def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
         q = encode_text(pair.query, vocab, cfg.max_seq_len)
         queries.append(q)
         positives.append(encode_text(pair.response, vocab))
-        cands = retrieve_top_m(params, cfg, q, corpus.pool, cache, m)
+        [cands] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache,
+                                       m)
         retrieved.append([encode_text(c.response, vocab) for c in cands])
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, [q])
@@ -118,7 +119,7 @@ def test_hinge_rejects_empty_negative_sets():
 
 def test_score_pairs_matches_match_score(small_world):
     corpus, vocab, cfg, params, cache = small_world
-    from heronet.model import match_score
+    from heronet.model import match_logit
     qs = [encode_text(p.query, vocab) for p in corpus.train[:3]]
     rs = [encode_text(p.response, vocab) for p in corpus.train[:3]]
     got = score_pairs(params, cfg, qs, rs)
@@ -126,7 +127,7 @@ def test_score_pairs_matches_match_score(small_world):
         with ad.no_grad():
             _, eq = encode_mean_pool(params, cfg, [qs[i]])
             _, er = encode_mean_pool(params, cfg, [rs[i]])
-            want = match_score(params, eq, er).data[0]
+            want = ad.sigmoid(match_logit(params, eq, er)).data[0]
         assert got[i] == pytest.approx(want, rel=1e-12)
     assert np.all((got > 0) & (got < 1))
 
@@ -226,9 +227,9 @@ def test_alternating_adversarial_steps_stay_finite(small_world):
         rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5,
                       opt=g_opt)
         assert np.isfinite([rep.ce, rep.pg, rep.fused]).all()
-        retrieved = [[encode_text(c.response, vocab) for c in
-                      retrieve_top_m(local, cfg, q, corpus.pool, cache, 2)]
-                     for q in src]
+        retrieved = [[encode_text(c.response, vocab) for c in cands]
+                     for cands in retrieve_top_m_batch(local, cfg, src,
+                                                       corpus.pool, cache, 2)]
         d_loss = disc_step(local, cfg, src, resp, retrieved, rolls,
                            0.5, 0.5, 1e-4, d_opt)
         assert np.isfinite(d_loss)

@@ -24,7 +24,7 @@ from heronet.model import (
     encode_unique,
     init_params,
     match_logit,
-    match_score,
+    match_projected,
     pad_batch,
     param_subset,
     params_fingerprint,
@@ -332,14 +332,15 @@ class TestMatchScore:
         rng = np.random.default_rng(4)
         e_q = Tensor(rng.normal(size=(3, CFG.d_model)))
         e_r = Tensor(rng.normal(size=(3, CFG.d_model)))
-        assert np.allclose(match_score(zeroed, e_q, e_r).data, 0.5, atol=1e-12)
+        s = ad.sigmoid(match_logit(zeroed, e_q, e_r)).data
+        assert np.allclose(s, 0.5, atol=1e-12)
 
     def test_scalar_oracle(self, toy):
         params, p = toy
         rng = np.random.default_rng(6)
         e_q = rng.normal(size=(1, CFG.d_model))
         e_r = rng.normal(size=(1, CFG.d_model))
-        got = match_score(params, Tensor(e_q), Tensor(e_r)).data[0]
+        got = ad.sigmoid(match_logit(params, Tensor(e_q), Tensor(e_r))).data[0]
         pq = o_ln(e_q @ p["psi_m.w"] + p["psi_m.b"], p["psi_m.ln.g"],
                   p["psi_m.ln.b"])[0]
         pr = o_ln(e_r @ p["psi_m.w"] + p["psi_m.b"], p["psi_m.ln.g"],
@@ -353,7 +354,7 @@ class TestMatchScore:
         for _ in range(100):
             e_q = Tensor(rng.normal(size=(4, CFG.d_model)) * 5)
             e_r = Tensor(rng.normal(size=(4, CFG.d_model)) * 5)
-            s = match_score(params, e_q, e_r).data
+            s = ad.sigmoid(match_logit(params, e_q, e_r)).data
             assert ((s > 0) & (s < 1)).all()
 
     def test_positive_scaling_keeps_ranking(self, toy):
@@ -361,11 +362,22 @@ class TestMatchScore:
         rng = np.random.default_rng(10)
         e_q = Tensor(np.repeat(rng.normal(size=(1, CFG.d_model)), 10, axis=0))
         e_r = Tensor(rng.normal(size=(10, CFG.d_model)))
-        before = np.argsort(-match_score(params, e_q, e_r).data)
+        before = np.argsort(-ad.sigmoid(match_logit(params, e_q, e_r)).data)
         scaled = clone_params(params)
         scaled["psi_m.w_m"].data *= 3.7
-        after = np.argsort(-match_score(scaled, e_q, e_r).data)
+        after = np.argsort(-ad.sigmoid(match_logit(scaled, e_q, e_r)).data)
         assert (before == after).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_projected_rows_score_like_pooled_rows(self, dtype):
+        params = init_params(CFG, seed=3, dtype=dtype)
+        rng = np.random.default_rng(12)
+        e_q = Tensor(rng.normal(size=(5, CFG.d_model)).astype(dtype))
+        e_r = Tensor(rng.normal(size=(5, CFG.d_model)).astype(dtype))
+        got = match_projected(params, adapter_apply(params, "qrm", e_q),
+                              adapter_apply(params, "qrm", e_r)).data
+        np.testing.assert_array_equal(got,
+                                      match_logit(params, e_q, e_r).data)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -501,6 +513,30 @@ class TestCachedDecoding:
         assert cache.length == dec.shape[1] == CFG.max_seq_len
         for offset, logits in enumerate(steps):
             np.testing.assert_allclose(logits, tf[:, first - 1 + offset],
+                                       rtol=1e-5, atol=1e-5)
+
+    def test_step_logits_after_keep_rows(self, decoded):
+        """Dropping rows mid-decode leaves the kept rows' later logits on
+        teacher forcing, and every step writes into the same buffers."""
+        params, hidden, start, _, dec, tf = decoded
+        first = 1 + len(start)
+        keep = np.array([True, False, True, True])
+        with ad.no_grad():
+            cache = DecodeCache(params, CFG, hidden)
+            buffers = [kv for layer in cache.past for kv in layer]
+            decode_step(params, CFG, hidden, cache, dec[:, :first])
+            for j in (first, first + 1):
+                decode_step(params, CFG, hidden, cache, dec[:, j:j + 1])
+            cache.keep_rows(keep)
+            kept = Hidden(Tensor(hidden.states.data[keep]), hidden.mask[keep])
+            steps = [decode_step(params, CFG, kept, cache, dec[keep, j:j + 1])
+                     for j in range(first + 2, dec.shape[1])]
+        assert cache.length == dec.shape[1]
+        assert all(np.shares_memory(kv, buf) for kv, buf in
+                   zip((kv for layer in cache.past for kv in layer), buffers))
+        for j, logits in zip(range(first + 2, dec.shape[1]), steps):
+            assert logits.shape[0] == keep.sum()
+            np.testing.assert_allclose(logits, tf[keep, j],
                                        rtol=1e-5, atol=1e-5)
 
     def test_sampling_drops_finished_rows(self, monkeypatch):

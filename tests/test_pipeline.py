@@ -290,6 +290,65 @@ class TestChat:
         assert "[retrieved" in text or "[generated" in text
         assert "[truth" not in text
 
+    def test_encodes_each_query_once(self, cfg, run_dir, monkeypatch):
+        """Per line the encoder sees the query once, the knowledge-spliced
+        source, and the generated candidates that are not pool responses;
+        before the first line, only the pool."""
+        from collections import Counter
+
+        from heronet import generation, model, rerank, retrieval
+        from heronet.corpus import encode_text
+        from heronet.retrieval import pool_token_lists
+
+        events = []
+        real_encode = model.encode_mean_pool
+
+        def encode_spy(params, cfg, ids, mask=None, prefix=""):
+            events.append(("rows", [tuple(s) for s in ids]))
+            return real_encode(params, cfg, ids, mask, prefix)
+
+        for mod in (model, pipeline, generation, retrieval):
+            monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
+        real_generate = rerank.generate_candidates
+
+        def generate_spy(*args, **kwargs):
+            drawn = real_generate(*args, **kwargs)
+            events.append(("drawn", drawn))
+            return drawn
+
+        monkeypatch.setattr(rerank, "generate_candidates", generate_spy)
+        queries = ["check the flight status", "book a table",
+                   "where is my order", "cancel my booking please"]
+
+        def feed():
+            for q in queries:
+                events.append(("line", q))
+                yield q + "\n"
+
+        run_chat(cfg, run_dir, stdin=feed(), stdout=io.StringIO())
+        corpus, vocab, mcfg = load_world(cfg, run_dir)
+        pool = {tuple(ids) for kind in ("query", "response")
+                for ids in pool_token_lists(corpus.pool, vocab, kind)}
+        responses = {tuple(ids) for ids in
+                     pool_token_lists(corpus.pool, vocab, "response")}
+        starts = [i for i, (kind, _) in enumerate(events) if kind == "line"]
+        assert len(starts) == len(queries)
+        assert {row for kind, rows in events[:starts[0]]
+                for row in rows} == pool
+        for lo, hi in zip(starts, starts[1:] + [len(events)]):
+            query = events[lo][1]
+            rows = [row for kind, got in events[lo + 1:hi] if kind == "rows"
+                    for row in got]
+            [[(generated, retrieved, src)]] = [
+                got for kind, got in events[lo + 1:hi] if kind == "drawn"]
+            assert retrieved and src != query
+            q_ids = tuple(encode_text(query, vocab, mcfg.max_seq_len))
+            want = [q_ids, tuple(encode_text(src, vocab, mcfg.max_seq_len))]
+            want += [g for g in dict.fromkeys(map(tuple, generated))
+                     if g not in responses]
+            assert Counter(rows) == Counter(want)
+            assert rows.count(q_ids) == 1
+
     def test_same_query_is_deterministic(self, cfg, run_dir):
         outs = []
         for _ in range(2):

@@ -10,8 +10,8 @@ from heronet.bm25 import Bm25Index
 from heronet.corpus import (build_vocab, encode_text,
                             generate_synthetic_corpus)
 from heronet.discriminator import score_pairs
-from heronet.model import (ModelConfig, init_params, param_subset,
-                           params_fingerprint)
+from heronet.model import (ModelConfig, encode_mean_pool, init_params,
+                           param_subset, params_fingerprint)
 from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
                             rerank_train_epoch)
 from heronet.retrieval import PoolCache, build_pool_cache, pool_token_lists
@@ -76,16 +76,22 @@ def test_dedupe_properties(cands):
 # ranking
 
 
+def pooled(params, cfg, ids):
+    """The (1, d_model) pooled row rerank takes for a query."""
+    with ad.no_grad():
+        return encode_mean_pool(params, cfg, [ids])[1]
+
+
 def test_rerank_scores_match_discriminator_head(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     q = encode_text(corpus.test[0].query, vocab)
     cands = [(encode_text(e.response, vocab), "retrieved")
-             for e in corpus.pool.entries[:5]]
-    ranked = rerank(params, cfg, q, cands, cache)
-    assert len(ranked) == 5
+             for e in corpus.pool.entries[:5]] + [([7, 9, 11], "generated")]
+    ranked = rerank(params, cfg, pooled(params, cfg, q), cands, cache)
+    assert len(ranked) == 6
     scores = [c.score for c in ranked]
     assert scores == sorted(scores, reverse=True)
-    want = score_pairs(params, cfg, [q] * 5, [c for c, _ in cands])
+    want = score_pairs(params, cfg, [q] * 6, [c for c, _ in cands])
     got = {c.tokens: c.score for c in ranked}
     for (ids, _), w in zip(cands, want):
         assert got[tuple(ids)] == pytest.approx(w, rel=1e-12)
@@ -98,7 +104,7 @@ def test_rerank_tie_break_keeps_candidate_order(small_world):
     q = encode_text(corpus.test[0].query, vocab)
     cands = [(encode_text(e.response, vocab), "retrieved")
              for e in corpus.pool.entries[:4]]
-    ranked = rerank(local, cfg, q, cands, cache)
+    ranked = rerank(local, cfg, pooled(local, cfg, q), cands, cache)
     assert [list(c.tokens) for c in ranked] == [c for c, _ in cands]
     assert all(c.score == 0.5 for c in ranked)
 
@@ -107,8 +113,8 @@ def test_rerank_dedupes_before_scoring(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     q = encode_text(corpus.test[1].query, vocab)
     resp = encode_text(corpus.pool.entries[0].response, vocab)
-    ranked = rerank(params, cfg, q, [(resp, "retrieved"), (resp, "truth")],
-                    cache)
+    ranked = rerank(params, cfg, pooled(params, cfg, q),
+                    [(resp, "retrieved"), (resp, "truth")], cache)
     assert len(ranked) == 1
     assert ranked[0].provenance == "truth"
 
@@ -119,7 +125,7 @@ def test_rerank_preserves_provenance(small_world):
     cands = [(encode_text(corpus.pool.entries[0].response, vocab), "retrieved"),
              ([7, 9, 11], "generated"),
              (encode_text(corpus.pool.entries[1].response, vocab), "bm25")]
-    ranked = rerank(params, cfg, q, cands, cache)
+    ranked = rerank(params, cfg, pooled(params, cfg, q), cands, cache)
     assert sorted(c.provenance for c in ranked) == ["bm25", "generated",
                                                     "retrieved"]
 
@@ -127,7 +133,7 @@ def test_rerank_preserves_provenance(small_world):
 def test_rerank_rejects_empty(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     with pytest.raises(ValueError):
-        rerank(params, cfg, [7], [], cache)
+        rerank(params, cfg, pooled(params, cfg, [7]), [], cache)
 
 
 def _mixed_candidates(corpus, vocab, cache):
@@ -150,8 +156,9 @@ def test_rerank_from_cache_matches_fresh_encoding(small_world):
     no_pool = PoolCache([], [], np.zeros((0, d)), np.zeros((0, d)))
     q = encode_text(corpus.test[3].query, vocab)
     cands = _mixed_candidates(corpus, vocab, cache)
-    got = rerank(params, cfg, q, cands, cache)
-    want = rerank(params, cfg, q, cands, no_pool)
+    q_row = pooled(params, cfg, q)
+    got = rerank(params, cfg, q_row, cands, cache)
+    want = rerank(params, cfg, q_row, cands, no_pool)
     assert len(got) == len(want) == 5
     want_by_tokens = {c.tokens: c for c in want}
     for c in got:
@@ -160,8 +167,9 @@ def test_rerank_from_cache_matches_fresh_encoding(small_world):
         assert c.provenance == want_by_tokens[c.tokens].provenance
 
 
-def test_rerank_encodes_only_query_and_sequences_outside_pool(small_world,
-                                                              monkeypatch):
+def test_rerank_encodes_only_sequences_outside_pool(small_world,
+                                                    monkeypatch):
+    # the query comes pooled; pool responses come from the psi_m table
     from heronet import model
 
     corpus, vocab, cfg, params, cache, bm25_r = small_world
@@ -172,16 +180,13 @@ def test_rerank_encodes_only_query_and_sequences_outside_pool(small_world,
         calls.append([tuple(s) for s in ids])
         return real(params, cfg, ids, mask, prefix)
 
+    q_row = pooled(params, cfg, encode_text(corpus.test[3].query, vocab))
     monkeypatch.setattr(model, "encode_mean_pool", spy)
-    q = encode_text(corpus.test[3].query, vocab)
-    rerank(params, cfg, q, _mixed_candidates(corpus, vocab, cache), cache)
-    assert len(calls) == 1
-    assert sorted(calls[0]) == sorted([tuple(q), (7, 9, 11)])
-    # a query that is itself a pool response, among pool responses only,
-    # needs no encoder pass at all
+    rerank(params, cfg, q_row, _mixed_candidates(corpus, vocab, cache), cache)
+    assert calls == [[(7, 9, 11)]]
+    # among pool responses only, no encoder pass at all
     calls.clear()
-    pool_q = cache.resp_ids[5]
-    rerank(params, cfg, pool_q,
+    rerank(params, cfg, q_row,
            [(ids, "retrieved") for ids in cache.resp_ids[:3]], cache)
     assert calls == []
 

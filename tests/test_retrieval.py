@@ -12,11 +12,11 @@ from heronet.bm25 import Bm25Index
 from heronet.corpus import (RESERVED, CandidatePool, PoolEntry, Vocab,
                             build_vocab, encode_text,
                             generate_synthetic_corpus)
-from heronet.model import ModelConfig, adapter_apply, encode_mean_pool, init_params, match_score, param_subset
+from heronet.model import ModelConfig, adapter_apply, encode_mean_pool, init_params, match_logit, param_subset
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
-                               qrm_step, retrieve_top_m, retrieve_top_m_batch,
+                               qrm_step, retrieve_top_m_batch,
                                separation_ratio, sqd_pool_distances,
                                sqd_step)
 
@@ -386,8 +386,9 @@ def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m, width_mult=4
         stage1 = ranked[: min(width_mult * m, pool.size)]
         scored = []
         for j in stage1:
-            s = match_score(params, Tensor(pooled.data),
-                            Tensor(cache.resp_emb[j: j + 1])).data[0]
+            s = ad.sigmoid(match_logit(
+                params, Tensor(pooled.data),
+                Tensor(cache.resp_emb[j: j + 1]))).data[0]
             scored.append((j, float(s)))
         scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:m]
@@ -397,7 +398,7 @@ def test_retrieve_matches_exhaustive_oracle(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     for pair in corpus.test[:4]:
         q = encode_text(pair.query, vocab)
-        got = retrieve_top_m(params, cfg, q, corpus.pool, cache, m=3)
+        [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=3)
         want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache, m=3)
         assert [(c.pool_id, ) for c in got] == [(j, ) for j, _ in want]
         for c, (j, s) in zip(got, want):
@@ -411,14 +412,14 @@ def test_retrieve_results_within_stage1_recall(small_world):
     m = 4
     dists = sqd_pool_distances(params, cfg, [q], cache)[0]
     stage1 = set(np.lexsort((np.arange(corpus.pool.size), dists))[:4 * m])
-    got = retrieve_top_m(params, cfg, q, corpus.pool, cache, m=m)
+    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=m)
     assert {c.pool_id for c in got} <= stage1
 
 
 def test_retrieve_scores_non_increasing(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[2].query, vocab)
-    got = retrieve_top_m(params, cfg, q, corpus.pool, cache, m=6)
+    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=6)
     scores = [c.score for c in got]
     assert scores == sorted(scores, reverse=True)
 
@@ -431,15 +432,15 @@ def test_retrieve_tied_scores_order_by_pool_id(small_world):
     m = 5
     dists = sqd_pool_distances(local, cfg, [q], cache)[0]
     stage1 = np.lexsort((np.arange(corpus.pool.size), dists))[:4 * m]
-    got = retrieve_top_m(local, cfg, q, corpus.pool, cache, m=m)
+    [got] = retrieve_top_m_batch(local, cfg, [q], corpus.pool, cache, m=m)
     assert [c.pool_id for c in got] == sorted(stage1.tolist())[:m]
 
 
 def test_retrieve_oversized_m_returns_whole_pool(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[3].query, vocab)
-    got = retrieve_top_m(params, cfg, q, corpus.pool, cache,
-                         m=corpus.pool.size + 10)
+    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache,
+                                 m=corpus.pool.size + 10)
     assert len(got) == corpus.pool.size
     assert sorted(c.pool_id for c in got) == list(range(corpus.pool.size))
 
@@ -486,7 +487,7 @@ def test_retrieve_rejects_bad_m(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[0].query, vocab)
     with pytest.raises(ValueError):
-        retrieve_top_m(params, cfg, q, corpus.pool, cache, m=0)
+        retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=0)
 
 
 # ---------------------------------------------------------------------------
@@ -515,6 +516,57 @@ def test_pool_cache_maps_responses_to_first_row(small_world):
     emb = np.arange(6.0).reshape(3, 2)
     dup = PoolCache([[1], [2], [3]], [[4, 5], [6], [4, 5]], emb, emb)
     assert dup.resp_row == {(4, 5): 0, (6,): 1}
+
+
+def _adapter_step(params, task, emb):
+    """One Adam step on the task's adapter alone."""
+    name = {"sqd": "psi_d.", "qrm": "psi_m."}[task]
+    opt = ad.Adam({n: t for n, t in params.items() if n.startswith(name)},
+                  lr=1e-2)
+    out = adapter_apply(params, task, Tensor(emb[:5]))
+    weights = np.random.default_rng(0).normal(size=out.data.shape)
+    opt.zero_grad()
+    ad.backward(ad.tsum(out * weights))
+    opt.step()
+
+
+def test_pool_tables_follow_the_adapters(small_world, monkeypatch):
+    from heronet import retrieval
+
+    corpus, vocab, cfg, params, _, _ = small_world
+    local = clone_params(params)
+    cache = build_pool_cache(local, cfg, vocab, corpus.pool)
+    raw = {"sqd": cache.query_emb, "qrm": cache.resp_emb}
+
+    def fresh(task):
+        with ad.no_grad():
+            return adapter_apply(local, task, Tensor(raw[task])).data
+
+    for task in ("sqd", "qrm"):
+        np.testing.assert_array_equal(cache.projected(local, task),
+                                      fresh(task))
+    made = []
+    real = retrieval.adapter_apply
+
+    def spy(params, task, e):
+        made.append(task)
+        return real(params, task, e)
+
+    monkeypatch.setattr(retrieval, "adapter_apply", spy)
+    # unchanged adapter values, even in another parameter store: no work
+    for store in (local, clone_params(local)):
+        for task in ("sqd", "qrm"):
+            cache.projected(store, task)
+    assert made == []
+    for moved, still in (("qrm", "sqd"), ("sqd", "qrm")):
+        before = cache.projected(local, moved).copy()
+        _adapter_step(local, moved, raw[moved])
+        got = cache.projected(local, moved)
+        assert not np.array_equal(got, before)
+        np.testing.assert_array_equal(got, fresh(moved))
+        cache.projected(local, still)
+        assert made == [moved]
+        made.clear()
 
 
 def test_separation_ratio_finite_and_positive(small_world):
