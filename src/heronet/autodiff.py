@@ -72,9 +72,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
@@ -94,12 +91,6 @@ class Tensor:
         return mul(self, other)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other, like=self), self)
 
     def __neg__(self):
         return neg(self)
@@ -208,20 +199,6 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def div(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    data = a.data / b.data
-
-    def bw(g):
-        return (
-            _unbroadcast(g / b.data, a.data.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
-        )
-
-    return _make(data, (a, b), bw)
-
-
 def neg(a: Tensor) -> Tensor:
     def bw(g):
         return (-g,)
@@ -280,38 +257,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
                 g2.sum(axis=0))
 
     return _make(data, (x, w, b), bw)
-
-
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bw(g):
-        return (g * data,)
-
-    return _make(data, (a,), bw)
-
-
-def log(a: Tensor) -> Tensor:
-    def bw(g):
-        return (g / a.data,)
-
-    return _make(np.log(a.data), (a,), bw)
-
-
-def log1p(a: Tensor) -> Tensor:
-    def bw(g):
-        return (g / (1.0 + a.data),)
-
-    return _make(np.log1p(a.data), (a,), bw)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    data = np.sqrt(a.data)
-
-    def bw(g):
-        return (g * 0.5 / data,)
-
-    return _make(data, (a,), bw)
 
 
 def square(a: Tensor) -> Tensor:

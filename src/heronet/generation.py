@@ -162,7 +162,6 @@ def splice_knowledge(query: str, knowledge: str | None,
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                         query_texts: list, pool, cache: PoolCache, m: int,
                         n: int, kg: bool, rngs=None, max_gen_len: int = 32,
-                        enc_prefix: str = "", sqd_cache=None,
                         main_pooled: Tensor | None = None) -> list:
     """Retrieve m candidates and decode n for each query of a chunk.
 
@@ -173,10 +172,11 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
     generated candidate is greedy (deterministic); the rest are
     temperature-1 samples drawn query by query, in order, from rngs[i],
     so n > 1 requires rngs.  Queries sharing one stream pass the same rng
-    for each.  enc_prefix selects which encoder drives the retrieval
-    recall stage; the generator always uses the main one.  main_pooled,
-    the main encoder's pooled rows of the query texts when the caller
-    has them, goes to retrieval, which then does not encode them again.
+    for each.  Retrieval recalls through the SQD encoder the parameters
+    hold (model.sqd_prefix); the generator always uses the shared one.
+    main_pooled, the shared encoder's pooled rows of the query texts when
+    the caller has them, goes to retrieval, which then does not encode
+    them again.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need at least one candidate source")
@@ -186,8 +186,6 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
     if m >= 1:
         q_ids = [encode_text(q, vocab, cfg.max_seq_len) for q in query_texts]
         retrieved = retrieve_top_m_batch(params, cfg, q_ids, pool, cache, m,
-                                         enc_prefix=enc_prefix,
-                                         sqd_cache=sqd_cache,
                                          main_pooled=main_pooled)
     srcs = [splice_knowledge(q, r[0].response, cfg.max_seq_len)
             if kg and r else q for q, r in zip(query_texts, retrieved)]

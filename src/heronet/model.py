@@ -15,6 +15,8 @@ Naming scheme:
 
 An optional second retrieval encoder (for the single-task ablation) lives
 under the prefix "sqd_enc." with its own embedding and position tables.
+The store alone says which encoder serves SQD: when the sqd_enc. keys are
+present it is that one (sqd_prefix), otherwise the shared encoder.
 """
 
 from __future__ import annotations
@@ -132,23 +134,29 @@ def add_retrieval_encoder(params: dict, cfg: ModelConfig, seed: int) -> None:
     _init_encoder_stack(params, cfg, rng, dtype, prefix="sqd_enc.")
 
 
-def param_subset(params: dict, stage: str, enc_prefix: str = "") -> dict:
+def sqd_prefix(params: dict) -> str:
+    """Name prefix of the encoder that serves SQD: "sqd_enc." or ""."""
+    return "sqd_enc." if "sqd_enc.embed.tok" in params else ""
+
+
+def param_subset(params: dict, stage: str) -> dict:
     """Trainable tensors for one optimization stage.
 
-    warmup/generator: the whole encoder-decoder.  sqd: encoder plus psi_d.
-    qrm/disc: encoder plus psi_m.  rerank: psi_m alone.
+    warmup/generator: the whole encoder-decoder.  sqd: the SQD encoder
+    (sqd_prefix) plus psi_d.  qrm/disc: the shared encoder plus psi_m.
+    rerank: psi_m alone.
     """
-    enc_names = (f"{enc_prefix}embed.", f"{enc_prefix}enc.")
     if stage in ("warmup", "generator"):
         pick = ("embed.", "enc.", "dec.", "out.")
         return {n: t for n, t in params.items()
                 if n.startswith(pick) and not n.startswith("sqd_enc.")}
     if stage == "sqd":
-        return {n: t for n, t in params.items()
-                if n.startswith(enc_names) or n.startswith("psi_d.")}
+        prefix = sqd_prefix(params)
+        pick = (f"{prefix}embed.", f"{prefix}enc.", "psi_d.")
+        return {n: t for n, t in params.items() if n.startswith(pick)}
     if stage in ("qrm", "disc"):
         return {n: t for n, t in params.items()
-                if n.startswith(enc_names) or n.startswith("psi_m.")}
+                if n.startswith(("embed.", "enc.", "psi_m."))}
     if stage == "rerank":
         return {n: t for n, t in params.items() if n.startswith("psi_m.")}
     raise ValueError(f"unknown stage {stage!r}")
@@ -436,7 +444,7 @@ def decode_next(params: dict, cfg: ModelConfig, hidden: Hidden,
 
 def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
                  mode: str = "greedy", temperature: float = 1.0, rng=None,
-                 max_len: int = 32, start=None) -> list:
+                 max_len: int = 32) -> list:
     """Decode every row; returns id lists ending at EOS or cut at max_len.
 
     Greedy picks the argmax each step.  Sampling draws from the softmax at
@@ -445,15 +453,10 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     reproducible; draws happen for every row each step so early-finished
     rows do not shift the stream.
 
-    `start` is an optional forced prefix (token ids, no BOS) shared by all
-    rows; the returned sequences include it.  A start that already ends at
-    EOS is returned unchanged.  max_len counts the whole output, start
-    included.
-
     Decoding is incremental: a DecodeCache projects the cross-attention
-    K/V of the encoder states once, the first step feeds BOS plus start,
-    and every later step embeds and attends only the token just chosen,
-    against the cached self-attention K/V of the positions before it.
+    K/V of the encoder states once, the first step feeds BOS, and every
+    later step embeds and attends only the token just chosen, against the
+    cached self-attention K/V of the positions before it.
     A row that has emitted EOS leaves the step batch and the cache; it is
     padded with PAD from then on, and its draw is still taken and unused.
     """
@@ -461,20 +464,15 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
         raise ValueError(f"unknown decode mode {mode!r}")
     if mode == "sample" and temperature > 0 and rng is None:
         raise ValueError("sampling requires an rng")
-    start = [int(t) for t in (start or [])]
-    if any(t in (PAD_ID, BOS_ID) for t in start):
-        raise ValueError("start prefix may not contain PAD or BOS")
-    if 1 + len(start) > cfg.max_seq_len:
-        raise ValueError("start prefix exceeds max_seq_len")
     b_sz = hidden.states.data.shape[0]
     max_len = min(max_len, cfg.max_seq_len - 1)
-    prefix = np.tile(np.asarray([BOS_ID] + start, dtype=np.int64), (b_sz, 1))
-    done = np.full(b_sz, bool(start) and start[-1] == EOS_ID)
+    prefix = np.full((b_sz, 1), BOS_ID, dtype=np.int64)
+    done = np.zeros(b_sz, dtype=bool)
     with ad.no_grad():
         cache = DecodeCache(params, cfg, hidden)
         live = np.arange(b_sz)  # rows still decoding, in batch order
         fresh = prefix  # positions the cache has not seen yet
-        for _ in range(max(0, max_len - len(start))):
+        for _ in range(max_len):
             if done.all():
                 break
             last = decode_step(params, cfg, hidden, cache, fresh)
@@ -521,9 +519,7 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
 
 
 def tile_hidden(hidden: Hidden, n: int) -> Hidden:
-    """Repeat a single-row Hidden n times (detached; for batched decoding)."""
-    if hidden.states.data.shape[0] != 1:
-        raise ValueError("tile_hidden expects a single-row Hidden")
+    """Repeat every row of a Hidden n times, copies adjacent (detached)."""
     states = Tensor(np.repeat(hidden.states.data, n, axis=0))
     return Hidden(states, np.repeat(hidden.mask, n, axis=0))
 

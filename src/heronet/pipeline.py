@@ -27,7 +27,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeds
-from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
 from .config import TrainConfig, validate_config
@@ -40,13 +39,13 @@ from .generation import (pg_step, sequence_ce, splice_knowledge,
                          build_teacher_batch, warmup_step)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
-from .model import (Hidden, ModelConfig, adapter_apply,
-                    add_retrieval_encoder, encode_mean_pool, init_params,
-                    param_subset, params_fingerprint, sample_batch)
+from .model import (ModelConfig, adapter_apply, add_retrieval_encoder,
+                    encode_mean_pool, init_params, param_subset,
+                    params_fingerprint, sample_batch, tile_hidden)
 from .rerank import build_candidate_set, rerank, rerank_train_epoch
 from .retrieval import (build_pool_cache, mine_qrm_batch, mine_sqd_batch,
-                        pool_match_scores, pool_token_lists, qrm_step,
-                        retrieve_top_m_batch, sqd_pool_distances, sqd_step)
+                        pool_token_lists, qrm_step, retrieve_top_m_batch,
+                        sqd_pool_distances, sqd_step, two_stage_rank)
 
 
 class StageOrderError(RuntimeError):
@@ -149,10 +148,6 @@ def _say(msg: str):
 def _shuffled(items: list, rng) -> list:
     idx = rng.permutation(len(items))
     return [items[i] for i in idx]
-
-
-def _enc_prefix(params) -> str:
-    return "sqd_enc." if any(k.startswith("sqd_enc.") for k in params) else ""
 
 
 def _src_ids(pairs, vocab, mcfg):
@@ -277,15 +272,13 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
     params = _load_stage(out, "warmup")
     if cfg.no_multi_learning:
         add_retrieval_encoder(params, mcfg, cfg.seed)
-    prefix = _enc_prefix(params)
     bm25_q = Bm25Index(pool_token_lists(corpus.pool, vocab, "query"))
-    opt_sqd = ad.Adam(param_subset(params, "sqd", prefix), cfg.retrieval_lr)
+    opt_sqd = ad.Adam(param_subset(params, "sqd"), cfg.retrieval_lr)
     opt_qrm = ad.Adam(param_subset(params, "qrm"), cfg.retrieval_lr)
     rows, step = [], 0
     for epoch in range(1, cfg.multitask_epochs + 1):
         t0 = time.perf_counter()
-        sqd_cache = build_pool_cache(params, mcfg, vocab, corpus.pool,
-                                     enc_prefix=prefix)
+        cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
         shuffle_rng = np.random.default_rng([cfg.seed, seeds.EPOCH, epoch])
         aug_rng = np.random.default_rng([cfg.seed, seeds.SQD_MINE, epoch])
         order = _shuffled(corpus.train, shuffle_rng)
@@ -297,10 +290,10 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
                                  cfg.word_dropout,
                                  clusters=[p.cluster_id for p in chunk])
             sqd_losses.append(_ensure_finite(
-                sqd_step(params, mcfg, tri, cfg.sqd_margin, opt_sqd, prefix),
+                sqd_step(params, mcfg, tri, cfg.sqd_margin, opt_sqd),
                 "retrieval"))
             mb = mine_qrm_batch(chunk, params, mcfg, vocab, corpus.pool,
-                                sqd_cache, cfg.m, prefix)
+                                cache, cfg.m)
             qrm_losses.append(_ensure_finite(
                 qrm_step(params, mcfg, mb, opt_qrm), "retrieval"))
             step += 1
@@ -320,22 +313,12 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
 # adversarial training
 
 
-def _caches(params, mcfg, vocab, pool, prefix):
-    """Main-encoder cache plus the SQD-encoder one when it is separate."""
-    main = build_pool_cache(params, mcfg, vocab, pool)
-    if prefix:
-        return main, build_pool_cache(params, mcfg, vocab, pool,
-                                      enc_prefix=prefix)
-    return main, main
-
-
 def _batch_rollouts(params, mcfg, src, n_roll, rng, max_len):
     """n_roll temperature-1 samples per source, decoded in one batch."""
     with ad.no_grad():
         hidden, _ = encode_mean_pool(params, mcfg, src)
-        tiled = Hidden(Tensor(np.repeat(hidden.states.data, n_roll, axis=0)),
-                       np.repeat(hidden.mask, n_roll, axis=0))
-    seqs = sample_batch(params, mcfg, tiled, mode="sample", temperature=1.0,
+    seqs = sample_batch(params, mcfg, tile_hidden(hidden, n_roll),
+                        mode="sample", temperature=1.0,
                         rng=rng, max_len=max_len)
     return [seqs[i * n_roll:(i + 1) * n_roll] for i in range(len(src))]
 
@@ -343,7 +326,6 @@ def _batch_rollouts(params, mcfg, src, n_roll, rng, max_len):
 def stage_adversarial(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "retrieval")
-    prefix = _enc_prefix(params)
     alpha = 0.0 if cfg.no_reward else cfg.alpha
     kg = not cfg.no_kg
     g_opt = ad.Adam(param_subset(params, "generator"), cfg.g_lr)
@@ -351,7 +333,7 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
     rows, step = [], 0
     for epoch in range(1, cfg.adversarial_epochs + 1):
         t0 = time.perf_counter()
-        cache, sqd_cache = _caches(params, mcfg, vocab, corpus.pool, prefix)
+        cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
         shuffle_rng = np.random.default_rng([cfg.seed, seeds.ADV, epoch])
         roll_rng = np.random.default_rng([cfg.seed, seeds.ROLLOUT, epoch])
         order = _shuffled(corpus.train, shuffle_rng)
@@ -361,9 +343,7 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
             queries = [encode_text(p.query, vocab, mcfg.max_seq_len)
                        for p in chunk]
             retrieved = retrieve_top_m_batch(params, mcfg, queries,
-                                             corpus.pool, cache, cfg.m,
-                                             enc_prefix=prefix,
-                                             sqd_cache=sqd_cache)
+                                             corpus.pool, cache, cfg.m)
             src = []
             for pair, cands in zip(chunk, retrieved):
                 text = splice_context(pair)
@@ -421,8 +401,7 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
 
 def _train_rerank(params, cfg, corpus, vocab, mcfg):
     """Shared by rerank-train and sweep so both produce identical heads."""
-    prefix = _enc_prefix(params)
-    cache, sqd_cache = _caches(params, mcfg, vocab, corpus.pool, prefix)
+    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     bm25_r = Bm25Index(pool_token_lists(corpus.pool, vocab, "response"))
     opt = ad.Adam(param_subset(params, "rerank"), cfg.retrieval_lr)
     encoder_names = [k for k in params if not k.startswith("psi_m.")]
@@ -436,7 +415,7 @@ def _train_rerank(params, cfg, corpus, vocab, mcfg):
         loss = rerank_train_epoch(params, mcfg, vocab, order, corpus.pool,
                                   cache, bm25_r, cfg.m, cfg.n,
                                   not cfg.no_kg, cfg.bs, opt, cand_rng,
-                                  cfg.max_gen_len, prefix, sqd_cache)
+                                  cfg.max_gen_len)
         _ensure_finite(loss, "rerank")
         history.append((epoch, loss, time.perf_counter() - t0))
     if params_fingerprint(params, encoder_names) != before:
@@ -461,25 +440,8 @@ def stage_rerank_train(cfg: TrainConfig, out) -> dict:
 # evaluation
 
 
-def _subset_rank(entry_ids, dists, table, p_q, params, truth_id, m):
-    """Two-stage rank of the truth entry inside one candidate subset.
-
-    table is the pool responses through psi_m and p_q the query's row.
-    """
-    entry_ids = np.asarray(entry_ids)
-    d = dists[entry_ids]
-    order1 = np.lexsort((entry_ids, d))
-    width = min(4 * m, len(entry_ids))
-    stage1 = entry_ids[order1[:width]]
-    rest = entry_ids[order1[width:]]
-    scores = pool_match_scores(params, p_q, table, stage1)
-    order2 = np.lexsort((stage1, -scores))
-    ranked = list(stage1[order2]) + list(rest)
-    return ranked.index(truth_id) + 1
-
-
 def _pooled_query(params, mcfg, vocab, text):
-    """The main encoder's (1, d_model) pooled row of one query text.
+    """The shared encoder's (1, d_model) pooled row of one query text.
 
     Retrieval and the re-ranker of that query both read this row.
     """
@@ -496,8 +458,7 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         raise ValueError(
             f"eval_candidates={cfg.eval_candidates} must lie in "
             f"[1, pool size {corpus.pool.size}]")
-    prefix = _enc_prefix(params)
-    cache, sqd_cache = _caches(params, mcfg, vocab, corpus.pool, prefix)
+    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     bm25_r = Bm25Index(pool_token_lists(corpus.pool, vocab, "response"))
     resp_to_id = {e.response: e.id for e in corpus.pool.entries}
     kg = not cfg.no_kg
@@ -510,8 +471,8 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
         cands, _ = build_candidate_set(
             params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
-            cfg.n, kg, rng, cfg.max_gen_len, prefix, include_truth=True,
-            sqd_cache=sqd_cache, query_pooled=q_pooled)
+            cfg.n, kg, rng, cfg.max_gen_len, include_truth=True,
+            query_pooled=q_pooled)
         ranked = rerank(params, mcfg, q_pooled, cands, cache)
         hyps.append(decode_ids(ranked[0].tokens, vocab))
         refs.append(pair.response)
@@ -531,12 +492,11 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         with ad.no_grad():
             _, pooled = encode_mean_pool(params, mcfg, [bare_q])
             p_q = adapter_apply(params, "qrm", pooled).data[0]
-        dists = sqd_pool_distances(params, mcfg, [bare_q], sqd_cache,
-                                   prefix, pooled)[0]
-        ranks.append((_subset_rank(subset, dists,
-                                   cache.projected(params, "qrm"), p_q,
-                                   params, truth_id, cfg.m),
-                      cfg.eval_candidates))
+        dists = sqd_pool_distances(params, mcfg, [bare_q], cache, pooled)[0]
+        ranked, _ = two_stage_rank(params, dists, p_q,
+                                   cache.projected(params, "qrm"), subset,
+                                   cfg.m)
+        ranks.append((list(ranked).index(truth_id) + 1, cfg.eval_candidates))
         scores = bm25_r.scores(bare_q)[subset]
         order = np.lexsort((subset, -scores))
         bm25_ranks.append((list(subset[order]).index(truth_id) + 1,
@@ -615,8 +575,7 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
 
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "rerank")
-    prefix = _enc_prefix(params)
-    cache, sqd_cache = _caches(params, mcfg, vocab, corpus.pool, prefix)
+    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     emit(f"[chat] ready; retrieving {cfg.m}, generating {cfg.n}, "
          f"showing top {cfg.k} (blank line is ignored, EOF exits)")
     for line in stdin:
@@ -630,8 +589,8 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
         cands, _ = build_candidate_set(
             params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
-            cfg.n, not cfg.no_kg, rng, cfg.max_gen_len, prefix,
-            include_truth=False, sqd_cache=sqd_cache, query_pooled=q_pooled)
+            cfg.n, not cfg.no_kg, rng, cfg.max_gen_len,
+            include_truth=False, query_pooled=q_pooled)
         ranked = rerank(params, mcfg, q_pooled, cands, cache)
         k = min(cfg.k, len(ranked))
         emit(f"response: {decode_ids(ranked[0].tokens, vocab)}")

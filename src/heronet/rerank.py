@@ -8,9 +8,9 @@ original candidate position.  Evaluation sets add exactly one
 truth-tagged entry so ranking quality is measurable.
 
 Every retrieved candidate, and any other candidate whose tokens equal a
-pool response's, already has its psi_m row in the main encoder's
-PoolCache table: scoring gathers that row.  The query arrives as the
-pooled row retrieval encoded for it, so only the remaining distinct
+pool response's, already has its psi_m row in the PoolCache table, made
+from the shared encoder: scoring gathers that row.  The query arrives as
+the pooled row retrieval encoded for it, so only the remaining distinct
 candidates are encoded, and they go through psi_m in one call with the
 query.  That is sound only while the encoder is the one the cache was
 built from, which holds here: chat and evaluation change no parameters,
@@ -102,11 +102,10 @@ def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
            candidates: list, cache: PoolCache) -> list:
     """Deduplicate, score, and sort candidates for one query.
 
-    query_pooled is the query's (1, d_model) pooled row from the main
-    encoder, the row retrieval encoded for it.  cache is the main
-    encoder's PoolCache, built from these parameters: a candidate that is
-    a pool response is scored from its cached row, the others are
-    encoded.  Returns RankedCandidate entries in descending score order;
+    query_pooled is the query's (1, d_model) pooled row from the shared
+    encoder, the row retrieval encoded for it.  cache is the PoolCache
+    built from these parameters: a candidate that is a pool response is
+    scored from its cached row, the others are encoded.  Returns RankedCandidate entries in descending score order;
     equal scores keep their original candidate order.
     """
     if not candidates:
@@ -122,8 +121,7 @@ def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
 def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
                         pool, cache: PoolCache, bm25_r: Bm25Index | None,
                         m: int, n: int, kg: bool, rng, max_gen_len: int,
-                        enc_prefix: str = "", include_truth: bool = False,
-                        sqd_cache=None, precomputed=None,
+                        include_truth: bool = False, precomputed=None,
                         query_pooled=None):
     """The candidate pool for one query: m retrieved plus n generated.
 
@@ -141,8 +139,7 @@ def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
     if precomputed is None:
         precomputed = generate_candidates(
             params, cfg, vocab, [query_text], pool, cache, m, n, kg,
-            None if rng is None else [rng], max_gen_len, enc_prefix,
-            sqd_cache, query_pooled)[0]
+            None if rng is None else [rng], max_gen_len, query_pooled)[0]
     generated, retrieved, _ = precomputed
     cands = [(list(cache.resp_ids[c.pool_id]), "retrieved")
              for c in retrieved]
@@ -160,8 +157,7 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
                        pairs: list, pool, cache: PoolCache,
                        bm25_r: Bm25Index, m: int, n: int, kg: bool,
                        batch_size: int, opt: ad.Adam, rng,
-                       max_gen_len: int = 32, enc_prefix: str = "",
-                       sqd_cache=None) -> float:
+                       max_gen_len: int = 32) -> float:
     """One BCE pass over the pairs; only the matching head moves.
 
     Candidates are drawn fresh each epoch (generation is sampled), their
@@ -178,14 +174,13 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
         chunk = pairs[lo:lo + batch_size]
         drawn = generate_candidates(
             params, cfg, vocab, [splice_context(p) for p in chunk], pool,
-            cache, m, n, kg, [rng] * len(chunk), max_gen_len, enc_prefix,
-            sqd_cache)
+            cache, m, n, kg, [rng] * len(chunk), max_gen_len)
         q_seqs, c_seqs, labels = [], [], []
         for pair, precomputed in zip(chunk, drawn):
             cands, query_text = build_candidate_set(
                 params, cfg, vocab, pair, pool, cache, bm25_r, m, n, kg,
-                rng, max_gen_len, enc_prefix, include_truth=True,
-                sqd_cache=sqd_cache, precomputed=precomputed)
+                rng, max_gen_len, include_truth=True,
+                precomputed=precomputed)
             merged = dedupe_candidates(cands)
             q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
             q_seqs.extend([q_ids] * len(merged))

@@ -5,18 +5,24 @@ where paraphrased queries sit close together; it is trained with a triplet
 hinge over BM25-mined hard negatives.  The QRM head learns a matching
 score between a query and a candidate response; it is trained with binary
 cross-entropy over groups built from the SQD head's own nearest
-neighbours, so the two tasks feed each other.
+neighbours, so the two tasks feed each other.  In the single-task
+ablation the SQD head has an encoder of its own; the parameter store
+says which (model.sqd_prefix), so nothing here takes it as an argument.
 
 Candidate-pool embeddings are expensive to recompute, so they are built
-once per epoch into a PoolCache and treated as constants.  The cache also
-keeps the pool run through each adapter: queries through psi_d for the
-SQD distances, responses through psi_m for the QRM head.  Each such table
+once per epoch into a PoolCache and treated as constants: queries from
+the SQD encoder, responses from the shared one.  The cache also keeps the
+pool run through each adapter: queries through psi_d for the SQD
+distances, responses through psi_m for the QRM head.  Each such table
 remembers the adapter parameters it was made from and is made again once
 they change, so a training step that moves an adapter is seen on the
 next call, while chat and evaluation, which move nothing, project the
 pool once.  Queries are projected once per call and pool rows gathered
 from the tables.  While the encoder stays frozen, the cache also stands
 in for encoding a pool response again: re-ranking reads its rows.
+
+Two-stage inference, SQD recall then QRM rank, is two_stage_rank; the
+retriever runs it over the whole pool and evaluation over a subset.
 """
 
 from __future__ import annotations
@@ -32,22 +38,24 @@ from .bm25 import Bm25Index
 from .corpus import CandidatePool, Vocab, encode_text
 from .model import (ModelConfig, adapter_apply, adapter_params,
                     encode_mean_pool, encode_unique, match_logit,
-                    match_projected)
+                    match_projected, sqd_prefix)
 
 
 @dataclass
 class PoolCache:
     """Per-epoch constants: raw mean-pooled embeddings and token lists.
 
-    resp_row, derived on construction, maps each response's token tuple
-    to its row of resp_emb (the first row when responses repeat).
-    projected() serves the pool through an adapter.
+    query_emb holds the pool queries through the SQD encoder, resp_emb the
+    responses through the shared encoder.  resp_row, derived on
+    construction, maps each response's token tuple to its row of resp_emb
+    (the first row when responses repeat).  projected() serves the pool
+    through an adapter.
     """
 
     query_ids: list          # token id list per pool entry, entry order
     resp_ids: list
-    query_emb: np.ndarray    # (P, d_model) raw pooled encoder output
-    resp_emb: np.ndarray     # (P, d_model)
+    query_emb: np.ndarray    # (P, d_model) raw pooled SQD-encoder output
+    resp_emb: np.ndarray     # (P, d_model) raw pooled shared-encoder output
 
     def __post_init__(self):
         self.resp_row: dict = {}
@@ -82,40 +90,46 @@ def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
 
 
 def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
-                     pool: CandidatePool, enc_prefix: str = "",
-                     batch_size: int = 64) -> PoolCache:
-    """Embed the whole candidate pool under no_grad, in batches."""
+                     pool: CandidatePool, batch_size: int = 64) -> PoolCache:
+    """Embed the whole candidate pool under no_grad, in batches.
+
+    Pool queries go through the SQD encoder, which recall compares them
+    in; responses through the shared encoder, which the matching head and
+    the re-ranker read.
+    """
     query_ids = pool_token_lists(pool, vocab, "query")
     resp_ids = pool_token_lists(pool, vocab, "response")
 
-    def embed_all(seqs):
+    def embed_all(seqs, prefix):
         rows = []
         with ad.no_grad():
             for lo in range(0, len(seqs), batch_size):
                 _, pooled = encode_mean_pool(params, cfg, seqs[lo:lo + batch_size],
-                                             prefix=enc_prefix)
+                                             prefix=prefix)
                 rows.append(pooled.data.copy())
         return np.concatenate(rows, axis=0)
 
-    return PoolCache(query_ids, resp_ids, embed_all(query_ids),
-                     embed_all(resp_ids))
+    return PoolCache(query_ids, resp_ids,
+                     embed_all(query_ids, sqd_prefix(params)),
+                     embed_all(resp_ids, ""))
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
-                       cache: PoolCache, enc_prefix: str = "",
+                       cache: PoolCache,
                        main_pooled: Tensor | None = None) -> np.ndarray:
     """(B, P) SQD distances between fresh query encodings and the pool.
 
-    main_pooled, the main encoder's pooled rows of query_batch when the
+    main_pooled, the shared encoder's pooled rows of query_batch when the
     caller already has them, spares encoding the batch again while the
-    SQD head shares that encoder; a separate SQD encoder (enc_prefix)
-    always encodes the batch itself.
+    SQD head shares that encoder; a separate SQD encoder always encodes
+    the batch itself.
     """
+    prefix = sqd_prefix(params)
     with ad.no_grad():
         pooled = main_pooled
-        if pooled is None or enc_prefix:
+        if pooled is None or prefix:
             _, pooled = encode_mean_pool(params, cfg, query_batch,
-                                         prefix=enc_prefix)
+                                         prefix=prefix)
         q = adapter_apply(params, "sqd", pooled).data
     p = cache.projected(params, "sqd")
     diff = q[:, None, :] - p[None, :, :]
@@ -197,8 +211,8 @@ def mine_sqd_batch(queries: list, pool: CandidatePool, vocab: Vocab,
 
 
 def sqd_step(params: dict, cfg: ModelConfig, batch: TripletBatch,
-             margin: float, opt: ad.Adam, enc_prefix: str = "") -> float:
-    """One triplet-hinge update of the encoder and the SQD adapter.
+             margin: float, opt: ad.Adam) -> float:
+    """One triplet-hinge update of the SQD encoder and the SQD adapter.
 
     The loss is the mean over anchors of the sum over that anchor's
     negatives of max(0, margin + d(a, p) - d(a, n)).  Every distinct
@@ -213,7 +227,7 @@ def sqd_step(params: dict, cfg: ModelConfig, batch: TripletBatch,
                             for i, g in enumerate(batch.negatives)])
     pooled, (ai, pi, ni) = encode_unique(
         params, cfg, [batch.anchors, batch.positives, flat_negs],
-        prefix=enc_prefix)
+        prefix=sqd_prefix(params))
     proj = adapter_apply(params, "sqd", pooled)
     d_pos = ad.euclidean(ad.getitem(proj, ai), ad.getitem(proj, pi))  # (B,)
     d_neg = ad.euclidean(ad.getitem(proj, ai[owner]),
@@ -244,8 +258,8 @@ class MatchBatch:
 
 
 def mine_qrm_batch(pairs: list, params: dict, cfg: ModelConfig, vocab: Vocab,
-                   pool: CandidatePool, cache: PoolCache, m: int,
-                   enc_prefix: str = "") -> MatchBatch:
+                   pool: CandidatePool, cache: PoolCache,
+                   m: int) -> MatchBatch:
     """Group per anchor: the true pair plus 2m mismatched pairs.
 
     The m nearest pool queries under the current SQD metric supply both
@@ -262,7 +276,7 @@ def mine_qrm_batch(pairs: list, params: dict, cfg: ModelConfig, vocab: Vocab,
     if m < 1:
         raise ValueError("m must be at least 1")
     anchor_q = [encode_text(p.query, vocab) for p in pairs]
-    dists = sqd_pool_distances(params, cfg, anchor_q, cache, enc_prefix)
+    dists = sqd_pool_distances(params, cfg, anchor_q, cache)
     queries, responses, labels, groups = [], [], [], []
     for i, pair in enumerate(pairs):
         r_true = encode_text(pair.response, vocab)
@@ -297,15 +311,15 @@ def qrm_bce(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 
 def qrm_step(params: dict, cfg: ModelConfig, batch: MatchBatch,
-             opt: ad.Adam, enc_prefix: str = "") -> float:
-    """One BCE update of the encoder and the QRM adapter.
+             opt: ad.Adam) -> float:
+    """One BCE update of the shared encoder and the QRM adapter.
 
     Every distinct text in the batch is encoded exactly once; pairs then
     gather their two sides from that table, so repeated anchors cost
     nothing extra and all sides carry gradient.
     """
     pooled, (q_idx, r_idx) = encode_unique(
-        params, cfg, [batch.queries, batch.responses], prefix=enc_prefix)
+        params, cfg, [batch.queries, batch.responses])
     z = match_logit(params, ad.getitem(pooled, q_idx), ad.getitem(pooled, r_idx))
     loss = qrm_bce(z, batch.labels)
     opt.zero_grad()
@@ -345,52 +359,66 @@ def pool_match_scores(params: dict, p_q: np.ndarray, table: np.ndarray,
         return ad.sigmoid(z).data
 
 
+# Recall keeps this many pool entries per candidate the caller asks for.
+_RECALL_WIDTH = 4
+
+
+def two_stage_rank(params: dict, dists: np.ndarray, p_q: np.ndarray,
+                   table: np.ndarray, ids, m: int) -> tuple:
+    """Rank the pool entries `ids` for one query: SQD recall, QRM order.
+
+    Stage one keeps the _RECALL_WIDTH*m ids nearest under dists, the
+    query's (P,) SQD distances to the pool, ties on ascending id.  Stage
+    two orders them by QRM score of the query row p_q against table (see
+    pool_match_scores), ties again on ascending id.  Returns every id,
+    the recalled ones in score order and the rest after them in distance
+    order, and the recalled ones' scores, aligned with the first ids.
+    """
+    ids = np.asarray(ids)
+    by_dist = ids[np.lexsort((ids, dists[ids]))]
+    width = min(_RECALL_WIDTH * m, len(ids))
+    recalled = by_dist[:width]
+    scores = pool_match_scores(params, p_q, table, recalled)
+    order = np.lexsort((recalled, -scores))
+    return np.concatenate([recalled[order], by_dist[width:]]), scores[order]
+
+
 def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
                          pool: CandidatePool, cache: PoolCache, m: int,
-                         width_mult: int = 4, enc_prefix: str = "",
-                         sqd_cache: PoolCache | None = None,
                          main_pooled: Tensor | None = None) -> list:
     """Recall by SQD distance, rank the survivors by QRM score.
 
-    Stage one keeps the width_mult*m pool entries whose queries sit
-    closest to the input under the SQD metric (ties on ascending pool
-    id).  Stage two scores those entries' responses with the QRM head and
-    returns the top m by descending score, ties again on ascending pool
-    id.  m larger than the pool degrades to ranking the whole pool.
-
-    When the SQD head lives on a separate encoder (enc_prefix), stage one
-    reads that encoder's cache (sqd_cache) while stage two always scores
-    on the main encoder's embeddings.  main_pooled, the main encoder's
-    pooled rows of queries when the caller already has them, spares
-    encoding the batch here.  Each query is projected once per adapter;
-    the pool rows come from the caches' tables.
+    Each query gets the first m entries of two_stage_rank over the whole
+    pool, with their scores; m larger than the pool degrades to ranking
+    the whole pool.  Recall reads the queries through the SQD encoder and
+    the cache's pool queries; the ranking reads them through the shared
+    encoder and the cache's pool responses.  main_pooled, the shared
+    encoder's pooled rows of queries when the caller already has them,
+    spares encoding the batch here.  Each query is projected once per
+    adapter; the pool rows come from the cache's tables.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    sqd_cache = cache if sqd_cache is None else sqd_cache
-    width = min(width_mult * m, pool.size)
     with ad.no_grad():
         pooled = main_pooled
         if pooled is None:
             _, pooled = encode_mean_pool(params, cfg, queries)
-        dists = sqd_pool_distances(params, cfg, queries, sqd_cache,
-                                   enc_prefix, pooled)
+        dists = sqd_pool_distances(params, cfg, queries, cache, pooled)
         p_q = adapter_apply(params, "qrm", pooled).data
     table = cache.projected(params, "qrm")
+    ids = np.arange(pool.size)
     results = []
     for i in range(len(queries)):
-        stage1 = np.lexsort((np.arange(pool.size), dists[i]))[:width]
-        scores = pool_match_scores(params, p_q[i], table, stage1)
-        order = np.lexsort((stage1, -scores))[:min(m, len(stage1))]
+        ranked, scores = two_stage_rank(params, dists[i], p_q[i], table, ids,
+                                        m)
         results.append([RetrievedCandidate(
-            int(stage1[j]), pool.entries[int(stage1[j])].response,
-            float(scores[j])) for j in order])
+            int(j), pool.entries[int(j)].response, float(score))
+            for j, score in zip(ranked[:m], scores)])
     return results
 
 
 def separation_ratio(params: dict, cfg: ModelConfig, vocab: Vocab,
-                     pairs: list, max_pairs: int = 1000,
-                     enc_prefix: str = "") -> float:
+                     pairs: list, max_pairs: int = 1000) -> float:
     """Mean same-cluster SQD distance over mean cross-cluster distance.
 
     A trained metric pulls paraphrases together, so the ratio drops well
@@ -406,7 +434,7 @@ def separation_ratio(params: dict, cfg: ModelConfig, vocab: Vocab,
     with ad.no_grad():
         for lo in range(0, len(seqs), 64):
             _, pooled = encode_mean_pool(params, cfg, seqs[lo:lo + 64],
-                                         prefix=enc_prefix)
+                                         prefix=sqd_prefix(params))
             rows.append(adapter_apply(params, "sqd", pooled).data)
     emb = np.concatenate(rows, axis=0)
     intra, cross = [], []

@@ -132,32 +132,24 @@ def test_warmup_step_descends_and_respects_subset(small_world):
 
 
 # ---------------------------------------------------------------------------
-# rollouts: temperature-1 samples of one source, continuing a forced start
+# rollouts: temperature-1 samples of each source
 
 
-def test_rollouts_eos_prefix_returns_copies(small_world):
+def test_rollouts_terminate_within_max_len(small_world):
     corpus, vocab, cfg, params, cache = small_world
-    src, _ = batch_inputs(corpus, vocab, cfg, 1)
+    src, _ = batch_inputs(corpus, vocab, cfg, 2)
     hidden, _ = encode_mean_pool(params, cfg, src)
-    prefix = [9, 10, EOS_ID]
-    outs = sample_batch(params, cfg, tile_hidden(hidden, 4), mode="sample",
-                        rng=np.random.default_rng(0), start=prefix)
-    assert outs == [prefix] * 4
-    assert outs[0] is not outs[1]  # independent copies
-
-
-def test_rollouts_terminate_and_extend_prefix(small_world):
-    corpus, vocab, cfg, params, cache = small_world
-    src, _ = batch_inputs(corpus, vocab, cfg, 1)
-    hidden, _ = encode_mean_pool(params, cfg, src)
-    prefix = [9, 10]
-    outs = sample_batch(params, cfg, tile_hidden(hidden, 6), mode="sample",
-                        rng=np.random.default_rng(1), max_len=20,
-                        start=prefix)
+    tiled = tile_hidden(hidden, 3)
+    # every row's copies sit next to each other
+    np.testing.assert_array_equal(tiled.states.data[3:6],
+                                  np.repeat(hidden.states.data[1:], 3, axis=0))
+    np.testing.assert_array_equal(tiled.mask[:3],
+                                  np.repeat(hidden.mask[:1], 3, axis=0))
+    outs = sample_batch(params, cfg, tiled, mode="sample",
+                        rng=np.random.default_rng(1), max_len=20)
     assert len(outs) == 6
     for seq in outs:
-        assert seq[:2] == prefix
-        assert seq[-1] == EOS_ID or len(seq) <= 20
+        assert len(seq) <= 20 and (seq[-1] == EOS_ID or len(seq) == 20)
         assert PAD_ID not in seq and BOS_ID not in seq
 
 

@@ -29,6 +29,7 @@ from heronet.model import (
     param_subset,
     params_fingerprint,
     sample_batch,
+    sqd_prefix,
 )
 
 from helpers import clone_params
@@ -473,9 +474,8 @@ class TestCachedDecoding:
         params["out.w"].data[:, EOS_ID] *= 3
         ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20]])
         hidden, _ = encode_mean_pool(params, CFG, ids, mask)
-        start = [6, 7]
         seqs = sample_batch(params, CFG, hidden, mode="greedy",
-                            max_len=CFG.max_seq_len + 3, start=start)
+                            max_len=CFG.max_seq_len + 3)
         # the decoder input sample_batch built: finished rows carry PAD
         width = max(len(s) for s in seqs)
         dec = np.full((len(seqs), 1 + width), PAD_ID, dtype=np.int64)
@@ -484,57 +484,50 @@ class TestCachedDecoding:
             dec[r, 1:1 + len(s)] = s
         with ad.no_grad():
             tf = decoder_logits(params, CFG, hidden, dec).data
-        return params, hidden, start, seqs, dec, tf
+        return params, hidden, seqs, dec, tf
 
     def test_rows_finish_early_and_at_cap(self, decoded):
-        _, _, start, seqs, _, _ = decoded
-        assert all(s[:len(start)] == start for s in seqs)
+        _, _, seqs, _, _ = decoded
         lengths = [len(s) for s in seqs]
         assert max(lengths) == CFG.max_seq_len - 1
         assert EOS_ID in seqs[1] and len(seqs[1]) < CFG.max_seq_len - 1
 
     def test_greedy_tokens_are_teacher_forced_argmax(self, decoded):
-        _, _, start, seqs, _, tf = decoded
+        _, _, seqs, _, tf = decoded
         for r, seq in enumerate(seqs):
-            for j in range(len(start), len(seq)):
+            for j in range(len(seq)):
                 logits = tf[r, j].astype(np.float64)
                 logits[[PAD_ID, BOS_ID]] = -np.inf
                 assert seq[j] == int(logits.argmax())
 
     def test_step_logits_match_teacher_forcing(self, decoded):
-        params, hidden, start, _, dec, tf = decoded
-        first = 1 + len(start)
+        params, hidden, _, dec, tf = decoded
         with ad.no_grad():
             cache = DecodeCache(params, CFG, hidden)
-            steps = [decode_step(params, CFG, hidden, cache, dec[:, :first])]
-            for j in range(first, dec.shape[1]):
-                steps.append(decode_step(params, CFG, hidden, cache,
-                                         dec[:, j:j + 1]))
+            steps = [decode_step(params, CFG, hidden, cache, dec[:, j:j + 1])
+                     for j in range(dec.shape[1])]
         assert cache.length == dec.shape[1] == CFG.max_seq_len
-        for offset, logits in enumerate(steps):
-            np.testing.assert_allclose(logits, tf[:, first - 1 + offset],
-                                       rtol=1e-5, atol=1e-5)
+        for j, logits in enumerate(steps):
+            np.testing.assert_allclose(logits, tf[:, j], rtol=1e-5, atol=1e-5)
 
     def test_step_logits_after_keep_rows(self, decoded):
         """Dropping rows mid-decode leaves the kept rows' later logits on
         teacher forcing, and every step writes into the same buffers."""
-        params, hidden, start, _, dec, tf = decoded
-        first = 1 + len(start)
+        params, hidden, _, dec, tf = decoded
         keep = np.array([True, False, True, True])
         with ad.no_grad():
             cache = DecodeCache(params, CFG, hidden)
             buffers = [kv for layer in cache.past for kv in layer]
-            decode_step(params, CFG, hidden, cache, dec[:, :first])
-            for j in (first, first + 1):
-                decode_step(params, CFG, hidden, cache, dec[:, j:j + 1])
+            decode_step(params, CFG, hidden, cache, dec[:, :3])
+            decode_step(params, CFG, hidden, cache, dec[:, 3:4])
             cache.keep_rows(keep)
             kept = Hidden(Tensor(hidden.states.data[keep]), hidden.mask[keep])
             steps = [decode_step(params, CFG, kept, cache, dec[keep, j:j + 1])
-                     for j in range(first + 2, dec.shape[1])]
+                     for j in range(4, dec.shape[1])]
         assert cache.length == dec.shape[1]
         assert all(np.shares_memory(kv, buf) for kv, buf in
                    zip((kv for layer in cache.past for kv in layer), buffers))
-        for j, logits in zip(range(first + 2, dec.shape[1]), steps):
+        for j, logits in zip(range(4, dec.shape[1]), steps):
             assert logits.shape[0] == keep.sum()
             np.testing.assert_allclose(logits, tf[keep, j],
                                        rtol=1e-5, atol=1e-5)
@@ -610,6 +603,7 @@ class TestParamStore:
         warm = param_subset(params, "warmup")
         assert not any(n.startswith("psi_") for n in warm)
         assert "out.w" in warm and "embed.tok" in warm
+        assert sqd_prefix(params) == ""
         sqd = param_subset(params, "sqd")
         assert "psi_d.w" in sqd and "psi_m.w" not in sqd
         assert "embed.tok" in sqd and "dec.pos" not in sqd
@@ -626,8 +620,12 @@ class TestParamStore:
         assert "sqd_enc.embed.tok" in params
         assert not np.array_equal(params["sqd_enc.embed.tok"].data,
                                   params["embed.tok"].data)
-        sqd = param_subset(params, "sqd", enc_prefix="sqd_enc.")
+        assert sqd_prefix(params) == "sqd_enc."
+        sqd = param_subset(params, "sqd")
         assert all(n.startswith(("sqd_enc.", "psi_d.")) for n in sqd)
+        assert "sqd_enc.embed.tok" in sqd
+        assert not any(n.startswith("sqd_enc.") for n in
+                       param_subset(params, "qrm"))
         # the shared-encoder stages never touch the ablation copy
         assert not any(n.startswith("sqd_enc.") for n in
                        param_subset(params, "warmup"))

@@ -247,20 +247,62 @@ class TestSweep:
             stage_sweep(cfg, run_dir, [-1], [1])
 
 
+@pytest.fixture(scope="module")
+def abl_cfg(cfg):
+    return replace(cfg, no_multi_learning=True)
+
+
+@pytest.fixture(scope="module")
+def abl_run_dir(abl_cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ablation")
+    stage_gen_data(abl_cfg, out)
+    stage_warmup(abl_cfg, out)
+    stage_retrieval(abl_cfg, out)
+    stage_adversarial(abl_cfg, out)
+    stage_rerank_train(abl_cfg, out)
+    return out
+
+
 class TestAblations:
-    def test_separate_encoder_persists_through_chain(self, cfg, tmp_path):
-        abl = replace(cfg, no_multi_learning=True)
-        stage_gen_data(abl, tmp_path)
-        stage_warmup(abl, tmp_path)
-        stage_retrieval(abl, tmp_path)
-        params, _ = load_checkpoint(tmp_path / "ckpt_retrieval")
-        assert any(k.startswith("sqd_enc.") for k in params)
-        stage_adversarial(abl, tmp_path)
-        stage_rerank_train(abl, tmp_path)
-        params, _ = load_checkpoint(tmp_path / "ckpt_rerank")
-        assert any(k.startswith("sqd_enc.") for k in params)
-        report = stage_evaluate(abl, tmp_path)
+    def test_separate_encoder_persists_through_chain(self, abl_cfg,
+                                                     abl_run_dir):
+        for stage in ("retrieval", "adversarial", "rerank"):
+            params, _ = load_checkpoint(abl_run_dir / f"ckpt_{stage}")
+            assert any(k.startswith("sqd_enc.") for k in params)
+        report = stage_evaluate(abl_cfg, abl_run_dir)
         assert all(np.isfinite(v) for v in report.values())
+
+    def test_chat_builds_one_pool_cache(self, abl_cfg, abl_run_dir,
+                                        monkeypatch):
+        """With a separate SQD encoder, chat still builds the pool cache
+        once: the pool queries through the SQD encoder, the responses
+        through the shared one."""
+        from heronet import retrieval
+        from heronet.retrieval import pool_token_lists
+
+        builds, seen = [], {}
+        real_build = pipeline.build_pool_cache
+        real_encode = retrieval.encode_mean_pool
+
+        def build_spy(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        def encode_spy(params, cfg, ids, mask=None, prefix=""):
+            seen.setdefault(prefix, []).extend(tuple(s) for s in ids)
+            return real_encode(params, cfg, ids, mask, prefix)
+
+        monkeypatch.setattr(pipeline, "build_pool_cache", build_spy)
+        monkeypatch.setattr(retrieval, "encode_mean_pool", encode_spy)
+        # no input lines, so every encoding is the set-up's
+        run_chat(abl_cfg, abl_run_dir, stdin=io.StringIO(""),
+                 stdout=io.StringIO())
+        assert len(builds) == 1
+        corpus, vocab, _ = load_world(abl_cfg, abl_run_dir)
+        assert seen == {
+            prefix: [tuple(ids) for ids in
+                     pool_token_lists(corpus.pool, vocab, kind)]
+            for prefix, kind in (("sqd_enc.", "query"), ("", "response"))}
 
     def test_full_chain_has_single_encoder(self, run_dir):
         params, _ = load_checkpoint(run_dir / "ckpt_rerank")

@@ -12,13 +12,15 @@ from heronet.bm25 import Bm25Index
 from heronet.corpus import (RESERVED, CandidatePool, PoolEntry, Vocab,
                             build_vocab, encode_text,
                             generate_synthetic_corpus)
-from heronet.model import ModelConfig, adapter_apply, encode_mean_pool, init_params, match_logit, param_subset
+from heronet.model import (ModelConfig, adapter_apply, add_retrieval_encoder,
+                           encode_mean_pool, init_params, match_logit,
+                           param_subset)
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
                                qrm_step, retrieve_top_m_batch,
                                separation_ratio, sqd_pool_distances,
-                               sqd_step)
+                               sqd_step, two_stage_rank)
 
 from helpers import clone_params
 
@@ -376,22 +378,27 @@ def test_qrm_step_matches_direct_bce(small_world):
 # two-stage retrieval
 
 
-def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m, width_mult=4):
+def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m,
+                     ids=None):
+    """(id, score) of every id in `ids` (default: the whole pool) in
+    two-stage order: the 4m recalled by score, then the rest by distance,
+    their score None."""
+    ids = range(pool.size) if ids is None else [int(j) for j in ids]
     with ad.no_grad():
         _, pooled = encode_mean_pool(params, cfg, [query_ids])
         q_sqd = adapter_apply(params, "sqd", pooled).data[0]
         p_sqd = adapter_apply(params, "sqd", Tensor(cache.query_emb)).data
         d = np.sqrt(((q_sqd - p_sqd) ** 2).sum(axis=1))
-        ranked = sorted(range(pool.size), key=lambda j: (d[j], j))
-        stage1 = ranked[: min(width_mult * m, pool.size)]
+        ranked = sorted(ids, key=lambda j: (d[j], j))
+        width = min(4 * m, len(ranked))
         scored = []
-        for j in stage1:
+        for j in ranked[:width]:
             s = ad.sigmoid(match_logit(
                 params, Tensor(pooled.data),
                 Tensor(cache.resp_emb[j: j + 1]))).data[0]
             scored.append((j, float(s)))
         scored.sort(key=lambda t: (-t[1], t[0]))
-    return scored[:m]
+    return scored + [(j, None) for j in ranked[width:]]
 
 
 def test_retrieve_matches_exhaustive_oracle(small_world):
@@ -399,11 +406,35 @@ def test_retrieve_matches_exhaustive_oracle(small_world):
     for pair in corpus.test[:4]:
         q = encode_text(pair.query, vocab)
         [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=3)
-        want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache, m=3)
+        want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache,
+                                m=3)[:3]
         assert [(c.pool_id, ) for c in got] == [(j, ) for j, _ in want]
         for c, (j, s) in zip(got, want):
             assert c.score == pytest.approx(s, rel=1e-9)
             assert c.response == corpus.pool.entries[j].response
+
+
+def test_subset_rank_matches_oracle(small_world):
+    """Evaluation ranks a fixed candidate subset the way the oracle does,
+    the entries recall leaves out following in distance order."""
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    rng = np.random.default_rng(0)
+    table = cache.projected(params, "qrm")
+    for pair in corpus.test[:3]:
+        q = encode_text(pair.query, vocab)
+        subset = rng.choice(corpus.pool.size, size=17, replace=False)
+        with ad.no_grad():
+            _, pooled = encode_mean_pool(params, cfg, [q])
+            p_q = adapter_apply(params, "qrm", pooled).data[0]
+        dists = sqd_pool_distances(params, cfg, [q], cache, pooled)[0]
+        ranked, scores = two_stage_rank(params, dists, p_q, table, subset,
+                                        m=2)
+        want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache,
+                                m=2, ids=subset)
+        assert ranked.tolist() == [j for j, _ in want]
+        assert len(scores) == 8
+        assert scores.tolist() == pytest.approx(
+            [s for _, s in want[:8]], rel=1e-9)
 
 
 def test_retrieve_results_within_stage1_recall(small_world):
@@ -448,25 +479,22 @@ def test_retrieve_oversized_m_returns_whole_pool(small_world):
 @pytest.mark.parametrize("separate", [False, True])
 def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
                                                        monkeypatch, separate):
-    # stage one reuses the main encoder's query rows while the SQD head
+    # stage one reuses the shared encoder's query rows while the SQD head
     # shares that encoder; a separate SQD encoder still encodes for itself
     from heronet import retrieval
-    from heronet.model import add_retrieval_encoder
 
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     prefix = "sqd_enc." if separate else ""
     local = clone_params(params)
-    sqd_cache = cache
     if separate:
         add_retrieval_encoder(local, cfg, seed=5)
-        sqd_cache = build_pool_cache(local, cfg, vocab, corpus.pool,
-                                     enc_prefix=prefix)
+        cache = build_pool_cache(local, cfg, vocab, corpus.pool)
     qs = [encode_text(p.query, vocab) for p in corpus.test[:3]]
     with ad.no_grad():
         _, main = encode_mean_pool(local, cfg, qs)
-    want = sqd_pool_distances(local, cfg, qs, sqd_cache, prefix)
+    want = sqd_pool_distances(local, cfg, qs, cache)
     np.testing.assert_array_equal(
-        sqd_pool_distances(local, cfg, qs, sqd_cache, prefix, main), want)
+        sqd_pool_distances(local, cfg, qs, cache, main), want)
     calls = []
     real = retrieval.encode_mean_pool
 
@@ -475,8 +503,7 @@ def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
         return real(params, cfg, ids, mask, prefix)
 
     monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
-    got = retrieve_top_m_batch(local, cfg, qs, corpus.pool, cache, m=3,
-                               enc_prefix=prefix, sqd_cache=sqd_cache)
+    got = retrieve_top_m_batch(local, cfg, qs, corpus.pool, cache, m=3)
     assert calls == (["", prefix] if separate else [""])
     for i, row in enumerate(got):
         stage1 = np.lexsort((np.arange(corpus.pool.size), want[i]))[:12]
@@ -498,6 +525,30 @@ def test_pool_cache_matches_fresh_encoding(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     with ad.no_grad():
         _, pooled = encode_mean_pool(params, cfg, cache.query_ids[:7])
+    assert np.allclose(cache.query_emb[:7], pooled.data, atol=1e-12)
+
+
+def test_pool_cache_reads_queries_through_the_sqd_encoder(small_world,
+                                                          monkeypatch):
+    """With a separate SQD encoder the pool queries go through it alone,
+    and the responses through the shared encoder alone."""
+    from heronet import retrieval
+
+    corpus, vocab, cfg, params, _, bm25_q = small_world
+    local = clone_params(params)
+    add_retrieval_encoder(local, cfg, seed=5)
+    seen = {}
+    real = retrieval.encode_mean_pool
+
+    def spy(params, cfg, ids, mask=None, prefix=""):
+        seen.setdefault(prefix, []).extend(ids)
+        return real(params, cfg, ids, mask, prefix)
+
+    monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
+    cache = build_pool_cache(local, cfg, vocab, corpus.pool)
+    assert seen == {"sqd_enc.": cache.query_ids, "": cache.resp_ids}
+    with ad.no_grad():
+        _, pooled = real(local, cfg, cache.query_ids[:7], prefix="sqd_enc.")
     assert np.allclose(cache.query_emb[:7], pooled.data, atol=1e-12)
 
 
