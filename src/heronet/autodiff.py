@@ -341,12 +341,35 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
     return _make(data, parts, bw)
 
 
+def _sum_rows_into(out: np.ndarray, ids: np.ndarray, g: np.ndarray) -> None:
+    """out[i] = sum of the rows g[j] with ids[j] == i, for every id present.
+
+    A stable sort groups equal ids in their original order and one
+    np.add.reduceat sums each group, so repeats cost no per-element
+    scatter.
+    """
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    ids_sorted = ids[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], ids_sorted[1:] != ids_sorted[:-1])))
+    out[ids_sorted[starts]] = np.add.reduceat(g[order], starts, axis=0)
+
+
 def getitem(a: Tensor, key) -> Tensor:
+    """a[key].  A 1-D integer array key picks rows along axis 0, and
+    backward sums the gradients of repeated rows group by group."""
     data = a.data[key]
+    by_rows = (isinstance(key, np.ndarray) and key.ndim == 1
+               and key.dtype.kind in "iu")
 
     def bw(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, key, g)
+        if by_rows:
+            _sum_rows_into(out, key % a.data.shape[0], g)
+        else:
+            np.add.at(out, key, g)
         return (out,)
 
     return _make(data, (a,), bw)
@@ -359,23 +382,60 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def bw(g):
         out = np.zeros_like(table.data)
-        np.add.at(out, ids.ravel(), g.reshape(-1, table.data.shape[-1]))
+        _sum_rows_into(out, ids.ravel(), g.reshape(-1, table.data.shape[-1]))
         return (out,)
 
     return _make(data, (table,), bw)
 
 
 def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick a[..., idx] per row: a (..., V), idx (...) ints -> (...)."""
+    """Pick a[..., idx] per row: a (..., V), idx (...) ints -> (...).
+
+    Each row picks one entry, so backward writes each gradient into its
+    own place; nothing is accumulated.
+    """
     idx = np.asarray(idx)
     data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
 
     def bw(g):
         out = np.zeros_like(a.data)
         flat = out.reshape(-1, a.data.shape[-1])
-        rows = np.arange(flat.shape[0])
-        np.add.at(flat, (rows, idx.ravel()), g.ravel())
+        flat[np.arange(flat.shape[0]), idx.ravel()] = g.ravel()
         return (out,)
+
+    return _make(data, (a,), bw)
+
+
+def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Take grid positions off a (B, T, d) grid: -> (len(rows), d).
+
+    rows are distinct flat indices into the B * T positions.  Backward
+    is scatter_rows of the gradient onto a zero grid.
+    """
+    d = a.data.shape[-1]
+    data = a.data.reshape(-1, d)[rows]
+
+    def bw(g):
+        out = np.zeros(a.data.shape, dtype=g.dtype)
+        out.reshape(-1, d)[rows] = g
+        return (out,)
+
+    return _make(data, (a,), bw)
+
+
+def scatter_rows(a: Tensor, rows: np.ndarray, lead: tuple) -> Tensor:
+    """Place the (R, d) rows of `a` at grid positions: -> lead + (d,).
+
+    rows are R distinct flat indices into the lead = (B, T) positions;
+    every other position is exactly 0.  Backward is gather_rows of the
+    gradient.
+    """
+    d = a.data.shape[-1]
+    data = np.zeros(tuple(lead) + (d,), dtype=a.data.dtype)
+    data.reshape(-1, d)[rows] = a.data
+
+    def bw(g):
+        return (g.reshape(-1, d)[rows],)
 
     return _make(data, (a,), bw)
 
@@ -420,43 +480,56 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     for padding.  Under `causal` the Tq queries are the last Tq of the Tk
     key positions, so each sees its own position and the ones before it.
     Returns the heads' contexts merged back to (B, Tq, d).  Backward
-    keeps only the attention weights besides the inputs.  Every product
-    keeps the operand order of the same computation built from matmul,
-    softmax and the elementwise nodes, so results match it bit for bit.
+    keeps only the attention weights besides the inputs.
+
+    The weights are held key-major, as (Tk, B, H, Tq): the score GEMM
+    writes k @ q^T straight into that layout, so the softmax max and sum,
+    and the backward's row dot, reduce over the leading axis, which numpy
+    does far faster than over a short trailing one.  The context and
+    every gradient are written by their GEMMs straight into the merged
+    (B, T, H, dh) layout.  The result equals the composition of matmul,
+    softmax and the elementwise nodes up to float rounding.
     """
     b_sz, t_q, d = q.data.shape
     t_k = k.data.shape[1]
     dh = d // n_heads
+    dt = q.data.dtype
     q4 = q.data.reshape(b_sz, t_q, n_heads, dh).transpose(0, 2, 1, 3)
     k4 = k.data.reshape(b_sz, t_k, n_heads, dh).transpose(0, 2, 1, 3)
     v4 = v.data.reshape(b_sz, t_k, n_heads, dh).transpose(0, 2, 1, 3)
-    scale = np.asarray(1.0 / math.sqrt(dh), dtype=q.data.dtype)
+    scale = np.asarray(1.0 / math.sqrt(dh), dtype=dt)
     # the scores, turned in place into the softmax weights
-    attn = q4 @ k4.transpose(0, 1, 3, 2)
+    attn = np.empty((t_k, b_sz, n_heads, t_q), dtype=dt)
+    np.matmul(k4, q4.transpose(0, 1, 3, 2), out=attn.transpose(1, 2, 0, 3))
     attn *= scale
-    bias = _attention_bias(kv_mask, causal, t_q, t_k, q.data.dtype)
+    bias = _attention_bias(kv_mask, causal, t_q, t_k, dt)
     if bias is not None:
-        attn += bias
-    attn -= attn.max(axis=-1, keepdims=True)
+        attn += bias.transpose(3, 0, 1, 2)
+    attn -= attn.max(axis=0)
     np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    data = (attn @ v4).transpose(0, 2, 1, 3).reshape(b_sz, t_q, d)
+    attn /= attn.sum(axis=0)
+    out = np.empty((b_sz, t_q, n_heads, dh), dtype=dt)
+    np.matmul(attn.transpose(1, 2, 3, 0), v4, out=out.transpose(0, 2, 1, 3))
 
     def bw(g):
         g4 = g.reshape(b_sz, t_q, n_heads, dh).transpose(0, 2, 1, 3)
-        g_attn = g4 @ v4.transpose(0, 1, 3, 2)
-        gv4 = attn.transpose(0, 1, 3, 2) @ g4
-        g_scores = g_attn  # the softmax and scale backward, in place
-        g_scores -= (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores *= attn
-        g_scores *= scale
-        gq4 = g_scores @ k4
-        gk_t = q4.transpose(0, 1, 3, 2) @ g_scores  # (B, H, dh, Tk)
-        return (gq4.transpose(0, 2, 1, 3).reshape(b_sz, t_q, d),
-                gk_t.transpose(0, 3, 1, 2).reshape(b_sz, t_k, d),
-                gv4.transpose(0, 2, 1, 3).reshape(b_sz, t_k, d))
+        # the weights' gradient, key-major like attn, then the softmax
+        # and scale backward in place
+        g_s = np.empty_like(attn)
+        np.matmul(v4, g4.transpose(0, 1, 3, 2), out=g_s.transpose(1, 2, 0, 3))
+        gv = np.empty((b_sz, t_k, n_heads, dh), dtype=dt)
+        np.matmul(attn.transpose(1, 2, 0, 3), g4, out=gv.transpose(0, 2, 1, 3))
+        g_s -= (g_s * attn).sum(axis=0)
+        g_s *= attn
+        g_s *= scale
+        gq = np.empty((b_sz, t_q, n_heads, dh), dtype=dt)
+        np.matmul(g_s.transpose(1, 2, 3, 0), k4, out=gq.transpose(0, 2, 1, 3))
+        gk = np.empty((b_sz, t_k, n_heads, dh), dtype=dt)
+        np.matmul(g_s.transpose(1, 2, 0, 3), q4, out=gk.transpose(0, 2, 1, 3))
+        return (gq.reshape(b_sz, t_q, d), gk.reshape(b_sz, t_k, d),
+                gv.reshape(b_sz, t_k, d))
 
-    return _make(data, (q, k, v), bw)
+    return _make(out.reshape(b_sz, t_q, d), (q, k, v), bw)
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -74,7 +74,9 @@ class Bm25Index:
         scores = self.scores(query)
         eligible = np.arange(self.n_docs)
         if exclude:
-            keep = np.array([i not in exclude for i in range(self.n_docs)])
+            drop = np.fromiter(exclude, dtype=np.int64)
+            keep = np.ones(self.n_docs, dtype=bool)
+            keep[drop[(drop >= 0) & (drop < self.n_docs)]] = False
             eligible = eligible[keep]
         order = np.lexsort((eligible, -scores[eligible]))
         return [int(i) for i in eligible[order][:k]]

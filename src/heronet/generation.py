@@ -99,7 +99,7 @@ def warmup_step(params: dict, cfg: ModelConfig, src_ids: list,
 
 def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
             rollouts: list, rewards: list, alpha: float,
-            opt: ad.Adam) -> GenLossReport:
+            opt: ad.Adam, hidden: Hidden | None = None) -> GenLossReport:
     """Fused CE + policy-gradient update of the generator.
 
     rollouts[i] is the list of sampled sequences for source i and
@@ -107,8 +107,12 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
     minus the batch-mean reward; the surrogate is -mean(advantage *
     sequence log-prob), so reward-free batches reduce exactly to the
     warm-up update.  alpha = 0 skips the rollout pass entirely.
+    hidden is the encoder output of src_ids under the current parameters,
+    built with gradient, when the caller already has it (the rollouts
+    were sampled from it); otherwise src_ids are encoded here.
     """
-    hidden, _ = encode_mean_pool(params, cfg, src_ids)
+    if hidden is None:
+        hidden, _ = encode_mean_pool(params, cfg, src_ids)
     tb = build_teacher_batch(responses, cfg)
     ce = ad.tmean(sequence_ce(params, cfg, hidden, tb))
     if alpha == 0.0:

@@ -17,6 +17,15 @@ An optional second retrieval encoder (for the single-task ablation) lives
 under the prefix "sqd_enc." with its own embedding and position tables.
 The store alone says which encoder serves SQD: when the sqd_enc. keys are
 present it is that one (sqd_prefix), otherwise the shared encoder.
+
+Padded batches pay only for their real tokens.  The encoder and the
+teacher-forced decoder run the embeddings, every layer norm, the Q/K/V/O
+projections, the feed-forward layers and the residual adds on packed
+(R, d) rows of the real positions; queries, keys and values go onto the
+(B, T, d) grid only for attention, and the output is scattered back onto
+it, so the pad rows of Hidden.states are exactly 0.  A batch without
+padding, such as one chat line or a cached decode step, runs on the grid
+throughout.
 """
 
 from __future__ import annotations
@@ -53,9 +62,13 @@ class ModelConfig:
 
 
 class Hidden(NamedTuple):
-    """Encoder output rows plus the attention mask that produced them."""
+    """Encoder output rows plus the attention mask that produced them.
 
-    states: Tensor  # (B, T, d_model)
+    Position-wise layers see only the real tokens, so the rows of states
+    at padding are exactly 0.
+    """
+
+    states: Tensor  # (B, T, d_model), pad rows 0
     mask: np.ndarray  # (B, T) 1.0 for real tokens, 0.0 for padding
 
 
@@ -174,22 +187,52 @@ def pad_batch(seqs: list, pad: int = PAD_ID):
     return ids, mask
 
 
-def _project_kv(params, base, x_kv):
-    """Keys and values (B, T, d) of one attention block."""
-    return (ad.matmul(x_kv, params[f"{base}.wk"]),
-            ad.matmul(x_kv, params[f"{base}.wv"]))
+class _Packing(NamedTuple):
+    """Where packed rows of real tokens sit on their (B, T) grid."""
+
+    rows: np.ndarray  # distinct flat indices into the B * T positions
+    lead: tuple       # (B, T)
 
 
-def _attend(params, base, x_q, k, v, n_heads, kv_mask, causal=False):
+def _packing(mask: np.ndarray) -> _Packing | None:
+    """The real positions of a (B, T) mask; None when none is padding."""
+    if mask.all():
+        return None
+    return _Packing(np.flatnonzero(mask.reshape(-1)), mask.shape)
+
+
+def _to_grid(x, pack):
+    """Packed (R, d) rows onto their (B, T, d) grid, pad rows 0."""
+    return x if pack is None else ad.scatter_rows(x, pack.rows, pack.lead)
+
+
+def _off_grid(x, pack):
+    """The real rows (R, d) of a (B, T, d) grid."""
+    return x if pack is None else ad.gather_rows(x, pack.rows)
+
+
+def _project_kv(params, base, x_kv, pack=None):
+    """Keys and values (B, T, d) of one attention block.
+
+    x_kv is a (B, T, d) grid, or packed rows placed by `pack`.
+    """
+    return (_to_grid(ad.matmul(x_kv, params[f"{base}.wk"]), pack),
+            _to_grid(ad.matmul(x_kv, params[f"{base}.wv"]), pack))
+
+
+def _attend(params, base, x_q, k, v, n_heads, kv_mask, pack=None,
+            causal=False):
     """Attention of the rows x_q over keys and values from _project_kv.
 
     k and v are (B, T_k, d); the heads are split and merged inside
-    ad.attention.  Under `causal` the t_q queries are the last t_q of the
+    ad.attention.  x_q and the result are a (B, T_q, d) grid, or packed
+    rows placed by `pack`; then only the queries and the context visit
+    the grid.  Under `causal` the t_q queries are the last t_q of the
     t_k key positions, so each sees its own position and the ones before it.
     """
-    q = ad.matmul(x_q, params[f"{base}.wq"])
+    q = _to_grid(ad.matmul(x_q, params[f"{base}.wq"]), pack)
     ctx = ad.attention(q, k, v, n_heads, kv_mask, causal)
-    return ad.matmul(ctx, params[f"{base}.wo"])
+    return ad.matmul(_off_grid(ctx, pack), params[f"{base}.wo"])
 
 
 def _feed_forward(params, base, x):
@@ -201,24 +244,39 @@ def _ln(params, base, x):
     return ad.layer_norm(x, params[f"{base}.g"], params[f"{base}.b"], eps=LN_EPS)
 
 
-def _embed(params, table_name, pos_name, ids, max_seq_len, offset=0):
+def _embed(params, table_name, pos_name, ids, max_seq_len, offset=0,
+           pack=None):
+    """Token plus position embeddings: (B, T, d), or packed (R, d) rows."""
     t = offset + ids.shape[1]
     if t > max_seq_len:
         raise ValueError(f"sequence length {t} exceeds max_seq_len {max_seq_len}")
-    tok = ad.embedding(params[table_name], ids)
-    pos = ad.embedding(params[pos_name], np.arange(offset, t))
+    if pack is None:
+        tok_ids, pos_ids = ids, np.arange(offset, t)
+    else:
+        tok_ids = ids.reshape(-1)[pack.rows]
+        pos_ids = offset + pack.rows % ids.shape[1]
+    tok = ad.embedding(params[table_name], tok_ids)
+    pos = ad.embedding(params[pos_name], pos_ids)
     return tok + pos
 
 
 def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
-    x = _embed(params, f"{prefix}embed.tok", f"{prefix}enc.pos", ids, max_seq_len)
+    """Encoder output (B, T, d); pad rows are exactly 0.
+
+    The position-wise layers run on packed rows of the real tokens only;
+    the queries, keys and values go onto the grid for attention.
+    """
+    pack = _packing(mask)
+    x = _embed(params, f"{prefix}embed.tok", f"{prefix}enc.pos", ids,
+               max_seq_len, pack=pack)
     for i in range(n_layers):
         base = f"{prefix}enc.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        k, v = _project_kv(params, f"{base}.attn", normed)
-        x = x + _attend(params, f"{base}.attn", normed, k, v, n_heads, mask)
+        k, v = _project_kv(params, f"{base}.attn", normed, pack)
+        x = x + _attend(params, f"{base}.attn", normed, k, v, n_heads, mask,
+                        pack)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln2", x))
-    return _ln(params, f"{prefix}enc.ln_f", x)
+    return _to_grid(_ln(params, f"{prefix}enc.ln_f", x), pack)
 
 
 def encode_mean_pool(params: dict, cfg: ModelConfig, ids, mask=None,
@@ -374,33 +432,40 @@ class DecodeCache:
 
 def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
                    cache: DecodeCache | None = None):
-    """Decoder output rows for dec_ids.
+    """Decoder output rows (B, T, d) for dec_ids.
 
     With a cache, dec_ids continue the positions it already holds: their
     self-attention K/V join the cached ones, the cached cross-attention
-    K/V are reused, and dec_mask spans the cached positions too.
+    K/V are reused, and dec_mask spans the cached positions too.  Without
+    one (teacher forcing), the position-wise layers run on packed rows of
+    the real positions of dec_mask, the cross-attention K/V are projected
+    from the real source rows only, and the pad rows of the result are 0.
     """
     offset = 0 if cache is None else cache.length
+    pack = None if cache is not None else _packing(dec_mask)
     x = _embed(params, "embed.tok", "dec.pos", dec_ids, cfg.max_seq_len,
-               offset)
+               offset, pack)
+    if cache is None:
+        src_pack = _packing(hidden.mask)
+        src = _off_grid(hidden.states, src_pack)
     for i in range(cfg.n_layers):
         base = f"dec.{i}"
         normed = _ln(params, f"{base}.ln1", x)
-        k, v = _project_kv(params, f"{base}.self", normed)
+        k, v = _project_kv(params, f"{base}.self", normed, pack)
         if cache is None:
-            cross_k, cross_v = _project_kv(params, f"{base}.cross",
-                                           hidden.states)
+            cross_k, cross_v = _project_kv(params, f"{base}.cross", src,
+                                           src_pack)
         else:
             k, v = cache.extend(i, k, v)
             cross_k, cross_v = cache.cross[i]
         x = x + _attend(params, f"{base}.self", normed, k, v, cfg.n_heads,
-                        dec_mask, causal=True)
+                        dec_mask, pack, causal=True)
         x = x + _attend(params, f"{base}.cross", _ln(params, f"{base}.ln2", x),
-                        cross_k, cross_v, cfg.n_heads, hidden.mask)
+                        cross_k, cross_v, cfg.n_heads, hidden.mask, pack)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln3", x))
     if cache is not None:
         cache.length += dec_ids.shape[1]
-    return _ln(params, "dec.ln_f", x)
+    return _to_grid(_ln(params, "dec.ln_f", x), pack)
 
 
 def decode_step(params: dict, cfg: ModelConfig, hidden: Hidden,

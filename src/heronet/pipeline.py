@@ -313,14 +313,12 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
 # adversarial training
 
 
-def _batch_rollouts(params, mcfg, src, n_roll, rng, max_len):
-    """n_roll temperature-1 samples per source, decoded in one batch."""
-    with ad.no_grad():
-        hidden, _ = encode_mean_pool(params, mcfg, src)
+def _batch_rollouts(params, mcfg, hidden, n_roll, rng, max_len):
+    """n_roll temperature-1 samples per encoded source, in one batch."""
     seqs = sample_batch(params, mcfg, tile_hidden(hidden, n_roll),
                         mode="sample", temperature=1.0,
                         rng=rng, max_len=max_len)
-    return [seqs[i * n_roll:(i + 1) * n_roll] for i in range(len(src))]
+    return [seqs[i:i + n_roll] for i in range(0, len(seqs), n_roll)]
 
 
 def stage_adversarial(cfg: TrainConfig, out) -> dict:
@@ -353,7 +351,10 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                 src.append(encode_text(text, vocab, mcfg.max_seq_len))
             resp = _resp_ids(chunk, vocab)
             if alpha != 0.0:
-                rolls = _batch_rollouts(params, mcfg, src, cfg.n_rollouts,
+                # one encode with gradient: the rollouts read its values
+                # and pg_step backpropagates through it
+                hidden = encode_mean_pool(params, mcfg, src)[0]
+                rolls = _batch_rollouts(params, mcfg, hidden, cfg.n_rollouts,
                                         roll_rng, cfg.max_gen_len)
                 flat = [s for g in rolls for s in g]
                 flat_q = [q for q, g in zip(queries, rolls) for _ in g]
@@ -363,16 +364,19 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                     rewards.append(scores[at:at + len(g)])
                     at += len(g)
             else:
-                rolls, rewards = None, None
+                hidden, rolls, rewards = None, None, None
             rep = pg_step(params, mcfg, src, resp, rolls, rewards, alpha,
-                          g_opt)
+                          g_opt, hidden=hidden)
+            hidden = None  # drop the encoder graph before disc_step
             for v in (rep.ce, rep.pg, rep.fused):
                 _ensure_finite(v, "adversarial")
             ce_l.append(rep.ce)
             pg_l.append(rep.pg)
             fused_l.append(rep.fused)
             if rolls is None:
-                rolls = _batch_rollouts(params, mcfg, src, cfg.n_rollouts,
+                with ad.no_grad():
+                    hidden = encode_mean_pool(params, mcfg, src)[0]
+                rolls = _batch_rollouts(params, mcfg, hidden, cfg.n_rollouts,
                                         roll_rng, cfg.max_gen_len)
             ret_negs = [[list(cache.resp_ids[c.pool_id]) for c in cands]
                         for cands in retrieved]

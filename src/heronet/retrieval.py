@@ -277,15 +277,22 @@ def mine_qrm_batch(pairs: list, params: dict, cfg: ModelConfig, vocab: Vocab,
         raise ValueError("m must be at least 1")
     anchor_q = [encode_text(p.query, vocab) for p in pairs]
     dists = sqd_pool_distances(params, cfg, anchor_q, cache)
+    # nearest first, ties on ascending pool id
+    orders = np.argsort(dists, axis=1, kind="stable")
+    text_code: dict = {}
+    pool_resp = np.array([text_code.setdefault(e.response, len(text_code))
+                          for e in pool.entries], dtype=np.int64)
+    clustered = np.array([e.cluster_id is not None for e in pool.entries])
+    pool_cluster = np.array([e.cluster_id if e.cluster_id is not None else 0
+                             for e in pool.entries], dtype=np.int64)
     queries, responses, labels, groups = [], [], [], []
     for i, pair in enumerate(pairs):
         r_true = encode_text(pair.response, vocab)
-        order = np.lexsort((np.arange(pool.size), dists[i]))
-        near = [j for j in order
-                if pool.entries[j].response != pair.response
-                and (pair.cluster_id is None
-                     or pool.entries[j].cluster_id != pair.cluster_id)]
-        near = near[:m]
+        keep = pool_resp != text_code.get(pair.response, -1)
+        if pair.cluster_id is not None:
+            keep &= ~(clustered & (pool_cluster == pair.cluster_id))
+        order = orders[i]
+        near = order[keep[order]][:m]
         queries.append(anchor_q[i])
         responses.append(r_true)
         labels.append(1.0)

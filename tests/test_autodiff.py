@@ -242,6 +242,45 @@ class TestGatherEmbedding:
                 expected[i, j, idx[i, j]] = 1.0
         np.testing.assert_allclose(t.grad, expected, atol=1e-12)
 
+    def test_getitem_row_key_accumulates_repeats(self):
+        rng = np.random.default_rng(3)
+        key = np.array([2, 0, 2, -1, 2, 3])
+        x = rng.normal(size=(4, 3))
+        w = rng.normal(size=(6, 3))
+        t = ad.Tensor(x.copy(), requires_grad=True)
+        ad.backward((ad.getitem(t, key) * ad.Tensor(w)).sum())
+        expected = np.zeros_like(x)
+        np.add.at(expected, key, w)
+        np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
+        gradcheck(lambda a: ad.getitem(a, key), [x])
+
+    def test_float32_row_sums_stay_near_add_at(self):
+        # the grouped sums may add in another order than add.at; in
+        # float32 they stay within the stated tolerance of it
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, 64, size=(300, 20))
+        g = rng.normal(size=(300, 20, 8)).astype(np.float32)
+        table = ad.Tensor(np.zeros((64, 8), dtype=np.float32),
+                          requires_grad=True)
+        ad.backward((ad.embedding(table, ids) * ad.Tensor(g)).sum())
+        expected = np.zeros((64, 8), dtype=np.float32)
+        np.add.at(expected, ids.ravel(), g.reshape(-1, 8))
+        np.testing.assert_allclose(table.grad, expected, rtol=1e-5,
+                                   atol=1e-5)
+
+
+class TestGridRows:
+    def test_scatter_zeroes_pads_and_gather_inverts_it(self):
+        rng = np.random.default_rng(5)
+        mask = np.array([[1, 1, 1, 0], [1, 0, 0, 0], [1, 1, 1, 1]])
+        rows = np.flatnonzero(mask.ravel())
+        packed = rng.normal(size=(len(rows), 3))
+        grid = ad.scatter_rows(ad.Tensor(packed), rows, mask.shape)
+        assert grid.data.shape == (3, 4, 3)
+        assert (grid.data[mask == 0] == 0).all()
+        np.testing.assert_array_equal(grid.data[mask == 1], packed)
+        np.testing.assert_array_equal(ad.gather_rows(grid, rows).data, packed)
+
 
 class TestMachinery:
     def test_no_grad_blocks_graph(self):
@@ -298,12 +337,16 @@ def unfused_attention(q, k, v, n_heads, kv_mask, causal):
 
 # (t_q, t_k, kv_mask, causal): padded keys under cross-attention, a causal
 # block over its own positions, and cached steps whose queries are the
-# last t_q < t_k positions
+# last t_q < t_k positions; the long cases reduce the key-major weights
+# over more keys than one SIMD block holds
 ATTENTION_CASES = {
     "padded-keys": (3, 4, [[1, 1, 1, 0], [1, 1, 0, 0]], False),
     "causal-square": (4, 4, [[1, 1, 1, 1], [1, 1, 1, 0]], True),
     "cached-step": (2, 5, [[1] * 5, [1] * 5], True),
     "cached-one": (1, 5, [[1] * 5, [1, 1, 1, 1, 0]], True),
+    "long-padded-keys": (5, 13, [[1] * 13, [1] * 9 + [0] * 4], False),
+    "long-causal": (11, 11, [[1] * 11, [1] * 7 + [0] * 4], True),
+    "long-cached-one": (1, 17, [[1] * 17, [1] * 17], True),
 }
 
 
@@ -392,6 +435,7 @@ def _away_from_zero(*shape):
 
 _IDS = np.array([[1, 1, 4], [0, 1, 6]])
 _LAST = np.array([[0, 4, 2], [3, 3, 1]])
+_GRID_ROWS = np.array([0, 1, 2, 4, 5])  # real positions of a (2, 3) grid
 
 # primitive -> (a function of float64 leaf tensors using it, the leaves)
 GRADCHECKS = {
@@ -418,6 +462,10 @@ GRADCHECKS = {
     "embedding": (lambda t: ad.embedding(t, _IDS), [CASE_RNG.normal(size=(7, 3))]),
     "gather_last": (lambda a: ad.gather_last(a, _LAST),
                     [CASE_RNG.normal(size=(2, 3, 5))]),
+    "gather_rows": (lambda a: ad.gather_rows(a, _GRID_ROWS),
+                    [CASE_RNG.normal(size=(2, 3, 4))]),
+    "scatter_rows": (lambda a: ad.scatter_rows(a, _GRID_ROWS, (2, 3)),
+                     [CASE_RNG.normal(size=(5, 4))]),
     "softmax": (ad.softmax, [CASE_RNG.normal(size=(3, 5))]),
     "log_softmax": (ad.log_softmax, [CASE_RNG.normal(size=(3, 5))]),
     "attention": (lambda q, k, v: ad.attention(

@@ -117,11 +117,33 @@ def o_decode_probs(p, cfg, h_enc, src_mask, prefix):
 
 class TestForwardOracle:
     def test_encoder_matches_oracle(self, toy):
+        # real positions match the oracle; pad rows are never computed
+        # and come back exactly 0
         params, p = toy
         ids = np.array([[7, 8, 9, PAD_ID]])
         hidden, pooled = encode_mean_pool(params, CFG, ids)
         want = o_encode(p, CFG, ids[0], hidden.mask[0])
-        assert np.allclose(hidden.states.data[0], want, atol=1e-8, rtol=0)
+        assert np.allclose(hidden.states.data[0, :3], want[:3], atol=1e-8,
+                           rtol=0)
+        assert (hidden.states.data[0, 3] == 0).all()
+
+    def test_position_wise_layers_see_only_real_tokens(self, toy, monkeypatch):
+        params, _ = toy
+        lengths = [5, 2, 3]
+        seqs = [list(range(4, 4 + n)) for n in lengths]
+        seen = []
+        real_linear = ad.linear
+
+        def spy(x, w, b):
+            seen.append(x.data.shape[0])
+            return real_linear(x, w, b)
+
+        monkeypatch.setattr(ad, "linear", spy)
+        hidden, _ = encode_mean_pool(params, CFG, seqs)
+        assert hidden.states.data.shape[:2] == (3, 5)
+        # two feed-forward linears per layer, each on the real rows only
+        assert seen == [sum(lengths)] * (2 * CFG.n_layers)
+        assert (hidden.states.data[hidden.mask == 0] == 0).all()
 
     def test_mean_pool_matches_column_means(self, toy):
         params, p = toy
@@ -145,6 +167,22 @@ class TestForwardOracle:
         want = o_decode_probs(p, CFG, hidden.states.data[0], hidden.mask[0],
                               prefix)
         assert np.allclose(probs, want, atol=1e-8, rtol=0)
+
+    def test_teacher_forcing_runs_real_decoder_rows_only(self, toy):
+        # a padded decoder batch: each real position's logits match the
+        # row decoded alone; pad positions' states, so logits, are 0
+        params, _ = toy
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9], [4, 5]])
+        dec = np.array([[BOS_ID, 10, 11, 12], [BOS_ID, 13, PAD_ID, PAD_ID]])
+        got = decoder_logits(params, CFG, hidden, dec,
+                             (dec != PAD_ID).astype(np.float64)).data
+        for r, n in ((0, 4), (1, 2)):
+            row = Hidden(Tensor(hidden.states.data[r:r + 1]),
+                         hidden.mask[r:r + 1])
+            want = decoder_logits(params, CFG, row, dec[r:r + 1, :n]).data
+            np.testing.assert_allclose(got[r, :n], want[0], rtol=0,
+                                       atol=1e-10)
+        assert (got[1, 2:] == 0).all()
 
     def test_decode_next_sums_to_one(self, toy):
         params, _ = toy

@@ -335,6 +335,37 @@ def test_mine_qrm_without_cluster_ids_keeps_old_behavior(small_world):
     assert any(q in twin_q for q in batch.queries[1:])
 
 
+def test_mine_qrm_matches_per_anchor_scan(small_world):
+    # the masked picks equal a scan of the pool in distance order, for
+    # anchors with and without cluster ids, against a pool where some
+    # entries carry none (those never match an anchor's cluster)
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    from dataclasses import replace as dc_replace
+    from heronet.corpus import CandidatePool
+    pool = CandidatePool([dc_replace(e, cluster_id=None) if e.id % 3 == 0
+                          else e for e in corpus.pool.entries])
+    pairs = (corpus.test[:6] + corpus.train[:6]
+             + [dc_replace(corpus.test[1], cluster_id=None)])
+    m = pool.size - 1
+    batch = mine_qrm_batch(pairs, params, cfg, vocab, pool, cache, m=m)
+    anchors = [encode_text(p.query, vocab) for p in pairs]
+    dists = sqd_pool_distances(params, cfg, anchors, cache)
+    at = 0
+    for i, pair in enumerate(pairs):
+        order = np.lexsort((np.arange(pool.size), dists[i]))
+        near = [j for j in order
+                if pool.entries[j].response != pair.response
+                and (pair.cluster_id is None
+                     or pool.entries[j].cluster_id != pair.cluster_id)][:m]
+        k = len(near)
+        assert batch.responses[at + 1:at + 1 + k] == [
+            list(cache.resp_ids[j]) for j in near]
+        assert batch.queries[at + 1 + k:at + 1 + 2 * k] == [
+            list(cache.query_ids[j]) for j in near]
+        at += 1 + 2 * k
+    assert at == len(batch.queries)
+
+
 def test_mine_qrm_deterministic(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     pairs = corpus.train[:2]
