@@ -34,8 +34,9 @@ def _stem(path) -> str:
     return path
 
 
-def _write_atomic(path: str, data: bytes) -> None:
-    tmp = path + ".tmp"
+def write_atomic(path, data: bytes) -> None:
+    """Write data to a temporary name beside path, then move it there."""
+    tmp = f"{os.fspath(path)}.tmp"
     with open(tmp, "wb") as fh:
         fh.write(data)
         fh.flush()
@@ -65,9 +66,9 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
         "tensors": tensors,
     }
     json_path, bin_path = stem + ".json", stem + ".bin"
-    _write_atomic(bin_path, bytes(blob))
+    write_atomic(bin_path, bytes(blob))
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    _write_atomic(json_path, text.encode("utf-8"))
+    write_atomic(json_path, text.encode("utf-8"))
     return json_path, bin_path
 
 

@@ -2,8 +2,8 @@
 
 Config files are line-oriented `key = value` text.  `#` starts a comment,
 blank lines are skipped, unknown keys are rejected with their line number,
-and absent keys take the desk-scale defaults below.  Full-scale values
-are kept in the comments of the generated sample file.
+and absent keys take the desk-scale defaults below.  The field comments
+note the full-scale values.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ class ConfigError(Exception):
 @dataclass
 class TrainConfig:
     # candidate mixing
-    m: int = 20              # retrieved candidates
-    n: int = 1               # generated candidates
+    m: int = 20              # retrieved candidates (full-scale: 20)
+    n: int = 1               # generated candidates (full-scale: 1)
     k: int = 5               # retrieved outputs shown beside the response
     # model and batching (desk profile)
-    bs: int = 16
-    max_seq_len: int = 64
+    bs: int = 16             # full-scale: 64
+    max_seq_len: int = 64    # full-scale: 256
     vocab_size: int = 512
     d_model: int = 64
     n_heads: int = 4
@@ -31,9 +31,9 @@ class TrainConfig:
     n_layers: int = 2
     d_proj: int = 64
     # stage epochs (desk profile)
-    warmup_epochs: int = 3
-    multitask_epochs: int = 5
-    adversarial_epochs: int = 10
+    warmup_epochs: int = 3        # full-scale: 5
+    multitask_epochs: int = 5     # full-scale: 10
+    adversarial_epochs: int = 10  # full-scale: 20
     rerank_epochs: int = 3
     # learning rates
     warmup_lr: float = 4e-4
@@ -162,58 +162,3 @@ def parse_config(path) -> TrainConfig:
     validate_config(cfg)
     return cfg
 
-
-def default_config_text() -> str:
-    """Sample config: desk-scale values, full-scale noted in comments."""
-    return """\
-# candidate mixing
-m = 20                    # full-scale: 20
-n = 1                     # full-scale: 1
-k = 5
-
-# model and batching (desk profile)
-bs = 16                   # full-scale: 64
-max_seq_len = 64          # full-scale: 256
-vocab_size = 512
-d_model = 64
-n_heads = 4
-d_ff = 256
-n_layers = 2
-d_proj = 64
-
-# stage epochs (desk profile)
-warmup_epochs = 3         # full-scale: 5
-multitask_epochs = 5      # full-scale: 10
-adversarial_epochs = 10   # full-scale: 20
-rerank_epochs = 3
-
-# learning rates (same at both scales)
-warmup_lr = 4e-4
-retrieval_lr = 1e-4
-g_lr = 2e-4
-d_lr = 1e-4
-
-# loss shape
-delta1 = 0.5
-delta2 = 0.5
-reg_lambda = 1e-4
-alpha = 0.5
-sqd_margin = 1.0
-
-# data and mining
-n_train = 1000
-n_eval = 200
-pool_size = 500
-eval_candidates = 100
-word_dropout = 0.15
-
-# decoding
-max_gen_len = 32
-n_rollouts = 1
-
-# run control
-seed = 7
-no_kg = false
-no_reward = false
-no_multi_learning = false
-"""

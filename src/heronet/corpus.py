@@ -3,8 +3,9 @@
 The corpus is generated from a bank of topic templates.  Each template owns
 several query paraphrases and several response wordings, plus slot fillers
 shared across templates.  Pairs generated from the same template with the
-same slot values form a paraphrase cluster; the cluster id is kept in memory
-only and never serialized, so files stay on the fixed JSONL schemas.
+same slot values form a paraphrase cluster.  Cluster ids stay out of the
+JSONL records, which keep the fixed schemas below; gen-data lists them in a
+clusters.json sidecar instead.
 
 JSONL schemas:
   dialogue pair   {"context": [...], "query": "...", "response": "..."}
@@ -35,7 +36,7 @@ class DialoguePair:
     context: list[str]
     query: str
     response: str
-    cluster_id: int | None = None  # in-memory only, not serialized
+    cluster_id: int | None = None  # from clusters.json, not the JSONL
 
 
 @dataclass
@@ -43,7 +44,7 @@ class PoolEntry:
     id: int
     query: str
     response: str
-    cluster_id: int | None = None  # in-memory only, not serialized
+    cluster_id: int | None = None  # from clusters.json, not the JSONL
 
 
 @dataclass

@@ -3,8 +3,11 @@
 Stages form a strict chain -- gen-data, warmup, pretrain-retrieval,
 adv-train, rerank-train -- each consuming the previous stage's checkpoint
 and leaving its own plus a CSV loss log.  Running a stage out of order
-raises StageOrderError; a non-finite loss raises NumericalAbort, leaving
-the last completed epoch's checkpoint on disk.
+raises StageOrderError.  Every training stage runs its epochs through one
+driver, which saves the checkpoint and rewrites the log after each epoch,
+so a non-finite loss (NumericalAbort) or a kill leaves the last completed
+epoch's checkpoint and log rows on disk.  A checkpoint's `step` counts
+the optimizer steps taken so far: epochs times batches per epoch.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -15,7 +18,9 @@ identical logs and byte-identical checkpoints.
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import sys
 import time
 import warnings
@@ -28,7 +33,8 @@ import numpy as np
 from . import autodiff as ad
 from . import seeds
 from .bm25 import Bm25Index
-from .checkpoint import checkpoint_stage, load_checkpoint, save_checkpoint
+from .checkpoint import (checkpoint_stage, load_checkpoint, save_checkpoint,
+                         write_atomic)
 from .config import TrainConfig, validate_config
 from .corpus import (Corpus, Vocab, DialoguePair, build_vocab, decode_ids,
                      encode_text, generate_synthetic_corpus, read_pairs,
@@ -58,8 +64,8 @@ class NumericalAbort(RuntimeError):
 
 _CKPT = {"warmup": "ckpt_warmup", "retrieval": "ckpt_retrieval",
          "adversarial": "ckpt_adversarial", "rerank": "ckpt_rerank"}
-_PREREQ_CMD = {"warmup": "warmup", "retrieval": "pretrain-retrieval",
-               "adversarial": "adv-train", "rerank": "rerank-train"}
+_STAGE_CMD = {"warmup": "warmup", "retrieval": "pretrain-retrieval",
+              "adversarial": "adv-train", "rerank": "rerank-train"}
 
 _DATA_FILES = ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl")
 
@@ -88,8 +94,18 @@ def model_config(cfg: TrainConfig, vocab: Vocab) -> ModelConfig:
                        max_seq_len=cfg.max_seq_len)
 
 
+def _records(corpus) -> dict:
+    """Each split's records in file order, keyed as in clusters.json."""
+    return {"train": corpus.train, "valid": corpus.valid,
+            "test": corpus.test, "pool": corpus.pool.entries}
+
+
 def load_world(cfg: TrainConfig, out: Path):
-    """Corpus, vocabulary, and model shape from the gen-data artifacts."""
+    """Corpus, vocabulary, and model shape from the gen-data artifacts.
+
+    Cluster ids come from the clusters.json sidecar; without it every
+    record keeps cluster_id None.
+    """
     out = Path(out)
     missing = [f for f in _DATA_FILES if not (out / f).exists()]
     if missing:
@@ -100,6 +116,15 @@ def load_world(cfg: TrainConfig, out: Path):
                     test=read_pairs(out / "test.jsonl"),
                     pool=read_pool(out / "pool.jsonl"))
     validate_corpus(corpus)
+    sidecar = out / "clusters.json"
+    if sidecar.exists():
+        ids = json.loads(sidecar.read_text(encoding="utf-8"))
+        for split, records in _records(corpus).items():
+            if len(ids.get(split, ())) != len(records):
+                raise ValueError(f"{sidecar} does not list one cluster id "
+                                 f"per {split} record ({len(records)})")
+            for rec, cid in zip(records, ids[split]):
+                rec.cluster_id = cid
     vocab = build_vocab(corpus, cfg.vocab_size)
     return corpus, vocab, model_config(cfg, vocab)
 
@@ -108,7 +133,7 @@ def _load_stage(out: Path, stage: str):
     stem = Path(out) / _CKPT[stage]
     if checkpoint_stage(stem) is None:
         raise StageOrderError(
-            f"no '{stage}' checkpoint under {out}; run {_PREREQ_CMD[stage]} "
+            f"no '{stage}' checkpoint under {out}; run {_STAGE_CMD[stage]} "
             "first")
     params, manifest = load_checkpoint(stem)
     if manifest["stage"] != stage:
@@ -118,17 +143,49 @@ def _load_stage(out: Path, stage: str):
     return params
 
 
-def _save_stage(out: Path, stage: str, params, cfg, step):
-    save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step)
+def _write_csv(path: Path, header: list, rows: list):
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_atomic(path, buf.getvalue().encode("utf-8"))
 
 
-def _write_log(out: Path, name: str, header: list, rows: list):
-    path = Path(out) / "logs"
-    path.mkdir(parents=True, exist_ok=True)
-    with open(path / f"{name}.csv", "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
+def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
+                epochs: int, run_epoch, rows=()) -> dict:
+    """Run one training stage's epochs; the last epoch's values by column.
+
+    run_epoch(rng) trains one epoch and returns (optimizer steps, one value
+    per column), where rng(stream, *extra) gives the epoch's generator of
+    a named stream.  A non-finite value raises NumericalAbort before
+    anything of that epoch is saved; bodies check each step's loss too, so
+    no step runs on weights a non-finite loss has spoiled.  After each
+    epoch the progress line is printed, the checkpoint saved and
+    logs/<stage>.csv rewritten, `rows` first; with out None the epochs
+    only train.
+    """
+    rows, step = list(rows), 0
+    for epoch in range(1, epochs + 1):
+        def rng(stream, *extra):
+            return np.random.default_rng([cfg.seed, stream, epoch, *extra])
+
+        t0 = time.perf_counter()
+        steps, values = run_epoch(rng)
+        for v in values:
+            _ensure_finite(v, stage)
+        step += steps
+        if out is None:
+            continue
+        dt = time.perf_counter() - t0
+        rows.append([epoch, stage, *map(_fmt, values), _fmt(dt)])
+        shown = " ".join(f"{c}={v:.4f}" for c, v in zip(columns, values))
+        _say(f"[{_STAGE_CMD[stage]}] epoch {epoch}/{epochs} {shown} "
+             f"({dt:.1f}s)")
+        save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step)
+        _write_csv(Path(out) / "logs" / f"{stage}.csv",
+                   ["epoch", "stage", *columns, "seconds"], rows)
+    return {c: float(v) for c, v in zip(columns, values)}
 
 
 def _ensure_finite(value: float, stage: str):
@@ -148,6 +205,10 @@ def _say(msg: str):
 def _shuffled(items: list, rng) -> list:
     idx = rng.permutation(len(items))
     return [items[i] for i in idx]
+
+
+def _batches(items: list, bs: int) -> list:
+    return [items[lo:lo + bs] for lo in range(0, len(items), bs)]
 
 
 def _src_ids(pairs, vocab, mcfg):
@@ -173,6 +234,10 @@ def stage_gen_data(cfg: TrainConfig, out) -> dict:
     write_pairs(out / "valid.jsonl", corpus.valid)
     write_pairs(out / "test.jsonl", corpus.test)
     write_pool(out / "pool.jsonl", corpus.pool)
+    clusters = {split: [r.cluster_id for r in records]
+                for split, records in _records(corpus).items()}
+    (out / "clusters.json").write_text(json.dumps(clusters) + "\n",
+                                       encoding="utf-8")
     (out / "config.txt").write_text(render_config(cfg), encoding="utf-8")
     vocab = build_vocab(corpus, cfg.vocab_size)
     summary = {"train": len(corpus.train), "valid": len(corpus.valid),
@@ -189,102 +254,62 @@ def stage_gen_data(cfg: TrainConfig, out) -> dict:
 
 
 def _mean_val_ce(params, mcfg, vocab, pairs, bs) -> float:
-    total, count = 0.0, 0
+    total = 0.0
     with ad.no_grad():
-        for lo in range(0, len(pairs), bs):
-            chunk = pairs[lo:lo + bs]
+        for chunk in _batches(pairs, bs):
             src = _src_ids(chunk, vocab, mcfg)
             hidden, _ = encode_mean_pool(params, mcfg, src)
             tb = build_teacher_batch(_resp_ids(chunk, vocab), mcfg)
             per = sequence_ce(params, mcfg, hidden, tb)
             total += float(per.data.sum())
-            count += len(chunk)
-    return total / count
+    return total / len(pairs)
 
 
 def stage_warmup(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = init_params(mcfg, cfg.seed)
     opt = ad.Adam(param_subset(params, "warmup"), cfg.warmup_lr)
-    rows, step = [], 0
     base_val = _mean_val_ce(params, mcfg, vocab, corpus.valid, cfg.bs)
-    rows.append([0, "warmup", "", _fmt(base_val), _fmt(0.0)])
     _say(f"[warmup] baseline val_ce={base_val:.4f}")
-    for epoch in range(1, cfg.warmup_epochs + 1):
-        t0 = time.perf_counter()
-        rng = np.random.default_rng([cfg.seed, seeds.WARMUP, epoch])
-        order = _shuffled(corpus.train, rng)
+
+    def epoch(rng):
         losses = []
-        for lo in range(0, len(order), cfg.bs):
-            chunk = order[lo:lo + cfg.bs]
+        for chunk in _batches(_shuffled(corpus.train, rng(seeds.WARMUP)),
+                              cfg.bs):
             ce = warmup_step(params, mcfg, _src_ids(chunk, vocab, mcfg),
                              _resp_ids(chunk, vocab), opt)
             losses.append(_ensure_finite(ce, "warmup"))
-            step += 1
         val = _mean_val_ce(params, mcfg, vocab, corpus.valid, cfg.bs)
-        _ensure_finite(val, "warmup")
-        dt = time.perf_counter() - t0
-        rows.append([epoch, "warmup", _fmt(np.mean(losses)), _fmt(val),
-                     _fmt(dt)])
-        _say(f"[warmup] epoch {epoch}/{cfg.warmup_epochs} "
-             f"train_ce={np.mean(losses):.4f} val_ce={val:.4f} ({dt:.1f}s)")
-        _save_stage(out, "warmup", params, cfg, step)
-    _write_log(out, "warmup", ["epoch", "stage", "train_ce", "val_ce",
-                               "seconds"], rows)
-    return {"initial_val_ce": base_val, "final_val_ce": float(rows[-1][3])}
+        return len(losses), [np.mean(losses), val]
+
+    return _run_epochs(cfg, out, "warmup", params, ["train_ce", "val_ce"],
+                       cfg.warmup_epochs, epoch,
+                       rows=[[0, "warmup", "", _fmt(base_val), _fmt(0.0)]])
 
 
 # ---------------------------------------------------------------------------
 # retrieval pretraining
 
 
-def _attach_clusters(cfg: TrainConfig, corpus) -> None:
-    """Rehydrate in-memory paraphrase-cluster ids onto a loaded corpus.
-
-    Cluster ids never enter the JSONL records, but negative mining needs
-    them to keep paraphrase twins out of the negatives.  The generator is
-    deterministic, so regenerating with the run seed recovers the ids; a
-    corpus that does not match the seed (hand-edited files) just trains
-    without the exclusion.
-    """
-    mem = generate_synthetic_corpus(seed=cfg.seed, n_train=cfg.n_train,
-                                    n_eval=cfg.n_eval,
-                                    pool_size=cfg.pool_size)
-    same_pairs = all(a.query == b.query and a.response == b.response
-                     for a, b in zip(corpus.all_pairs(), mem.all_pairs()))
-    same_pool = corpus.pool.size == mem.pool.size and all(
-        a.query == b.query and a.response == b.response
-        for a, b in zip(corpus.pool.entries, mem.pool.entries))
-    if not (same_pairs and same_pool):
-        warnings.warn("corpus files do not match the run seed; mining "
-                      "proceeds without paraphrase-cluster exclusion",
-                      stacklevel=2)
-        return
-    for have, want in zip(corpus.all_pairs(), mem.all_pairs()):
-        have.cluster_id = want.cluster_id
-    for have, want in zip(corpus.pool.entries, mem.pool.entries):
-        have.cluster_id = want.cluster_id
-
-
 def stage_retrieval(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
-    _attach_clusters(cfg, corpus)
+    if any(p.cluster_id is None for p in corpus.train):
+        warnings.warn(f"no cluster ids in {Path(out) / 'clusters.json'}; "
+                      "mining proceeds without paraphrase-cluster exclusion",
+                      stacklevel=2)
     params = _load_stage(out, "warmup")
     if cfg.no_multi_learning:
         add_retrieval_encoder(params, mcfg, cfg.seed)
     bm25_q = Bm25Index(pool_token_lists(corpus.pool, vocab, "query"))
     opt_sqd = ad.Adam(param_subset(params, "sqd"), cfg.retrieval_lr)
     opt_qrm = ad.Adam(param_subset(params, "qrm"), cfg.retrieval_lr)
-    rows, step = [], 0
-    for epoch in range(1, cfg.multitask_epochs + 1):
-        t0 = time.perf_counter()
+
+    def epoch(rng):
         cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
-        shuffle_rng = np.random.default_rng([cfg.seed, seeds.EPOCH, epoch])
-        aug_rng = np.random.default_rng([cfg.seed, seeds.SQD_MINE, epoch])
-        order = _shuffled(corpus.train, shuffle_rng)
+        aug_rng = rng(seeds.SQD_MINE)
         sqd_losses, qrm_losses = [], []
-        for lo in range(0, len(order), cfg.bs):
-            chunk = order[lo:lo + cfg.bs]
+        for chunk in _batches(_shuffled(corpus.train, rng(seeds.EPOCH)),
+                              cfg.bs):
             tri = mine_sqd_batch([p.query for p in chunk], corpus.pool,
                                  vocab, bm25_q, cfg.m, aug_rng,
                                  cfg.word_dropout,
@@ -296,17 +321,10 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
                                 cache, cfg.m)
             qrm_losses.append(_ensure_finite(
                 qrm_step(params, mcfg, mb, opt_qrm), "retrieval"))
-            step += 1
-        dt = time.perf_counter() - t0
-        rows.append([epoch, "retrieval", _fmt(np.mean(sqd_losses)),
-                     _fmt(np.mean(qrm_losses)), _fmt(dt)])
-        _say(f"[pretrain-retrieval] epoch {epoch}/{cfg.multitask_epochs} "
-             f"sqd={np.mean(sqd_losses):.4f} qrm={np.mean(qrm_losses):.4f} "
-             f"({dt:.1f}s)")
-        _save_stage(out, "retrieval", params, cfg, step)
-    _write_log(out, "retrieval", ["epoch", "stage", "sqd_loss", "qrm_loss",
-                                  "seconds"], rows)
-    return {"sqd_loss": float(rows[-1][2]), "qrm_loss": float(rows[-1][3])}
+        return len(sqd_losses), [np.mean(sqd_losses), np.mean(qrm_losses)]
+
+    return _run_epochs(cfg, out, "retrieval", params,
+                       ["sqd_loss", "qrm_loss"], cfg.multitask_epochs, epoch)
 
 
 # ---------------------------------------------------------------------------
@@ -328,16 +346,13 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
     kg = not cfg.no_kg
     g_opt = ad.Adam(param_subset(params, "generator"), cfg.g_lr)
     d_opt = ad.Adam(param_subset(params, "disc"), cfg.d_lr)
-    rows, step = [], 0
-    for epoch in range(1, cfg.adversarial_epochs + 1):
-        t0 = time.perf_counter()
+
+    def epoch(rng):
         cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
-        shuffle_rng = np.random.default_rng([cfg.seed, seeds.ADV, epoch])
-        roll_rng = np.random.default_rng([cfg.seed, seeds.ROLLOUT, epoch])
-        order = _shuffled(corpus.train, shuffle_rng)
+        roll_rng = rng(seeds.ROLLOUT)
         ce_l, pg_l, fused_l, d_l = [], [], [], []
-        for lo in range(0, len(order), cfg.bs):
-            chunk = order[lo:lo + cfg.bs]
+        for chunk in _batches(_shuffled(corpus.train, rng(seeds.ADV)),
+                              cfg.bs):
             queries = [encode_text(p.query, vocab, mcfg.max_seq_len)
                        for p in chunk]
             retrieved = retrieve_top_m_batch(params, mcfg, queries,
@@ -380,64 +395,53 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                                         roll_rng, cfg.max_gen_len)
             ret_negs = [[list(cache.resp_ids[c.pool_id]) for c in cands]
                         for cands in retrieved]
-            d_loss = disc_step(params, mcfg, queries, resp, ret_negs, rolls,
-                               cfg.delta1, cfg.delta2, cfg.reg_lambda, d_opt)
-            d_l.append(_ensure_finite(d_loss, "adversarial"))
-            step += 1
-        dt = time.perf_counter() - t0
-        rows.append([epoch, "adversarial", _fmt(np.mean(ce_l)),
-                     _fmt(np.mean(pg_l)), _fmt(np.mean(fused_l)),
-                     _fmt(np.mean(d_l)), _fmt(alpha), _fmt(dt)])
-        _say(f"[adv-train] epoch {epoch}/{cfg.adversarial_epochs} "
-             f"g_ce={np.mean(ce_l):.4f} g_pg={np.mean(pg_l):.4f} "
-             f"g_fused={np.mean(fused_l):.4f} d_hinge={np.mean(d_l):.4f} "
-             f"alpha={alpha} ({dt:.1f}s)")
-        _save_stage(out, "adversarial", params, cfg, step)
-    _write_log(out, "adversarial", ["epoch", "stage", "g_ce", "g_pg",
-                                    "g_fused", "d_hinge", "alpha",
-                                    "seconds"], rows)
-    return {"g_fused": float(rows[-1][4]), "d_hinge": float(rows[-1][5])}
+            d_l.append(_ensure_finite(
+                disc_step(params, mcfg, queries, resp, ret_negs, rolls,
+                          cfg.delta1, cfg.delta2, cfg.reg_lambda, d_opt),
+                "adversarial"))
+        return len(d_l), [np.mean(ce_l), np.mean(pg_l), np.mean(fused_l),
+                          np.mean(d_l), alpha]
+
+    return _run_epochs(cfg, out, "adversarial", params,
+                       ["g_ce", "g_pg", "g_fused", "d_hinge", "alpha"],
+                       cfg.adversarial_epochs, epoch)
 
 
 # ---------------------------------------------------------------------------
 # rerank training
 
 
-def _train_rerank(params, cfg, corpus, vocab, mcfg):
-    """Shared by rerank-train and sweep so both produce identical heads."""
+def _rerank_epoch(params, cfg, corpus, vocab, mcfg):
+    """The re-rank epoch body; rerank-train and every sweep cell run it.
+
+    Only the matching head may move: the body checks that the rest of the
+    parameters still hash as before, ahead of any checkpoint.
+    """
     cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     bm25_r = Bm25Index(pool_token_lists(corpus.pool, vocab, "response"))
     opt = ad.Adam(param_subset(params, "rerank"), cfg.retrieval_lr)
     encoder_names = [k for k in params if not k.startswith("psi_m.")]
     before = params_fingerprint(params, encoder_names)
-    history = []
-    for epoch in range(1, cfg.rerank_epochs + 1):
-        t0 = time.perf_counter()
-        shuffle_rng = np.random.default_rng([cfg.seed, seeds.RERANK, epoch, 0])
-        cand_rng = np.random.default_rng([cfg.seed, seeds.RERANK, epoch, 1])
-        order = _shuffled(corpus.train, shuffle_rng)
+
+    def epoch(rng):
+        order = _shuffled(corpus.train, rng(seeds.RERANK, 0))
         loss = rerank_train_epoch(params, mcfg, vocab, order, corpus.pool,
                                   cache, bm25_r, cfg.m, cfg.n,
-                                  not cfg.no_kg, cfg.bs, opt, cand_rng,
-                                  cfg.max_gen_len)
-        _ensure_finite(loss, "rerank")
-        history.append((epoch, loss, time.perf_counter() - t0))
-    if params_fingerprint(params, encoder_names) != before:
-        raise RuntimeError("rerank training must leave the encoder frozen")
-    return history
+                                  not cfg.no_kg, cfg.bs, opt,
+                                  rng(seeds.RERANK, 1), cfg.max_gen_len)
+        if params_fingerprint(params, encoder_names) != before:
+            raise RuntimeError("rerank training must leave the encoder frozen")
+        return math.ceil(len(order) / cfg.bs), [loss]
+
+    return epoch
 
 
 def stage_rerank_train(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "adversarial")
-    history = _train_rerank(params, cfg, corpus, vocab, mcfg)
-    rows = [[e, "rerank", _fmt(loss), _fmt(dt)] for e, loss, dt in history]
-    for e, loss, dt in history:
-        _say(f"[rerank-train] epoch {e}/{cfg.rerank_epochs} bce={loss:.4f} "
-             f"({dt:.1f}s)")
-    _save_stage(out, "rerank", params, cfg, len(history))
-    _write_log(out, "rerank", ["epoch", "stage", "bce", "seconds"], rows)
-    return {"bce": history[-1][1]}
+    return _run_epochs(cfg, out, "rerank", params, ["bce"],
+                       cfg.rerank_epochs,
+                       _rerank_epoch(params, cfg, corpus, vocab, mcfg))
 
 
 # ---------------------------------------------------------------------------
@@ -551,17 +555,16 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
             cell = replace(cfg, m=m, n=n, k=min(cfg.k, m + n + 1))
             validate_config(cell)
             params = _load_stage(out, "adversarial")
-            _train_rerank(params, cell, corpus, vocab, mcfg)
+            _run_epochs(cell, None, "rerank", params, ["bce"],
+                        cell.rerank_epochs,
+                        _rerank_epoch(params, cell, corpus, vocab, mcfg))
             report = evaluate_params(params, cell, corpus, vocab, mcfg)
             rows.append([m, n] + [report[k] for k in _SWEEP_METRICS])
             _say(f"[sweep] m={m} n={n} mrr={report['mrr']:.4f} "
                  f"bleu={report['bleu']:.4f}")
     path = Path(out) / "sweep.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["m", "n"] + _SWEEP_METRICS)
-        for row in rows:
-            w.writerow(row[:2] + [_fmt(v) for v in row[2:]])
+    _write_csv(path, ["m", "n"] + _SWEEP_METRICS,
+               [row[:2] + [_fmt(v) for v in row[2:]] for row in rows])
     _say(f"[sweep] wrote {path}")
     return rows
 

@@ -4,15 +4,22 @@ perfbench/ wraps heronet functions by (module, attribute) name and counts
 a stage's pairs from the argument at a fixed position.  Renaming such a
 function or reordering its parameters would break the benchmark without
 failing any test of the package, so these tests read the hooks, without
-changing them, and check each one against heronet.
+changing them, and check each one against heronet.  The pair counters are
+also run on a tiny stage call: a stage that reached its per-batch callee by
+any other name than the one the benchmark wraps would count no pairs.
 """
 
 import importlib
 import inspect
+import shutil
 import sys
 from pathlib import Path
 
 import pytest
+
+from heronet import pipeline
+
+from helpers import tiny_config
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -45,3 +52,29 @@ def test_pair_counter_reads_the_named_parameter(tag):
     if arg is not None:
         pos, key = arg
         assert list(inspect.signature(callee).parameters)[pos] == key
+
+
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """A tiny run directory holding every checkpoint up to adversarial."""
+    out = tmp_path_factory.mktemp("hooks")
+    cfg = tiny_config()
+    for run in (pipeline.stage_gen_data, pipeline.stage_warmup,
+                pipeline.stage_retrieval, pipeline.stage_adversarial):
+        run(cfg, out)
+    return out
+
+
+@pytest.mark.parametrize("tag", sorted(workloads.STAGES))
+def test_pair_counter_counts_every_pair(tag, chain, tmp_path, monkeypatch):
+    stage = workloads.STAGES[tag]
+    module, name, _ = stage.hook
+    owner = _heronet(module)
+    # registered first, so the counter's rebinding is undone afterwards
+    monkeypatch.setattr(owner, name, getattr(owner, name))
+    counter = workloads._PairCounter(stage.hook)
+    cfg = tiny_config()
+    out = tmp_path / "run"
+    shutil.copytree(chain, out)
+    getattr(pipeline, stage.entry)(cfg, out)
+    assert counter.pairs == getattr(cfg, stage.epochs) * cfg.n_train

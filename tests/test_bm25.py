@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heronet.bm25 import Bm25Index
 
@@ -114,3 +116,17 @@ class TestTopK:
         index = Bm25Index([[1]])
         with pytest.raises(ValueError):
             index.top_k([1], 0)
+
+
+@given(docs=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6),
+                     min_size=1, max_size=12),
+       query=st.lists(st.integers(0, 9), max_size=5),
+       k=st.integers(1, 15),
+       exclude=st.sets(st.integers(-2, 14), max_size=5))
+def test_top_k_is_a_sort_of_scores(docs, query, k, exclude):
+    """Descending score, the lower id on ties, excluded ids dropped."""
+    index = Bm25Index(docs)
+    scores = index.scores(query)
+    kept = [i for i in range(len(docs)) if i not in exclude]
+    want = sorted(kept, key=lambda i: (-scores[i], i))[:k]
+    assert index.top_k(query, k, exclude) == want

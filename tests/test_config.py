@@ -1,14 +1,16 @@
 """Config parsing, defaults, and invariant enforcement."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heronet.config import (
     ConfigError,
     TrainConfig,
-    default_config_text,
     parse_config,
     validate_config,
 )
+from heronet.pipeline import render_config
 
 
 def write(tmp_path, text):
@@ -106,12 +108,41 @@ class TestInvariants:
             validate_config(cfg)
 
 
-class TestSampleConfig:
-    def test_sample_parses_to_defaults(self, tmp_path):
-        cfg = parse_config(write(tmp_path, default_config_text()))
-        assert cfg == TrainConfig()
+@st.composite
+def valid_configs(draw):
+    """Any config validate_config accepts, fields drawn across their range."""
+    def ints(lo, hi):
+        return draw(st.integers(lo, hi))
 
-    def test_sample_documents_full_scale_values(self):
-        text = default_config_text()
-        assert "full-scale: 64" in text
-        assert "full-scale: 256" in text
+    rate = st.floats(1e-8, 10.0)
+    weight = st.floats(0.0, 100.0)
+    m, n = ints(0, 50), ints(0, 5)
+    if m == n == 0:
+        n = 1
+    n_heads, max_seq_len, pool_size = ints(1, 8), ints(8, 512), ints(2, 5000)
+    return TrainConfig(
+        m=m, n=n, k=ints(1, m + n + 1), bs=ints(1, 512),
+        max_seq_len=max_seq_len, vocab_size=ints(7, 10**5),
+        d_model=n_heads * ints(1, 64), n_heads=n_heads, d_ff=ints(1, 4096),
+        n_layers=ints(1, 24), d_proj=ints(2, 512),
+        warmup_epochs=ints(1, 100), multitask_epochs=ints(1, 100),
+        adversarial_epochs=ints(1, 100), rerank_epochs=ints(1, 100),
+        warmup_lr=draw(rate), retrieval_lr=draw(rate), g_lr=draw(rate),
+        d_lr=draw(rate), delta1=draw(weight), delta2=draw(weight),
+        reg_lambda=draw(weight), alpha=draw(weight),
+        sqd_margin=draw(weight), n_train=ints(1, 10**6),
+        n_eval=ints(1, pool_size), pool_size=pool_size,
+        eval_candidates=ints(2, pool_size),
+        word_dropout=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        max_gen_len=ints(1, max_seq_len - 1), n_rollouts=ints(1, 16),
+        seed=ints(0, 2**32 - 1), no_kg=draw(st.booleans()),
+        no_reward=draw(st.booleans()),
+        no_multi_learning=draw(st.booleans()))
+
+
+@given(valid_configs())
+def test_render_then_parse_round_trips(tmp_path_factory, cfg):
+    validate_config(cfg)
+    path = tmp_path_factory.getbasetemp() / "rendered.cfg"
+    path.write_text(render_config(cfg), encoding="utf-8")
+    assert parse_config(path) == cfg

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from heronet import autodiff as ad
 from heronet.autodiff import Tensor
@@ -282,6 +284,22 @@ def test_splice_separator_round_trips_through_vocab(small_world):
 def test_splice_rejects_bad_budget():
     with pytest.raises(ValueError):
         splice_knowledge("a", "k", 0)
+
+
+_WORDS = st.lists(st.text("abc", min_size=1, max_size=3), max_size=8)
+
+
+@given(q=_WORDS, k=_WORDS, budget=st.integers(1, 20))
+def test_splice_keeps_query_whole_within_budget(q, k, budget):
+    out = splice_knowledge(" ".join(q), " ".join(k), budget).split()
+    assert out[:len(q)] == q
+    if out == q:
+        # nothing spliced: no knowledge, or no room for a word of it
+        assert not k or budget <= len(q) + 1
+    else:
+        assert len(out) == min(budget, len(q) + 1 + len(k))
+        assert out[len(q)] == "[SEP]"
+        assert out[len(q) + 1:] == k[:len(out) - len(q) - 1]
 
 
 # ---------------------------------------------------------------------------

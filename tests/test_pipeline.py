@@ -20,14 +20,7 @@ from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
                               stage_rerank_train, stage_retrieval,
                               stage_sweep, stage_warmup)
 
-
-def tiny_config() -> TrainConfig:
-    return TrainConfig(m=2, n=1, k=3, bs=4, max_seq_len=32, vocab_size=256,
-                       d_model=16, n_heads=2, d_ff=32, n_layers=1, d_proj=8,
-                       warmup_epochs=1, multitask_epochs=1,
-                       adversarial_epochs=1, rerank_epochs=1, n_train=24,
-                       n_eval=8, pool_size=16, eval_candidates=8,
-                       max_gen_len=12, n_rollouts=2, seed=5)
+from helpers import tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -55,7 +48,7 @@ def read_log(out, name):
 class TestGenData:
     def test_writes_corpus_and_snapshot(self, cfg, run_dir):
         for f in ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl",
-                  "config.txt"):
+                  "clusters.json", "config.txt"):
             assert (run_dir / f).exists()
         corpus, vocab, mcfg = load_world(cfg, run_dir)
         assert len(corpus.train) == cfg.n_train
@@ -106,6 +99,15 @@ class TestStageChain:
                 for cell in row[2:]:
                     assert np.isfinite(float(cell))
 
+    def test_step_counts_optimizer_steps(self, cfg, run_dir):
+        batches = -(-cfg.n_train // cfg.bs)
+        for stage, epochs in (("warmup", cfg.warmup_epochs),
+                              ("retrieval", cfg.multitask_epochs),
+                              ("adversarial", cfg.adversarial_epochs),
+                              ("rerank", cfg.rerank_epochs)):
+            _, manifest = load_checkpoint(run_dir / f"ckpt_{stage}")
+            assert manifest["step"] == epochs * batches, stage
+
     def test_rerank_leaves_encoder_untouched(self, run_dir):
         before, _ = load_checkpoint(run_dir / "ckpt_adversarial")
         after, _ = load_checkpoint(run_dir / "ckpt_rerank")
@@ -117,29 +119,41 @@ class TestStageChain:
             params_fingerprint(after, head)
 
 
-class TestClusterRehydration:
-    def test_loaded_corpus_regains_cluster_ids(self, cfg, run_dir):
+def copy_run(src, dest, skip=()):
+    for item in src.iterdir():
+        if item.is_file() and item.name not in skip:
+            shutil.copy(item, dest / item.name)
+
+
+class TestClusterSidecar:
+    def test_ids_match_the_generator(self, cfg, run_dir):
         from heronet.corpus import generate_synthetic_corpus
         corpus, _, _ = load_world(cfg, run_dir)
-        assert all(p.cluster_id is None for p in corpus.all_pairs())
-        pipeline._attach_clusters(cfg, corpus)
-        assert all(p.cluster_id is not None for p in corpus.all_pairs())
-        assert all(e.cluster_id is not None for e in corpus.pool.entries)
         mem = generate_synthetic_corpus(seed=cfg.seed, n_train=cfg.n_train,
                                         n_eval=cfg.n_eval,
                                         pool_size=cfg.pool_size)
+        assert all(p.cluster_id is not None for p in corpus.all_pairs())
         assert [p.cluster_id for p in corpus.all_pairs()] == \
             [p.cluster_id for p in mem.all_pairs()]
         assert [e.cluster_id for e in corpus.pool.entries] == \
             [e.cluster_id for e in mem.pool.entries]
 
-    def test_foreign_corpus_warns_and_stays_unclustered(self, cfg, run_dir):
-        corpus, _, _ = load_world(cfg, run_dir)
-        corpus.train[0].query = "hand edited text"
-        with pytest.warns(UserWarning, match="run seed"):
-            pipeline._attach_clusters(cfg, corpus)
+    def test_missing_sidecar_warns(self, cfg, run_dir, tmp_path):
+        copy_run(run_dir, tmp_path, skip={"clusters.json"})
+        corpus, _, _ = load_world(cfg, tmp_path)
         assert all(p.cluster_id is None for p in corpus.all_pairs())
         assert all(e.cluster_id is None for e in corpus.pool.entries)
+        with pytest.warns(UserWarning, match="paraphrase-cluster") as got:
+            stage_retrieval(cfg, tmp_path)
+        assert len(got) == 1
+
+    def test_mismatched_sidecar_is_rejected(self, cfg, run_dir, tmp_path):
+        copy_run(run_dir, tmp_path)
+        ids = json.loads((tmp_path / "clusters.json").read_text())
+        ids["pool"].pop()
+        (tmp_path / "clusters.json").write_text(json.dumps(ids))
+        with pytest.raises(ValueError, match="clusters.json"):
+            load_world(cfg, tmp_path)
 
 
 class TestStageOrder:
@@ -176,6 +190,28 @@ class TestStageOrder:
         with pytest.raises(NumericalAbort, match="warmup"):
             stage_warmup(cfg, tmp_path)
         assert checkpoint_stage(tmp_path / "ckpt_warmup") is None
+
+    def test_abort_keeps_the_last_epoch(self, cfg, tmp_path, monkeypatch):
+        """A non-finite loss in epoch 2 leaves epoch 1's checkpoint and
+        log rows on disk."""
+        cfg = replace(cfg, warmup_epochs=3)
+        stage_gen_data(cfg, tmp_path)
+        batches = -(-cfg.n_train // cfg.bs)
+        real_step, calls = pipeline.warmup_step, []
+
+        def step(*args, **kwargs):
+            calls.append(1)
+            if len(calls) > batches:
+                return float("nan")
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "warmup_step", step)
+        with pytest.raises(NumericalAbort, match="warmup"):
+            stage_warmup(cfg, tmp_path)
+        _, manifest = load_checkpoint(tmp_path / "ckpt_warmup")
+        assert manifest["step"] == batches
+        _, rows = read_log(tmp_path, "warmup")
+        assert [row[0] for row in rows] == ["0", "1"]
 
 
 class TestEvaluate:
@@ -309,9 +345,7 @@ class TestAblations:
         assert not any(k.startswith("sqd_enc.") for k in params)
 
     def test_no_reward_zeroes_policy_gradient(self, cfg, run_dir, tmp_path):
-        for item in run_dir.iterdir():
-            if item.is_file():
-                shutil.copy(item, tmp_path / item.name)
+        copy_run(run_dir, tmp_path)
         stage_adversarial(replace(cfg, no_reward=True), tmp_path)
         _, rows = read_log(tmp_path, "adversarial")
         for row in rows:
