@@ -98,6 +98,8 @@ def validate_config(cfg: TrainConfig) -> None:
         fail("max_seq_len", "must be >= 8")
     if cfg.vocab_size <= 6:
         fail("vocab_size", "must exceed the 6 reserved tokens")
+    if cfg.n_heads < 1:
+        fail("n_heads", "must be >= 1")
     if cfg.d_model < 1 or cfg.d_model % cfg.n_heads:
         fail("d_model", "must be positive and divisible by n_heads")
     if cfg.d_ff < 1:

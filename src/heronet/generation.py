@@ -165,32 +165,35 @@ def splice_knowledge(query: str, knowledge: str | None,
 
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                         query_texts: list, pool, cache: PoolCache, m: int,
-                        n: int, kg: bool, rngs=None, max_gen_len: int = 32,
-                        main_pooled: Tensor | None = None) -> list:
+                        n: int, kg: bool, rngs=None,
+                        max_gen_len: int = 32) -> tuple:
     """Retrieve m candidates and decode n for each query of a chunk.
 
-    Returns one (generated, retrieved, src) per query text.  The chunk
-    shares one retrieval call, one encoder pass over its sources and one
-    greedy decode.  With knowledge grounding on, each query's top
-    retrieved response is spliced onto it before decoding.  The first
-    generated candidate is greedy (deterministic); the rest are
-    temperature-1 samples drawn query by query, in order, from rngs[i],
-    so n > 1 requires rngs.  Queries sharing one stream pass the same rng
-    for each.  Retrieval recalls through the SQD encoder the parameters
-    hold (model.sqd_prefix); the generator always uses the shared one.
-    main_pooled, the shared encoder's pooled rows of the query texts when
-    the caller has them, goes to retrieval, which then does not encode
-    them again.
+    Returns (entries, pooled): one (generated, retrieved, src) entry per
+    query text, and the queries' (B, d_model) pooled rows from the shared
+    encoder, which retrieval ranks with and the re-ranker scores against.
+    This is the one place a chunk's queries are tokenized and encoded.
+    The chunk shares that encode, one retrieval call, one encoder pass
+    over its sources and one greedy decode.  With knowledge grounding on,
+    each query's top retrieved response is spliced onto it before
+    decoding.  The first generated candidate is greedy (deterministic);
+    the rest are temperature-1 samples drawn query by query, in order,
+    from rngs[i], so n > 1 requires rngs.  Queries sharing one stream pass
+    the same rng for each.  Retrieval recalls through the SQD encoder the
+    parameters hold (model.sqd_prefix); the generator always uses the
+    shared one.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need at least one candidate source")
     if n > 1 and (rngs is None or len(rngs) != len(query_texts)):
         raise ValueError("sampling extra candidates requires an rng per query")
+    q_ids = [encode_text(q, vocab, cfg.max_seq_len) for q in query_texts]
+    with ad.no_grad():
+        _, pooled = encode_mean_pool(params, cfg, q_ids)
     retrieved = [[] for _ in query_texts]
     if m >= 1:
-        q_ids = [encode_text(q, vocab, cfg.max_seq_len) for q in query_texts]
         retrieved = retrieve_top_m_batch(params, cfg, q_ids, pool, cache, m,
-                                         main_pooled=main_pooled)
+                                         main_pooled=pooled)
     srcs = [splice_knowledge(q, r[0].response, cfg.max_seq_len)
             if kg and r else q for q, r in zip(query_texts, retrieved)]
     generated = [[] for _ in query_texts]
@@ -208,4 +211,4 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                 generated[i].extend(sample_batch(
                     params, cfg, tile_hidden(row, n - 1), mode="sample",
                     temperature=1.0, rng=rngs[i], max_len=max_gen_len))
-    return list(zip(generated, retrieved, srcs))
+    return list(zip(generated, retrieved, srcs)), pooled

@@ -319,8 +319,9 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list,
     is one of its pool responses takes that response's resp_emb row, as
     a constant, and only the rest reach the encoder.  This holds only
     while the cache was built from the current parameters of the same
-    encoder, so pass one where that encoder is frozen (re-rank training);
-    a step that trains the encoder passes none.
+    encoder, so pass one where that encoder is frozen (re-ranking, in
+    training and at inference); a step that trains the encoder passes
+    none.
     """
     uniq: dict = {}
     for group in groups:

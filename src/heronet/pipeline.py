@@ -32,17 +32,17 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeds
+from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .checkpoint import (checkpoint_stage, load_checkpoint, save_checkpoint,
                          write_atomic)
 from .config import TrainConfig, validate_config
-from .corpus import (Corpus, Vocab, DialoguePair, build_vocab, decode_ids,
-                     encode_text, generate_synthetic_corpus, read_pairs,
-                     read_pool, splice_context, validate_corpus, write_pairs,
-                     write_pool)
+from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
+                     generate_synthetic_corpus, read_pairs, read_pool,
+                     splice_context, validate_corpus, write_pairs, write_pool)
 from .discriminator import disc_step, score_pairs
-from .generation import (pg_step, sequence_ce, splice_knowledge,
-                         build_teacher_batch, warmup_step)
+from .generation import (generate_candidates, pg_step, sequence_ce,
+                         splice_knowledge, build_teacher_batch, warmup_step)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
 from .model import (ModelConfig, adapter_apply, add_retrieval_encoder,
@@ -448,17 +448,6 @@ def stage_rerank_train(cfg: TrainConfig, out) -> dict:
 # evaluation
 
 
-def _pooled_query(params, mcfg, vocab, text):
-    """The shared encoder's (1, d_model) pooled row of one query text.
-
-    Retrieval and the re-ranker of that query both read this row.
-    """
-    with ad.no_grad():
-        _, pooled = encode_mean_pool(
-            params, mcfg, [encode_text(text, vocab, mcfg.max_seq_len)])
-    return pooled
-
-
 def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
                     out=None, write_outputs=False) -> dict:
     """Generation and retrieval metrics for a trained parameter set."""
@@ -471,17 +460,25 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
     resp_to_id = {e.response: e.id for e in corpus.pool.entries}
     kg = not cfg.no_kg
 
+    # -- candidates drawn a chunk at a time, each query with its own stream
+    drawn, q_rows = [], []
+    for lo in range(0, len(corpus.test), cfg.bs):
+        chunk = corpus.test[lo:lo + cfg.bs]
+        got, pooled = generate_candidates(
+            params, mcfg, vocab, [splice_context(p) for p in chunk],
+            corpus.pool, cache, cfg.m, cfg.n, kg,
+            [np.random.default_rng([cfg.seed, seeds.EVAL, i, 1])
+             for i in range(lo, lo + len(chunk))], cfg.max_gen_len)
+        drawn += got
+        q_rows += [Tensor(row[None]) for row in pooled.data]
+
     hyps, refs, ranks, bm25_ranks, trace = [], [], [], [], []
     for i, pair in enumerate(corpus.test):
         # -- generation through the full rerank path; candidate sets hold
         #    m retrieved + n generated + exactly one truth entry
-        rng = np.random.default_rng([cfg.seed, seeds.EVAL, i, 1])
-        q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
-        cands, _ = build_candidate_set(
-            params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
-            cfg.n, kg, rng, cfg.max_gen_len, include_truth=True,
-            query_pooled=q_pooled)
-        ranked = rerank(params, mcfg, q_pooled, cands, cache)
+        cands = build_candidate_set(mcfg, vocab, pair, drawn[i], cache, None,
+                                    cfg.m, include_truth=True)
+        ranked = rerank(params, mcfg, q_rows[i], cands, cache)
         hyps.append(decode_ids(ranked[0].tokens, vocab))
         refs.append(pair.response)
         trace.append({"query_id": i,
@@ -590,15 +587,14 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         if not text:
             emit("(empty query ignored)")
             continue
-        pair = DialoguePair(context=[], query=text, response="")
         rng = np.random.default_rng([cfg.seed, seeds.CHAT,
                                      zlib.crc32(text.encode())])
-        q_pooled = _pooled_query(params, mcfg, vocab, splice_context(pair))
-        cands, _ = build_candidate_set(
-            params, mcfg, vocab, pair, corpus.pool, cache, None, cfg.m,
-            cfg.n, not cfg.no_kg, rng, cfg.max_gen_len,
-            include_truth=False, query_pooled=q_pooled)
-        ranked = rerank(params, mcfg, q_pooled, cands, cache)
+        [drawn], q_row = generate_candidates(
+            params, mcfg, vocab, [text], corpus.pool, cache, cfg.m, cfg.n,
+            not cfg.no_kg, [rng], cfg.max_gen_len)
+        cands = build_candidate_set(mcfg, vocab, None, drawn, cache, None,
+                                    cfg.m)
+        ranked = rerank(params, mcfg, q_row, cands, cache)
         k = min(cfg.k, len(ranked))
         emit(f"response: {decode_ids(ranked[0].tokens, vocab)}")
         emit(f"top {k} candidates:")

@@ -7,26 +7,23 @@ matching head, and sorts by descending score with ties broken by
 original candidate position.  Evaluation sets add exactly one
 truth-tagged entry so ranking quality is measurable.
 
-Every retrieved candidate, and any other candidate whose tokens equal a
-pool response's, already has its psi_m row in the PoolCache table, made
-from the shared encoder: scoring gathers that row.  The query arrives as
-the pooled row retrieval encoded for it, so only the remaining distinct
-candidates are encoded, and they go through psi_m in one call with the
-query.  That is sound only while the encoder is the one the cache was
-built from, which holds here: chat and evaluation change no parameters,
-and re-rank training moves the matching head alone (its own scoring
-projects raw cached rows, since psi_m trains).
+Chat, evaluation and re-rank training all work a chunk of queries at a
+time (chat's chunk is one line): one generate_candidates call tokenizes
+and encodes the chunk's queries, retrieves and decodes for all of them,
+and returns the queries' pooled rows beside each query's draw, which
+build_candidate_set turns into that query's set.  Sets are scored one
+way: encode_unique embeds each distinct candidate once, gradient-free,
+taking a pool response's raw row from the PoolCache, and match_logit
+reads those rows against the query's row.  Cached rows stand in for the
+encoder only while it is the one the cache was built from, which holds
+here: chat and evaluation change no parameters, and re-rank training
+moves the matching head alone.
 
-Re-rank training freezes everything except the matching head: candidate
-embeddings are computed gradient-free, so the optimizer can only move
-psi_m.  Each training group is the inference-time candidate set widened
-with the m best BM25 responses as extra lexical negatives, plus the
-gold response labelled 1 against everyone else's 0.  Training works a
-chunk of batch_size queries at a time: one generate_candidates call
-retrieves and decodes for the whole chunk, each query's set is
-assembled on its own, and one encode_unique call embeds every distinct
-sequence of the chunk, encoding only those the pool cache does not
-hold.  Chat and evaluation build one query's set at a time.
+Re-rank training freezes everything except the matching head: query and
+candidate rows are constants, so the optimizer can only move psi_m.
+Each training group is the inference-time candidate set widened with the
+m best BM25 responses as extra lexical negatives, plus the gold response
+labelled 1 against everyone else's 0; one optimizer step covers a chunk.
 """
 
 from __future__ import annotations
@@ -40,8 +37,7 @@ from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import Vocab, encode_text, splice_context
 from .generation import generate_candidates
-from .model import (ModelConfig, adapter_apply, encode_unique, match_logit,
-                    match_projected)
+from .model import ModelConfig, encode_unique, match_logit
 from .retrieval import PoolCache, qrm_bce
 
 
@@ -71,31 +67,21 @@ def dedupe_candidates(candidates: list) -> list:
     return [(list(k), kept[k]) for k in order]
 
 
-def _score_candidates(params, cfg, query_pooled, cand_ids, cache):
-    """Match scores of every distinct candidate against the query.
+def _set_logits(params: dict, cfg: ModelConfig, query_rows: np.ndarray,
+                sets: list, cache: PoolCache) -> Tensor:
+    """Matching logits of every set's candidates against its query.
 
-    Pool responses take their row of the psi_m table; the others are
-    encoded and projected in one adapter call together with the query.
+    query_rows[i] is the pooled row of set i's query and sets[i] its list
+    of candidate token sequences.  Each distinct candidate of all the sets
+    is embedded once, gradient-free (encode_unique: pool responses from
+    cache).  The logits come flat, set after set; under autograd their
+    gradient reaches psi_m alone.
     """
-    pool_rows = [cache.resp_row.get(tuple(c)) for c in cand_ids]
-    hits = [i for i, r in enumerate(pool_rows) if r is not None]
-    fresh = [i for i, r in enumerate(pool_rows) if r is None]
     with ad.no_grad():
-        rows = query_pooled
-        if fresh:
-            pooled, (fi,) = encode_unique(params, cfg,
-                                          [[cand_ids[i] for i in fresh]])
-            rows = ad.concat([query_pooled, ad.getitem(pooled, fi)], axis=0)
-        proj = adapter_apply(params, "qrm", rows).data
-        p_r = np.empty((len(cand_ids), proj.shape[1]), dtype=proj.dtype)
-        p_r[fresh] = proj[1:]
-        if hits:
-            p_r[hits] = cache.projected(params, "qrm")[
-                [pool_rows[i] for i in hits]]
-        z = match_projected(params, Tensor(np.repeat(proj[:1], len(cand_ids),
-                                                     axis=0)),
-                            Tensor(p_r))
-        return ad.sigmoid(z).data.copy()
+        pooled, idx = encode_unique(params, cfg, sets, cache=cache)
+    owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    return match_logit(params, Tensor(query_rows[owner]),
+                       Tensor(pooled.data[np.concatenate(idx)]))
 
 
 def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
@@ -103,54 +89,49 @@ def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
     """Deduplicate, score, and sort candidates for one query.
 
     query_pooled is the query's (1, d_model) pooled row from the shared
-    encoder, the row retrieval encoded for it.  cache is the PoolCache
+    encoder, as generate_candidates returns it.  cache is the PoolCache
     built from these parameters: a candidate that is a pool response is
-    scored from its cached row, the others are encoded.  Returns RankedCandidate entries in descending score order;
-    equal scores keep their original candidate order.
+    scored from its cached row, the others are encoded.  Returns
+    RankedCandidate entries in descending score order; equal scores keep
+    their original candidate order.
     """
     if not candidates:
         raise ValueError("nothing to rank")
     merged = dedupe_candidates(candidates)
-    scores = _score_candidates(params, cfg, query_pooled,
-                               [c for c, _ in merged], cache)
+    with ad.no_grad():
+        scores = ad.sigmoid(_set_logits(params, cfg, query_pooled.data,
+                                        [[c for c, _ in merged]],
+                                        cache)).data
     order = np.lexsort((np.arange(len(merged)), -scores))
     return [RankedCandidate(tuple(merged[i][0]), float(scores[i]),
                             merged[i][1]) for i in order]
 
 
-def build_candidate_set(params: dict, cfg: ModelConfig, vocab: Vocab, pair,
-                        pool, cache: PoolCache, bm25_r: Bm25Index | None,
-                        m: int, n: int, kg: bool, rng, max_gen_len: int,
-                        include_truth: bool = False, precomputed=None,
-                        query_pooled=None):
-    """The candidate pool for one query: m retrieved plus n generated.
+def build_candidate_set(cfg: ModelConfig, vocab: Vocab, pair, drawn,
+                        cache: PoolCache, bm25_r: Bm25Index | None, m: int,
+                        include_truth: bool = False) -> list:
+    """One query's (token_list, provenance) candidates from its draw.
 
-    precomputed is this query's (generated, retrieved, src) entry from a
-    generate_candidates call over its whole chunk; without it the query's
-    candidates are generated here, the samples drawn from rng, and
-    query_pooled, the query's pooled row when the caller has it, spares
-    retrieval encoding it again.  Passing a BM25 index widens the set
-    with the m best BM25 responses (training-time lexical negatives);
-    inference and evaluation pass None.  include_truth appends the gold
-    response with the truth tag; deduplication later guarantees it
-    appears exactly once.
+    drawn is the query's (generated, retrieved, src) entry from
+    generate_candidates: its m retrieved pool responses come first, then
+    its n generated ones.  Passing a BM25 index widens the set with the m
+    best BM25 responses to the pair's query (training-time lexical
+    negatives); inference and evaluation pass None.  include_truth appends
+    the pair's gold response with the truth tag; deduplication later
+    guarantees it appears exactly once.  Only those two read pair, so
+    chat passes None.
     """
-    query_text = splice_context(pair)
-    if precomputed is None:
-        precomputed = generate_candidates(
-            params, cfg, vocab, [query_text], pool, cache, m, n, kg,
-            None if rng is None else [rng], max_gen_len, query_pooled)[0]
-    generated, retrieved, _ = precomputed
+    generated, retrieved, _ = drawn
     cands = [(list(cache.resp_ids[c.pool_id]), "retrieved")
              for c in retrieved]
     cands += [(list(g), "generated") for g in generated]
     if bm25_r is not None and m >= 1:
-        q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
+        q_ids = encode_text(splice_context(pair), vocab, cfg.max_seq_len)
         for j in bm25_r.top_k(q_ids, m):
             cands.append((list(bm25_r.docs[j]), "bm25"))
     if include_truth:
         cands.append((encode_text(pair.response, vocab), "truth"))
-    return cands, query_text
+    return cands
 
 
 def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
@@ -160,39 +141,30 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
                        max_gen_len: int = 32) -> float:
     """One BCE pass over the pairs; only the matching head moves.
 
-    Candidates are drawn fresh each epoch (generation is sampled), their
-    embeddings are computed without gradient, and groups are batched so
-    one optimizer step covers batch_size queries.  The chunk's retrieval
-    and decoding run as one batch; the sampled extras still come from rng
-    query by query, in order.  The chunk's queries and candidate sets are
-    then embedded together, each distinct sequence once: pool responses
+    Candidates are drawn fresh each epoch (generation is sampled) and
+    groups are batched so one optimizer step covers batch_size queries.
+    The chunk's query encode, retrieval and decoding run as one batch; the
+    sampled extras still come from rng query by query, in order.  The
+    chunk's sets are then scored together against the query rows the
+    draw returned, each distinct candidate embedded once: pool responses
     from cache, whose encoder this epoch leaves untouched, and the rest
     through the encoder.
     """
     losses = []
     for lo in range(0, len(pairs), batch_size):
         chunk = pairs[lo:lo + batch_size]
-        drawn = generate_candidates(
+        drawn, q_rows = generate_candidates(
             params, cfg, vocab, [splice_context(p) for p in chunk], pool,
             cache, m, n, kg, [rng] * len(chunk), max_gen_len)
-        q_seqs, c_seqs, labels = [], [], []
-        for pair, precomputed in zip(chunk, drawn):
-            cands, query_text = build_candidate_set(
-                params, cfg, vocab, pair, pool, cache, bm25_r, m, n, kg,
-                rng, max_gen_len, include_truth=True,
-                precomputed=precomputed)
-            merged = dedupe_candidates(cands)
-            q_ids = encode_text(query_text, vocab, cfg.max_seq_len)
-            q_seqs.extend([q_ids] * len(merged))
-            c_seqs.extend(c for c, _ in merged)
+        sets, labels = [], []
+        for pair, entry in zip(chunk, drawn):
+            merged = dedupe_candidates(build_candidate_set(
+                cfg, vocab, pair, entry, cache, bm25_r, m, include_truth=True))
+            sets.append([c for c, _ in merged])
             labels.extend(1.0 if prov == "truth" else 0.0
                           for _, prov in merged)
-        with ad.no_grad():
-            pooled, (qi, ci) = encode_unique(params, cfg, [q_seqs, c_seqs],
-                                             cache=cache)
-        z = match_logit(params, Tensor(pooled.data[qi]),
-                        Tensor(pooled.data[ci]))
-        loss = qrm_bce(z, np.asarray(labels))
+        loss = qrm_bce(_set_logits(params, cfg, q_rows.data, sets, cache),
+                       np.asarray(labels))
         opt.zero_grad()
         ad.backward(loss)
         opt.step()

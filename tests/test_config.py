@@ -96,6 +96,12 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="d_model"):
             parse_config(write(tmp_path, "d_model = 50\nn_heads = 4\n"))
 
+    @pytest.mark.parametrize("heads", [0, -4])
+    def test_heads_at_least_one(self, tmp_path, heads):
+        # checked before d_model % n_heads, which 0 would divide by
+        with pytest.raises(ConfigError, match="^n_heads:"):
+            parse_config(write(tmp_path, f"n_heads = {heads}\n"))
+
     def test_gen_len_below_seq_len(self, tmp_path):
         with pytest.raises(ConfigError, match="max_gen_len"):
             parse_config(write(tmp_path, "max_gen_len = 64\n"))

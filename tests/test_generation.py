@@ -309,18 +309,23 @@ def test_splice_keeps_query_whole_within_budget(q, k, budget):
 def test_generate_candidates_counts_and_sources(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
-    [(gen, retr, src)] = generate_candidates(
+    [(gen, retr, src)], pooled = generate_candidates(
         params, cfg, vocab, [q], corpus.pool, cache, m=4, n=3, kg=True,
         rngs=[np.random.default_rng(3)], max_gen_len=12)
     assert len(gen) == 3 and len(retr) == 4
     assert "[SEP]" in src and src.startswith(q)
     assert retr[0].response in src
+    # the query's pooled row from the shared encoder comes back with it
+    with ad.no_grad():
+        _, want = encode_mean_pool(params, cfg,
+                                   [encode_text(q, vocab, cfg.max_seq_len)])
+    np.testing.assert_array_equal(pooled.data, want.data)
 
 
 def test_generate_candidates_kg_off_uses_bare_query(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
-    [(_, retr, src)] = generate_candidates(
+    [(_, retr, src)], _ = generate_candidates(
         params, cfg, vocab, [q], corpus.pool, cache, m=4, n=1, kg=False)
     assert src == q
     assert len(retr) == 4  # retrieval still runs for the rerank stage
@@ -329,22 +334,26 @@ def test_generate_candidates_kg_off_uses_bare_query(small_world):
 def test_generate_candidates_greedy_head_deterministic(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[1].query
-    [(g1, _, _)] = generate_candidates(params, cfg, vocab, [q], corpus.pool,
-                                       cache, m=2, n=3, kg=True,
-                                       rngs=[np.random.default_rng(4)])
-    [(g2, _, _)] = generate_candidates(params, cfg, vocab, [q], corpus.pool,
-                                       cache, m=2, n=3, kg=True,
-                                       rngs=[np.random.default_rng(5)])
+    [(g1, _, _)], _ = generate_candidates(params, cfg, vocab, [q],
+                                          corpus.pool, cache, m=2, n=3,
+                                          kg=True,
+                                          rngs=[np.random.default_rng(4)])
+    [(g2, _, _)], _ = generate_candidates(params, cfg, vocab, [q],
+                                          corpus.pool, cache, m=2, n=3,
+                                          kg=True,
+                                          rngs=[np.random.default_rng(5)])
     assert g1[0] == g2[0]  # greedy head ignores the rng
 
 
 def test_generate_candidates_m_zero_skips_retrieval(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[2].query
-    [(gen, retr, src)] = generate_candidates(
+    [(gen, retr, src)], pooled = generate_candidates(
         params, cfg, vocab, [q], corpus.pool, cache, m=0, n=2, kg=True,
         rngs=[np.random.default_rng(6)])
     assert retr == [] and src == q and len(gen) == 2
+    # the re-ranker still needs the query's row
+    assert pooled.data.shape == (1, cfg.d_model)
 
 
 def test_generate_candidates_guards(small_world):
@@ -374,14 +383,16 @@ def test_generate_candidates_chunk_equals_per_query(small_world, n, shared):
             return [np.random.default_rng(8)] * len(queries)
         return [np.random.default_rng([8, i]) for i in range(len(queries))]
 
-    chunk = generate_candidates(params, cfg, vocab, queries, corpus.pool,
-                                cache, m=3, n=n, kg=True, rngs=rngs(),
-                                max_gen_len=10)
-    one = [generate_candidates(params, cfg, vocab, [q], corpus.pool, cache,
-                               m=3, n=n, kg=True, rngs=[rng],
-                               max_gen_len=10)[0]
-           for q, rng in zip(queries, rngs())]
+    chunk, chunk_rows = generate_candidates(
+        params, cfg, vocab, queries, corpus.pool, cache, m=3, n=n, kg=True,
+        rngs=rngs(), max_gen_len=10)
+    one, one_rows = zip(*(generate_candidates(
+        params, cfg, vocab, [q], corpus.pool, cache, m=3, n=n, kg=True,
+        rngs=[rng], max_gen_len=10) for q, rng in zip(queries, rngs())))
     assert len(chunk) == len(queries)
-    for (g_c, r_c, s_c), (g_1, r_1, s_1) in zip(chunk, one):
+    for (g_c, r_c, s_c), [(g_1, r_1, s_1)] in zip(chunk, one):
         assert g_c == g_1 and s_c == s_1
         assert [c.pool_id for c in r_c] == [c.pool_id for c in r_1]
+    np.testing.assert_allclose(
+        chunk_rows.data, np.concatenate([r.data for r in one_rows]),
+        rtol=1e-12, atol=1e-12)

@@ -245,6 +245,23 @@ class TestEvaluate:
             # the gold response survives deduplication exactly once
             assert sum(c["provenance"] == "truth" for c in cands) == 1
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_chunk_size_changes_nothing(self, cfg, run_dir, tmp_path, n):
+        # test queries are drawn bs at a time; the report and every scored
+        # set must not depend on it, nor, with n > 1, the sampled extras
+        # that each query draws from its own stream
+        corpus, vocab, mcfg = load_world(cfg, run_dir)
+        params, _ = load_checkpoint(run_dir / "ckpt_rerank")
+        got = []
+        for bs in (1, 4):
+            out = tmp_path / f"bs{bs}"
+            out.mkdir()
+            report = pipeline.evaluate_params(
+                params, replace(cfg, n=n, bs=bs), corpus, vocab, mcfg, out,
+                write_outputs=True)
+            got.append((report, (out / "rerank_trace.jsonl").read_text()))
+        assert got[0] == got[1]
+
     def test_eval_candidates_must_fit_pool(self, cfg, run_dir):
         bad = replace(cfg, eval_candidates=cfg.pool_size + 1)
         with pytest.raises(ValueError, match="eval_candidates"):
@@ -372,7 +389,7 @@ class TestChat:
         before the first line, only the pool."""
         from collections import Counter
 
-        from heronet import generation, model, rerank, retrieval
+        from heronet import generation, model, retrieval
         from heronet.corpus import encode_text
         from heronet.retrieval import pool_token_lists
 
@@ -385,14 +402,14 @@ class TestChat:
 
         for mod in (model, pipeline, generation, retrieval):
             monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
-        real_generate = rerank.generate_candidates
+        real_generate = pipeline.generate_candidates
 
         def generate_spy(*args, **kwargs):
             drawn = real_generate(*args, **kwargs)
             events.append(("drawn", drawn))
             return drawn
 
-        monkeypatch.setattr(rerank, "generate_candidates", generate_spy)
+        monkeypatch.setattr(pipeline, "generate_candidates", generate_spy)
         queries = ["check the flight status", "book a table",
                    "where is my order", "cancel my booking please"]
 
@@ -415,7 +432,7 @@ class TestChat:
             query = events[lo][1]
             rows = [row for kind, got in events[lo + 1:hi] if kind == "rows"
                     for row in got]
-            [[(generated, retrieved, src)]] = [
+            [([(generated, retrieved, src)], _)] = [
                 got for kind, got in events[lo + 1:hi] if kind == "drawn"]
             assert retrieved and src != query
             q_ids = tuple(encode_text(query, vocab, mcfg.max_seq_len))

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from heronet import autodiff as ad
 from heronet.bm25 import Bm25Index
 from heronet.corpus import (build_vocab, encode_text,
-                            generate_synthetic_corpus)
+                            generate_synthetic_corpus, splice_context)
 from heronet.discriminator import score_pairs
+from heronet.generation import generate_candidates
 from heronet.model import (ModelConfig, encode_mean_pool, init_params,
                            param_subset, params_fingerprint)
 from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
@@ -169,7 +170,7 @@ def test_rerank_from_cache_matches_fresh_encoding(small_world):
 
 def test_rerank_encodes_only_sequences_outside_pool(small_world,
                                                     monkeypatch):
-    # the query comes pooled; pool responses come from the psi_m table
+    # the query comes pooled; pool responses take the cache's rows
     from heronet import model
 
     corpus, vocab, cfg, params, cache, bm25_r = small_world
@@ -195,13 +196,19 @@ def test_rerank_encodes_only_sequences_outside_pool(small_world,
 # candidate assembly
 
 
+def drawn_set(small_world, pair, bm25_r, m, n, seed):
+    """pair's candidate set, built from its own generate_candidates draw."""
+    corpus, vocab, cfg, params, cache, _ = small_world
+    [entry], _ = generate_candidates(
+        params, cfg, vocab, [splice_context(pair)], corpus.pool, cache, m, n,
+        True, [np.random.default_rng(seed)], max_gen_len=10)
+    return build_candidate_set(cfg, vocab, pair, entry, cache, bm25_r, m,
+                               include_truth=True)
+
+
 def test_candidate_set_provenance_mix(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
-    pair = corpus.test[0]
-    cands, _ = build_candidate_set(params, cfg, vocab, pair, corpus.pool,
-                                   cache, bm25_r, m=3, n=2, kg=True,
-                                   rng=np.random.default_rng(0),
-                                   max_gen_len=10, include_truth=True)
+    cands = drawn_set(small_world, corpus.test[0], bm25_r, m=3, n=2, seed=0)
     provs = [p for _, p in cands]
     assert provs.count("retrieved") == 3
     assert provs.count("generated") == 2
@@ -214,11 +221,7 @@ def test_candidate_set_without_bm25_block(small_world):
     # inference and evaluation sets carry no lexical block: m retrieved
     # plus n generated, with exactly one appended truth entry
     corpus, vocab, cfg, params, cache, bm25_r = small_world
-    pair = corpus.test[0]
-    cands, _ = build_candidate_set(params, cfg, vocab, pair, corpus.pool,
-                                   cache, None, m=3, n=2, kg=True,
-                                   rng=np.random.default_rng(0),
-                                   max_gen_len=10, include_truth=True)
+    cands = drawn_set(small_world, corpus.test[0], None, m=3, n=2, seed=0)
     provs = [p for _, p in cands]
     assert len(cands) == 6
     assert provs.count("retrieved") == 3
@@ -229,10 +232,8 @@ def test_candidate_set_without_bm25_block(small_world):
 def test_candidate_set_truth_survives_dedupe_once(small_world):
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     pair = corpus.test[0]  # truth response is in the pool, so overlaps happen
-    cands, _ = build_candidate_set(params, cfg, vocab, pair, corpus.pool,
-                                   cache, bm25_r, m=corpus.pool.size, n=1,
-                                   kg=True, rng=np.random.default_rng(1),
-                                   max_gen_len=10, include_truth=True)
+    cands = drawn_set(small_world, pair, bm25_r, m=corpus.pool.size, n=1,
+                      seed=1)
     merged = dedupe_candidates(cands)
     truth_ids = encode_text(pair.response, vocab)
     hits = [(c, p) for c, p in merged if c == truth_ids]
@@ -315,25 +316,38 @@ def test_rerank_train_assembles_each_pair_once(small_world, monkeypatch):
 
 def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
         small_world, monkeypatch):
-    # one encode_unique call per chunk, handed the pool cache; inside it,
+    # per chunk, each distinct query reaches the encoder exactly once (in
+    # generate_candidates, whose rows the scoring reuses), and one
+    # encode_unique call, handed the pool cache, embeds the candidate sets:
     # pool responses never reach the encoder and every other distinct
-    # query and candidate sequence of the chunk reaches it exactly once
-    from heronet import model
+    # candidate sequence of the chunk reaches it exactly once
+    from heronet import generation, model, retrieval
     from heronet import rerank as rr
 
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     chunks = []
     encode, encode_unique = model.encode_mean_pool, rr.encode_unique
+    generate = rr.generate_candidates
+
+    def spy_generate(params, cfg, vocab, query_texts, *args, **kwargs):
+        chunks.append({"queries": query_texts, "all_rows": [],
+                       "rows": None})
+        return generate(params, cfg, vocab, query_texts, *args, **kwargs)
 
     def spy_encode(params, cfg, ids, mask=None, prefix=""):
-        chunks[-1]["rows"].extend(tuple(s) for s in ids)
+        chunk = chunks[-1]
+        chunk["all_rows"].extend(tuple(s) for s in ids)
+        if chunk["rows"] is not None:
+            chunk["rows"].extend(tuple(s) for s in ids)
         return encode(params, cfg, ids, mask, prefix)
 
     def spy_unique(params, cfg, groups, prefix="", cache=None):
-        chunks.append({"groups": groups, "rows": [], "cache": cache})
+        chunks[-1].update(groups=groups, rows=[], cache=cache)
         return encode_unique(params, cfg, groups, prefix, cache)
 
-    monkeypatch.setattr(model, "encode_mean_pool", spy_encode)
+    for mod in (model, generation, retrieval):
+        monkeypatch.setattr(mod, "encode_mean_pool", spy_encode)
+    monkeypatch.setattr(rr, "generate_candidates", spy_generate)
     monkeypatch.setattr(rr, "encode_unique", spy_unique)
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
@@ -343,6 +357,9 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
                        rng=np.random.default_rng(5), max_gen_len=8)
     assert len(chunks) == 2
     for chunk in chunks:
+        for q in set(chunk["queries"]):
+            q_ids = tuple(encode_text(q, vocab, cfg.max_seq_len))
+            assert chunk["all_rows"].count(q_ids) == 1
         assert chunk["cache"] is cache
         offered = {tuple(s) for g in chunk["groups"] for s in g}
         in_pool = {s for s in offered if s in cache.resp_row}
