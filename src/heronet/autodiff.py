@@ -626,20 +626,27 @@ class Adam:
             p.grad = None
 
     def step(self):
+        """Update every parameter that has a gradient.  A non-finite update
+        is not applied: it raises FloatingPointError naming the parameter."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
-        for name, p in self.params.items():
-            if p.grad is None:
-                continue
-            g = p.grad
-            m = self.m[name]
-            v = self.v[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            mhat = m / bias1
-            vhat = v / bias2
-            p.data -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(p.data.dtype)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for name, p in self.params.items():
+                if p.grad is None:
+                    continue
+                g = p.grad
+                m = self.m[name]
+                v = self.v[name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                mhat = m / bias1
+                vhat = v / bias2
+                update = (self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                          ).astype(p.data.dtype)
+                if not np.isfinite(update).all():
+                    raise FloatingPointError(f"non-finite update to {name}")
+                p.data -= update

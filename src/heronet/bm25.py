@@ -51,22 +51,6 @@ class Bm25Index:
             out[ids] += self.idf[t] * tfs * (self.k1 + 1.0) / (tfs + norm[ids])
         return out
 
-    def score(self, query: list[int], doc_id: int) -> float:
-        if not 0 <= doc_id < self.n_docs:
-            raise IndexError(f"doc id {doc_id} out of range")
-        tf_norm = self.k1 * (1.0 - self.b
-                             + self.b * self.doc_lens[doc_id] / self.avgdl)
-        total = 0.0
-        for t in query:
-            if t not in self.postings:
-                continue
-            ids, tfs = self.postings[t]
-            pos = np.nonzero(ids == doc_id)[0]
-            if pos.size:
-                tf = tfs[pos[0]]
-                total += self.idf[t] * tf * (self.k1 + 1.0) / (tf + tf_norm)
-        return float(total)
-
     def top_k(self, query: list[int], k: int, exclude=None) -> list[int]:
         """Doc ids by descending score; ties break toward the lower id."""
         if k < 1:

@@ -6,7 +6,7 @@ sweep, and chat.  Every subcommand shares the same flags; ablation
 switches given on the command line are OR-ed onto the config file.
 
 Exit codes: 0 success, 2 bad config, 3 stage run out of order,
-4 training aborted on a non-finite loss.
+4 training aborted on a non-finite loss or update.
 """
 
 from __future__ import annotations

@@ -1,12 +1,13 @@
 """Response generation: warm-up training and policy-gradient refinement.
 
-The generator is the full encoder-decoder.  Warm-up is plain
-teacher-forced cross-entropy on gold responses.  Afterwards the model is
-refined with a policy gradient: Monte Carlo rollouts are sampled at
-temperature 1, scored by the discriminator, and each rollout's whole-
-sequence log-probability is weighted by its advantage over the batch-mean
-reward.  The fused objective keeps the cross-entropy term so the policy
-cannot drift off the data distribution: fused = ce + alpha * pg.
+The generator is the full encoder-decoder, and pg_step is its one
+update.  It refines the model with a policy gradient: Monte Carlo
+rollouts are sampled at temperature 1, scored by the discriminator, and
+each rollout's whole-sequence log-probability is weighted by its
+advantage over the batch-mean reward.  The fused objective keeps the
+teacher-forced cross-entropy term so the policy cannot drift off the data
+distribution: fused = ce + alpha * pg.  Warm-up is pg_step with alpha 0:
+plain teacher-forced cross-entropy on gold responses.
 
 Knowledge splicing prepends nothing and appends the best retrieved
 response after a [SEP]; when the budget is tight the query always
@@ -79,24 +80,6 @@ def sequence_ce(params: dict, cfg: ModelConfig, hidden: Hidden,
     return ad.neg(ad.tsum(tok * tb.tgt_mask.astype(tok.data.dtype), axis=1))
 
 
-def warmup_loss(params: dict, cfg: ModelConfig, src_ids: list,
-                responses: list) -> Tensor:
-    """Mean teacher-forced CE over a batch of (source, response) pairs."""
-    hidden, _ = encode_mean_pool(params, cfg, src_ids)
-    tb = build_teacher_batch(responses, cfg)
-    return ad.tmean(sequence_ce(params, cfg, hidden, tb))
-
-
-def warmup_step(params: dict, cfg: ModelConfig, src_ids: list,
-                responses: list, opt: ad.Adam) -> float:
-    """One CE update of the whole encoder-decoder."""
-    loss = warmup_loss(params, cfg, src_ids, responses)
-    opt.zero_grad()
-    ad.backward(loss)
-    opt.step()
-    return float(loss.item())
-
-
 def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
             rollouts: list, rewards: list, alpha: float,
             opt: ad.Adam, hidden: Hidden | None = None) -> GenLossReport:
@@ -105,8 +88,8 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
     rollouts[i] is the list of sampled sequences for source i and
     rewards[i] their scores.  Each rollout's advantage is its reward
     minus the batch-mean reward; the surrogate is -mean(advantage *
-    sequence log-prob), so reward-free batches reduce exactly to the
-    warm-up update.  alpha = 0 skips the rollout pass entirely.
+    sequence log-prob).  alpha = 0 skips the rollout pass entirely and
+    takes rollouts and rewards as None: that is the warm-up update.
     hidden is the encoder output of src_ids under the current parameters,
     built with gradient, when the caller already has it (the rollouts
     were sampled from it); otherwise src_ids are encoded here.
@@ -201,14 +184,13 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
         src_ids = [encode_text(s, vocab, cfg.max_seq_len) for s in srcs]
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, src_ids)
-        greedy = sample_batch(params, cfg, hidden, mode="greedy",
-                              max_len=max_gen_len)
+        greedy = sample_batch(params, cfg, hidden, max_len=max_gen_len)
         for i, ids in enumerate(src_ids):
             generated[i].append(greedy[i])
             if n > 1:
                 row = Hidden(Tensor(hidden.states.data[i:i + 1, :len(ids)]),
                              hidden.mask[i:i + 1, :len(ids)])
                 generated[i].extend(sample_batch(
-                    params, cfg, tile_hidden(row, n - 1), mode="sample",
-                    temperature=1.0, rng=rngs[i], max_len=max_gen_len))
+                    params, cfg, tile_hidden(row, n - 1), rng=rngs[i],
+                    max_len=max_gen_len))
     return list(zip(generated, retrieved, srcs)), pooled

@@ -19,7 +19,6 @@ Pinned conventions, chosen once and used by every caller:
            beta=2, scale 0-100; corpus score is the mean.
   retrieval  mrr = mean(1/rank), hit@k = fraction of ranks <= k, acc =
            hit@1, over 1-based truth ranks.
-  auc      rank-sum (Mann-Whitney) with ties credited 0.5.
 """
 
 from __future__ import annotations
@@ -185,26 +184,6 @@ def retrieval_metrics(rankings: list) -> RetrReport:
     hits = {k: float((ranks <= k).mean()) for k in HIT_KS}
     return RetrReport(mrr=float((1.0 / ranks).mean()),
                       acc=float((ranks <= 1).mean()), hits=hits)
-
-
-def auc(pos_scores, neg_scores) -> float:
-    """Probability a positive outranks a negative; ties count half."""
-    pos = np.asarray(pos_scores, dtype=np.float64)
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    if pos.size == 0 or neg.size == 0:
-        raise ValueError("need at least one score on each side")
-    both = np.concatenate([pos, neg])
-    order = np.argsort(both, kind="mergesort")
-    ranks = np.empty(both.size, dtype=np.float64)
-    i = 0
-    while i < both.size:
-        j = i
-        while j + 1 < both.size and both[order[j + 1]] == both[order[i]]:
-            j += 1
-        ranks[order[i: j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    u = ranks[: pos.size].sum() - pos.size * (pos.size + 1) / 2.0
-    return float(u / (pos.size * neg.size))
 
 
 def render_table(values: dict, title: str | None = None) -> str:

@@ -155,11 +155,11 @@ def sqd_prefix(params: dict) -> str:
 def param_subset(params: dict, stage: str) -> dict:
     """Trainable tensors for one optimization stage.
 
-    warmup/generator: the whole encoder-decoder.  sqd: the SQD encoder
-    (sqd_prefix) plus psi_d.  qrm/disc: the shared encoder plus psi_m.
-    rerank: psi_m alone.
+    generator (warm-up and adversarial): the whole encoder-decoder.  sqd:
+    the SQD encoder (sqd_prefix) plus psi_d.  qrm/disc: the shared encoder
+    plus psi_m.  rerank: psi_m alone.
     """
-    if stage in ("warmup", "generator"):
+    if stage == "generator":
         pick = ("embed.", "enc.", "dec.", "out.")
         return {n: t for n, t in params.items()
                 if n.startswith(pick) and not n.startswith("sqd_enc.")}
@@ -494,30 +494,15 @@ def decoder_logits(params: dict, cfg: ModelConfig, hidden: Hidden, dec_ids,
     return ad.matmul(x, params["out.w"])
 
 
-def decode_next(params: dict, cfg: ModelConfig, hidden: Hidden,
-                prefix: list) -> np.ndarray:
-    """Distribution over the next token after `prefix` (must start at BOS)."""
-    if not prefix or prefix[0] != BOS_ID:
-        raise ValueError("decoder prefix must start with BOS")
-    if len(prefix) > cfg.max_seq_len:
-        raise ValueError("decoder prefix exceeds max_seq_len")
-    with ad.no_grad():
-        logits = decoder_logits(params, cfg, hidden,
-                                np.asarray([prefix], dtype=np.int64))
-        probs = ad.softmax(logits).data[0, -1]
-    return probs
-
-
-def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
-                 mode: str = "greedy", temperature: float = 1.0, rng=None,
+def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, rng=None,
                  max_len: int = 32) -> list:
     """Decode every row; returns id lists ending at EOS or cut at max_len.
 
-    Greedy picks the argmax each step.  Sampling draws from the softmax at
-    the given temperature; temperature 0 collapses to greedy.  PAD and BOS
-    are structural and can never be emitted.  A seeded rng makes sampling
-    reproducible; draws happen for every row each step so early-finished
-    rows do not shift the stream.
+    Without an rng each step picks the argmax (greedy).  With one, each
+    step draws from the temperature-1 softmax; a seeded rng makes that
+    reproducible, and draws happen for every row each step so
+    early-finished rows do not shift the stream.  PAD and BOS are
+    structural and can never be emitted.
 
     Decoding is incremental: a DecodeCache projects the cross-attention
     K/V of the encoder states once, the first step feeds BOS, and every
@@ -526,10 +511,6 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
     A row that has emitted EOS leaves the step batch and the cache; it is
     padded with PAD from then on, and its draw is still taken and unused.
     """
-    if mode not in ("greedy", "sample"):
-        raise ValueError(f"unknown decode mode {mode!r}")
-    if mode == "sample" and temperature > 0 and rng is None:
-        raise ValueError("sampling requires an rng")
     b_sz = hidden.states.data.shape[0]
     max_len = min(max_len, cfg.max_seq_len - 1)
     prefix = np.full((b_sz, 1), BOS_ID, dtype=np.int64)
@@ -545,11 +526,10 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden,
             last = last.astype(np.float64)
             last[:, PAD_ID] = -np.inf
             last[:, BOS_ID] = -np.inf
-            if mode == "greedy" or temperature <= 0:
+            if rng is None:
                 tok = last.argmax(axis=-1)
             else:
-                shifted = last / temperature
-                shifted -= shifted.max(axis=-1, keepdims=True)
+                shifted = last - last.max(axis=-1, keepdims=True)
                 p = np.exp(shifted)
                 p /= p.sum(axis=-1, keepdims=True)
                 cdf = p.cumsum(axis=-1)

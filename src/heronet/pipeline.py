@@ -5,9 +5,10 @@ adv-train, rerank-train -- each consuming the previous stage's checkpoint
 and leaving its own plus a CSV loss log.  Running a stage out of order
 raises StageOrderError.  Every training stage runs its epochs through one
 driver, which saves the checkpoint and rewrites the log after each epoch,
-so a non-finite loss (NumericalAbort) or a kill leaves the last completed
-epoch's checkpoint and log rows on disk.  A checkpoint's `step` counts
-the optimizer steps taken so far: epochs times batches per epoch.
+so a non-finite loss or weight update (NumericalAbort) or a kill leaves
+the last completed epoch's checkpoint and log rows on disk.  A
+checkpoint's `step` counts the optimizer steps taken so far: epochs times
+batches per epoch.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -42,7 +43,7 @@ from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      splice_context, validate_corpus, write_pairs, write_pool)
 from .discriminator import disc_step, score_pairs
 from .generation import (generate_candidates, pg_step, sequence_ce,
-                         splice_knowledge, build_teacher_batch, warmup_step)
+                         splice_knowledge, build_teacher_batch)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
 from .model import (ModelConfig, adapter_apply, add_retrieval_encoder,
@@ -59,7 +60,7 @@ class StageOrderError(RuntimeError):
 
 
 class NumericalAbort(RuntimeError):
-    """Training hit a non-finite loss; the last good checkpoint remains."""
+    """Training hit a non-finite loss or update; last good checkpoint kept."""
 
 
 _CKPT = {"warmup": "ckpt_warmup", "retrieval": "ckpt_retrieval",
@@ -160,8 +161,9 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
     per column), where rng(stream, *extra) gives the epoch's generator of
     a named stream.  A non-finite value raises NumericalAbort before
     anything of that epoch is saved; bodies check each step's loss too, so
-    no step runs on weights a non-finite loss has spoiled.  After each
-    epoch the progress line is printed, the checkpoint saved and
+    no step runs on weights a non-finite loss has spoiled, and an update
+    the optimizer refuses (FloatingPointError) aborts the same way.  After
+    each epoch the progress line is printed, the checkpoint saved and
     logs/<stage>.csv rewritten, `rows` first; with out None the epochs
     only train.
     """
@@ -171,7 +173,10 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
             return np.random.default_rng([cfg.seed, stream, epoch, *extra])
 
         t0 = time.perf_counter()
-        steps, values = run_epoch(rng)
+        try:
+            steps, values = run_epoch(rng)
+        except FloatingPointError as exc:
+            raise NumericalAbort(f"{exc} in {stage} stage") from exc
         for v in values:
             _ensure_finite(v, stage)
         step += steps
@@ -268,7 +273,7 @@ def _mean_val_ce(params, mcfg, vocab, pairs, bs) -> float:
 def stage_warmup(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = init_params(mcfg, cfg.seed)
-    opt = ad.Adam(param_subset(params, "warmup"), cfg.warmup_lr)
+    opt = ad.Adam(param_subset(params, "generator"), cfg.warmup_lr)
     base_val = _mean_val_ce(params, mcfg, vocab, corpus.valid, cfg.bs)
     _say(f"[warmup] baseline val_ce={base_val:.4f}")
 
@@ -276,9 +281,9 @@ def stage_warmup(cfg: TrainConfig, out) -> dict:
         losses = []
         for chunk in _batches(_shuffled(corpus.train, rng(seeds.WARMUP)),
                               cfg.bs):
-            ce = warmup_step(params, mcfg, _src_ids(chunk, vocab, mcfg),
-                             _resp_ids(chunk, vocab), opt)
-            losses.append(_ensure_finite(ce, "warmup"))
+            rep = pg_step(params, mcfg, _src_ids(chunk, vocab, mcfg),
+                          _resp_ids(chunk, vocab), None, None, 0.0, opt)
+            losses.append(_ensure_finite(rep.ce, "warmup"))
         val = _mean_val_ce(params, mcfg, vocab, corpus.valid, cfg.bs)
         return len(losses), [np.mean(losses), val]
 
@@ -333,9 +338,8 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
 
 def _batch_rollouts(params, mcfg, hidden, n_roll, rng, max_len):
     """n_roll temperature-1 samples per encoded source, in one batch."""
-    seqs = sample_batch(params, mcfg, tile_hidden(hidden, n_roll),
-                        mode="sample", temperature=1.0,
-                        rng=rng, max_len=max_len)
+    seqs = sample_batch(params, mcfg, tile_hidden(hidden, n_roll), rng=rng,
+                        max_len=max_len)
     return [seqs[i:i + n_roll] for i in range(0, len(seqs), n_roll)]
 
 
@@ -449,8 +453,9 @@ def stage_rerank_train(cfg: TrainConfig, out) -> dict:
 
 
 def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
-                    out=None, write_outputs=False) -> dict:
-    """Generation and retrieval metrics for a trained parameter set."""
+                    out=None) -> dict:
+    """Generation and retrieval metrics for a trained parameter set; with
+    `out` given, eval_report.json and rerank_trace.jsonl are written there."""
     if not 1 <= cfg.eval_candidates <= corpus.pool.size:
         raise ValueError(
             f"eval_candidates={cfg.eval_candidates} must lie in "
@@ -511,7 +516,7 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
     retr = retrieval_metrics(ranks)
     bm25_mrr = retrieval_metrics(bm25_ranks).mrr
     report = {**gen.as_dict(), **retr.as_dict(), "bm25_mrr": bm25_mrr}
-    if write_outputs and out is not None:
+    if out is not None:
         out = Path(out)
         (out / "eval_report.json").write_text(report_json(report) + "\n",
                                               encoding="utf-8")
@@ -524,8 +529,7 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
 def stage_evaluate(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "rerank")
-    report = evaluate_params(params, cfg, corpus, vocab, mcfg, out,
-                             write_outputs=True)
+    report = evaluate_params(params, cfg, corpus, vocab, mcfg, out)
     _say(render_table(report, title="evaluation (test split)"))
     return report
 

@@ -90,24 +90,22 @@ def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
 
 
 def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
-                     pool: CandidatePool, batch_size: int = 64) -> PoolCache:
-    """Embed the whole candidate pool under no_grad, in batches.
+                     pool: CandidatePool) -> PoolCache:
+    """Embed the whole candidate pool under no_grad.
 
     Pool queries go through the SQD encoder, which recall compares them
     in; responses through the shared encoder, which the matching head and
-    the re-ranker read.
+    the re-ranker read.  Each side goes through encode_unique, so a
+    sequence the pool repeats is encoded once, and its rows are gathered
+    back into entry order.
     """
     query_ids = pool_token_lists(pool, vocab, "query")
     resp_ids = pool_token_lists(pool, vocab, "response")
 
     def embed_all(seqs, prefix):
-        rows = []
         with ad.no_grad():
-            for lo in range(0, len(seqs), batch_size):
-                _, pooled = encode_mean_pool(params, cfg, seqs[lo:lo + batch_size],
-                                             prefix=prefix)
-                rows.append(pooled.data.copy())
-        return np.concatenate(rows, axis=0)
+            pooled, [idx] = encode_unique(params, cfg, [seqs], prefix=prefix)
+        return pooled.data[idx]
 
     return PoolCache(query_ids, resp_ids,
                      embed_all(query_ids, sqd_prefix(params)),
@@ -422,37 +420,3 @@ def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
             int(j), pool.entries[int(j)].response, float(score))
             for j, score in zip(ranked[:m], scores)])
     return results
-
-
-def separation_ratio(params: dict, cfg: ModelConfig, vocab: Vocab,
-                     pairs: list, max_pairs: int = 1000) -> float:
-    """Mean same-cluster SQD distance over mean cross-cluster distance.
-
-    A trained metric pulls paraphrases together, so the ratio drops well
-    below 1; an untrained one hovers near it.  Pair enumeration is
-    deterministic: queries are embedded once, then the first max_pairs
-    same-cluster and cross-cluster pairs are taken in index order.
-    """
-    tagged = [p for p in pairs if p.cluster_id is not None]
-    if len(tagged) < 2:
-        raise ValueError("need at least two cluster-tagged pairs")
-    seqs = [encode_text(p.query, vocab) for p in tagged]
-    rows = []
-    with ad.no_grad():
-        for lo in range(0, len(seqs), 64):
-            _, pooled = encode_mean_pool(params, cfg, seqs[lo:lo + 64],
-                                         prefix=sqd_prefix(params))
-            rows.append(adapter_apply(params, "sqd", pooled).data)
-    emb = np.concatenate(rows, axis=0)
-    intra, cross = [], []
-    for i in range(len(tagged)):
-        for j in range(i + 1, len(tagged)):
-            bucket = (intra if tagged[i].cluster_id == tagged[j].cluster_id
-                      else cross)
-            if len(bucket) < max_pairs:
-                bucket.append(float(np.linalg.norm(emb[i] - emb[j])))
-        if len(intra) >= max_pairs and len(cross) >= max_pairs:
-            break
-    if not intra or not cross:
-        raise ValueError("pairs do not cover both same- and cross-cluster")
-    return float(np.mean(intra) / np.mean(cross))

@@ -3,14 +3,14 @@
 Every stochastic site derives its generator as
 np.random.default_rng([seed, STREAM, extra...]) with a stream tag from
 this table, so no two sites ever share a stream and runs stay
-reproducible regardless of call order.
+reproducible regardless of call order.  A tag keeps its number once
+given, so retiring one (5) leaves a gap rather than moving any stream.
 """
 
 CORPUS = 1
 INIT = 2
 ABLATION_INIT = 3
 SQD_MINE = 4
-QRM_MINE = 5
 EPOCH = 6
 ROLLOUT = 7
 EVAL = 8

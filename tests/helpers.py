@@ -1,7 +1,13 @@
-"""Shared test utilities."""
+"""Shared test utilities and the reference oracles several tests compare
+the package against."""
 
+import numpy as np
+
+from heronet import autodiff as ad
 from heronet.autodiff import Tensor
 from heronet.config import TrainConfig
+from heronet.corpus import BOS_ID
+from heronet.model import decoder_logits
 
 
 def clone_params(params: dict) -> dict:
@@ -18,3 +24,34 @@ def tiny_config() -> TrainConfig:
                        adversarial_epochs=1, rerank_epochs=1, n_train=24,
                        n_eval=8, pool_size=16, eval_candidates=8,
                        max_gen_len=12, n_rollouts=2, seed=5)
+
+
+def decode_next(params: dict, cfg, hidden, prefix: list) -> np.ndarray:
+    """Distribution over the next token after `prefix` (must start at BOS),
+    from a full teacher-forced decode of the prefix."""
+    if not prefix or prefix[0] != BOS_ID:
+        raise ValueError("decoder prefix must start with BOS")
+    if len(prefix) > cfg.max_seq_len:
+        raise ValueError("decoder prefix exceeds max_seq_len")
+    with ad.no_grad():
+        logits = decoder_logits(params, cfg, hidden,
+                                np.asarray([prefix], dtype=np.int64))
+        return ad.softmax(logits).data[0, -1]
+
+
+def bm25_score(index, query: list, doc_id: int) -> float:
+    """BM25 score of one document, summed term by term from the postings."""
+    if not 0 <= doc_id < index.n_docs:
+        raise IndexError(f"doc id {doc_id} out of range")
+    tf_norm = index.k1 * (1.0 - index.b
+                          + index.b * index.doc_lens[doc_id] / index.avgdl)
+    total = 0.0
+    for t in query:
+        if t not in index.postings:
+            continue
+        ids, tfs = index.postings[t]
+        pos = np.nonzero(ids == doc_id)[0]
+        if pos.size:
+            tf = tfs[pos[0]]
+            total += index.idf[t] * tf * (index.k1 + 1.0) / (tf + tf_norm)
+    return float(total)

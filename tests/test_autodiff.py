@@ -314,6 +314,15 @@ class TestMachinery:
         np.testing.assert_array_equal(a, b)
         assert np.all(np.abs(a) < np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_adam_refuses_a_non_finite_update(self, bad):
+        p = ad.Tensor(np.array([1.0, -2.0]), requires_grad=True)
+        opt = ad.Adam({"enc.w": p}, lr=0.1)
+        p.grad = np.array([bad, 1.0])
+        with pytest.raises(FloatingPointError, match="enc.w"):
+            opt.step()
+        np.testing.assert_array_equal(p.data, [1.0, -2.0])
+
 
 def unfused_attention(q, k, v, n_heads, kv_mask, causal):
     """Multi-head attention composed from the elementwise, reduction and

@@ -42,7 +42,7 @@ def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, [q])
         generated.append(sample_batch(params, cfg, tile_hidden(hidden, n),
-                                      mode="sample", rng=rng, max_len=10))
+                                      rng=rng, max_len=10))
     return queries, positives, retrieved, generated
 
 
@@ -220,8 +220,8 @@ def test_alternating_adversarial_steps_stay_finite(small_world):
         for s in src:
             with ad.no_grad():
                 hid, _ = encode_mean_pool(local, cfg, [s])
-            rs = sample_batch(local, cfg, tile_hidden(hid, 2), mode="sample",
-                              rng=rng, max_len=8)
+            rs = sample_batch(local, cfg, tile_hidden(hid, 2), rng=rng,
+                              max_len=8)
             rolls.append(rs)
             rewards.append(score_pairs(local, cfg, [s] * len(rs), rs))
         rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5,

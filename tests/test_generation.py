@@ -14,13 +14,13 @@ from heronet.corpus import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, build_vocab,
                             splice_context)
 from heronet.generation import (GenLossReport, build_teacher_batch,
                                 generate_candidates, pg_step, sequence_ce,
-                                splice_knowledge, warmup_loss, warmup_step)
-from heronet.model import (ModelConfig, decode_next, encode_mean_pool,
-                           init_params, param_subset, params_fingerprint,
-                           sample_batch, tile_hidden)
+                                splice_knowledge)
+from heronet.model import (ModelConfig, encode_mean_pool, init_params,
+                           param_subset, params_fingerprint, sample_batch,
+                           tile_hidden)
 from heronet.retrieval import build_pool_cache
 
-from helpers import clone_params
+from helpers import clone_params, decode_next
 
 
 @pytest.fixture(scope="module")
@@ -87,8 +87,9 @@ def test_uniform_model_ce_is_tokens_times_log_vocab():
                       n_layers=1, d_proj=4, max_seq_len=12)
     params = init_params(cfg, seed=1, dtype=np.float64)
     params["out.w"].data[:] = 0.0  # logits all zero -> uniform distribution
-    loss = warmup_loss(params, cfg, [[6, 6]], [[6, 6]])
-    assert loss.item() == pytest.approx(3 * math.log(7), rel=1e-12)
+    hidden, _ = encode_mean_pool(params, cfg, [[6, 6]])
+    ce = sequence_ce(params, cfg, hidden, build_teacher_batch([[6, 6]], cfg))
+    assert ce.data[0] == pytest.approx(3 * math.log(7), rel=1e-12)
 
 
 def test_sequence_ce_matches_stepwise_decode_probs(small_world):
@@ -121,13 +122,15 @@ def test_sequence_ce_ignores_padded_positions(small_world):
 
 
 def test_warmup_step_descends_and_respects_subset(small_world):
+    # the warm-up update: pg_step with alpha 0 and no rollouts
     corpus, vocab, cfg, params, cache = small_world
     local = clone_params(params)
     src, resp = batch_inputs(corpus, vocab, cfg, 6)
     frozen = [n for n in local if n.startswith(("psi_d.", "psi_m."))]
     before = params_fingerprint(local, frozen)
-    opt = ad.Adam(param_subset(local, "warmup"), lr=1e-3)
-    losses = [warmup_step(local, cfg, src, resp, opt) for _ in range(6)]
+    opt = ad.Adam(param_subset(local, "generator"), lr=1e-3)
+    losses = [pg_step(local, cfg, src, resp, None, None, 0.0, opt).ce
+              for _ in range(6)]
     assert all(np.isfinite(losses))
     assert losses[-1] < losses[0]
     assert params_fingerprint(local, frozen) == before
@@ -147,8 +150,8 @@ def test_rollouts_terminate_within_max_len(small_world):
                                   np.repeat(hidden.states.data[1:], 3, axis=0))
     np.testing.assert_array_equal(tiled.mask[:3],
                                   np.repeat(hidden.mask[:1], 3, axis=0))
-    outs = sample_batch(params, cfg, tiled, mode="sample",
-                        rng=np.random.default_rng(1), max_len=20)
+    outs = sample_batch(params, cfg, tiled, rng=np.random.default_rng(1),
+                        max_len=20)
     assert len(outs) == 6
     for seq in outs:
         assert len(seq) <= 20 and (seq[-1] == EOS_ID or len(seq) == 20)
@@ -161,7 +164,7 @@ def test_rollouts_terminate_within_max_len(small_world):
 
 def fresh_rollouts(params, cfg, src, n, seed):
     hidden, _ = encode_mean_pool(params, cfg, [src])
-    return sample_batch(params, cfg, tile_hidden(hidden, n), mode="sample",
+    return sample_batch(params, cfg, tile_hidden(hidden, n),
                         rng=np.random.default_rng(seed), max_len=12)
 
 
@@ -180,21 +183,6 @@ def test_pg_equal_rewards_reduce_to_ce_update(small_world):
     pg_step(b, cfg, src, resp, None, None, alpha=0.0, opt=opt_b)
 
     assert rep.pg == pytest.approx(0.0, abs=1e-15)
-    for name in param_subset(a, "generator"):
-        assert np.array_equal(a[name].data, b[name].data), name
-
-
-def test_pg_alpha_zero_equals_warmup_step(small_world):
-    corpus, vocab, cfg, params, cache = small_world
-    src, resp = batch_inputs(corpus, vocab, cfg, 4)
-    a = clone_params(params)
-    opt_a = ad.Adam(param_subset(a, "generator"), lr=1e-3)
-    rep = pg_step(a, cfg, src, resp, None, None, alpha=0.0, opt=opt_a)
-    b = clone_params(params)
-    opt_b = ad.Adam(param_subset(b, "generator"), lr=1e-3)
-    ce = warmup_step(b, cfg, src, resp, opt_b)
-    assert rep.ce == pytest.approx(ce, rel=1e-15)
-    assert rep.fused == rep.ce and rep.pg == 0.0
     for name in param_subset(a, "generator"):
         assert np.array_equal(a[name].data, b[name].data), name
 

@@ -1,4 +1,4 @@
-"""Generation metrics, retrieval metrics, and AUC."""
+"""Generation metrics, retrieval metrics, and report rendering."""
 
 import json
 import math
@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from heronet.metrics import (
-    auc,
     bleu,
     chrf,
     generation_report,
@@ -248,30 +247,6 @@ class TestRetrievalMetrics:
     def test_exact_json_keys(self):
         rep = retrieval_metrics([(2, 100)]).as_dict()
         assert list(rep) == ["mrr", "acc", "hit@5", "hit@10", "hit@50"]
-
-
-class TestAuc:
-    def test_perfect_separation(self):
-        assert auc([0.9, 0.8], [0.7, 0.1]) == 1.0
-        assert auc([0.1], [0.9]) == 0.0
-
-    def test_ties_credit_half(self):
-        assert auc([0.5], [0.5]) == 0.5
-        # pairs: 3 clear wins plus one tie -> 3.5/4
-        assert auc([1.0, 0.5], [0.5, 0.0]) == pytest.approx(0.875)
-
-    def test_pair_counting_oracle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            pos = rng.integers(0, 5, size=rng.integers(1, 12)) / 4.0
-            neg = rng.integers(0, 5, size=rng.integers(1, 12)) / 4.0
-            wins = sum(1.0 if p > n else 0.5 if p == n else 0.0
-                       for p in pos for n in neg)
-            assert auc(pos, neg) == pytest.approx(wins / (len(pos) * len(neg)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            auc([], [0.5])
 
 
 class TestRendering:

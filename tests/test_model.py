@@ -17,7 +17,6 @@ from heronet.model import (
     ModelConfig,
     adapter_apply,
     add_retrieval_encoder,
-    decode_next,
     decode_step,
     decoder_logits,
     encode_mean_pool,
@@ -32,7 +31,7 @@ from heronet.model import (
     sqd_prefix,
 )
 
-from helpers import clone_params
+from helpers import clone_params, decode_next
 
 CFG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_layers=2,
                   d_proj=4, max_seq_len=12)
@@ -425,31 +424,23 @@ class TestSampling:
     def test_greedy_deterministic(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        [a] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
-        [b] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
+        [a] = sample_batch(params, CFG, hidden, max_len=8)
+        [b] = sample_batch(params, CFG, hidden, max_len=8)
         assert a == b
-
-    def test_temperature_zero_equals_greedy(self, toy):
-        params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        [g] = sample_batch(params, CFG, hidden, mode="greedy", max_len=8)
-        [s] = sample_batch(params, CFG, hidden, mode="sample",
-                           temperature=0.0, max_len=8)
-        assert g == s
 
     def test_seeded_sampling_reproducible(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        [a] = sample_batch(params, CFG, hidden, mode="sample",
+        [a] = sample_batch(params, CFG, hidden,
                            rng=np.random.default_rng(42), max_len=8)
-        [b] = sample_batch(params, CFG, hidden, mode="sample",
+        [b] = sample_batch(params, CFG, hidden,
                            rng=np.random.default_rng(42), max_len=8)
         assert a == b
 
     def test_distinct_seeds_vary(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
-        outs = {tuple(sample_batch(params, CFG, hidden, mode="sample",
+        outs = {tuple(sample_batch(params, CFG, hidden,
                                    rng=np.random.default_rng(s), max_len=8)[0])
                 for s in range(20)}
         assert len(outs) >= 2
@@ -458,7 +449,7 @@ class TestSampling:
         params, _ = toy
         ids = np.array([[5, 6], [9, 3]])
         hidden, _ = encode_mean_pool(params, CFG, ids)
-        for seq in sample_batch(params, CFG, hidden, mode="sample",
+        for seq in sample_batch(params, CFG, hidden,
                                 rng=np.random.default_rng(0), max_len=6):
             if EOS_ID in seq:
                 assert seq[-1] == EOS_ID
@@ -476,7 +467,7 @@ class TestSampling:
         n = 3000
         tiled = Hidden(Tensor(np.repeat(hidden.states.data, n, axis=0)),
                        np.repeat(hidden.mask, n, axis=0))
-        seqs = sample_batch(params, CFG, tiled, mode="sample",
+        seqs = sample_batch(params, CFG, tiled,
                             rng=np.random.default_rng(99), max_len=1)
         counts = np.bincount([s[0] for s in seqs], minlength=CFG.vocab_size)
         expected = probs * n
@@ -487,14 +478,6 @@ class TestSampling:
             obs, exp = obs[:-1], exp[:-1]
         exp *= obs.sum() / exp.sum()
         assert stats.chisquare(obs, exp).pvalue > 1e-3
-
-    def test_bad_mode_rejected(self, toy):
-        params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[3]]))
-        with pytest.raises(ValueError):
-            sample_batch(params, CFG, hidden, mode="beam")
-        with pytest.raises(ValueError, match="rng"):
-            sample_batch(params, CFG, hidden, mode="sample")
 
 
 class TestCachedDecoding:
@@ -512,8 +495,7 @@ class TestCachedDecoding:
         params["out.w"].data[:, EOS_ID] *= 3
         ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20]])
         hidden, _ = encode_mean_pool(params, CFG, ids, mask)
-        seqs = sample_batch(params, CFG, hidden, mode="greedy",
-                            max_len=CFG.max_seq_len + 3)
+        seqs = sample_batch(params, CFG, hidden, max_len=CFG.max_seq_len + 3)
         # the decoder input sample_batch built: finished rows carry PAD
         width = max(len(s) for s in seqs)
         dec = np.full((len(seqs), 1 + width), PAD_ID, dtype=np.int64)
@@ -591,7 +573,7 @@ class TestCachedDecoding:
             return real(params, cfg, hidden, cache, new_ids)
 
         monkeypatch.setattr(model, "decode_step", spy)
-        seqs = sample_batch(params, CFG, hidden, mode="sample",
+        seqs = sample_batch(params, CFG, hidden,
                             rng=np.random.default_rng(1),
                             max_len=CFG.max_seq_len)
         assert widths == [sum(len(s) > j for s in seqs)
@@ -638,9 +620,9 @@ class TestParamStore:
 
     def test_subsets(self, toy):
         params, _ = toy
-        warm = param_subset(params, "warmup")
-        assert not any(n.startswith("psi_") for n in warm)
-        assert "out.w" in warm and "embed.tok" in warm
+        gen = param_subset(params, "generator")
+        assert not any(n.startswith("psi_") for n in gen)
+        assert "out.w" in gen and "embed.tok" in gen
         assert sqd_prefix(params) == ""
         sqd = param_subset(params, "sqd")
         assert "psi_d.w" in sqd and "psi_m.w" not in sqd
@@ -666,7 +648,7 @@ class TestParamStore:
                        param_subset(params, "qrm"))
         # the shared-encoder stages never touch the ablation copy
         assert not any(n.startswith("sqd_enc.") for n in
-                       param_subset(params, "warmup"))
+                       param_subset(params, "generator"))
         ids = np.array([[7, 8, 9]])
         h_main, _ = encode_mean_pool(params, CFG, ids)
         h_abl, _ = encode_mean_pool(params, CFG, ids, prefix="sqd_enc.")

@@ -13,6 +13,7 @@ import pytest
 from heronet import pipeline
 from heronet.checkpoint import checkpoint_stage, load_checkpoint
 from heronet.config import TrainConfig, parse_config
+from heronet.generation import GenLossReport
 from heronet.model import params_fingerprint
 from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
                               render_config, run_chat, stage_adversarial,
@@ -185,8 +186,9 @@ class TestStageOrder:
 
     def test_non_finite_loss_aborts(self, cfg, tmp_path, monkeypatch):
         stage_gen_data(cfg, tmp_path)
-        monkeypatch.setattr(pipeline, "warmup_step",
-                            lambda *a, **k: float("nan"))
+        nan = float("nan")
+        monkeypatch.setattr(pipeline, "pg_step",
+                            lambda *a, **k: GenLossReport(nan, 0.0, nan))
         with pytest.raises(NumericalAbort, match="warmup"):
             stage_warmup(cfg, tmp_path)
         assert checkpoint_stage(tmp_path / "ckpt_warmup") is None
@@ -197,21 +199,57 @@ class TestStageOrder:
         cfg = replace(cfg, warmup_epochs=3)
         stage_gen_data(cfg, tmp_path)
         batches = -(-cfg.n_train // cfg.bs)
-        real_step, calls = pipeline.warmup_step, []
+        real_step, calls = pipeline.pg_step, []
 
         def step(*args, **kwargs):
             calls.append(1)
             if len(calls) > batches:
-                return float("nan")
+                return GenLossReport(float("nan"), 0.0, float("nan"))
             return real_step(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "warmup_step", step)
+        monkeypatch.setattr(pipeline, "pg_step", step)
         with pytest.raises(NumericalAbort, match="warmup"):
             stage_warmup(cfg, tmp_path)
         _, manifest = load_checkpoint(tmp_path / "ckpt_warmup")
         assert manifest["step"] == batches
         _, rows = read_log(tmp_path, "warmup")
         assert [row[0] for row in rows] == ["0", "1"]
+
+    def test_non_finite_update_aborts(self, cfg, run_dir, tmp_path,
+                                      monkeypatch):
+        """An infinite gradient behind a finite loss, in epoch 2's first
+        discriminator step, ends in NumericalAbort naming the parameter,
+        with epoch 1's checkpoint and log row left on disk."""
+        from heronet import autodiff
+
+        cfg = replace(cfg, adversarial_epochs=2)
+        copy_run(run_dir, tmp_path,
+                 skip={"ckpt_adversarial.bin", "ckpt_adversarial.json"})
+        batches = -(-cfg.n_train // cfg.bs)
+        real_load, real_backward = pipeline._load_stage, autodiff.backward
+        held, calls = {}, []
+
+        def load(out, stage):
+            held["params"] = real_load(out, stage)
+            return held["params"]
+
+        def backward(loss):
+            real_backward(loss)
+            calls.append(1)
+            # each chunk takes a generator step, then a discriminator step
+            if len(calls) == 2 * batches + 2:
+                tok = held["params"]["embed.tok"]
+                tok.grad = np.full_like(tok.grad, np.inf)
+
+        monkeypatch.setattr(pipeline, "_load_stage", load)
+        monkeypatch.setattr(autodiff, "backward", backward)
+        with pytest.raises(NumericalAbort,
+                           match="embed.tok in adversarial stage"):
+            stage_adversarial(cfg, tmp_path)
+        _, manifest = load_checkpoint(tmp_path / "ckpt_adversarial")
+        assert manifest["step"] == batches
+        _, rows = read_log(tmp_path, "adversarial")
+        assert [row[0] for row in rows] == ["1"]
 
 
 class TestEvaluate:
@@ -257,8 +295,7 @@ class TestEvaluate:
             out = tmp_path / f"bs{bs}"
             out.mkdir()
             report = pipeline.evaluate_params(
-                params, replace(cfg, n=n, bs=bs), corpus, vocab, mcfg, out,
-                write_outputs=True)
+                params, replace(cfg, n=n, bs=bs), corpus, vocab, mcfg, out)
             got.append((report, (out / "rerank_trace.jsonl").read_text()))
         assert got[0] == got[1]
 
@@ -328,14 +365,14 @@ class TestAblations:
     def test_chat_builds_one_pool_cache(self, abl_cfg, abl_run_dir,
                                         monkeypatch):
         """With a separate SQD encoder, chat still builds the pool cache
-        once: the pool queries through the SQD encoder, the responses
-        through the shared one."""
-        from heronet import retrieval
+        once: each distinct pool query through the SQD encoder, each
+        distinct response through the shared one, once."""
+        from heronet import model, retrieval
         from heronet.retrieval import pool_token_lists
 
         builds, seen = [], {}
         real_build = pipeline.build_pool_cache
-        real_encode = retrieval.encode_mean_pool
+        real_encode = model.encode_mean_pool
 
         def build_spy(*args, **kwargs):
             builds.append(args)
@@ -346,15 +383,16 @@ class TestAblations:
             return real_encode(params, cfg, ids, mask, prefix)
 
         monkeypatch.setattr(pipeline, "build_pool_cache", build_spy)
-        monkeypatch.setattr(retrieval, "encode_mean_pool", encode_spy)
+        for mod in (model, retrieval):
+            monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
         # no input lines, so every encoding is the set-up's
         run_chat(abl_cfg, abl_run_dir, stdin=io.StringIO(""),
                  stdout=io.StringIO())
         assert len(builds) == 1
         corpus, vocab, _ = load_world(abl_cfg, abl_run_dir)
-        assert seen == {
-            prefix: [tuple(ids) for ids in
-                     pool_token_lists(corpus.pool, vocab, kind)]
+        assert {prefix: sorted(rows) for prefix, rows in seen.items()} == {
+            prefix: sorted({tuple(ids) for ids in
+                            pool_token_lists(corpus.pool, vocab, kind)})
             for prefix, kind in (("sqd_enc.", "query"), ("", "response"))}
 
     def test_full_chain_has_single_encoder(self, run_dir):

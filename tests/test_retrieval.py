@@ -19,8 +19,7 @@ from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
                                qrm_step, retrieve_top_m_batch,
-                               separation_ratio, sqd_pool_distances,
-                               sqd_step, two_stage_rank)
+                               sqd_pool_distances, sqd_step, two_stage_rank)
 
 from helpers import clone_params
 
@@ -553,41 +552,64 @@ def test_retrieve_rejects_bad_m(small_world):
 
 
 def test_pool_cache_matches_fresh_encoding(small_world):
+    # every row, in entry order, repeated entries included
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     with ad.no_grad():
-        _, pooled = encode_mean_pool(params, cfg, cache.query_ids[:7])
-    assert np.allclose(cache.query_emb[:7], pooled.data, atol=1e-12)
+        _, queries = encode_mean_pool(params, cfg, cache.query_ids)
+        _, responses = encode_mean_pool(params, cfg, cache.resp_ids)
+    assert np.allclose(cache.query_emb, queries.data, atol=1e-12)
+    assert np.allclose(cache.resp_emb, responses.data, atol=1e-12)
+
+
+def _spy_pool_encodes(monkeypatch, params, cfg, vocab, pool):
+    """The cache built from params, and the sequences each encoder prefix
+    was sent while building it, in call order."""
+    from heronet import model, retrieval
+
+    seen = {}
+    real = model.encode_mean_pool
+
+    def spy(params, cfg, ids, mask=None, prefix=""):
+        seen.setdefault(prefix, []).extend(tuple(s) for s in ids)
+        return real(params, cfg, ids, mask, prefix)
+
+    for mod in (model, retrieval):
+        monkeypatch.setattr(mod, "encode_mean_pool", spy)
+    return build_pool_cache(params, cfg, vocab, pool), seen
+
+
+def test_pool_cache_encodes_each_distinct_sequence_once(small_world,
+                                                        monkeypatch):
+    """The pool repeats queries; each distinct query and each distinct
+    response reaches the encoder exactly once."""
+    from collections import Counter
+
+    corpus, vocab, cfg, params, _, bm25_q = small_world
+    cache, seen = _spy_pool_encodes(monkeypatch, params, cfg, vocab,
+                                    corpus.pool)
+    distinct = [{tuple(ids) for ids in side}
+                for side in (cache.query_ids, cache.resp_ids)]
+    assert len(distinct[0]) < len(cache.query_ids)
+    assert list(seen) == [""]
+    assert Counter(seen[""]) == Counter(distinct[0]) + Counter(distinct[1])
 
 
 def test_pool_cache_reads_queries_through_the_sqd_encoder(small_world,
                                                           monkeypatch):
-    """With a separate SQD encoder the pool queries go through it alone,
-    and the responses through the shared encoder alone."""
-    from heronet import retrieval
-
+    """With a separate SQD encoder each distinct pool query goes through
+    it alone, and each distinct response through the shared one, once."""
     corpus, vocab, cfg, params, _, bm25_q = small_world
     local = clone_params(params)
     add_retrieval_encoder(local, cfg, seed=5)
-    seen = {}
-    real = retrieval.encode_mean_pool
-
-    def spy(params, cfg, ids, mask=None, prefix=""):
-        seen.setdefault(prefix, []).extend(ids)
-        return real(params, cfg, ids, mask, prefix)
-
-    monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
-    cache = build_pool_cache(local, cfg, vocab, corpus.pool)
-    assert seen == {"sqd_enc.": cache.query_ids, "": cache.resp_ids}
+    cache, seen = _spy_pool_encodes(monkeypatch, local, cfg, vocab,
+                                    corpus.pool)
+    assert {prefix: sorted(rows) for prefix, rows in seen.items()} == {
+        "sqd_enc.": sorted({tuple(ids) for ids in cache.query_ids}),
+        "": sorted({tuple(ids) for ids in cache.resp_ids})}
     with ad.no_grad():
-        _, pooled = real(local, cfg, cache.query_ids[:7], prefix="sqd_enc.")
-    assert np.allclose(cache.query_emb[:7], pooled.data, atol=1e-12)
-
-
-def test_pool_cache_batch_size_invariance(small_world):
-    corpus, vocab, cfg, params, cache, bm25_q = small_world
-    small = build_pool_cache(params, cfg, vocab, corpus.pool, batch_size=7)
-    assert np.allclose(small.query_emb, cache.query_emb, atol=1e-12)
-    assert np.allclose(small.resp_emb, cache.resp_emb, atol=1e-12)
+        _, pooled = encode_mean_pool(local, cfg, cache.query_ids,
+                                     prefix="sqd_enc.")
+    assert np.allclose(cache.query_emb, pooled.data, atol=1e-12)
 
 
 def test_pool_cache_maps_responses_to_first_row(small_world):
@@ -649,17 +671,3 @@ def test_pool_tables_follow_the_adapters(small_world, monkeypatch):
         cache.projected(local, still)
         assert made == [moved]
         made.clear()
-
-
-def test_separation_ratio_finite_and_positive(small_world):
-    corpus, vocab, cfg, params, cache, bm25_q = small_world
-    r = separation_ratio(params, cfg, vocab, corpus.train, max_pairs=300)
-    assert np.isfinite(r) and 0.0 < r < 2.0
-
-
-def test_separation_ratio_needs_clusters(small_world):
-    corpus, vocab, cfg, params, cache, bm25_q = small_world
-    bare = [type(p)(p.context, p.query, p.response, None)
-            for p in corpus.train[:5]]
-    with pytest.raises(ValueError):
-        separation_ratio(params, cfg, vocab, bare)
