@@ -1,8 +1,14 @@
 """Reverse-mode automatic differentiation on numpy arrays.
 
-A small tape: every operation returns a `Tensor` that remembers its parents
-and a closure propagating the output gradient to them. `backward()` walks the
-graph in reverse topological order. Training runs the tape in float32; the
+A small tape that records structure, not values.  Every operation
+returns a `Tensor` holding its output array and, when it needs a
+gradient, a link to a `_Node`: the nodes of its parents, a closure that
+maps the output gradient to theirs, and a gradient slot.  A leaf
+(parameter or constant) is its own node.  A closure captures exactly
+the arrays, shapes and indices its backward reads, never an input
+`Tensor`, so an output no closure captured is freed as soon as the
+forward code drops it.  `backward()` walks the nodes in reverse
+topological order.  Training runs the tape in float32; the
 gradient-check harness builds the identical graph in float64.
 
 Gradients at non-differentiable points use the conventional subgradients:
@@ -46,17 +52,36 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad
 
 
-class Tensor:
-    """A numpy array plus the tape bookkeeping needed for backprop."""
+class _Node:
+    """One recorded operation: its parents' nodes (None for a parent that
+    needs no gradient), its backward closure and its gradient slot."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "_parents", "_backward")
+
+    def __init__(self, parents: tuple, backward):
+        self.grad = None
+        self._parents = parents
+        self._backward = backward
+
+
+class Tensor:
+    """A numpy array plus its link into the tape.
+
+    `_node` is the node of the operation that made it, or None.  A leaf
+    that requires grad is its own node: the class-level `_parents` and
+    `_backward` give it no parents and no closure, and backward writes its
+    gradient to `grad`, without a reference from the tensor to itself.
+    """
+
+    __slots__ = ("data", "grad", "requires_grad", "_node")
+    _parents: tuple = ()
+    _backward = None
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
-        self._parents: tuple = ()
-        self._backward = None
+        self._node = None
 
     @property
     def shape(self):
@@ -119,43 +144,60 @@ def as_tensor(x, like: Tensor | None = None) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    """Wrap an op's output and, when a parent needs a gradient, record it.
+
+    The node keeps the parents' nodes and `backward`, never the parent
+    Tensors or their arrays: whatever forward value the backward reads,
+    `backward` must have captured itself (an operand, its own output, a
+    shape or an index).  A parent that needs no gradient is recorded as
+    None, so a constant's array is not kept either.  Under no_grad
+    nothing is recorded.
+    """
     out = Tensor(data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = _Node(tuple([(p._node or p) if p.requires_grad else None
+                                 for p in parents]), backward)
     return out
 
 
 def backward(loss: Tensor):
-    """Backpropagate d(loss)/d(leaf) into `.grad` of every reachable tensor."""
+    """Backpropagate d(loss)/d(leaf) into `.grad` of every reachable leaf.
+
+    The walk visits nodes, not Tensors: the graph is whatever the loss's
+    node reaches, and an intermediate Tensor the forward code dropped
+    takes no part.  Each op node's gradient is dropped once its closure
+    has run; the nodes and their closures live until the caller drops the
+    loss.
+    """
     if loss.data.ndim != 0:
         raise ValueError("backward() expects a scalar loss")
-    topo: list[Tensor] = []
+    root = loss._node or loss
+    topo: list = []
     seen: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list = [(root, False)] if loss.requires_grad else []
     while stack:
         node, processed = stack.pop()
         if processed:
             topo.append(node)
             continue
-        if id(node) in seen or not node.requires_grad:
+        if id(node) in seen:
             continue
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            stack.append((p, False))
-    loss.grad = np.ones((), dtype=loss.data.dtype)
+            if p is not None:
+                stack.append((p, False))
+    root.grad = np.ones((), dtype=loss.data.dtype)
     for node in reversed(topo):
         if node._backward is None or node.grad is None:
             continue
         parent_grads = node._backward(node.grad)
         for p, pg in zip(node._parents, parent_grads):
-            if pg is None or not p.requires_grad:
+            if pg is None or p is None:
                 continue
             p.grad = pg if p.grad is None else p.grad + pg
-        if node._parents:
-            node.grad = None  # intermediate node: free after use
+        node.grad = None  # intermediate node: free after use
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +209,10 @@ def add(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
     data = a.data + b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
     return _make(data, (a, b), bw)
 
@@ -178,9 +221,10 @@ def sub(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
     data = a.data - b.data
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
-        return _unbroadcast(g, a.data.shape), -_unbroadcast(g, b.data.shape)
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
     return _make(data, (a, b), bw)
 
@@ -188,13 +232,11 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
-    data = a.data * b.data
+    av, bv = a.data, b.data
+    data = av * bv
 
     def bw(g):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
     return _make(data, (a, b), bw)
 
@@ -214,28 +256,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     single a2.T @ g2 rather than a per-row stack summed afterwards.  A
     mismatched k falls through to numpy, which raises.
     """
-    if (b.data.ndim == 2 and a.data.ndim >= 3
-            and a.data.shape[-1] == b.data.shape[0]):
-        k, n = b.data.shape
-        lead = a.data.shape[:-1]
-        data = (a.data.reshape(-1, k) @ b.data).reshape(lead + (n,))
+    av, bv = a.data, b.data
+    if bv.ndim == 2 and av.ndim >= 3 and av.shape[-1] == bv.shape[0]:
+        k, n = bv.shape
+        a_shape, a2 = av.shape, av.reshape(-1, k)
+        data = (a2 @ bv).reshape(a_shape[:-1] + (n,))
 
         def bw_flat(g):
             g2 = g.reshape(-1, n)
-            return ((g2 @ b.data.T).reshape(a.data.shape),
-                    a.data.reshape(-1, k).T @ g2)
+            return (g2 @ bv.T).reshape(a_shape), a2.T @ g2
 
         return _make(data, (a, b), bw_flat)
 
-    data = a.data @ b.data
+    data = av @ bv
 
     def bw(g):
-        ga = g @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ g
-        if ga.shape != a.data.shape:
-            ga = _unbroadcast(ga, a.data.shape)
-        if gb.shape != b.data.shape:
-            gb = _unbroadcast(gb, b.data.shape)
+        ga = g @ np.swapaxes(bv, -1, -2)
+        gb = np.swapaxes(av, -1, -2) @ g
+        if ga.shape != av.shape:
+            ga = _unbroadcast(ga, av.shape)
+        if gb.shape != bv.shape:
+            gb = _unbroadcast(gb, bv.shape)
         return ga, gb
 
     return _make(data, (a, b), bw)
@@ -247,37 +288,42 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     One node: forward is one (rows, k) @ (k, n) GEMM plus the bias, and
     backward is one GEMM each for x and w and a single row sum for b.
     """
-    k, n = w.data.shape
+    wd, x_shape = w.data, x.data.shape
+    k, n = wd.shape
     x2 = x.data.reshape(-1, k)
-    data = (x2 @ w.data + b.data).reshape(x.data.shape[:-1] + (n,))
+    data = (x2 @ wd + b.data).reshape(x_shape[:-1] + (n,))
 
     def bw(g):
         g2 = g.reshape(-1, n)
-        return ((g2 @ w.data.T).reshape(x.data.shape), x2.T @ g2,
-                g2.sum(axis=0))
+        return (g2 @ wd.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
 
     return _make(data, (x, w, b), bw)
 
 
 def square(a: Tensor) -> Tensor:
-    def bw(g):
-        return (g * 2.0 * a.data,)
+    av = a.data
 
-    return _make(a.data * a.data, (a,), bw)
+    def bw(g):
+        return (g * 2.0 * av,)
+
+    return _make(av * av, (a,), bw)
 
 
 def absolute(a: Tensor) -> Tensor:
-    def bw(g):
-        return (g * np.sign(a.data),)
+    av = a.data
 
-    return _make(np.abs(a.data), (a,), bw)
+    def bw(g):
+        return (g * np.sign(av),)
+
+    return _make(np.abs(av), (a,), bw)
 
 
 def relu(a: Tensor) -> Tensor:
     data = np.maximum(a.data, 0.0)
 
     def bw(g):
-        return (g * (a.data > 0),)
+        # the output is positive exactly where the input is
+        return (g * (data > 0),)
 
     return _make(data, (a,), bw)
 
@@ -299,32 +345,36 @@ def sigmoid(a: Tensor) -> Tensor:
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
+    shape = a.data.shape
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
+            return (np.broadcast_to(g, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg, a.data.shape).copy(),)
+        return (np.broadcast_to(gg, shape).copy(),)
 
     return _make(data, (a,), bw)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     data = a.data.mean(axis=axis, keepdims=keepdims)
-    count = a.data.size if axis is None else a.data.shape[axis]
+    shape = a.data.shape
+    count = a.data.size if axis is None else shape[axis]
 
     def bw(g):
         if axis is None:
-            return (np.broadcast_to(g / count, a.data.shape).copy(),)
+            return (np.broadcast_to(g / count, shape).copy(),)
         gg = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gg / count, a.data.shape).copy(),)
+        return (np.broadcast_to(gg / count, shape).copy(),)
 
     return _make(data, (a,), bw)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
+    a_shape = a.data.shape
+
     def bw(g):
-        return (g.reshape(a.data.shape),)
+        return (g.reshape(a_shape),)
 
     return _make(a.data.reshape(shape), (a,), bw)
 
@@ -361,13 +411,14 @@ def getitem(a: Tensor, key) -> Tensor:
     """a[key].  A 1-D integer array key picks rows along axis 0, and
     backward sums the gradients of repeated rows group by group."""
     data = a.data[key]
+    shape, dtype = a.data.shape, a.data.dtype
     by_rows = (isinstance(key, np.ndarray) and key.ndim == 1
                and key.dtype.kind in "iu")
 
     def bw(g):
-        out = np.zeros_like(a.data)
+        out = np.zeros(shape, dtype=dtype)
         if by_rows:
-            _sum_rows_into(out, key % a.data.shape[0], g)
+            _sum_rows_into(out, key % shape[0], g)
         else:
             np.add.at(out, key, g)
         return (out,)
@@ -379,10 +430,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: table (V, d), integer ids of any shape -> ids.shape + (d,)."""
     ids = np.asarray(ids)
     data = table.data[ids]
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bw(g):
-        out = np.zeros_like(table.data)
-        _sum_rows_into(out, ids.ravel(), g.reshape(-1, table.data.shape[-1]))
+        out = np.zeros(shape, dtype=dtype)
+        _sum_rows_into(out, ids.ravel(), g.reshape(-1, shape[-1]))
         return (out,)
 
     return _make(data, (table,), bw)
@@ -396,10 +448,11 @@ def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
     """
     idx = np.asarray(idx)
     data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
+    shape, dtype = a.data.shape, a.data.dtype
 
     def bw(g):
-        out = np.zeros_like(a.data)
-        flat = out.reshape(-1, a.data.shape[-1])
+        out = np.zeros(shape, dtype=dtype)
+        flat = out.reshape(-1, shape[-1])
         flat[np.arange(flat.shape[0]), idx.ravel()] = g.ravel()
         return (out,)
 
@@ -412,11 +465,12 @@ def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     rows are distinct flat indices into the B * T positions.  Backward
     is scatter_rows of the gradient onto a zero grid.
     """
-    d = a.data.shape[-1]
+    shape = a.data.shape
+    d = shape[-1]
     data = a.data.reshape(-1, d)[rows]
 
     def bw(g):
-        out = np.zeros(a.data.shape, dtype=g.dtype)
+        out = np.zeros(shape, dtype=g.dtype)
         out.reshape(-1, d)[rows] = g
         return (out,)
 
@@ -533,13 +587,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    data = shifted - lse
+    """Log-softmax along `axis`; each step writes into an existing buffer,
+    so a call allocates its output and the exp kept for backward, no more."""
+    data = a.data - a.data.max(axis=axis, keepdims=True)
     soft = np.exp(data)
+    data -= np.log(soft.sum(axis=axis, keepdims=True))
+    np.exp(data, out=soft)
 
     def bw(g):
-        return (g - soft * g.sum(axis=axis, keepdims=True),)
+        ga = soft * g.sum(axis=axis, keepdims=True)
+        return (np.subtract(g, ga, out=ga),)
 
     return _make(data, (a,), bw)
 
@@ -556,10 +613,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    data = gain.data * xhat + bias.data
+    gd, bias_shape = gain.data, bias.data.shape
+    data = gd * xhat + bias.data
 
     def bw(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         dx = inv * (
             dxhat
             - dxhat.sum(axis=-1, keepdims=True) / d
@@ -568,7 +626,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if g.ndim > 1 else g * xhat
         dbias = g.sum(axis=lead) if g.ndim > 1 else g
-        return dx, _unbroadcast(dgain, gain.data.shape), _unbroadcast(dbias, bias.data.shape)
+        return (dx, _unbroadcast(dgain, gd.shape),
+                _unbroadcast(dbias, bias_shape))
 
     return _make(data, (a, gain, bias), bw)
 
@@ -581,12 +640,13 @@ def euclidean(a: Tensor, b: Tensor) -> Tensor:
     """
     diff = a.data - b.data
     data = np.sqrt((diff * diff).sum(axis=-1))
+    sa, sb = a.data.shape, b.data.shape
 
     def bw(g):
         denom = np.where(data > 0, data, 1.0)
         scale = np.where(data > 0, g / denom, 0.0)[..., None]
         gd = scale * diff
-        return _unbroadcast(gd, a.data.shape), _unbroadcast(-gd, b.data.shape)
+        return _unbroadcast(gd, sa), _unbroadcast(-gd, sb)
 
     return _make(data, (a, b), bw)
 

@@ -48,11 +48,12 @@ from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
 from .model import (ModelConfig, adapter_apply, add_retrieval_encoder,
                     encode_mean_pool, init_params, param_subset,
-                    params_fingerprint, sample_batch, tile_hidden)
+                    params_fingerprint, sample_batch, sqd_prefix, tile_hidden)
 from .rerank import build_candidate_set, rerank, rerank_train_epoch
-from .retrieval import (build_pool_cache, mine_qrm_batch, mine_sqd_batch,
-                        pool_token_lists, qrm_step, retrieve_top_m_batch,
-                        sqd_pool_distances, sqd_step, two_stage_rank)
+from .retrieval import (PoolCache, build_pool_cache, embed_pool,
+                        mine_qrm_batch, mine_sqd_batch, pool_token_lists,
+                        qrm_step, retrieve_top_m_batch, sqd_pool_distances,
+                        sqd_step, two_stage_rank)
 
 
 class StageOrderError(RuntimeError):
@@ -305,12 +306,17 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
     params = _load_stage(out, "warmup")
     if cfg.no_multi_learning:
         add_retrieval_encoder(params, mcfg, cfg.seed)
-    bm25_q = Bm25Index(pool_token_lists(corpus.pool, vocab, "query"))
+    query_ids = pool_token_lists(corpus.pool, vocab, "query")
+    resp_ids = pool_token_lists(corpus.pool, vocab, "response")
+    bm25_q = Bm25Index(query_ids)
     opt_sqd = ad.Adam(param_subset(params, "sqd"), cfg.retrieval_lr)
     opt_qrm = ad.Adam(param_subset(params, "qrm"), cfg.retrieval_lr)
 
     def epoch(rng):
-        cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
+        # mining reads the pool's SQD query rows and token lists only
+        cache = PoolCache(query_ids, resp_ids,
+                          embed_pool(params, mcfg, query_ids,
+                                     sqd_prefix(params)), None)
         aug_rng = rng(seeds.SQD_MINE)
         sqd_losses, qrm_losses = [], []
         for chunk in _batches(_shuffled(corpus.train, rng(seeds.EPOCH)),

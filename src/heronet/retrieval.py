@@ -11,15 +11,17 @@ says which (model.sqd_prefix), so nothing here takes it as an argument.
 
 Candidate-pool embeddings are expensive to recompute, so they are built
 once per epoch into a PoolCache and treated as constants: queries from
-the SQD encoder, responses from the shared one.  The cache also keeps the
-pool run through each adapter: queries through psi_d for the SQD
-distances, responses through psi_m for the QRM head.  Each such table
-remembers the adapter parameters it was made from and is made again once
-they change, so a training step that moves an adapter is seen on the
-next call, while chat and evaluation, which move nothing, project the
-pool once.  Queries are projected once per call and pool rows gathered
-from the tables.  While the encoder stays frozen, the cache also stands
-in for encoding a pool response again: re-ranking reads its rows.
+the SQD encoder, responses from the shared one (the retrieval stage's
+mining reads only the queries, so that stage embeds no responses).  The
+cache also keeps the pool run through each adapter: queries through
+psi_d for the SQD distances, responses through psi_m for the QRM head.
+Each such table remembers the adapter parameters it was made from and
+is made again once they change, so a training step that moves an
+adapter is seen on the next call, while chat and evaluation, which move
+nothing, project the pool once.  Queries are projected once per call
+and pool rows gathered from the tables.  While the encoder stays frozen,
+the cache also stands in for encoding a pool response again: re-ranking
+reads its rows.
 
 Two-stage inference, SQD recall then QRM rank, is two_stage_rank; the
 retriever runs it over the whole pool and evaluation over a subset.
@@ -46,16 +48,17 @@ class PoolCache:
     """Per-epoch constants: raw mean-pooled embeddings and token lists.
 
     query_emb holds the pool queries through the SQD encoder, resp_emb the
-    responses through the shared encoder.  resp_row, derived on
-    construction, maps each response's token tuple to its row of resp_emb
-    (the first row when responses repeat).  projected() serves the pool
-    through an adapter.
+    responses through the shared encoder, or None where nothing reads
+    them (the retrieval stage's mining reads only the query side).
+    resp_row, derived on construction, maps each response's token tuple
+    to its row of resp_emb (the first row when responses repeat).
+    projected() serves the pool through an adapter.
     """
 
     query_ids: list          # token id list per pool entry, entry order
     resp_ids: list
     query_emb: np.ndarray    # (P, d_model) raw pooled SQD-encoder output
-    resp_emb: np.ndarray     # (P, d_model) raw pooled shared-encoder output
+    resp_emb: np.ndarray | None  # (P, d_model) shared-encoder output
 
     def __post_init__(self):
         self.resp_row: dict = {}
@@ -89,27 +92,31 @@ def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
     return [encode_text(t, vocab) for t in texts]
 
 
+def embed_pool(params: dict, cfg: ModelConfig, seqs: list,
+               prefix: str = "") -> np.ndarray:
+    """(len(seqs), d_model) pooled rows under no_grad, in seqs' order.
+
+    The rows go through encode_unique, so a sequence the list repeats is
+    encoded once, and are gathered back into order.
+    """
+    with ad.no_grad():
+        pooled, [idx] = encode_unique(params, cfg, [seqs], prefix=prefix)
+    return pooled.data[idx]
+
+
 def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
                      pool: CandidatePool) -> PoolCache:
     """Embed the whole candidate pool under no_grad.
 
     Pool queries go through the SQD encoder, which recall compares them
     in; responses through the shared encoder, which the matching head and
-    the re-ranker read.  Each side goes through encode_unique, so a
-    sequence the pool repeats is encoded once, and its rows are gathered
-    back into entry order.
+    the re-ranker read.
     """
     query_ids = pool_token_lists(pool, vocab, "query")
     resp_ids = pool_token_lists(pool, vocab, "response")
-
-    def embed_all(seqs, prefix):
-        with ad.no_grad():
-            pooled, [idx] = encode_unique(params, cfg, [seqs], prefix=prefix)
-        return pooled.data[idx]
-
     return PoolCache(query_ids, resp_ids,
-                     embed_all(query_ids, sqd_prefix(params)),
-                     embed_all(resp_ids, ""))
+                     embed_pool(params, cfg, query_ids, sqd_prefix(params)),
+                     embed_pool(params, cfg, resp_ids))
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
@@ -130,8 +137,13 @@ def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
                                          prefix=prefix)
         q = adapter_apply(params, "sqd", pooled).data
     p = cache.projected(params, "sqd")
-    diff = q[:, None, :] - p[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=-1))
+    # a row per query: the (B, P, d) differences at once would be a large
+    # allocation made and freed on every call
+    dists = np.empty((len(q), len(p)), dtype=np.result_type(q, p))
+    for i, row in enumerate(q):
+        diff = row - p
+        dists[i] = np.sqrt((diff * diff).sum(axis=-1))
+    return dists
 
 
 # ---------------------------------------------------------------------------

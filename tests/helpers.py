@@ -16,6 +16,20 @@ def clone_params(params: dict) -> dict:
             for n, t in params.items()}
 
 
+def tape_nodes(out: Tensor) -> list:
+    """Every node of the graph that built `out`: op nodes and the leaves
+    that need a gradient, each once."""
+    nodes, seen, stack = [], set(), [out._node or out]
+    while stack:
+        node = stack.pop()
+        if node is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
 def tiny_config() -> TrainConfig:
     """A stage chain that runs in seconds: one epoch per training stage."""
     return TrainConfig(m=2, n=1, k=3, bs=4, max_seq_len=32, vocab_size=256,

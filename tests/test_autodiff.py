@@ -2,11 +2,14 @@
 
 import inspect
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from heronet import autodiff as ad
+
+from helpers import tape_nodes
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -45,16 +48,8 @@ def gradcheck(fn, arrays, tol=1e-6):
 
 def primitives_in(out: ad.Tensor) -> set:
     """Names of the autodiff functions that built the nodes of a graph."""
-    names, seen, stack = set(), set(), [out]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node._backward is not None:
-            names.add(node._backward.__qualname__.split(".")[0])
-        stack.extend(node._parents)
-    return names
+    return {node._backward.__qualname__.split(".")[0]
+            for node in tape_nodes(out) if node._backward is not None}
 
 
 RNG = np.random.default_rng(20240811)
@@ -294,6 +289,19 @@ class TestMachinery:
         y = t * t + t * 3.0
         ad.backward(y)
         assert t.grad == pytest.approx(2 * 2.0 + 3.0)
+
+    def test_dropped_intermediate_is_freed(self):
+        """tsum's backward reads only a shape, so once the forward code
+        drops add's output its array goes at once, with no cycle left for
+        the collector, and backward still runs."""
+        t = ad.Tensor(np.arange(3.0), requires_grad=True)
+        mid = ad.add(t, t)
+        freed = weakref.ref(mid.data)
+        loss = ad.tsum(mid)
+        del mid
+        assert freed() is None
+        ad.backward(loss)
+        np.testing.assert_array_equal(t.grad, [2.0, 2.0, 2.0])
 
     def test_backward_rejects_nonscalar(self):
         t = ad.Tensor(np.ones(3), requires_grad=True)

@@ -30,8 +30,9 @@ from heronet.model import (
     sample_batch,
     sqd_prefix,
 )
+from heronet.retrieval import qrm_bce
 
-from helpers import clone_params, decode_next
+from helpers import clone_params, decode_next, tape_nodes
 
 CFG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_layers=2,
                   d_proj=4, max_seq_len=12)
@@ -330,6 +331,57 @@ class TestEncodeUnique:
             assert max(prev) <= min(nxt)
         assert [width for _, width in calls] == [max(n) for n in lengths]
         assert calls[0][1] < calls[-1][1]
+
+
+# --- what the tape keeps ----------------------------------------------------
+
+def _captured(value):
+    """Yield value and, through tuples and lists, everything inside it."""
+    yield value
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _captured(item)
+
+
+class TestTapeMemory:
+    """A training graph holds the arrays its backward reads, not Tensors."""
+
+    def _loss(self, params):
+        rng = np.random.default_rng(34)
+        queries = _rand_seqs(rng, 6, lo=2)
+        responses = _rand_seqs(rng, 6, lo=2)
+        pooled, (q_idx, r_idx) = encode_unique(params, CFG,
+                                               [queries, responses])
+        z = match_logit(params, ad.getitem(pooled, q_idx),
+                        ad.getitem(pooled, r_idx))
+        labels = np.array([1.0, 0, 0, 1, 0, 0])
+        return qrm_bce(z, labels)
+
+    def test_closures_capture_no_tensor(self):
+        params = init_params(CFG, seed=5, dtype=np.float64)
+        nodes = tape_nodes(self._loss(params))
+        ops = [n for n in nodes if n._backward is not None]
+        names = {n._backward.__qualname__.split(".")[0] for n in ops}
+        # the packed path ran: rows of different lengths went on and off
+        # the grid
+        assert {"gather_rows", "scatter_rows", "attention"} <= names
+        for node in ops:
+            for cell in node._backward.__closure__ or ():
+                held = [v for v in _captured(cell.cell_contents)
+                        if isinstance(v, Tensor)]
+                assert not held, node._backward.__qualname__
+        leaves = [n for n in nodes if n._backward is None]
+        assert leaves and all(isinstance(n, Tensor) and n.requires_grad
+                              for n in leaves)
+
+    def test_backward_clears_intermediate_gradients(self):
+        params = init_params(CFG, seed=5, dtype=np.float64)
+        loss = self._loss(params)
+        ad.backward(loss)
+        assert all(n.grad is None for n in tape_nodes(loss)
+                   if n._backward is not None)
+        assert all(n.grad is not None
+                   for n in param_subset(params, "qrm").values())
 
 
 # --- adapters and scoring --------------------------------------------------

@@ -157,6 +157,36 @@ class TestClusterSidecar:
             load_world(cfg, tmp_path)
 
 
+class TestRetrievalStage:
+    def test_encodes_no_pool_response_outside_a_step(self, cfg, run_dir,
+                                                     tmp_path, monkeypatch):
+        """Mining reads the pool's query rows only: gradient-free encodes
+        cover pool and anchor queries, never a pool response."""
+        from heronet import model, retrieval
+        from heronet.retrieval import pool_token_lists
+
+        copy_run(run_dir, tmp_path)
+        frozen = set()
+        real_encode = model.encode_mean_pool
+
+        def encode_spy(params, cfg, ids, mask=None, prefix=""):
+            hidden, pooled = real_encode(params, cfg, ids, mask, prefix)
+            if not pooled.requires_grad:
+                frozen.update(tuple(s) for s in ids)
+            return hidden, pooled
+
+        for mod in (model, retrieval):
+            monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
+        stage_retrieval(cfg, tmp_path)
+        corpus, vocab, _ = load_world(cfg, tmp_path)
+        pool_q = {tuple(ids)
+                  for ids in pool_token_lists(corpus.pool, vocab, "query")}
+        responses = {tuple(ids) for ids in
+                     pool_token_lists(corpus.pool, vocab, "response")}
+        assert pool_q <= frozen
+        assert not frozen & (responses - pool_q)
+
+
 class TestStageOrder:
     def test_every_stage_requires_the_previous(self, cfg, tmp_path):
         with pytest.raises(StageOrderError, match="gen-data"):
