@@ -8,6 +8,12 @@ parameters that keeps the scores from saturating.  Updates touch the
 encoder and the matching head; the SQD adapter and the decoder are
 untouched, so generator and retrieval metrics cannot be silently skewed
 by discriminator steps.
+
+Scoring takes the head's one path: encode_unique embeds each distinct
+sequence once, match_logit puts that table through psi_m once and reads
+every pair from it.  The negatives come as flat blocks, m retrieved and
+n generated per anchor, anchor after anchor, so disc_step scores the
+positive pairs and both blocks in one call.
 """
 
 from __future__ import annotations
@@ -49,7 +55,7 @@ def score_pairs(params: dict, cfg: ModelConfig, queries: list,
         raise ValueError("queries and responses must align")
     with ad.no_grad():
         pooled, (qi, ri) = encode_unique(params, cfg, [queries, responses])
-        z = match_logit(params, ad.getitem(pooled, qi), ad.getitem(pooled, ri))
+        z = match_logit(params, pooled, qi, ri)
         return ad.sigmoid(z).data.copy()
 
 
@@ -58,31 +64,26 @@ def disc_step(params: dict, cfg: ModelConfig, queries: list, positives: list,
               reg_lambda: float, opt: ad.Adam) -> float:
     """One hinge update of the encoder and matching head.
 
-    retrieved[i] and generated[i] are the negative response token lists
-    for anchor i; group sizes must be uniform so the scores form
-    rectangular (B, m) and (B, n) blocks.
+    retrieved and generated are flat blocks of negative response token
+    lists: m per anchor and n per anchor, anchor after anchor, so the
+    scores form rectangular (B, m) and (B, n) blocks.
     """
     b = len(queries)
-    if not (b == len(positives) == len(retrieved) == len(generated)):
+    if b == 0 or b != len(positives):
         raise ValueError("batch lists must align")
-    m = len(retrieved[0]) if retrieved else 0
-    n = len(generated[0]) if generated else 0
-    if any(len(g) != m for g in retrieved) or any(len(g) != n for g in generated):
-        raise ValueError("negative group sizes must be uniform")
-    if m == 0 or n == 0:
-        raise ValueError("need at least one negative of each kind")
-    flat_ret = [seq for g in retrieved for seq in g]
-    flat_gen = [seq for g in generated for seq in g]
+    if len(retrieved) % b or len(generated) % b:
+        raise ValueError("negative blocks must hold the same count per anchor")
+    m, n = len(retrieved) // b, len(generated) // b
     pooled, (qi, pi, ri, gi) = encode_unique(
-        params, cfg, [queries, positives, flat_ret, flat_gen])
-    e_q = ad.getitem(pooled, qi)
-    s_pos = ad.sigmoid(match_logit(params, e_q, ad.getitem(pooled, pi)))
-    q_rep_r = ad.getitem(pooled, np.repeat(qi, m))
-    s_ret = ad.reshape(
-        ad.sigmoid(match_logit(params, q_rep_r, ad.getitem(pooled, ri))), (b, m))
-    q_rep_g = ad.getitem(pooled, np.repeat(qi, n))
-    s_gen = ad.reshape(
-        ad.sigmoid(match_logit(params, q_rep_g, ad.getitem(pooled, gi))), (b, n))
+        params, cfg, [queries, positives, retrieved, generated])
+    # one scoring pass: the positive pairs, the retrieved, the generated;
+    # hinge_loss rejects an empty block
+    q_all = np.concatenate([qi, np.repeat(qi, m), np.repeat(qi, n)])
+    s = ad.sigmoid(match_logit(params, pooled, q_all,
+                               np.concatenate([pi, ri, gi])))
+    s_pos = ad.getitem(s, slice(0, b))
+    s_ret = ad.reshape(ad.getitem(s, slice(b, b + b * m)), (b, m))
+    s_gen = ad.reshape(ad.getitem(s, slice(b + b * m, None)), (b, n))
     theta = [t for name, t in params.items() if name.startswith("psi_m.")]
     loss = hinge_loss(s_pos, s_ret, s_gen, delta1, delta2, reg_lambda, theta)
     opt.zero_grad()

@@ -2,12 +2,13 @@
 
 The generator is the full encoder-decoder, and pg_step is its one
 update.  It refines the model with a policy gradient: Monte Carlo
-rollouts are sampled at temperature 1, scored by the discriminator, and
-each rollout's whole-sequence log-probability is weighted by its
-advantage over the batch-mean reward.  The fused objective keeps the
-teacher-forced cross-entropy term so the policy cannot drift off the data
-distribution: fused = ce + alpha * pg.  Warm-up is pg_step with alpha 0:
-plain teacher-forced cross-entropy on gold responses.
+rollouts are sampled at temperature 1, n per source in one flat block,
+scored by the discriminator, and each rollout's whole-sequence
+log-probability is weighted by its advantage over the batch-mean
+reward.  The fused objective keeps the teacher-forced cross-entropy term
+so the policy cannot drift off the data distribution: fused = ce +
+alpha * pg.  Warm-up is pg_step with alpha 0: plain teacher-forced
+cross-entropy on gold responses.
 
 Knowledge splicing prepends nothing and appends the best retrieved
 response after a [SEP]; when the budget is tight the query always
@@ -31,9 +32,9 @@ from .retrieval import PoolCache, retrieve_top_m_batch
 
 class TeacherBatch(NamedTuple):
     dec_in: np.ndarray     # (B, T) int64, BOS-led decoder input
-    dec_mask: np.ndarray   # (B, T) float, 1 on real positions
     targets: np.ndarray    # (B, T) int64, next-token targets
-    tgt_mask: np.ndarray   # (B, T) float, 1 where the target counts
+    tgt_mask: np.ndarray   # (B, T) float, 1 on real positions, where the
+                           # decoder reads and the target counts
 
 
 @dataclass
@@ -68,31 +69,33 @@ def build_teacher_batch(responses: list, cfg: ModelConfig,
         dec_in[i, : len(d)] = d
         targets[i, : len(t)] = t
         tgt_mask[i, : len(t)] = 1.0
-    return TeacherBatch(dec_in, tgt_mask.copy(), targets, tgt_mask)
+    return TeacherBatch(dec_in, targets, tgt_mask)
 
 
 def sequence_ce(params: dict, cfg: ModelConfig, hidden: Hidden,
                 tb: TeacherBatch) -> Tensor:
     """Per-sequence cross-entropy: -sum_t log p(target_t), one per row."""
-    logits = decoder_logits(params, cfg, hidden, tb.dec_in, tb.dec_mask)
+    logits = decoder_logits(params, cfg, hidden, tb.dec_in, tb.tgt_mask)
     logp = ad.log_softmax(logits)
     tok = ad.gather_last(logp, tb.targets)
     return ad.neg(ad.tsum(tok * tb.tgt_mask.astype(tok.data.dtype), axis=1))
 
 
 def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
-            rollouts: list, rewards: list, alpha: float,
+            rollouts: list | None, rewards: np.ndarray | None, alpha: float,
             opt: ad.Adam, hidden: Hidden | None = None) -> GenLossReport:
     """Fused CE + policy-gradient update of the generator.
 
-    rollouts[i] is the list of sampled sequences for source i and
-    rewards[i] their scores.  Each rollout's advantage is its reward
-    minus the batch-mean reward; the surrogate is -mean(advantage *
-    sequence log-prob).  alpha = 0 skips the rollout pass entirely and
-    takes rollouts and rewards as None: that is the warm-up update.
-    hidden is the encoder output of src_ids under the current parameters,
-    built with gradient, when the caller already has it (the rollouts
-    were sampled from it); otherwise src_ids are encoded here.
+    rollouts is one flat block of n sampled sequences per source, source
+    after source (the order sample_batch returns for tile_hidden(hidden,
+    n)), and rewards their n * B scores in the same order.  Each
+    rollout's advantage is its reward minus the batch-mean reward; the
+    surrogate is -mean(advantage * sequence log-prob).  alpha = 0 skips
+    the rollout pass and reads neither block: that is the warm-up update,
+    which passes None for both.  hidden is the encoder output of src_ids
+    under the current parameters, built with gradient, when the caller
+    already has it (the rollouts were sampled from it); otherwise src_ids
+    are encoded here.
     """
     if hidden is None:
         hidden, _ = encode_mean_pool(params, cfg, src_ids)
@@ -101,23 +104,18 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
     if alpha == 0.0:
         loss, pg_val = ce, 0.0
     else:
-        if not rollouts or any(not r for r in rollouts):
-            raise ValueError("policy gradient requires rollouts per source")
-        if len(rollouts) != len(src_ids) or len(rewards) != len(src_ids):
-            raise ValueError("rollouts and rewards must align with sources")
-        flat = [seq for group in rollouts for seq in group]
-        if any(not seq for seq in flat):
-            raise ValueError("empty rollout sequence")
-        owner = np.concatenate([np.full(len(g), i, dtype=np.int64)
-                                for i, g in enumerate(rollouts)])
-        adv = np.concatenate([np.asarray(r, dtype=np.float64)
-                              for r in rewards])
-        if len(adv) != len(flat):
-            raise ValueError("rollouts and rewards must align per source")
+        b = len(src_ids)
+        if not rollouts or len(rollouts) % b or not all(rollouts):
+            raise ValueError("policy gradient needs n non-empty rollouts "
+                             "per source")
+        if rewards is None or len(rewards) != len(rollouts):
+            raise ValueError("rewards must align with rollouts")
+        owner = np.repeat(np.arange(b), len(rollouts) // b)
+        adv = np.asarray(rewards, dtype=np.float64)
         adv = adv - adv.mean()
         roll_hidden = Hidden(ad.getitem(hidden.states, owner),
                              hidden.mask[owner])
-        roll_tb = build_teacher_batch(flat, cfg, append_eos=False)
+        roll_tb = build_teacher_batch(rollouts, cfg, append_eos=False)
         logp = ad.neg(sequence_ce(params, cfg, roll_hidden, roll_tb))
         pg = ad.neg(ad.tmean(logp * adv.astype(logp.data.dtype)))
         loss = ce + pg * alpha

@@ -370,20 +370,27 @@ def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
     return ad.layer_norm(ad.linear(e, w, b), g, beta, eps=LN_EPS)
 
 
-def match_projected(params: dict, p_q: Tensor, p_r: Tensor) -> Tensor:
-    """Pre-sigmoid matching score of rows already through psi_m.
+def match_projected(params: dict, proj: Tensor, q_idx, r_idx) -> Tensor:
+    """Pre-sigmoid matching scores of pairs of rows already through psi_m.
 
-    The head reads concat(p_q, p_r, |p_q - p_r|); p_q and p_r are aligned
-    (N, d_proj) rows.
+    Pair i reads rows q_idx[i] and r_idx[i] of the (U, d_proj) table
+    proj; the head scores concat(p_q, p_r, |p_q - p_r|) of the two.
     """
+    p_q = ad.getitem(proj, np.asarray(q_idx, dtype=np.int64))
+    p_r = ad.getitem(proj, np.asarray(r_idx, dtype=np.int64))
     feats = ad.concat([p_q, p_r, ad.absolute(p_q - p_r)], axis=-1)
     return ad.tsum(feats * params["psi_m.w_m"], axis=-1)
 
 
-def match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
-    """Pre-sigmoid matching score of pooled encoder rows."""
-    return match_projected(params, adapter_apply(params, "qrm", e_q),
-                           adapter_apply(params, "qrm", e_r))
+def match_logit(params: dict, rows: Tensor, q_idx, r_idx) -> Tensor:
+    """Pre-sigmoid matching scores of pairs of pooled encoder rows.
+
+    rows is a (U, d_model) table of pooled rows, each distinct row once:
+    psi_m projects the table once, and pair i then reads rows q_idx[i]
+    and r_idx[i] of the projection (match_projected).
+    """
+    return match_projected(params, adapter_apply(params, "qrm", rows), q_idx,
+                           r_idx)
 
 
 class DecodeCache:

@@ -46,14 +46,14 @@ from .generation import (generate_candidates, pg_step, sequence_ce,
                          splice_knowledge, build_teacher_batch)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
-from .model import (ModelConfig, adapter_apply, add_retrieval_encoder,
-                    encode_mean_pool, init_params, param_subset,
-                    params_fingerprint, sample_batch, sqd_prefix, tile_hidden)
+from .model import (ModelConfig, add_retrieval_encoder, encode_mean_pool,
+                    init_params, param_subset, params_fingerprint,
+                    sample_batch, sqd_prefix, tile_hidden)
 from .rerank import build_candidate_set, rerank, rerank_train_epoch
 from .retrieval import (PoolCache, build_pool_cache, embed_pool,
                         mine_qrm_batch, mine_sqd_batch, pool_token_lists,
-                        qrm_step, retrieve_top_m_batch, sqd_pool_distances,
-                        sqd_step, two_stage_rank)
+                        qrm_step, query_rows, retrieve_top_m_batch, sqd_step,
+                        two_stage_rank)
 
 
 class StageOrderError(RuntimeError):
@@ -342,13 +342,6 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
 # adversarial training
 
 
-def _batch_rollouts(params, mcfg, hidden, n_roll, rng, max_len):
-    """n_roll temperature-1 samples per encoded source, in one batch."""
-    seqs = sample_batch(params, mcfg, tile_hidden(hidden, n_roll), rng=rng,
-                        max_len=max_len)
-    return [seqs[i:i + n_roll] for i in range(0, len(seqs), n_roll)]
-
-
 def stage_adversarial(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "retrieval")
@@ -375,21 +368,15 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                                             mcfg.max_seq_len)
                 src.append(encode_text(text, vocab, mcfg.max_seq_len))
             resp = _resp_ids(chunk, vocab)
-            if alpha != 0.0:
-                # one encode with gradient: the rollouts read its values
-                # and pg_step backpropagates through it
-                hidden = encode_mean_pool(params, mcfg, src)[0]
-                rolls = _batch_rollouts(params, mcfg, hidden, cfg.n_rollouts,
-                                        roll_rng, cfg.max_gen_len)
-                flat = [s for g in rolls for s in g]
-                flat_q = [q for q, g in zip(queries, rolls) for _ in g]
-                scores = score_pairs(params, mcfg, flat_q, flat)
-                rewards, at = [], 0
-                for g in rolls:
-                    rewards.append(scores[at:at + len(g)])
-                    at += len(g)
-            else:
-                hidden, rolls, rewards = None, None, None
+            # one encode with gradient: the rollouts read its values and
+            # pg_step backpropagates through it
+            hidden = encode_mean_pool(params, mcfg, src)[0]
+            rolls = sample_batch(params, mcfg,
+                                 tile_hidden(hidden, cfg.n_rollouts),
+                                 rng=roll_rng, max_len=cfg.max_gen_len)
+            rewards = None if alpha == 0.0 else score_pairs(
+                params, mcfg,
+                [q for q in queries for _ in range(cfg.n_rollouts)], rolls)
             rep = pg_step(params, mcfg, src, resp, rolls, rewards, alpha,
                           g_opt, hidden=hidden)
             hidden = None  # drop the encoder graph before disc_step
@@ -398,13 +385,8 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
             ce_l.append(rep.ce)
             pg_l.append(rep.pg)
             fused_l.append(rep.fused)
-            if rolls is None:
-                with ad.no_grad():
-                    hidden = encode_mean_pool(params, mcfg, src)[0]
-                rolls = _batch_rollouts(params, mcfg, hidden, cfg.n_rollouts,
-                                        roll_rng, cfg.max_gen_len)
-            ret_negs = [[list(cache.resp_ids[c.pool_id]) for c in cands]
-                        for cands in retrieved]
+            ret_negs = [list(cache.resp_ids[c.pool_id])
+                        for cands in retrieved for c in cands]
             d_l.append(_ensure_finite(
                 disc_step(params, mcfg, queries, resp, ret_negs, rolls,
                           cfg.delta1, cfg.delta2, cfg.reg_lambda, d_opt),
@@ -471,8 +453,9 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
     resp_to_id = {e.response: e.id for e in corpus.pool.entries}
     kg = not cfg.no_kg
 
-    # -- candidates drawn a chunk at a time, each query with its own stream
-    drawn, q_rows = [], []
+    # -- candidates drawn a chunk at a time, each query with its own stream;
+    #    the chunk's bare queries are encoded once for the subset rank
+    drawn, q_rows, bare, chunk_rows = [], [], [], []
     for lo in range(0, len(corpus.test), cfg.bs):
         chunk = corpus.test[lo:lo + cfg.bs]
         got, pooled = generate_candidates(
@@ -482,6 +465,10 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
              for i in range(lo, lo + len(chunk))], cfg.max_gen_len)
         drawn += got
         q_rows += [Tensor(row[None]) for row in pooled.data]
+        bare += [encode_text(p.query, vocab, mcfg.max_seq_len) for p in chunk]
+        chunk_rows.append(query_rows(params, mcfg, bare[lo:], cache, None))
+    dists, p_q = (np.concatenate(part) for part in zip(*chunk_rows))
+    table = cache.projected(params, "qrm")
 
     hyps, refs, ranks, bm25_ranks, trace = [], [], [], [], []
     for i, pair in enumerate(corpus.test):
@@ -504,16 +491,10 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
         distract = sub_rng.choice(others, size=cfg.eval_candidates - 1,
                                   replace=False)
         subset = np.concatenate([[truth_id], distract])
-        bare_q = encode_text(pair.query, vocab, mcfg.max_seq_len)
-        with ad.no_grad():
-            _, pooled = encode_mean_pool(params, mcfg, [bare_q])
-            p_q = adapter_apply(params, "qrm", pooled).data[0]
-        dists = sqd_pool_distances(params, mcfg, [bare_q], cache, pooled)[0]
-        ranked, _ = two_stage_rank(params, dists, p_q,
-                                   cache.projected(params, "qrm"), subset,
+        ranked, _ = two_stage_rank(params, dists[i], p_q[i], table, subset,
                                    cfg.m)
         ranks.append((list(ranked).index(truth_id) + 1, cfg.eval_candidates))
-        scores = bm25_r.scores(bare_q)[subset]
+        scores = bm25_r.scores(bare[i])[subset]
         order = np.lexsort((subset, -scores))
         bm25_ranks.append((list(subset[order]).index(truth_id) + 1,
                            cfg.eval_candidates))

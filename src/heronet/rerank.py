@@ -13,11 +13,12 @@ and encodes the chunk's queries, retrieves and decodes for all of them,
 and returns the queries' pooled rows beside each query's draw, which
 build_candidate_set turns into that query's set.  Sets are scored one
 way: encode_unique embeds each distinct candidate once, gradient-free,
-taking a pool response's raw row from the PoolCache, and match_logit
-reads those rows against the query's row.  Cached rows stand in for the
-encoder only while it is the one the cache was built from, which holds
-here: chat and evaluation change no parameters, and re-rank training
-moves the matching head alone.
+taking a pool response's raw row from the PoolCache; the sets' query
+rows are stacked on that table, and match_logit puts it through psi_m
+once and reads each candidate against its query.  Cached rows stand in
+for the encoder only while it is the one the cache was built from,
+which holds here: chat and evaluation change no parameters, and re-rank
+training moves the matching head alone.
 
 Re-rank training freezes everything except the matching head: query and
 candidate rows are constants, so the optimizer can only move psi_m.
@@ -74,14 +75,15 @@ def _set_logits(params: dict, cfg: ModelConfig, query_rows: np.ndarray,
     query_rows[i] is the pooled row of set i's query and sets[i] its list
     of candidate token sequences.  Each distinct candidate of all the sets
     is embedded once, gradient-free (encode_unique: pool responses from
-    cache).  The logits come flat, set after set; under autograd their
-    gradient reaches psi_m alone.
+    cache), and psi_m projects the query rows and those once.  The logits
+    come flat, set after set; under autograd their gradient reaches psi_m
+    alone.
     """
     with ad.no_grad():
         pooled, idx = encode_unique(params, cfg, sets, cache=cache)
     owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    return match_logit(params, Tensor(query_rows[owner]),
-                       Tensor(pooled.data[np.concatenate(idx)]))
+    rows = Tensor(np.concatenate([query_rows, pooled.data]))
+    return match_logit(params, rows, owner, len(sets) + np.concatenate(idx))
 
 
 def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,

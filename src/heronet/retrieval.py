@@ -23,8 +23,14 @@ and pool rows gathered from the tables.  While the encoder stays frozen,
 the cache also stands in for encoding a pool response again: re-ranking
 reads its rows.
 
+The QRM head scores a table of rows, each distinct row through psi_m
+once, at index pairs (model.match_logit): qrm_step's table comes from
+encode_unique, and two_stage_rank stacks the query's psi_m row on its
+recalled rows of the cache's psi_m table (match_projected).
+
 Two-stage inference, SQD recall then QRM rank, is two_stage_rank; the
-retriever runs it over the whole pool and evaluation over a subset.
+retriever runs it over the whole pool and evaluation over a subset, both
+on the rows query_rows makes for a batch of queries.
 """
 
 from __future__ import annotations
@@ -331,13 +337,14 @@ def qrm_step(params: dict, cfg: ModelConfig, batch: MatchBatch,
              opt: ad.Adam) -> float:
     """One BCE update of the shared encoder and the QRM adapter.
 
-    Every distinct text in the batch is encoded exactly once; pairs then
-    gather their two sides from that table, so repeated anchors cost
-    nothing extra and all sides carry gradient.
+    Every distinct text in the batch is encoded and projected through
+    psi_m exactly once; pairs then gather their two sides from that
+    table, so repeated anchors cost nothing extra and all sides carry
+    gradient.
     """
     pooled, (q_idx, r_idx) = encode_unique(
         params, cfg, [batch.queries, batch.responses])
-    z = match_logit(params, ad.getitem(pooled, q_idx), ad.getitem(pooled, r_idx))
+    z = match_logit(params, pooled, q_idx, r_idx)
     loss = qrm_bce(z, batch.labels)
     opt.zero_grad()
     ad.backward(loss)
@@ -362,18 +369,20 @@ class RetrievedCandidate:
                 f"score={self.score:.4f})")
 
 
-def pool_match_scores(params: dict, p_q: np.ndarray, table: np.ndarray,
-                      ids) -> np.ndarray:
-    """QRM scores of one query row against the pool responses `ids`.
+def query_rows(params: dict, cfg: ModelConfig, queries: list,
+               cache: PoolCache, pooled: Tensor | None) -> tuple:
+    """What two_stage_rank reads of a query batch, gradient-free.
 
-    p_q is the query's (d_proj,) row and table the pool responses through
-    psi_m (PoolCache.projected), both under the current psi_m.
+    Returns the batch's (B, P) SQD distances to the pool and its (B,
+    d_proj) rows through psi_m.  pooled, the shared encoder's pooled rows
+    of queries when the caller already has them (else None), spares
+    encoding the batch here.
     """
     with ad.no_grad():
-        z = match_projected(params, Tensor(np.repeat(p_q[None], len(ids),
-                                                     axis=0)),
-                            Tensor(table[ids]))
-        return ad.sigmoid(z).data
+        if pooled is None:
+            _, pooled = encode_mean_pool(params, cfg, queries)
+        dists = sqd_pool_distances(params, cfg, queries, cache, pooled)
+        return dists, adapter_apply(params, "qrm", pooled).data
 
 
 # Recall keeps this many pool entries per candidate the caller asks for.
@@ -386,8 +395,9 @@ def two_stage_rank(params: dict, dists: np.ndarray, p_q: np.ndarray,
 
     Stage one keeps the _RECALL_WIDTH*m ids nearest under dists, the
     query's (P,) SQD distances to the pool, ties on ascending id.  Stage
-    two orders them by QRM score of the query row p_q against table (see
-    pool_match_scores), ties again on ascending id.  Returns every id,
+    two orders them by QRM score of the query's psi_m row p_q against
+    their rows of table, the pool responses through psi_m
+    (PoolCache.projected), ties again on ascending id.  Returns every id,
     the recalled ones in score order and the rest after them in distance
     order, and the recalled ones' scores, aligned with the first ids.
     """
@@ -395,7 +405,12 @@ def two_stage_rank(params: dict, dists: np.ndarray, p_q: np.ndarray,
     by_dist = ids[np.lexsort((ids, dists[ids]))]
     width = min(_RECALL_WIDTH * m, len(ids))
     recalled = by_dist[:width]
-    scores = pool_match_scores(params, p_q, table, recalled)
+    # pair i reads the query's row 0 and the recalled row i + 1
+    rows = Tensor(np.concatenate([p_q[None], table[recalled]]))
+    with ad.no_grad():
+        scores = ad.sigmoid(match_projected(
+            params, rows, np.zeros(width, dtype=np.int64),
+            np.arange(1, width + 1))).data
     order = np.lexsort((recalled, -scores))
     return np.concatenate([recalled[order], by_dist[width:]]), scores[order]
 
@@ -409,19 +424,12 @@ def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
     pool, with their scores; m larger than the pool degrades to ranking
     the whole pool.  Recall reads the queries through the SQD encoder and
     the cache's pool queries; the ranking reads them through the shared
-    encoder and the cache's pool responses.  main_pooled, the shared
-    encoder's pooled rows of queries when the caller already has them,
-    spares encoding the batch here.  Each query is projected once per
-    adapter; the pool rows come from the cache's tables.
+    encoder and the cache's pool responses.  main_pooled is query_rows'
+    pooled: the queries' shared-encoder rows, when the caller has them.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    with ad.no_grad():
-        pooled = main_pooled
-        if pooled is None:
-            _, pooled = encode_mean_pool(params, cfg, queries)
-        dists = sqd_pool_distances(params, cfg, queries, cache, pooled)
-        p_q = adapter_apply(params, "qrm", pooled).data
+    dists, p_q = query_rows(params, cfg, queries, cache, main_pooled)
     table = cache.projected(params, "qrm")
     ids = np.arange(pool.size)
     results = []

@@ -7,7 +7,7 @@ from heronet import autodiff as ad
 from heronet.autodiff import Tensor
 from heronet.config import TrainConfig
 from heronet.corpus import BOS_ID
-from heronet.model import decoder_logits
+from heronet.model import adapter_apply, decoder_logits
 
 
 def clone_params(params: dict) -> dict:
@@ -69,3 +69,28 @@ def bm25_score(index, query: list, doc_id: int) -> float:
             tf = tfs[pos[0]]
             total += index.idf[t] * tf * (index.k1 + 1.0) / (tf + tf_norm)
     return float(total)
+
+
+def pair_match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
+    """Reference matching logits of aligned (N, d_model) pooled rows, pair
+    by pair: each side through psi_m, then w_m over concat(p_q, p_r,
+    |p_q - p_r|)."""
+    p_q = adapter_apply(params, "qrm", e_q)
+    p_r = adapter_apply(params, "qrm", e_r)
+    feats = ad.concat([p_q, p_r, ad.absolute(p_q - p_r)], axis=-1)
+    return ad.tsum(feats * params["psi_m.w_m"], axis=-1)
+
+
+def psi_m_inputs(params: dict, monkeypatch) -> list:
+    """Spy on ad.linear: the list it returns collects each row block fed
+    to psi_m's affine map."""
+    real = ad.linear
+    seen = []
+
+    def spy(x, w, b):
+        if w is params["psi_m.w"]:
+            seen.append(x.data.copy())
+        return real(x, w, b)
+
+    monkeypatch.setattr(ad, "linear", spy)
+    return seen

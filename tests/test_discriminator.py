@@ -14,7 +14,7 @@ from heronet.model import (ModelConfig, encode_mean_pool, init_params,
                            tile_hidden)
 from heronet.retrieval import build_pool_cache, retrieve_top_m_batch
 
-from helpers import clone_params
+from helpers import clone_params, pair_match_logit, psi_m_inputs
 
 
 @pytest.fixture(scope="module")
@@ -30,6 +30,7 @@ def small_world():
 
 
 def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
+    """b anchors with flat blocks of m retrieved and n generated negatives."""
     rng = np.random.default_rng(seed)
     queries, positives, retrieved, generated = [], [], [], []
     for pair in corpus.train[:b]:
@@ -38,11 +39,11 @@ def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
         positives.append(encode_text(pair.response, vocab))
         [cands] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache,
                                        m)
-        retrieved.append([encode_text(c.response, vocab) for c in cands])
+        retrieved += [encode_text(c.response, vocab) for c in cands]
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, [q])
-        generated.append(sample_batch(params, cfg, tile_hidden(hidden, n),
-                                      rng=rng, max_len=10))
+        generated += sample_batch(params, cfg, tile_hidden(hidden, n),
+                                  rng=rng, max_len=10)
     return queries, positives, retrieved, generated
 
 
@@ -119,7 +120,6 @@ def test_hinge_rejects_empty_negative_sets():
 
 def test_score_pairs_matches_match_score(small_world):
     corpus, vocab, cfg, params, cache = small_world
-    from heronet.model import match_logit
     qs = [encode_text(p.query, vocab) for p in corpus.train[:3]]
     rs = [encode_text(p.response, vocab) for p in corpus.train[:3]]
     got = score_pairs(params, cfg, qs, rs)
@@ -127,7 +127,7 @@ def test_score_pairs_matches_match_score(small_world):
         with ad.no_grad():
             _, eq = encode_mean_pool(params, cfg, [qs[i]])
             _, er = encode_mean_pool(params, cfg, [rs[i]])
-            want = ad.sigmoid(match_logit(params, eq, er)).data[0]
+            want = ad.sigmoid(pair_match_logit(params, eq, er)).data[0]
         assert got[i] == pytest.approx(want, rel=1e-12)
     assert np.all((got > 0) & (got < 1))
 
@@ -174,9 +174,9 @@ def test_disc_step_widens_margin_over_twenty_steps(small_world):
 
     def mean_margin():
         margins = []
-        for q, p, rs, gs in zip(queries, positives, retrieved, generated):
+        for i, (q, p) in enumerate(zip(queries, positives)):
             s_pos = score_pairs(local, cfg, [q], [p])[0]
-            negs = rs + gs
+            negs = retrieved[3 * i:3 * i + 3] + generated[2 * i:2 * i + 2]
             s_neg = score_pairs(local, cfg, [q] * len(negs), negs)
             margins.append(s_pos - s_neg.max())
         return float(np.mean(margins))
@@ -197,11 +197,30 @@ def test_disc_step_rejects_ragged_groups(small_world):
     local = clone_params(params)
     queries, positives, retrieved, generated = disc_batch(
         corpus, vocab, cfg, local, cache, b=2)
-    retrieved = [retrieved[0], retrieved[1][:1]]
     opt = ad.Adam(param_subset(local, "disc"), lr=1e-3)
-    with pytest.raises(ValueError):
-        disc_step(local, cfg, queries, positives, retrieved, generated,
-                  0.5, 0.5, 1e-4, opt)
+    for ret, gen in ((retrieved[:-1], generated), (retrieved, generated[:-1]),
+                     ([], generated), (retrieved, [])):
+        with pytest.raises(ValueError):
+            disc_step(local, cfg, queries, positives, ret, gen,
+                      0.5, 0.5, 1e-4, opt)
+
+
+def test_disc_step_projects_each_distinct_row_once(small_world, monkeypatch):
+    corpus, vocab, cfg, params, cache = small_world
+    local = clone_params(params)
+    queries, positives, retrieved, generated = disc_batch(
+        corpus, vocab, cfg, local, cache)
+    # a repeated negative and a query reused as a negative
+    retrieved[1] = retrieved[0]
+    generated[0] = queries[2]
+    distinct = {tuple(s) for s in queries + positives + retrieved + generated}
+    seen = psi_m_inputs(local, monkeypatch)
+    opt = ad.Adam(param_subset(local, "disc"), lr=1e-3)
+    disc_step(local, cfg, queries, positives, retrieved, generated,
+              0.5, 0.5, 1e-4, opt)
+    [rows] = seen
+    assert len(rows) == len(distinct)
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_alternating_adversarial_steps_stay_finite(small_world):
@@ -216,20 +235,19 @@ def test_alternating_adversarial_steps_stay_finite(small_world):
     g_opt = ad.Adam(param_subset(local, "generator"), lr=1e-3)
     d_opt = ad.Adam(param_subset(local, "disc"), lr=1e-3)
     for _ in range(60):
-        rolls, rewards = [], []
-        for s in src:
-            with ad.no_grad():
-                hid, _ = encode_mean_pool(local, cfg, [s])
-            rs = sample_batch(local, cfg, tile_hidden(hid, 2), rng=rng,
-                              max_len=8)
-            rolls.append(rs)
-            rewards.append(score_pairs(local, cfg, [s] * len(rs), rs))
+        with ad.no_grad():
+            hid, _ = encode_mean_pool(local, cfg, src)
+        rolls = sample_batch(local, cfg, tile_hidden(hid, 2), rng=rng,
+                             max_len=8)
+        rewards = score_pairs(local, cfg, [s for s in src for _ in range(2)],
+                              rolls)
         rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5,
                       opt=g_opt)
         assert np.isfinite([rep.ce, rep.pg, rep.fused]).all()
-        retrieved = [[encode_text(c.response, vocab) for c in cands]
+        retrieved = [encode_text(c.response, vocab)
                      for cands in retrieve_top_m_batch(local, cfg, src,
-                                                       corpus.pool, cache, 2)]
+                                                       corpus.pool, cache, 2)
+                     for c in cands]
         d_loss = disc_step(local, cfg, src, resp, retrieved, rolls,
                            0.5, 0.5, 1e-4, d_opt)
         assert np.isfinite(d_loss)

@@ -54,7 +54,6 @@ def test_teacher_batch_shift_and_masks():
     assert tb.dec_in.tolist() == [[BOS_ID, 7, 8, 9], [BOS_ID, 10, PAD_ID, PAD_ID]]
     assert tb.targets.tolist() == [[7, 8, 9, EOS_ID], [10, EOS_ID, PAD_ID, PAD_ID]]
     assert tb.tgt_mask.tolist() == [[1, 1, 1, 1], [1, 1, 0, 0]]
-    assert np.array_equal(tb.dec_mask, tb.tgt_mask)
 
 
 def test_teacher_batch_without_eos_appending():
@@ -168,12 +167,18 @@ def fresh_rollouts(params, cfg, src, n, seed):
                         rng=np.random.default_rng(seed), max_len=12)
 
 
+def rollout_block(params, cfg, src, n, seed):
+    """n rollouts per source in one flat block, source after source."""
+    return [seq for i, s in enumerate(src)
+            for seq in fresh_rollouts(params, cfg, s, n, seed + i)]
+
+
 def test_pg_equal_rewards_reduce_to_ce_update(small_world):
     corpus, vocab, cfg, params, cache = small_world
     src, resp = batch_inputs(corpus, vocab, cfg, 3)
-    rolls = [fresh_rollouts(params, cfg, s, 2, i) for i, s in enumerate(src)]
+    rolls = rollout_block(params, cfg, src, 2, 0)
     # 0.5 is exactly representable, so reward - mean(reward) is exactly zero
-    rewards = [np.array([0.5, 0.5])] * 3
+    rewards = np.full(6, 0.5)
 
     a = clone_params(params)
     opt_a = ad.Adam(param_subset(a, "generator"), lr=1e-3)
@@ -190,9 +195,8 @@ def test_pg_equal_rewards_reduce_to_ce_update(small_world):
 def test_pg_report_is_internally_consistent(small_world):
     corpus, vocab, cfg, params, cache = small_world
     src, resp = batch_inputs(corpus, vocab, cfg, 2)
-    rolls = [fresh_rollouts(params, cfg, s, 3, 10 + i)
-             for i, s in enumerate(src)]
-    rewards = [np.array([0.9, 0.2, 0.4]), np.array([0.1, 0.8, 0.5])]
+    rolls = rollout_block(params, cfg, src, 3, 10)
+    rewards = np.array([0.9, 0.2, 0.4, 0.1, 0.8, 0.5])
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "generator"), lr=1e-3)
     rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5, opt=opt)
@@ -206,33 +210,36 @@ def test_pg_requires_aligned_rollouts(small_world):
     opt = ad.Adam(param_subset(local, "generator"), lr=1e-3)
     with pytest.raises(ValueError):
         pg_step(local, cfg, src, resp, [], [], alpha=0.5, opt=opt)
-    rolls = [fresh_rollouts(params, cfg, s, 2, i) for i, s in enumerate(src)]
-    with pytest.raises(ValueError):
-        pg_step(local, cfg, src, resp, rolls, [np.array([1.0, 0.0])],
+    rolls = rollout_block(params, cfg, src, 2, 0)
+    # three rollouts for two sources is no whole number per source
+    with pytest.raises(ValueError, match="per source"):
+        pg_step(local, cfg, src, resp, rolls[:3], np.ones(3), alpha=0.5,
+                opt=opt)
+    with pytest.raises(ValueError, match="align"):
+        pg_step(local, cfg, src, resp, rolls, np.array([1.0, 0.0]),
                 alpha=0.5, opt=opt)
-    with pytest.raises(ValueError):
-        pg_step(local, cfg, src, resp, rolls,
-                [np.array([1.0]), np.array([0.0])], alpha=0.5, opt=opt)
+    with pytest.raises(ValueError, match="align"):
+        pg_step(local, cfg, src, resp, rolls, None, alpha=0.5, opt=opt)
 
 
 def test_pg_moves_probability_toward_rewarded_rollout(small_world):
     corpus, vocab, cfg, params, cache = small_world
     src, resp = batch_inputs(corpus, vocab, cfg, 1)
     local = clone_params(params)
-    rolls = [fresh_rollouts(local, cfg, src[0], 2, 99)]
-    if rolls[0][0] == rolls[0][1]:  # need two distinct behaviours
-        rolls = [fresh_rollouts(local, cfg, src[0], 2, 98)]
-    assert rolls[0][0] != rolls[0][1]
+    rolls = fresh_rollouts(local, cfg, src[0], 2, 99)
+    if rolls[0] == rolls[1]:  # need two distinct behaviours
+        rolls = fresh_rollouts(local, cfg, src[0], 2, 98)
+    assert rolls[0] != rolls[1]
 
     def logps(p):
         with ad.no_grad():
             hid, _ = encode_mean_pool(p, cfg, [src[0], src[0]])
-            tb = build_teacher_batch(rolls[0], cfg, append_eos=False)
+            tb = build_teacher_batch(rolls, cfg, append_eos=False)
             return -sequence_ce(p, cfg, hid, tb).data
 
     before = logps(local)
     opt = ad.Adam(param_subset(local, "generator"), lr=1e-2)
-    pg_step(local, cfg, src, resp, rolls, [np.array([1.0, 0.0])],
+    pg_step(local, cfg, src, resp, rolls, np.array([1.0, 0.0]),
             alpha=5.0, opt=opt)
     after = logps(local)
     assert after[0] - before[0] > after[1] - before[1]

@@ -32,7 +32,7 @@ from heronet.model import (
 )
 from heronet.retrieval import qrm_bce
 
-from helpers import clone_params, decode_next, tape_nodes
+from helpers import clone_params, decode_next, pair_match_logit, tape_nodes
 
 CFG = ModelConfig(vocab_size=30, d_model=8, n_heads=2, d_ff=16, n_layers=2,
                   d_proj=4, max_seq_len=12)
@@ -352,8 +352,7 @@ class TestTapeMemory:
         responses = _rand_seqs(rng, 6, lo=2)
         pooled, (q_idx, r_idx) = encode_unique(params, CFG,
                                                [queries, responses])
-        z = match_logit(params, ad.getitem(pooled, q_idx),
-                        ad.getitem(pooled, r_idx))
+        z = match_logit(params, pooled, q_idx, r_idx)
         labels = np.array([1.0, 0, 0, 1, 0, 0])
         return qrm_bce(z, labels)
 
@@ -414,6 +413,14 @@ class TestAdapters:
             adapter_apply(params, "other", Tensor(np.zeros((2, CFG.d_model))))
 
 
+def _pairs_table(e_q, e_r):
+    """e_q and e_r stacked into one table, with the index pairs that read
+    pair i from rows i and len(e_q) + i."""
+    n = e_q.data.shape[0]
+    rows = Tensor(np.concatenate([e_q.data, e_r.data]))
+    return rows, np.arange(n), n + np.arange(n)
+
+
 class TestMatchScore:
     def test_zero_weights_give_half(self, toy):
         params, _ = toy
@@ -422,21 +429,28 @@ class TestMatchScore:
         rng = np.random.default_rng(4)
         e_q = Tensor(rng.normal(size=(3, CFG.d_model)))
         e_r = Tensor(rng.normal(size=(3, CFG.d_model)))
-        s = ad.sigmoid(match_logit(zeroed, e_q, e_r)).data
+        s = ad.sigmoid(match_logit(zeroed, *_pairs_table(e_q, e_r))).data
         assert np.allclose(s, 0.5, atol=1e-12)
+        want = ad.sigmoid(pair_match_logit(zeroed, e_q, e_r)).data
+        np.testing.assert_array_equal(s, want)
 
     def test_scalar_oracle(self, toy):
         params, p = toy
         rng = np.random.default_rng(6)
         e_q = rng.normal(size=(1, CFG.d_model))
         e_r = rng.normal(size=(1, CFG.d_model))
-        got = ad.sigmoid(match_logit(params, Tensor(e_q), Tensor(e_r))).data[0]
         pq = o_ln(e_q @ p["psi_m.w"] + p["psi_m.b"], p["psi_m.ln.g"],
                   p["psi_m.ln.b"])[0]
         pr = o_ln(e_r @ p["psi_m.w"] + p["psi_m.b"], p["psi_m.ln.g"],
                   p["psi_m.ln.b"])[0]
         z = float(np.concatenate([pq, pr, np.abs(pq - pr)]) @ p["psi_m.w_m"])
-        assert got == pytest.approx(1.0 / (1.0 + np.exp(-z)), rel=1e-12)
+        want = 1.0 / (1.0 + np.exp(-z))
+        ref = ad.sigmoid(pair_match_logit(params, Tensor(e_q),
+                                          Tensor(e_r))).data[0]
+        assert ref == pytest.approx(want, rel=1e-12)
+        got = ad.sigmoid(match_logit(
+            params, *_pairs_table(Tensor(e_q), Tensor(e_r)))).data[0]
+        assert got == pytest.approx(want, rel=1e-12)
 
     def test_score_strictly_inside_unit_interval(self, toy):
         params, _ = toy
@@ -444,30 +458,66 @@ class TestMatchScore:
         for _ in range(100):
             e_q = Tensor(rng.normal(size=(4, CFG.d_model)) * 5)
             e_r = Tensor(rng.normal(size=(4, CFG.d_model)) * 5)
-            s = ad.sigmoid(match_logit(params, e_q, e_r)).data
+            s = ad.sigmoid(match_logit(params, *_pairs_table(e_q, e_r))).data
             assert ((s > 0) & (s < 1)).all()
+            np.testing.assert_allclose(
+                s, ad.sigmoid(pair_match_logit(params, e_q, e_r)).data,
+                rtol=1e-12)
 
     def test_positive_scaling_keeps_ranking(self, toy):
         params, _ = toy
         rng = np.random.default_rng(10)
-        e_q = Tensor(np.repeat(rng.normal(size=(1, CFG.d_model)), 10, axis=0))
-        e_r = Tensor(rng.normal(size=(10, CFG.d_model)))
-        before = np.argsort(-ad.sigmoid(match_logit(params, e_q, e_r)).data)
+        # one query row against ten responses: the query is one table row
+        rows = Tensor(rng.normal(size=(11, CFG.d_model)))
+        q_idx, r_idx = np.zeros(10, dtype=np.int64), np.arange(1, 11)
+        before = np.argsort(-ad.sigmoid(match_logit(params, rows, q_idx,
+                                                    r_idx)).data)
+        want = pair_match_logit(params, Tensor(rows.data[q_idx]),
+                                Tensor(rows.data[r_idx])).data
+        assert (before == np.argsort(-want)).all()
         scaled = clone_params(params)
         scaled["psi_m.w_m"].data *= 3.7
-        after = np.argsort(-ad.sigmoid(match_logit(scaled, e_q, e_r)).data)
+        after = np.argsort(-ad.sigmoid(match_logit(scaled, rows, q_idx,
+                                                   r_idx)).data)
         assert (before == after).all()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_projected_rows_score_like_pooled_rows(self, dtype):
         params = init_params(CFG, seed=3, dtype=dtype)
         rng = np.random.default_rng(12)
-        e_q = Tensor(rng.normal(size=(5, CFG.d_model)).astype(dtype))
-        e_r = Tensor(rng.normal(size=(5, CFG.d_model)).astype(dtype))
-        got = match_projected(params, adapter_apply(params, "qrm", e_q),
-                              adapter_apply(params, "qrm", e_r)).data
-        np.testing.assert_array_equal(got,
-                                      match_logit(params, e_q, e_r).data)
+        rows = Tensor(rng.normal(size=(5, CFG.d_model)).astype(dtype))
+        q_idx, r_idx = np.array([0, 0, 1, 4, 2]), np.array([1, 2, 3, 3, 2])
+        got = match_projected(params, adapter_apply(params, "qrm", rows),
+                              q_idx, r_idx).data
+        np.testing.assert_array_equal(
+            got, match_logit(params, rows, q_idx, r_idx).data)
+        want = pair_match_logit(params, Tensor(rows.data[q_idx]),
+                                Tensor(rows.data[r_idx])).data
+        np.testing.assert_allclose(
+            got, want, rtol=1e-5 if dtype == np.float32 else 1e-12)
+
+    def test_gradient_matches_the_pairwise_reference(self):
+        """Scoring a table once gives psi_m and the rows the gradient that
+        scoring every gathered pair does."""
+        params = init_params(CFG, seed=4, dtype=np.float64)
+        rng = np.random.default_rng(14)
+        rows = Tensor(rng.normal(size=(4, CFG.d_model)), requires_grad=True)
+        q_idx, r_idx = np.array([0, 0, 0, 3]), np.array([1, 2, 3, 3])
+        weights = rng.normal(size=4)
+        names = [n for n in params if n.startswith("psi_m.")]
+
+        def grads(score):
+            for t in [rows] + [params[n] for n in names]:
+                t.zero_grad()
+            ad.backward(ad.tsum(score * weights))
+            return [rows.grad.copy()] + [params[n].grad.copy()
+                                         for n in names]
+
+        got = grads(match_logit(params, rows, q_idx, r_idx))
+        want = grads(pair_match_logit(params, ad.getitem(rows, q_idx),
+                                      ad.getitem(rows, r_idx)))
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-10, atol=1e-12)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -438,6 +438,33 @@ class TestAblations:
             assert float(row[6]) == 0.0   # alpha
             assert float(row[2]) == float(row[4])  # fused == ce
 
+    def test_no_reward_encodes_each_source_once(self, cfg, run_dir, tmp_path,
+                                                monkeypatch):
+        """Without the reward the rollouts, which the discriminator reads
+        as negatives, still come from the one encode pg_step trains
+        through: each chunk's sources reach the encoder once."""
+        from heronet import generation, model, retrieval
+
+        copy_run(run_dir, tmp_path)
+        encoded, sources = [], []
+        real_encode, real_step = model.encode_mean_pool, pipeline.pg_step
+
+        def encode_spy(params, cfg, ids, mask=None, prefix=""):
+            encoded.append(tuple(tuple(s) for s in ids))
+            return real_encode(params, cfg, ids, mask, prefix)
+
+        def step_spy(params, cfg, src_ids, *args, **kwargs):
+            sources.append(tuple(tuple(s) for s in src_ids))
+            return real_step(params, cfg, src_ids, *args, **kwargs)
+
+        for mod in (model, pipeline, generation, retrieval):
+            monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
+        monkeypatch.setattr(pipeline, "pg_step", step_spy)
+        stage_adversarial(replace(cfg, no_reward=True), tmp_path)
+        assert len(sources) == -(-cfg.n_train // cfg.bs)
+        for src in sources:
+            assert encoded.count(src) == 1
+
 
 class TestChat:
     def test_replies_and_ignores_blank_lines(self, cfg, run_dir):

@@ -17,7 +17,7 @@ from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
                             rerank_train_epoch)
 from heronet.retrieval import PoolCache, build_pool_cache, pool_token_lists
 
-from helpers import clone_params
+from helpers import clone_params, psi_m_inputs
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +96,22 @@ def test_rerank_scores_match_discriminator_head(small_world):
     got = {c.tokens: c.score for c in ranked}
     for (ids, _), w in zip(cands, want):
         assert got[tuple(ids)] == pytest.approx(w, rel=1e-12)
+
+
+def test_rerank_projects_each_distinct_row_once(small_world, monkeypatch):
+    """psi_m's affine map sees the query's row and each distinct candidate
+    once, in one call, not the query once per candidate."""
+    corpus, vocab, cfg, params, cache, bm25_r = small_world
+    q = encode_text(corpus.test[0].query, vocab)
+    cands = [(encode_text(e.response, vocab), "retrieved")
+             for e in corpus.pool.entries[:5]]
+    cands += [([7, 9, 11], "generated"), ([7, 9, 11], "generated"),
+              (cands[2][0], "bm25")]
+    seen = psi_m_inputs(params, monkeypatch)
+    rerank(params, cfg, pooled(params, cfg, q), cands, cache)
+    [rows] = seen
+    assert len(rows) == 1 + len({tuple(c) for c, _ in cands})
+    assert len(np.unique(rows, axis=0)) == len(rows)
 
 
 def test_rerank_tie_break_keeps_candidate_order(small_world):

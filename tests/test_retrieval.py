@@ -13,15 +13,14 @@ from heronet.corpus import (RESERVED, CandidatePool, PoolEntry, Vocab,
                             build_vocab, encode_text,
                             generate_synthetic_corpus)
 from heronet.model import (ModelConfig, adapter_apply, add_retrieval_encoder,
-                           encode_mean_pool, init_params, match_logit,
-                           param_subset)
+                           encode_mean_pool, init_params, param_subset)
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
-                               qrm_step, retrieve_top_m_batch,
+                               qrm_step, query_rows, retrieve_top_m_batch,
                                sqd_pool_distances, sqd_step, two_stage_rank)
 
-from helpers import clone_params
+from helpers import clone_params, pair_match_logit
 
 
 @pytest.fixture(scope="module")
@@ -388,7 +387,6 @@ def test_qrm_step_decreases_loss_on_fixed_batch(small_world):
 def test_qrm_step_matches_direct_bce(small_world):
     """The deduplicated gather must score exactly like naive per-pair encoding."""
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from heronet.model import match_logit
     local = clone_params(params)
     batch = mine_qrm_batch(corpus.train[:2], local, cfg, vocab, corpus.pool,
                            cache, m=2)
@@ -397,7 +395,7 @@ def test_qrm_step_matches_direct_bce(small_world):
         for q, r in zip(batch.queries, batch.responses):
             _, eq = encode_mean_pool(local, cfg, [q])
             _, er = encode_mean_pool(local, cfg, [r])
-            zs.append(match_logit(local, eq, er).data[0])
+            zs.append(pair_match_logit(local, eq, er).data[0])
         want = qrm_bce(Tensor(np.array(zs)), batch.labels).item()
     opt = ad.Adam(param_subset(local, "qrm"), lr=0.0)
     got = qrm_step(local, cfg, batch, opt)
@@ -423,7 +421,7 @@ def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m,
         width = min(4 * m, len(ranked))
         scored = []
         for j in ranked[:width]:
-            s = ad.sigmoid(match_logit(
+            s = ad.sigmoid(pair_match_logit(
                 params, Tensor(pooled.data),
                 Tensor(cache.resp_emb[j: j + 1]))).data[0]
             scored.append((j, float(s)))
@@ -450,15 +448,13 @@ def test_subset_rank_matches_oracle(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(0)
     table = cache.projected(params, "qrm")
-    for pair in corpus.test[:3]:
-        q = encode_text(pair.query, vocab)
+    queries = [encode_text(pair.query, vocab) for pair in corpus.test[:3]]
+    # the batch's rows, as evaluation reads them a chunk at a time
+    dists, p_q = query_rows(params, cfg, queries, cache, None)
+    for i, q in enumerate(queries):
         subset = rng.choice(corpus.pool.size, size=17, replace=False)
-        with ad.no_grad():
-            _, pooled = encode_mean_pool(params, cfg, [q])
-            p_q = adapter_apply(params, "qrm", pooled).data[0]
-        dists = sqd_pool_distances(params, cfg, [q], cache, pooled)[0]
-        ranked, scores = two_stage_rank(params, dists, p_q, table, subset,
-                                        m=2)
+        ranked, scores = two_stage_rank(params, dists[i], p_q[i], table,
+                                        subset, m=2)
         want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache,
                                 m=2, ids=subset)
         assert ranked.tolist() == [j for j, _ in want]
