@@ -6,6 +6,17 @@ step, blob sha256) and `<stem>.bin` holds every tensor as little-endian
 float32 in manifest order.  Saving the same parameters twice produces
 byte-identical files; loading restores bit-identical float32 weights.
 
+A rerank checkpoint's blob holds the parameters, then the pool rows: the
+pooled encoder rows of every candidate-pool query and response, which
+rerank-train built from its frozen encoder (retrieval.PoolCache), stored
+so that chat and evaluate read them instead of encoding the pool again.
+Only rerank-train writes rows.  The manifest lists them under `pool`,
+apart from `tensors`, with `token_sha256`: the sha256 of the token id
+lists they were encoded from, every pool query and then every response
+in entry order (PoolCache.token_digest), so a reader can tell whether
+they belong to its pool.  `blob_sha256` covers the rows too.  The
+parameter section is laid out as in a checkpoint without rows.
+
 Each file is written to a temporary name and moved into place, the blob
 before the manifest, so a kill at any instant leaves every file whole.
 A manifest that does not describe the blob beside it (a kill between
@@ -44,27 +55,50 @@ def write_atomic(path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
-                    step: int) -> tuple:
-    stem = _stem(path)
-    names = sorted(params)
-    tensors = []
-    blob = bytearray()
-    for name in names:
-        data = np.ascontiguousarray(params[name].data, dtype="<f4")
+def _pack(arrays: dict, blob: bytearray) -> list:
+    """Append each array to blob as little-endian float32, in name order;
+    returns their manifest entries."""
+    entries = []
+    for name in sorted(arrays):
+        data = np.ascontiguousarray(arrays[name], dtype="<f4")
         raw = data.tobytes()
-        tensors.append({"name": name, "shape": list(data.shape),
+        entries.append({"name": name, "shape": list(data.shape),
                         "offset": len(blob), "bytes": len(raw)})
         blob.extend(raw)
+    return entries
+
+
+def _unpack(blob: bytes, entries: list) -> dict:
+    """The float32 arrays that manifest entries describe, by name."""
+    out = {}
+    for entry in entries:
+        shape = tuple(entry["shape"])
+        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        arr = np.frombuffer(blob, dtype="<f4", count=count,
+                            offset=entry["offset"])
+        out[entry["name"]] = arr.reshape(shape).astype(np.float32, copy=True)
+    return out
+
+
+def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
+                    step: int, pool: tuple | None = None) -> tuple:
+    """Write params, and pool when given: (token digest, rows by name),
+    the rows stored after the parameters."""
+    stem = _stem(path)
+    blob = bytearray()
     manifest = {
         "stage": stage,
         "seed": config.seed,
         "step": int(step),
         "config": asdict(config),
-        "blob_bytes": len(blob),
-        "blob_sha256": hashlib.sha256(blob).hexdigest(),
-        "tensors": tensors,
+        "tensors": _pack({n: t.data for n, t in params.items()}, blob),
     }
+    if pool is not None:
+        token_sha256, rows = pool
+        manifest["pool"] = {"token_sha256": token_sha256,
+                            "rows": _pack(rows, blob)}
+    manifest["blob_bytes"] = len(blob)
+    manifest["blob_sha256"] = hashlib.sha256(blob).hexdigest()
     json_path, bin_path = stem + ".json", stem + ".bin"
     write_atomic(bin_path, bytes(blob))
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
@@ -72,8 +106,13 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
     return json_path, bin_path
 
 
-def load_checkpoint(path) -> tuple:
-    """Returns (params, manifest); weights are float32 Tensors."""
+def read_checkpoint(path) -> tuple:
+    """Returns (params, manifest, pool); weights are float32 Tensors.
+
+    pool is what save_checkpoint was given, (token digest, rows by name)
+    with float32 rows, or None when the checkpoint carries no pool rows.
+    The blob is read and hashed once for both.
+    """
     stem = _stem(path)
     try:
         with open(stem + ".json", encoding="utf-8") as fh:
@@ -91,15 +130,17 @@ def load_checkpoint(path) -> tuple:
                          "the stage that wrote it")
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ValueError(f"blob hash does not match manifest at {stem!r}")
-    params = {}
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count,
-                            offset=entry["offset"])
-        params[entry["name"]] = Tensor(
-            arr.reshape(shape).astype(np.float32, copy=True),
-            requires_grad=True)
+    params = {name: Tensor(arr, requires_grad=True) for name, arr
+              in _unpack(blob, manifest["tensors"]).items()}
+    pool = manifest.get("pool")
+    if pool is not None:
+        pool = (pool["token_sha256"], _unpack(blob, pool["rows"]))
+    return params, manifest, pool
+
+
+def load_checkpoint(path) -> tuple:
+    """Returns (params, manifest): read_checkpoint without the pool rows."""
+    params, manifest, _ = read_checkpoint(path)
     return params, manifest
 
 

@@ -8,7 +8,9 @@ driver, which saves the checkpoint and rewrites the log after each epoch,
 so a non-finite loss or weight update (NumericalAbort) or a kill leaves
 the last completed epoch's checkpoint and log rows on disk.  A
 checkpoint's `step` counts the optimizer steps taken so far: epochs times
-batches per epoch.
+batches per epoch.  The rerank checkpoint also carries the pool rows that
+rerank-train encoded with the frozen encoder; chat and evaluate read them
+and encode no pool entry.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -35,8 +37,8 @@ from . import autodiff as ad
 from . import seeds
 from .autodiff import Tensor
 from .bm25 import Bm25Index
-from .checkpoint import (checkpoint_stage, load_checkpoint, save_checkpoint,
-                         write_atomic)
+from .checkpoint import (checkpoint_stage, load_checkpoint, read_checkpoint,
+                         save_checkpoint, write_atomic)
 from .config import TrainConfig, validate_config
 from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      generate_synthetic_corpus, read_pairs, read_pool,
@@ -52,8 +54,8 @@ from .model import (ModelConfig, add_retrieval_encoder, encode_mean_pool,
 from .rerank import build_candidate_set, rerank, rerank_train_epoch
 from .retrieval import (PoolCache, build_pool_cache, embed_pool,
                         mine_qrm_batch, mine_sqd_batch, pool_token_lists,
-                        qrm_step, query_rows, retrieve_top_m_batch, sqd_step,
-                        two_stage_rank)
+                        qrm_step, query_rows, restore_pool_cache,
+                        retrieve_top_m_batch, sqd_step, two_stage_rank)
 
 
 class StageOrderError(RuntimeError):
@@ -131,18 +133,41 @@ def load_world(cfg: TrainConfig, out: Path):
     return corpus, vocab, model_config(cfg, vocab)
 
 
-def _load_stage(out: Path, stage: str):
+def _stage_stem(out: Path, stage: str) -> Path:
     stem = Path(out) / _CKPT[stage]
     if checkpoint_stage(stem) is None:
         raise StageOrderError(
             f"no '{stage}' checkpoint under {out}; run {_STAGE_CMD[stage]} "
             "first")
-    params, manifest = load_checkpoint(stem)
+    return stem
+
+
+def _check_tag(stem: Path, manifest: dict, stage: str):
     if manifest["stage"] != stage:
         raise StageOrderError(
             f"checkpoint {stem} holds stage {manifest['stage']!r}, "
             f"expected {stage!r}")
+
+
+def _load_stage(out: Path, stage: str):
+    stem = _stage_stem(out, stage)
+    params, manifest = load_checkpoint(stem)
+    _check_tag(stem, manifest, stage)
     return params
+
+
+def _load_served(out: Path, corpus, vocab) -> tuple:
+    """(params, cache) of the rerank checkpoint, the cache made from the
+    pool rows rerank-train stored in it, with no encoder pass."""
+    stem = _stage_stem(out, "rerank")
+    params, manifest, stored = read_checkpoint(stem)
+    _check_tag(stem, manifest, "rerank")
+    cache = restore_pool_cache(corpus.pool, vocab, stored)
+    if cache is None:
+        raise StageOrderError(
+            f"checkpoint {stem} holds no pool rows encoded from the pool "
+            f"under {out}; run heronet rerank-train again")
+    return params, cache
 
 
 def _write_csv(path: Path, header: list, rows: list):
@@ -155,7 +180,7 @@ def _write_csv(path: Path, header: list, rows: list):
 
 
 def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
-                epochs: int, run_epoch, rows=()) -> dict:
+                epochs: int, run_epoch, rows=(), pool=None) -> dict:
     """Run one training stage's epochs; the last epoch's values by column.
 
     run_epoch(rng) trains one epoch and returns (optimizer steps, one value
@@ -164,7 +189,8 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
     anything of that epoch is saved; bodies check each step's loss too, so
     no step runs on weights a non-finite loss has spoiled, and an update
     the optimizer refuses (FloatingPointError) aborts the same way.  After
-    each epoch the progress line is printed, the checkpoint saved and
+    each epoch the progress line is printed, the checkpoint saved, with
+    `pool` (PoolCache.stored) beside the parameters when given, and
     logs/<stage>.csv rewritten, `rows` first; with out None the epochs
     only train.
     """
@@ -188,7 +214,8 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
         shown = " ".join(f"{c}={v:.4f}" for c, v in zip(columns, values))
         _say(f"[{_STAGE_CMD[stage]}] epoch {epoch}/{epochs} {shown} "
              f"({dt:.1f}s)")
-        save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step)
+        save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step,
+                        pool)
         _write_csv(Path(out) / "logs" / f"{stage}.csv",
                    ["epoch", "stage", *columns, "seconds"], rows)
     return {c: float(v) for c, v in zip(columns, values)}
@@ -403,14 +430,17 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
 # rerank training
 
 
-def _rerank_epoch(params, cfg, corpus, vocab, mcfg):
-    """The re-rank epoch body; rerank-train and every sweep cell run it.
+def _rerank_epoch(params, cfg, corpus, vocab, mcfg) -> tuple:
+    """The re-rank epoch body and its pool cache; rerank-train and every
+    sweep cell run it.
 
     Only the matching head may move: the body checks that the rest of the
-    parameters still hash as before, ahead of any checkpoint.
+    parameters still hash as before, ahead of any checkpoint, so the
+    cache, built once here, stays the frozen encoder's for the stage and
+    for the evaluation after it.
     """
     cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
-    bm25_r = Bm25Index(pool_token_lists(corpus.pool, vocab, "response"))
+    bm25_r = Bm25Index(cache.resp_ids)
     opt = ad.Adam(param_subset(params, "rerank"), cfg.retrieval_lr)
     encoder_names = [k for k in params if not k.startswith("psi_m.")]
     before = params_fingerprint(params, encoder_names)
@@ -425,31 +455,35 @@ def _rerank_epoch(params, cfg, corpus, vocab, mcfg):
             raise RuntimeError("rerank training must leave the encoder frozen")
         return math.ceil(len(order) / cfg.bs), [loss]
 
-    return epoch
+    return epoch, cache
 
 
 def stage_rerank_train(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "adversarial")
+    epoch, cache = _rerank_epoch(params, cfg, corpus, vocab, mcfg)
     return _run_epochs(cfg, out, "rerank", params, ["bce"],
-                       cfg.rerank_epochs,
-                       _rerank_epoch(params, cfg, corpus, vocab, mcfg))
+                       cfg.rerank_epochs, epoch, pool=cache.stored())
 
 
 # ---------------------------------------------------------------------------
 # evaluation
 
 
-def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
-                    out=None) -> dict:
+def evaluate_params(params, cache: PoolCache, cfg: TrainConfig, corpus,
+                    vocab, mcfg, out=None) -> dict:
     """Generation and retrieval metrics for a trained parameter set; with
-    `out` given, eval_report.json and rerank_trace.jsonl are written there."""
+    `out` given, eval_report.json and rerank_trace.jsonl are written there.
+
+    cache holds the pool rows of params' encoder, and evaluation encodes
+    no pool entry: stage_evaluate passes the rows rerank-train stored in
+    its checkpoint, a sweep cell the cache its re-rank stage built.
+    """
     if not 1 <= cfg.eval_candidates <= corpus.pool.size:
         raise ValueError(
             f"eval_candidates={cfg.eval_candidates} must lie in "
             f"[1, pool size {corpus.pool.size}]")
-    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
-    bm25_r = Bm25Index(pool_token_lists(corpus.pool, vocab, "response"))
+    bm25_r = Bm25Index(cache.resp_ids)
     resp_to_id = {e.response: e.id for e in corpus.pool.entries}
     kg = not cfg.no_kg
 
@@ -515,8 +549,8 @@ def evaluate_params(params, cfg: TrainConfig, corpus, vocab, mcfg,
 
 def stage_evaluate(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
-    params = _load_stage(out, "rerank")
-    report = evaluate_params(params, cfg, corpus, vocab, mcfg, out)
+    params, cache = _load_served(out, corpus, vocab)
+    report = evaluate_params(params, cache, cfg, corpus, vocab, mcfg, out)
     _say(render_table(report, title="evaluation (test split)"))
     return report
 
@@ -543,10 +577,11 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
             cell = replace(cfg, m=m, n=n, k=min(cfg.k, m + n + 1))
             validate_config(cell)
             params = _load_stage(out, "adversarial")
+            epoch, cache = _rerank_epoch(params, cell, corpus, vocab, mcfg)
             _run_epochs(cell, None, "rerank", params, ["bce"],
-                        cell.rerank_epochs,
-                        _rerank_epoch(params, cell, corpus, vocab, mcfg))
-            report = evaluate_params(params, cell, corpus, vocab, mcfg)
+                        cell.rerank_epochs, epoch)
+            report = evaluate_params(params, cache, cell, corpus, vocab,
+                                     mcfg)
             rows.append([m, n] + [report[k] for k in _SWEEP_METRICS])
             _say(f"[sweep] m={m} n={n} mrr={report['mrr']:.4f} "
                  f"bleu={report['bleu']:.4f}")
@@ -562,6 +597,12 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
 
 
 def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
+    """Answer each stdin line from the rerank checkpoint until EOF.
+
+    The pool rows come from that checkpoint, where rerank-train stored
+    them, so set-up encodes nothing; each line encodes only its query,
+    its source and the generated candidates that are not pool responses.
+    """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
@@ -569,8 +610,7 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         print(line, file=stdout, flush=True)
 
     corpus, vocab, mcfg = load_world(cfg, out)
-    params = _load_stage(out, "rerank")
-    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
+    params, cache = _load_served(out, corpus, vocab)
     emit(f"[chat] ready; retrieving {cfg.m}, generating {cfg.n}, "
          f"showing top {cfg.k} (blank line is ignored, EOF exits)")
     for line in stdin:

@@ -23,6 +23,12 @@ and pool rows gathered from the tables.  While the encoder stays frozen,
 the cache also stands in for encoding a pool response again: re-ranking
 reads its rows.
 
+The encoder is frozen from rerank-train on, so the pool is encoded once
+for it: rerank-train builds the cache and stores its rows in the rerank
+checkpoint (PoolCache.stored), and chat and evaluate make their cache
+from those rows and the run directory's tokenized pool
+(restore_pool_cache) without an encoder pass.
+
 The QRM head scores a table of rows, each distinct row through psi_m
 once, at index pairs (model.match_logit): qrm_step's table comes from
 encode_unique, and two_stage_rank stacks the query's psi_m row on its
@@ -35,6 +41,8 @@ on the rows query_rows makes for a batch of queries.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import warnings
 from dataclasses import dataclass
 
@@ -51,14 +59,18 @@ from .model import (ModelConfig, adapter_apply, adapter_params,
 
 @dataclass
 class PoolCache:
-    """Per-epoch constants: raw mean-pooled embeddings and token lists.
+    """Constants of a frozen encoder: pooled pool rows and token lists.
 
     query_emb holds the pool queries through the SQD encoder, resp_emb the
     responses through the shared encoder, or None where nothing reads
     them (the retrieval stage's mining reads only the query side).
-    resp_row, derived on construction, maps each response's token tuple
-    to its row of resp_emb (the first row when responses repeat).
-    projected() serves the pool through an adapter.
+    The adversarial stage builds a cache each epoch (build_pool_cache),
+    the retrieval stage one of query rows alone; rerank-train builds one
+    for the stage and stores its rows in its checkpoint (stored), and
+    chat and evaluate read them back (restore_pool_cache).  resp_row,
+    derived on construction, maps each response's token tuple to its row
+    of resp_emb (the first row when responses repeat).  projected() serves
+    the pool through an adapter.
     """
 
     query_ids: list          # token id list per pool entry, entry order
@@ -71,6 +83,19 @@ class PoolCache:
         for i, ids in enumerate(self.resp_ids):
             self.resp_row.setdefault(tuple(ids), i)
         self._tables: dict = {}  # task -> (adapter arrays, table)
+
+    def token_digest(self) -> str:
+        """sha256 of the token ids the rows stand for, queries then
+        responses, in entry order."""
+        text = json.dumps([self.query_ids, self.resp_ids],
+                          separators=(",", ":"))
+        return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+    def stored(self) -> tuple:
+        """(token digest, rows by name): what a rerank checkpoint keeps of
+        the cache (checkpoint.save_checkpoint's pool)."""
+        return self.token_digest(), {"query_emb": self.query_emb,
+                                     "resp_emb": self.resp_emb}
 
     def projected(self, params: dict, task: str) -> np.ndarray:
         """(P, d_proj) pool rows through the task's adapter, gradient-free.
@@ -116,13 +141,29 @@ def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
 
     Pool queries go through the SQD encoder, which recall compares them
     in; responses through the shared encoder, which the matching head and
-    the re-ranker read.
+    the re-ranker read.  The adversarial stage calls it each epoch, and
+    rerank-train and each sweep cell once; chat and evaluate never do, as
+    they read the rows rerank-train stored (restore_pool_cache).
     """
     query_ids = pool_token_lists(pool, vocab, "query")
     resp_ids = pool_token_lists(pool, vocab, "response")
     return PoolCache(query_ids, resp_ids,
                      embed_pool(params, cfg, query_ids, sqd_prefix(params)),
                      embed_pool(params, cfg, resp_ids))
+
+
+def restore_pool_cache(pool: CandidatePool, vocab: Vocab,
+                       stored: tuple | None) -> PoolCache | None:
+    """The PoolCache whose rows a checkpoint stored (PoolCache.stored),
+    over this pool's token lists; None when stored is None or its rows
+    were encoded from other token ids."""
+    if stored is None:
+        return None
+    token_digest, rows = stored
+    cache = PoolCache(pool_token_lists(pool, vocab, "query"),
+                      pool_token_lists(pool, vocab, "response"),
+                      rows["query_emb"], rows["resp_emb"])
+    return cache if cache.token_digest() == token_digest else None
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,

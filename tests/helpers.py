@@ -1,10 +1,13 @@
 """Shared test utilities and the reference oracles several tests compare
 the package against."""
 
+import json
+
 import numpy as np
 
 from heronet import autodiff as ad
 from heronet.autodiff import Tensor
+from heronet.checkpoint import load_checkpoint, save_checkpoint
 from heronet.config import TrainConfig
 from heronet.corpus import BOS_ID
 from heronet.model import adapter_apply, decoder_logits
@@ -94,3 +97,22 @@ def psi_m_inputs(params: dict, monkeypatch) -> list:
 
     monkeypatch.setattr(ad, "linear", spy)
     return seen
+
+
+def strip_pool_rows(out, cfg: TrainConfig):
+    """Save the rerank checkpoint under `out` again without its pool rows."""
+    params, manifest = load_checkpoint(out / "ckpt_rerank")
+    save_checkpoint(out / "ckpt_rerank", params, "rerank", cfg,
+                    manifest["step"])
+
+
+def swap_pool_queries(out):
+    """Swap the query texts of the first two pool entries whose queries
+    differ: the vocabulary stays, the pool's token id lists do not."""
+    path = out / "pool.jsonl"
+    entries = [json.loads(line) for line in path.read_text().splitlines()]
+    j = next(i for i, e in enumerate(entries)
+             if e["query"] != entries[0]["query"])
+    entries[0]["query"], entries[j]["query"] = (entries[j]["query"],
+                                                entries[0]["query"])
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))

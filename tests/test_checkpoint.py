@@ -10,6 +10,7 @@ from heronet.autodiff import Tensor
 from heronet.checkpoint import (
     checkpoint_stage,
     load_checkpoint,
+    read_checkpoint,
     save_checkpoint,
 )
 from heronet.config import TrainConfig
@@ -21,6 +22,15 @@ def small_params():
     cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, d_ff=16,
                       n_layers=1, d_proj=4, max_seq_len=10)
     return init_params(cfg, seed=3)
+
+
+@pytest.fixture
+def pool():
+    """(token digest, rows) as PoolCache.stored gives them."""
+    rng = np.random.default_rng(0)
+    return "ab" * 32, {
+        name: rng.standard_normal((5, 8)).astype(np.float32)
+        for name in ("query_emb", "resp_emb")}
 
 
 class TestRoundTrip:
@@ -58,19 +68,26 @@ class TestRoundTrip:
 
 
 class TestManifest:
-    def test_offsets_contiguous(self, small_params, tmp_path):
-        stem = tmp_path / "ck"
-        jp, bp = save_checkpoint(stem, small_params, "rerank", TrainConfig(),
-                                 step=3)
-        manifest = json.loads(open(jp).read())
-        pos = 0
-        for entry in manifest["tensors"]:
-            assert entry["offset"] == pos
-            want = int(np.prod(entry["shape"])) * 4 if entry["shape"] else 4
-            assert entry["bytes"] == want
-            pos += entry["bytes"]
-        assert pos == manifest["blob_bytes"]
-        assert pos == len(open(bp, "rb").read())
+    def test_offsets_contiguous(self, small_params, pool, tmp_path):
+        """The parameters, then any pool rows, fill the blob in order."""
+        for stem, rows in ((tmp_path / "ck", None), (tmp_path / "pk", pool)):
+            jp, bp = save_checkpoint(stem, small_params, "rerank",
+                                     TrainConfig(), step=3, pool=rows)
+            manifest = json.loads(open(jp).read())
+            entries = manifest["tensors"]
+            if rows is None:
+                assert "pool" not in manifest
+            else:
+                entries = entries + manifest["pool"]["rows"]
+            pos = 0
+            for entry in entries:
+                assert entry["offset"] == pos
+                want = (int(np.prod(entry["shape"])) * 4 if entry["shape"]
+                        else 4)
+                assert entry["bytes"] == want
+                pos += entry["bytes"]
+            assert pos == manifest["blob_bytes"]
+            assert pos == len(open(bp, "rb").read())
 
     def test_names_sorted(self, small_params, tmp_path):
         stem = tmp_path / "ck"
@@ -83,6 +100,50 @@ class TestManifest:
         assert checkpoint_stage(stem) is None
         save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0)
         assert checkpoint_stage(stem) == "adversarial"
+
+
+class TestPoolRows:
+    def test_round_trip(self, small_params, pool, tmp_path):
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "rerank", TrainConfig(), step=2,
+                        pool=pool)
+        params, manifest, (digest, rows) = read_checkpoint(stem)
+        assert digest == pool[0]
+        assert manifest["pool"]["token_sha256"] == pool[0]
+        assert sorted(rows) == sorted(pool[1])
+        for name, want in pool[1].items():
+            assert rows[name].dtype == np.float32
+            assert rows[name].tobytes() == want.tobytes()
+        loaded, _ = load_checkpoint(stem)
+        assert set(loaded) == set(params) == set(small_params)
+
+    def test_without_rows_reads_none(self, small_params, tmp_path):
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0)
+        assert read_checkpoint(stem)[2] is None
+
+    def test_parameter_section_unchanged(self, small_params, pool, tmp_path):
+        save_checkpoint(tmp_path / "a", small_params, "rerank", TrainConfig(),
+                        0, pool=pool)
+        save_checkpoint(tmp_path / "b", small_params, "rerank", TrainConfig(),
+                        0)
+        with_rows = (tmp_path / "a.bin").read_bytes()
+        without = (tmp_path / "b.bin").read_bytes()
+        assert with_rows.startswith(without) and with_rows != without
+        assert json.loads((tmp_path / "a.json").read_text())["tensors"] == \
+            json.loads((tmp_path / "b.json").read_text())["tensors"]
+
+    def test_flipped_row_byte_fails_hash(self, small_params, pool, tmp_path):
+        stem = tmp_path / "ck"
+        jp, bp = save_checkpoint(stem, small_params, "rerank", TrainConfig(),
+                                 0, pool=pool)
+        at = json.loads(open(jp).read())["pool"]["rows"][-1]["offset"]
+        raw = bytearray(open(bp, "rb").read())
+        raw[at] ^= 0x01
+        open(bp, "wb").write(bytes(raw))
+        for read in (load_checkpoint, read_checkpoint):
+            with pytest.raises(ValueError, match="hash"):
+                read(stem)
 
 
 class TestErrors:

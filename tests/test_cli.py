@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 import heronet
 from heronet.config import parse_config
+
+from helpers import strip_pool_rows, swap_pool_queries
 
 # The child interpreter imports the same heronet the tests do, whether it
 # came from PYTHONPATH or from pytest's pythonpath setting.
@@ -116,6 +119,24 @@ class TestStageOrder:
                       str(tmp_path))
         assert res.returncode == 3
         assert "stage error" in res.stderr
+
+    @pytest.mark.parametrize("damage", ["strip_rows", "edit_pool"])
+    def test_stale_pool_rows_exit_3(self, cfg_path, trained, tmp_path,
+                                    damage):
+        """Chat and evaluate refuse a rerank checkpoint without pool rows,
+        or with rows of another pool, and name the stage that writes them."""
+        for item in trained.iterdir():
+            if item.is_file():
+                shutil.copy(item, tmp_path / item.name)
+        if damage == "strip_rows":
+            strip_pool_rows(tmp_path, parse_config(cfg_path))
+        else:
+            swap_pool_queries(tmp_path)
+        for cmd, stdin in (("evaluate", ""), ("chat", "hi\n")):
+            res = run_cli(cmd, "--config", str(cfg_path), "--out",
+                          str(tmp_path), stdin=stdin)
+            assert res.returncode == 3, cmd
+            assert "heronet rerank-train" in res.stderr
 
 
 class TestRun:

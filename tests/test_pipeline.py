@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from heronet import pipeline
-from heronet.checkpoint import checkpoint_stage, load_checkpoint
+from heronet.checkpoint import (checkpoint_stage, load_checkpoint,
+                                read_checkpoint)
 from heronet.config import TrainConfig, parse_config
 from heronet.generation import GenLossReport
 from heronet.model import params_fingerprint
@@ -20,8 +21,9 @@ from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
                               stage_evaluate, stage_gen_data,
                               stage_rerank_train, stage_retrieval,
                               stage_sweep, stage_warmup)
+from heronet.retrieval import build_pool_cache, pool_token_lists
 
-from helpers import tiny_config
+from helpers import strip_pool_rows, swap_pool_queries, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -126,6 +128,33 @@ def copy_run(src, dest, skip=()):
             shutil.copy(item, dest / item.name)
 
 
+def spy_pool_encodes(monkeypatch) -> tuple:
+    """Spy on every binding of build_pool_cache and encode_mean_pool.
+
+    Returns the list of pool-cache builds and the list of token tuples
+    sent to either encoder, both filled as calls happen.
+    """
+    from heronet import generation, model, retrieval
+
+    builds, encoded = [], []
+    real_build, real_encode = retrieval.build_pool_cache, \
+        model.encode_mean_pool
+
+    def build_spy(*args, **kwargs):
+        builds.append(args)
+        return real_build(*args, **kwargs)
+
+    def encode_spy(params, cfg, ids, mask=None, prefix=""):
+        encoded.extend(tuple(s) for s in ids)
+        return real_encode(params, cfg, ids, mask, prefix)
+
+    for mod in (pipeline, retrieval):
+        monkeypatch.setattr(mod, "build_pool_cache", build_spy)
+    for mod in (model, pipeline, generation, retrieval):
+        monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
+    return builds, encoded
+
+
 class TestClusterSidecar:
     def test_ids_match_the_generator(self, cfg, run_dir):
         from heronet.corpus import generate_synthetic_corpus
@@ -163,7 +192,6 @@ class TestRetrievalStage:
         """Mining reads the pool's query rows only: gradient-free encodes
         cover pool and anchor queries, never a pool response."""
         from heronet import model, retrieval
-        from heronet.retrieval import pool_token_lists
 
         copy_run(run_dir, tmp_path)
         frozen = set()
@@ -319,13 +347,14 @@ class TestEvaluate:
         # set must not depend on it, nor, with n > 1, the sampled extras
         # that each query draws from its own stream
         corpus, vocab, mcfg = load_world(cfg, run_dir)
-        params, _ = load_checkpoint(run_dir / "ckpt_rerank")
+        params, cache = pipeline._load_served(run_dir, corpus, vocab)
         got = []
         for bs in (1, 4):
             out = tmp_path / f"bs{bs}"
             out.mkdir()
             report = pipeline.evaluate_params(
-                params, replace(cfg, n=n, bs=bs), corpus, vocab, mcfg, out)
+                params, cache, replace(cfg, n=n, bs=bs), corpus, vocab, mcfg,
+                out)
             got.append((report, (out / "rerank_trace.jsonl").read_text()))
         assert got[0] == got[1]
 
@@ -361,6 +390,12 @@ class TestSweep:
             for cell in row[2:]:
                 assert np.isfinite(float(cell))
 
+    def test_cell_builds_the_pool_once(self, cfg, run_dir, monkeypatch):
+        """A cell's evaluation reads the cache its re-rank stage built."""
+        builds, _ = spy_pool_encodes(monkeypatch)
+        stage_sweep(cfg, run_dir, [cfg.m], [cfg.n])
+        assert len(builds) == 1
+
     def test_invalid_cell_is_a_config_error(self, cfg, run_dir):
         from heronet.config import ConfigError
         with pytest.raises(ConfigError):
@@ -383,6 +418,73 @@ def abl_run_dir(abl_cfg, tmp_path_factory):
     return out
 
 
+@pytest.fixture(params=["shared_encoder", "no_multi_learning"])
+def chain(request):
+    """(config, run dir) of the full chain, then of the ablation with a
+    separate SQD encoder."""
+    if request.param == "shared_encoder":
+        return (request.getfixturevalue("cfg"),
+                request.getfixturevalue("run_dir"))
+    return (request.getfixturevalue("abl_cfg"),
+            request.getfixturevalue("abl_run_dir"))
+
+
+class TestStoredPoolRows:
+    """rerank-train stores the pool rows of its frozen encoder in its
+    checkpoint; evaluate and chat read them instead of encoding the pool."""
+
+    def test_rows_equal_a_fresh_build(self, chain):
+        cfg, out = chain
+        corpus, vocab, mcfg = load_world(cfg, out)
+        params, _, (digest, rows) = read_checkpoint(out / "ckpt_rerank")
+        built = build_pool_cache(params, mcfg, vocab, corpus.pool)
+        assert digest == built.token_digest()
+        for name in ("query_emb", "resp_emb"):
+            want = getattr(built, name)
+            assert rows[name].dtype == want.dtype == np.float32
+            assert rows[name].tobytes() == want.tobytes()
+
+    def test_evaluate_encodes_no_pool_entry(self, chain, monkeypatch):
+        """Evaluate encodes its test queries, sources and generated
+        candidates; a pool query reaches an encoder only as a test query,
+        a pool response never."""
+        from heronet.corpus import encode_text
+
+        cfg, out = chain
+        corpus, vocab, mcfg = load_world(cfg, out)
+        builds, encoded = spy_pool_encodes(monkeypatch)
+        stage_evaluate(cfg, out)
+        rows = set(encoded)
+        pool_q, pool_r = ({tuple(ids) for ids in
+                           pool_token_lists(corpus.pool, vocab, kind)}
+                          for kind in ("query", "response"))
+        test_q = {tuple(encode_text(p.query, vocab, mcfg.max_seq_len))
+                  for p in corpus.test}
+        assert builds == [] and rows
+        assert not rows & pool_r
+        assert rows & pool_q <= test_q
+
+    @pytest.mark.parametrize("damage", ["strip_rows", "edit_pool"])
+    def test_stale_rows_are_a_stage_error(self, cfg, run_dir, tmp_path,
+                                          damage):
+        """A rerank checkpoint without rows, or a pool edited after
+        rerank-train, sends the user back to rerank-train, which mends
+        it."""
+        copy_run(run_dir, tmp_path)
+        if damage == "strip_rows":
+            strip_pool_rows(tmp_path, cfg)
+        else:
+            swap_pool_queries(tmp_path)
+        with pytest.raises(StageOrderError, match="heronet rerank-train"):
+            stage_evaluate(cfg, tmp_path)
+        with pytest.raises(StageOrderError, match="heronet rerank-train"):
+            run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
+                     stdout=io.StringIO())
+        stage_rerank_train(cfg, tmp_path)
+        assert run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
+                        stdout=io.StringIO()) == 0
+
+
 class TestAblations:
     def test_separate_encoder_persists_through_chain(self, abl_cfg,
                                                      abl_run_dir):
@@ -392,38 +494,16 @@ class TestAblations:
         report = stage_evaluate(abl_cfg, abl_run_dir)
         assert all(np.isfinite(v) for v in report.values())
 
-    def test_chat_builds_one_pool_cache(self, abl_cfg, abl_run_dir,
-                                        monkeypatch):
-        """With a separate SQD encoder, chat still builds the pool cache
-        once: each distinct pool query through the SQD encoder, each
-        distinct response through the shared one, once."""
-        from heronet import model, retrieval
-        from heronet.retrieval import pool_token_lists
-
-        builds, seen = [], {}
-        real_build = pipeline.build_pool_cache
-        real_encode = model.encode_mean_pool
-
-        def build_spy(*args, **kwargs):
-            builds.append(args)
-            return real_build(*args, **kwargs)
-
-        def encode_spy(params, cfg, ids, mask=None, prefix=""):
-            seen.setdefault(prefix, []).extend(tuple(s) for s in ids)
-            return real_encode(params, cfg, ids, mask, prefix)
-
-        monkeypatch.setattr(pipeline, "build_pool_cache", build_spy)
-        for mod in (model, retrieval):
-            monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
-        # no input lines, so every encoding is the set-up's
+    def test_chat_set_up_encodes_nothing(self, abl_cfg, abl_run_dir,
+                                         monkeypatch):
+        """With a separate SQD encoder too, chat reads the pool rows from
+        the rerank checkpoint: its set-up builds no pool cache and sends
+        nothing to either encoder."""
+        builds, encoded = spy_pool_encodes(monkeypatch)
+        # no input lines, so every encoding would be the set-up's
         run_chat(abl_cfg, abl_run_dir, stdin=io.StringIO(""),
                  stdout=io.StringIO())
-        assert len(builds) == 1
-        corpus, vocab, _ = load_world(abl_cfg, abl_run_dir)
-        assert {prefix: sorted(rows) for prefix, rows in seen.items()} == {
-            prefix: sorted({tuple(ids) for ids in
-                            pool_token_lists(corpus.pool, vocab, kind)})
-            for prefix, kind in (("sqd_enc.", "query"), ("", "response"))}
+        assert builds == [] and encoded == []
 
     def test_full_chain_has_single_encoder(self, run_dir):
         params, _ = load_checkpoint(run_dir / "ckpt_rerank")
@@ -481,12 +561,12 @@ class TestChat:
     def test_encodes_each_query_once(self, cfg, run_dir, monkeypatch):
         """Per line the encoder sees the query once, the knowledge-spliced
         source, and the generated candidates that are not pool responses;
-        before the first line, only the pool."""
+        before the first line, nothing: the pool rows come from the rerank
+        checkpoint."""
         from collections import Counter
 
         from heronet import generation, model, retrieval
         from heronet.corpus import encode_text
-        from heronet.retrieval import pool_token_lists
 
         events = []
         real_encode = model.encode_mean_pool
@@ -515,14 +595,11 @@ class TestChat:
 
         run_chat(cfg, run_dir, stdin=feed(), stdout=io.StringIO())
         corpus, vocab, mcfg = load_world(cfg, run_dir)
-        pool = {tuple(ids) for kind in ("query", "response")
-                for ids in pool_token_lists(corpus.pool, vocab, kind)}
         responses = {tuple(ids) for ids in
                      pool_token_lists(corpus.pool, vocab, "response")}
         starts = [i for i, (kind, _) in enumerate(events) if kind == "line"]
         assert len(starts) == len(queries)
-        assert {row for kind, rows in events[:starts[0]]
-                for row in rows} == pool
+        assert starts[0] == 0
         for lo, hi in zip(starts, starts[1:] + [len(events)]):
             query = events[lo][1]
             rows = [row for kind, got in events[lo + 1:hi] if kind == "rows"
