@@ -7,16 +7,25 @@ switches given on the command line are OR-ed onto the config file.
 
 Exit codes: 0 success, 2 bad config, 3 stage run out of order,
 4 training aborted on a non-finite loss or update.
+
+Importing this module pins BLAS to one thread before numpy loads, as
+the benchmark does: the order of the float sums in a matrix product
+depends on the thread count, so a checkpoint is byte-identical to one
+made elsewhere only at the same count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
-from . import pipeline
-from .config import ConfigError, TrainConfig, parse_config
-from .pipeline import NumericalAbort, StageOrderError
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from . import pipeline  # noqa: E402
+from .config import ConfigError, TrainConfig, parse_config  # noqa: E402
+from .pipeline import NumericalAbort, StageOrderError  # noqa: E402
 
 
 def _int_list(text: str) -> list:
@@ -31,7 +40,8 @@ def _int_list(text: str) -> list:
 
 
 _STAGE_HELP = [
-    ("gen-data", "write the synthetic corpus and a config snapshot"),
+    ("gen-data", "write the synthetic corpus, its vocabulary and a config "
+                 "snapshot"),
     ("warmup", "maximum-likelihood generator warm-up"),
     ("pretrain-retrieval", "similarity and matching adapter pretraining"),
     ("adv-train", "adversarial generator/ranker training"),

@@ -10,6 +10,11 @@ clusters.json sidecar instead.
 JSONL schemas:
   dialogue pair   {"context": [...], "query": "...", "response": "..."}
   candidate pool  {"id": 0, "query": "...", "response": "..."}
+
+The vocabulary is built once, by gen-data, and written as vocab.json:
+  {"vocab_size": 512, "tokens": ["[PAD]", "[UNK]", ...]}
+where vocab_size is the max_size build_vocab was given and tokens lists
+the entries in id order, the reserved entries first.
 """
 
 from __future__ import annotations
@@ -384,6 +389,26 @@ def build_vocab(corpus: Corpus, max_size: int = 512) -> Vocab:
     ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
     kept = [tok for tok, _ in ranked[: max_size - len(RESERVED)]]
     return Vocab(list(RESERVED) + kept)
+
+
+def write_vocab(path, vocab: Vocab, max_size: int) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps({"vocab_size": max_size,
+                             "tokens": vocab.id_to_token},
+                            ensure_ascii=False) + "\n")
+
+
+def read_vocab(path) -> tuple[Vocab, int]:
+    """(vocabulary, the max_size it was built with) from a vocab.json."""
+    with open(path, encoding="utf-8") as fh:
+        rec = json.load(fh)
+    tokens, max_size = rec["tokens"], int(rec["vocab_size"])
+    if (tuple(tokens[:len(RESERVED)]) != RESERVED or len(tokens) > max_size
+            or len(set(tokens)) != len(tokens)
+            or not all(isinstance(t, str) for t in tokens)):
+        raise ValueError(f"{path} is not a vocabulary of at most {max_size} "
+                         "distinct tokens led by the reserved entries")
+    return Vocab(list(tokens)), max_size
 
 
 def encode_text(text: str, vocab: Vocab, max_len: int | None = None) -> list[int]:

@@ -2,15 +2,17 @@
 
 Stages form a strict chain -- gen-data, warmup, pretrain-retrieval,
 adv-train, rerank-train -- each consuming the previous stage's checkpoint
-and leaving its own plus a CSV loss log.  Running a stage out of order
-raises StageOrderError.  Every training stage runs its epochs through one
-driver, which saves the checkpoint and rewrites the log after each epoch,
-so a non-finite loss or weight update (NumericalAbort) or a kill leaves
-the last completed epoch's checkpoint and log rows on disk.  A
-checkpoint's `step` counts the optimizer steps taken so far: epochs times
-batches per epoch.  The rerank checkpoint also carries the pool rows that
-rerank-train encoded with the frozen encoder; chat and evaluate read them
-and encode no pool entry.
+and leaving its own plus a CSV loss log.  gen-data builds the vocabulary
+and writes it to vocab.json; every later stage, evaluate, sweep and chat
+read it from there.  Running a stage out of order raises StageOrderError.
+Every training stage runs its epochs through one driver, which saves the
+checkpoint and rewrites the log after each epoch, so a non-finite loss
+or weight update (NumericalAbort) or a kill leaves the last completed
+epoch's checkpoint and log rows on disk.  A checkpoint's `step` counts
+the optimizer steps taken so far: epochs times batches per epoch.  The
+rerank checkpoint also carries the pool rows that rerank-train encoded
+with the frozen encoder; chat and evaluate read them and encode no pool
+entry, and chat reads no split file.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -42,7 +44,8 @@ from .checkpoint import (checkpoint_stage, load_checkpoint, read_checkpoint,
 from .config import TrainConfig, validate_config
 from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      generate_synthetic_corpus, read_pairs, read_pool,
-                     splice_context, validate_corpus, write_pairs, write_pool)
+                     read_vocab, splice_context, validate_corpus, write_pairs,
+                     write_pool, write_vocab)
 from .discriminator import disc_step, score_pairs
 from .generation import (generate_candidates, pg_step, sequence_ce,
                          splice_knowledge, build_teacher_batch)
@@ -71,7 +74,8 @@ _CKPT = {"warmup": "ckpt_warmup", "retrieval": "ckpt_retrieval",
 _STAGE_CMD = {"warmup": "warmup", "retrieval": "pretrain-retrieval",
               "adversarial": "adv-train", "rerank": "rerank-train"}
 
-_DATA_FILES = ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl")
+_DATA_FILES = ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl",
+               "vocab.json")
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +108,38 @@ def _records(corpus) -> dict:
             "test": corpus.test, "pool": corpus.pool.entries}
 
 
+def _require_data(out: Path, names) -> None:
+    missing = [f for f in names if not (out / f).exists()]
+    if missing:
+        raise StageOrderError(f"missing {', '.join(missing)} under {out}; "
+                              "run heronet gen-data first")
+
+
+def _load_vocab(cfg: TrainConfig, out: Path) -> tuple:
+    """(vocabulary, model shape) from the vocab.json gen-data wrote.
+
+    A vocabulary built with another vocab_size than cfg's is a stage
+    error: gen-data, run again with this config, rebuilds it.
+    """
+    path = out / "vocab.json"
+    vocab, built_with = read_vocab(path)
+    if built_with != cfg.vocab_size:
+        raise StageOrderError(
+            f"{path} was built with vocab_size={built_with}, the config "
+            f"asks for {cfg.vocab_size}; run heronet gen-data again")
+    return vocab, model_config(cfg, vocab)
+
+
 def load_world(cfg: TrainConfig, out: Path):
     """Corpus, vocabulary, and model shape from the gen-data artifacts.
 
-    Cluster ids come from the clusters.json sidecar; without it every
-    record keeps cluster_id None.
+    The vocabulary is the one gen-data wrote to vocab.json; nothing here
+    counts tokens.  Cluster ids come from the clusters.json sidecar;
+    without it every record keeps cluster_id None.
     """
     out = Path(out)
-    missing = [f for f in _DATA_FILES if not (out / f).exists()]
-    if missing:
-        raise StageOrderError(
-            f"missing {', '.join(missing)} under {out}; run gen-data first")
+    _require_data(out, _DATA_FILES)
+    vocab, mcfg = _load_vocab(cfg, out)
     corpus = Corpus(train=read_pairs(out / "train.jsonl"),
                     valid=read_pairs(out / "valid.jsonl"),
                     test=read_pairs(out / "test.jsonl"),
@@ -129,8 +154,7 @@ def load_world(cfg: TrainConfig, out: Path):
                                  f"per {split} record ({len(records)})")
             for rec, cid in zip(records, ids[split]):
                 rec.cluster_id = cid
-    vocab = build_vocab(corpus, cfg.vocab_size)
-    return corpus, vocab, model_config(cfg, vocab)
+    return corpus, vocab, mcfg
 
 
 def _stage_stem(out: Path, stage: str) -> Path:
@@ -156,13 +180,13 @@ def _load_stage(out: Path, stage: str):
     return params
 
 
-def _load_served(out: Path, corpus, vocab) -> tuple:
+def _load_served(out: Path, pool, vocab) -> tuple:
     """(params, cache) of the rerank checkpoint, the cache made from the
     pool rows rerank-train stored in it, with no encoder pass."""
     stem = _stage_stem(out, "rerank")
     params, manifest, stored = read_checkpoint(stem)
     _check_tag(stem, manifest, "rerank")
-    cache = restore_pool_cache(corpus.pool, vocab, stored)
+    cache = restore_pool_cache(pool, vocab, stored)
     if cache is None:
         raise StageOrderError(
             f"checkpoint {stem} holds no pool rows encoded from the pool "
@@ -258,6 +282,12 @@ def _resp_ids(pairs, vocab):
 
 
 def stage_gen_data(cfg: TrainConfig, out) -> dict:
+    """Write the corpus splits, the pool, clusters.json, config.txt and,
+    last, vocab.json under `out`.
+
+    The vocabulary is built here and nowhere else: every later stage,
+    evaluate, sweep and chat read it from vocab.json.
+    """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     corpus = generate_synthetic_corpus(seed=cfg.seed, n_train=cfg.n_train,
@@ -273,6 +303,7 @@ def stage_gen_data(cfg: TrainConfig, out) -> dict:
                                        encoding="utf-8")
     (out / "config.txt").write_text(render_config(cfg), encoding="utf-8")
     vocab = build_vocab(corpus, cfg.vocab_size)
+    write_vocab(out / "vocab.json", vocab, cfg.vocab_size)
     summary = {"train": len(corpus.train), "valid": len(corpus.valid),
                "test": len(corpus.test), "pool": corpus.pool.size,
                "vocab": vocab.size}
@@ -430,16 +461,16 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
 # rerank training
 
 
-def _rerank_epoch(params, cfg, corpus, vocab, mcfg) -> tuple:
-    """The re-rank epoch body and its pool cache; rerank-train and every
-    sweep cell run it.
+def _rerank_epoch(params, cfg, corpus, vocab, mcfg, cache: PoolCache):
+    """The re-rank epoch body; rerank-train and every sweep cell run it.
 
-    Only the matching head may move: the body checks that the rest of the
-    parameters still hash as before, ahead of any checkpoint, so the
-    cache, built once here, stays the frozen encoder's for the stage and
-    for the evaluation after it.
+    cache holds the pool rows of params' encoder, built by the caller:
+    rerank-train builds one, a sweep one for all its cells, which start
+    from the same checkpoint.  Only the matching head may move: the body
+    checks that the rest of the parameters still hash as before, ahead of
+    any checkpoint, so the cache stays the frozen encoder's for the stage
+    and for the evaluation after it.
     """
-    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     bm25_r = Bm25Index(cache.resp_ids)
     opt = ad.Adam(param_subset(params, "rerank"), cfg.retrieval_lr)
     encoder_names = [k for k in params if not k.startswith("psi_m.")]
@@ -455,13 +486,14 @@ def _rerank_epoch(params, cfg, corpus, vocab, mcfg) -> tuple:
             raise RuntimeError("rerank training must leave the encoder frozen")
         return math.ceil(len(order) / cfg.bs), [loss]
 
-    return epoch, cache
+    return epoch
 
 
 def stage_rerank_train(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "adversarial")
-    epoch, cache = _rerank_epoch(params, cfg, corpus, vocab, mcfg)
+    cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
+    epoch = _rerank_epoch(params, cfg, corpus, vocab, mcfg, cache)
     return _run_epochs(cfg, out, "rerank", params, ["bce"],
                        cfg.rerank_epochs, epoch, pool=cache.stored())
 
@@ -549,7 +581,7 @@ def evaluate_params(params, cache: PoolCache, cfg: TrainConfig, corpus,
 
 def stage_evaluate(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
-    params, cache = _load_served(out, corpus, vocab)
+    params, cache = _load_served(out, corpus.pool, vocab)
     report = evaluate_params(params, cache, cfg, corpus, vocab, mcfg, out)
     _say(render_table(report, title="evaluation (test split)"))
     return report
@@ -565,10 +597,10 @@ _SWEEP_METRICS = ["bleu", "rouge_l", "meteor", "chrf", "mrr", "acc",
 
 def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
     corpus, vocab, mcfg = load_world(cfg, out)
-    if checkpoint_stage(Path(out) / _CKPT["adversarial"]) is None:
-        raise StageOrderError(
-            f"sweep requires the adversarial checkpoint under {out}; "
-            "run adv-train first")
+    # every cell starts from the adversarial checkpoint's frozen encoder,
+    # so one pool cache serves them all
+    cache = build_pool_cache(_load_stage(out, "adversarial"), mcfg, vocab,
+                             corpus.pool)
     m_values = list(m_values) if m_values else [cfg.m]
     n_values = list(n_values) if n_values else [cfg.n]
     rows = []
@@ -577,7 +609,7 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
             cell = replace(cfg, m=m, n=n, k=min(cfg.k, m + n + 1))
             validate_config(cell)
             params = _load_stage(out, "adversarial")
-            epoch, cache = _rerank_epoch(params, cell, corpus, vocab, mcfg)
+            epoch = _rerank_epoch(params, cell, corpus, vocab, mcfg, cache)
             _run_epochs(cell, None, "rerank", params, ["bce"],
                         cell.rerank_epochs, epoch)
             report = evaluate_params(params, cache, cell, corpus, vocab,
@@ -599,9 +631,12 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
 def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
     """Answer each stdin line from the rerank checkpoint until EOF.
 
-    The pool rows come from that checkpoint, where rerank-train stored
-    them, so set-up encodes nothing; each line encodes only its query,
-    its source and the generated candidates that are not pool responses.
+    Set-up reads pool.jsonl, the vocab.json gen-data wrote and the rerank
+    checkpoint, nothing else: no split file is opened and no token
+    counted.  The pool rows come from that checkpoint, where rerank-train
+    stored them with a digest of the pool's token ids, so set-up encodes
+    nothing; each line encodes only its query, its source and the
+    generated candidates that are not pool responses.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -609,8 +644,11 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
     def emit(line):
         print(line, file=stdout, flush=True)
 
-    corpus, vocab, mcfg = load_world(cfg, out)
-    params, cache = _load_served(out, corpus, vocab)
+    out = Path(out)
+    _require_data(out, ("pool.jsonl", "vocab.json"))
+    vocab, mcfg = _load_vocab(cfg, out)
+    pool = read_pool(out / "pool.jsonl")
+    params, cache = _load_served(out, pool, vocab)
     emit(f"[chat] ready; retrieving {cfg.m}, generating {cfg.n}, "
          f"showing top {cfg.k} (blank line is ignored, EOF exits)")
     for line in stdin:
@@ -621,7 +659,7 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         rng = np.random.default_rng([cfg.seed, seeds.CHAT,
                                      zlib.crc32(text.encode())])
         [drawn], q_row = generate_candidates(
-            params, mcfg, vocab, [text], corpus.pool, cache, cfg.m, cfg.n,
+            params, mcfg, vocab, [text], pool, cache, cfg.m, cfg.n,
             not cfg.no_kg, [rng], cfg.max_gen_len)
         cands = build_candidate_set(mcfg, vocab, None, drawn, cache, None,
                                     cfg.m)

@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -137,6 +138,58 @@ class TestStageOrder:
                           str(tmp_path), stdin=stdin)
             assert res.returncode == 3, cmd
             assert "heronet rerank-train" in res.stderr
+
+
+    @pytest.mark.parametrize("damage", ["no_vocab", "other_size"])
+    def test_missing_or_resized_vocab_exits_3(self, cfg_path, trained,
+                                              tmp_path, damage):
+        """A training stage and chat refuse a run directory without
+        vocab.json, or a config whose vocab_size is not the one it was
+        built with, and name gen-data."""
+        config = cfg_path
+        if damage == "other_size":
+            config = tmp_path / "resized.cfg"
+            config.write_text(TINY.replace("vocab_size = 256",
+                                           "vocab_size = 300"))
+        out = tmp_path / "run"
+        out.mkdir()
+        for item in trained.iterdir():
+            if item.is_file() and not (damage == "no_vocab"
+                                       and item.name == "vocab.json"):
+                shutil.copy(item, out / item.name)
+        for cmd, stdin in (("rerank-train", ""), ("chat", "hi\n")):
+            res = run_cli(cmd, "--config", str(config), "--out", str(out),
+                          stdin=stdin)
+            assert res.returncode == 3, cmd
+            assert "heronet gen-data" in res.stderr
+
+
+class TestBlasPin:
+    def test_one_thread_before_numpy_loads(self):
+        """Importing the CLI sets every BLAS thread variable to 1, and
+        numpy, which reads them once as it loads, loads after that."""
+        names = ["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                 "MKL_NUM_THREADS"]
+        code = textwrap.dedent(f"""
+            import json, os, sys
+            names, seen = {names!r}, []
+
+            class NumpyImport:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "numpy" and not seen:
+                        seen.append([os.environ.get(n) for n in names])
+
+            sys.meta_path.insert(0, NumpyImport())
+            import heronet.cli
+            print(json.dumps({{"at_numpy_import": seen,
+                              "after": [os.environ[n] for n in names]}}))
+            """)
+        res = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, timeout=120,
+                             env={**_ENV, **dict.fromkeys(names, "4")})
+        assert res.returncode == 0, res.stderr
+        assert json.loads(res.stdout) == {"at_numpy_import": [["1"] * 3],
+                                          "after": ["1"] * 3}
 
 
 class TestRun:

@@ -23,10 +23,12 @@ from heronet.corpus import (
     generate_synthetic_corpus,
     read_pairs,
     read_pool,
+    read_vocab,
     splice_context,
     validate_corpus,
     write_pairs,
     write_pool,
+    write_vocab,
 )
 
 
@@ -246,3 +248,26 @@ class TestJsonl:
         path.write_text("\n".join(lines) + "\n")
         back = read_pool(path)
         assert [e.id for e in back.entries] == [0, 1]
+
+    def test_vocab_round_trip(self, desk, tmp_path):
+        path = tmp_path / "vocab.json"
+        vocab = build_vocab(desk, max_size=100)
+        write_vocab(path, vocab, 100)
+        assert set(json.loads(path.read_text())) == {"vocab_size", "tokens"}
+        back, max_size = read_vocab(path)
+        assert back.id_to_token == vocab.id_to_token
+        assert back.token_to_id == vocab.token_to_id
+        assert max_size == 100
+
+    @pytest.mark.parametrize("tokens, max_size", [
+        (["[PAD]", "[UNK]", "the"], 10),                  # reserved cut short
+        (list(RESERVED) + ["the", "the"], 10),            # a repeated token
+        (list(RESERVED) + ["a", "b", "c"], 8),            # over its own size
+        (list(RESERVED) + [7], 10),                       # not a string
+    ])
+    def test_vocab_rejects_malformed(self, tmp_path, tokens, max_size):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"vocab_size": max_size,
+                                    "tokens": tokens}))
+        with pytest.raises(ValueError, match="vocabulary"):
+            read_vocab(path)

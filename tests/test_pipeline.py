@@ -51,7 +51,7 @@ def read_log(out, name):
 class TestGenData:
     def test_writes_corpus_and_snapshot(self, cfg, run_dir):
         for f in ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl",
-                  "clusters.json", "config.txt"):
+                  "clusters.json", "config.txt", "vocab.json"):
             assert (run_dir / f).exists()
         corpus, vocab, mcfg = load_world(cfg, run_dir)
         assert len(corpus.train) == cfg.n_train
@@ -153,6 +153,72 @@ def spy_pool_encodes(monkeypatch) -> tuple:
     for mod in (model, pipeline, generation, retrieval):
         monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
     return builds, encoded
+
+
+class TestVocabArtifact:
+    """gen-data builds the vocabulary once and writes vocab.json; every
+    later step reads it."""
+
+    def test_file_equals_a_count_of_the_corpus_files(self, cfg, run_dir):
+        from heronet.corpus import (Corpus, build_vocab, read_pairs,
+                                    read_pool, read_vocab)
+        back = Corpus(*(read_pairs(run_dir / f"{split}.jsonl")
+                        for split in ("train", "valid", "test")),
+                      read_pool(run_dir / "pool.jsonl"))
+        vocab, max_size = read_vocab(run_dir / "vocab.json")
+        assert max_size == cfg.vocab_size
+        assert vocab.id_to_token == \
+            build_vocab(back, cfg.vocab_size).id_to_token
+        assert load_world(cfg, run_dir)[1].id_to_token == vocab.id_to_token
+
+    def test_no_later_step_counts_tokens(self, cfg, tmp_path, monkeypatch):
+        from heronet import corpus
+
+        stage_gen_data(cfg, tmp_path)
+        counted, real = [], corpus.build_vocab
+
+        def spy(*args, **kwargs):
+            counted.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (corpus, pipeline):
+            monkeypatch.setattr(mod, "build_vocab", spy)
+        for stage in (stage_warmup, stage_retrieval, stage_adversarial,
+                      stage_rerank_train, stage_evaluate, stage_sweep):
+            stage(cfg, tmp_path)
+        run_chat(cfg, tmp_path, stdin=io.StringIO("book a table\n"),
+                 stdout=io.StringIO())
+        assert counted == []
+
+    def test_chat_reads_no_split_file(self, cfg, run_dir, tmp_path):
+        copy_run(run_dir, tmp_path, skip={"train.jsonl", "valid.jsonl",
+                                          "test.jsonl", "clusters.json"})
+        lines = "check the flight status\n\nwhere is my order\n"
+        said = []
+        for out in (run_dir, tmp_path):
+            stdout = io.StringIO()
+            assert run_chat(cfg, out, stdin=io.StringIO(lines),
+                            stdout=stdout) == 0
+            said.append(stdout.getvalue())
+        assert said[0] == said[1]
+
+    @pytest.mark.parametrize("damage", ["no_vocab", "other_size"])
+    def test_missing_or_resized_vocab_is_a_stage_error(self, cfg, run_dir,
+                                                       tmp_path, damage):
+        """No stage builds a vocabulary of its own: without vocab.json, or
+        with one built for another vocab_size, every reader sends the user
+        back to gen-data."""
+        copy_run(run_dir, tmp_path, skip={"vocab.json"}
+                 if damage == "no_vocab" else ())
+        if damage == "other_size":
+            cfg = replace(cfg, vocab_size=cfg.vocab_size + 1)
+        for stage in (stage_warmup, stage_retrieval, stage_adversarial,
+                      stage_rerank_train, stage_evaluate, stage_sweep):
+            with pytest.raises(StageOrderError, match="heronet gen-data"):
+                stage(cfg, tmp_path)
+        with pytest.raises(StageOrderError, match="heronet gen-data"):
+            run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
+                     stdout=io.StringIO())
 
 
 class TestClusterSidecar:
@@ -347,7 +413,7 @@ class TestEvaluate:
         # set must not depend on it, nor, with n > 1, the sampled extras
         # that each query draws from its own stream
         corpus, vocab, mcfg = load_world(cfg, run_dir)
-        params, cache = pipeline._load_served(run_dir, corpus, vocab)
+        params, cache = pipeline._load_served(run_dir, corpus.pool, vocab)
         got = []
         for bs in (1, 4):
             out = tmp_path / f"bs{bs}"
@@ -390,10 +456,12 @@ class TestSweep:
             for cell in row[2:]:
                 assert np.isfinite(float(cell))
 
-    def test_cell_builds_the_pool_once(self, cfg, run_dir, monkeypatch):
-        """A cell's evaluation reads the cache its re-rank stage built."""
+    def test_grid_builds_the_pool_once(self, cfg, run_dir, monkeypatch):
+        """Every cell starts from the adversarial checkpoint's frozen
+        encoder: the grid's re-rank stages and evaluations all read one
+        pool cache."""
         builds, _ = spy_pool_encodes(monkeypatch)
-        stage_sweep(cfg, run_dir, [cfg.m], [cfg.n])
+        stage_sweep(cfg, run_dir, [1, 2], [1, 2])
         assert len(builds) == 1
 
     def test_invalid_cell_is_a_config_error(self, cfg, run_dir):
