@@ -1,9 +1,11 @@
 """Checkpoint serialization.
 
-A checkpoint is two files sharing a stem: `<stem>.json` holds the manifest
-(tensor names, shapes, byte offsets, stage tag, config snapshot, seed,
-step, blob sha256) and `<stem>.bin` holds every tensor as little-endian
-float32 in manifest order.  Saving the same parameters twice produces
+A checkpoint is one file, at exactly the path its caller names.  Its
+first line is the manifest, compact JSON with sorted keys: tensor names,
+shapes and byte offsets, stage tag, config snapshot, seed, step, epoch,
+and the blob's length and sha256.  The blob follows the newline: every
+tensor as little-endian float32 in manifest order, offsets counted from
+the blob's first byte.  Saving the same parameters twice produces
 byte-identical files; loading restores bit-identical float32 weights.
 
 A rerank checkpoint's blob holds the parameters, then the pool rows: the
@@ -17,11 +19,11 @@ in entry order (PoolCache.token_digest), so a reader can tell whether
 they belong to its pool.  `blob_sha256` covers the rows too.  The
 parameter section is laid out as in a checkpoint without rows.
 
-Each file is written to a temporary name and moved into place, the blob
-before the manifest, so a kill at any instant leaves every file whole.
-A manifest that does not describe the blob beside it (a kill between
-the two moves) fails its hash check on load instead of loading stale
-weights.
+The file is written to a temporary name and moved into place with one
+os.replace, so a kill at any instant leaves the previous checkpoint or
+the new one, whole.  The blob's length and hash stay in the manifest for
+what a move cannot rule out: a file cut short or altered after it was
+written fails them on load instead of loading wrong weights.
 """
 
 from __future__ import annotations
@@ -35,14 +37,6 @@ import numpy as np
 
 from .autodiff import Tensor
 from .config import TrainConfig
-
-
-def _stem(path) -> str:
-    path = os.fspath(path)
-    for suffix in (".json", ".bin"):
-        if path.endswith(suffix):
-            return path[: -len(suffix)]
-    return path
 
 
 def write_atomic(path, data: bytes) -> None:
@@ -68,7 +62,7 @@ def _pack(arrays: dict, blob: bytearray) -> list:
     return entries
 
 
-def _unpack(blob: bytes, entries: list) -> dict:
+def _unpack(blob, entries: list) -> dict:
     """The float32 arrays that manifest entries describe, by name."""
     out = {}
     for entry in entries:
@@ -81,15 +75,16 @@ def _unpack(blob: bytes, entries: list) -> dict:
 
 
 def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
-                    step: int, pool: tuple | None = None) -> tuple:
-    """Write params, and pool when given: (token digest, rows by name),
-    the rows stored after the parameters."""
-    stem = _stem(path)
+                    step: int, pool: tuple | None = None,
+                    epoch: int = 0) -> None:
+    """Write params, after `epoch` completed epochs, and pool when given:
+    (token digest, rows by name), the rows stored after the parameters."""
     blob = bytearray()
     manifest = {
         "stage": stage,
         "seed": config.seed,
         "step": int(step),
+        "epoch": int(epoch),
         "config": asdict(config),
         "tensors": _pack({n: t.data for n, t in params.items()}, blob),
     }
@@ -99,11 +94,19 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
                             "rows": _pack(rows, blob)}
     manifest["blob_bytes"] = len(blob)
     manifest["blob_sha256"] = hashlib.sha256(blob).hexdigest()
-    json_path, bin_path = stem + ".json", stem + ".bin"
-    write_atomic(bin_path, bytes(blob))
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    write_atomic(json_path, text.encode("utf-8"))
-    return json_path, bin_path
+    head = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    write_atomic(path, head.encode("utf-8") + b"\n" + blob)
+
+
+def _manifest(line: bytes, path) -> dict:
+    """The manifest on a checkpoint's first line."""
+    try:
+        manifest = json.loads(line)
+    except ValueError:
+        manifest = None
+    if not isinstance(manifest, dict) or "blob_sha256" not in manifest:
+        raise ValueError(f"{path} does not start with a checkpoint manifest")
+    return manifest
 
 
 def read_checkpoint(path) -> tuple:
@@ -111,25 +114,18 @@ def read_checkpoint(path) -> tuple:
 
     pool is what save_checkpoint was given, (token digest, rows by name)
     with float32 rows, or None when the checkpoint carries no pool rows.
-    The blob is read and hashed once for both.
+    The file is read once, and the blob hashed and unpacked in place.
     """
-    stem = _stem(path)
-    try:
-        with open(stem + ".json", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-        with open(stem + ".bin", "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise FileNotFoundError(f"checkpoint incomplete at {stem!r}: {exc}") \
-            from None
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    end = raw.find(b"\n") + 1
+    manifest = _manifest(raw[:end], path)
+    blob = memoryview(raw)[end:]
     if len(blob) != manifest["blob_bytes"]:
         raise ValueError(f"blob length {len(blob)} does not match manifest "
                          f"{manifest['blob_bytes']}")
-    if "blob_sha256" not in manifest:
-        raise ValueError(f"manifest at {stem!r} stores no blob hash; re-run "
-                         "the stage that wrote it")
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
-        raise ValueError(f"blob hash does not match manifest at {stem!r}")
+        raise ValueError(f"blob hash does not match manifest at {path}")
     params = {name: Tensor(arr, requires_grad=True) for name, arr
               in _unpack(blob, manifest["tensors"]).items()}
     pool = manifest.get("pool")
@@ -145,9 +141,10 @@ def load_checkpoint(path) -> tuple:
 
 
 def checkpoint_stage(path) -> str | None:
-    """Stage tag of a checkpoint, or None when it does not exist."""
-    stem = _stem(path)
-    if not (os.path.exists(stem + ".json") and os.path.exists(stem + ".bin")):
+    """Stage tag on a checkpoint's first line, or None with no file."""
+    try:
+        with open(path, "rb") as fh:
+            line = fh.readline()
+    except FileNotFoundError:
         return None
-    with open(stem + ".json", encoding="utf-8") as fh:
-        return json.load(fh)["stage"]
+    return _manifest(line, path)["stage"]

@@ -5,14 +5,16 @@ adv-train, rerank-train -- each consuming the previous stage's checkpoint
 and leaving its own plus a CSV loss log.  gen-data builds the vocabulary
 and writes it to vocab.json; every later stage, evaluate, sweep and chat
 read it from there.  Running a stage out of order raises StageOrderError.
-Every training stage runs its epochs through one driver, which saves the
-checkpoint and rewrites the log after each epoch, so a non-finite loss
-or weight update (NumericalAbort) or a kill leaves the last completed
-epoch's checkpoint and log rows on disk.  A checkpoint's `step` counts
-the optimizer steps taken so far: epochs times batches per epoch.  The
-rerank checkpoint also carries the pool rows that rerank-train encoded
-with the frozen encoder; chat and evaluate read them and encode no pool
-entry, and chat reads no split file.
+Every training stage runs its epochs through one loop, `_run_epochs`,
+which after each epoch saves the checkpoint and then rewrites the log,
+each file with one atomic move.  The checkpoint leads: its `epoch`
+counts the epochs it holds, and after a non-finite loss or weight
+update (NumericalAbort) or a kill at any instant, the log's last epoch
+row is that epoch or the one before, never a later one.  Its `step`
+counts the optimizer steps taken so far: epochs times batches per
+epoch.  The rerank checkpoint also carries the pool rows that
+rerank-train encoded with the frozen encoder; chat and evaluate read
+them and encode no pool entry, and chat reads no split file.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -157,39 +159,33 @@ def load_world(cfg: TrainConfig, out: Path):
     return corpus, vocab, mcfg
 
 
-def _stage_stem(out: Path, stage: str) -> Path:
-    stem = Path(out) / _CKPT[stage]
-    if checkpoint_stage(stem) is None:
+def _stage_path(out: Path, stage: str) -> Path:
+    """The stage's checkpoint under out, once it is there with its tag."""
+    path = Path(out) / _CKPT[stage]
+    found = checkpoint_stage(path)
+    if found is None:
         raise StageOrderError(
             f"no '{stage}' checkpoint under {out}; run {_STAGE_CMD[stage]} "
             "first")
-    return stem
-
-
-def _check_tag(stem: Path, manifest: dict, stage: str):
-    if manifest["stage"] != stage:
+    if found != stage:
         raise StageOrderError(
-            f"checkpoint {stem} holds stage {manifest['stage']!r}, "
-            f"expected {stage!r}")
+            f"checkpoint {path} holds stage {found!r}, expected {stage!r}")
+    return path
 
 
 def _load_stage(out: Path, stage: str):
-    stem = _stage_stem(out, stage)
-    params, manifest = load_checkpoint(stem)
-    _check_tag(stem, manifest, stage)
-    return params
+    return load_checkpoint(_stage_path(out, stage))[0]
 
 
 def _load_served(out: Path, pool, vocab) -> tuple:
     """(params, cache) of the rerank checkpoint, the cache made from the
     pool rows rerank-train stored in it, with no encoder pass."""
-    stem = _stage_stem(out, "rerank")
-    params, manifest, stored = read_checkpoint(stem)
-    _check_tag(stem, manifest, "rerank")
+    path = _stage_path(out, "rerank")
+    params, _, stored = read_checkpoint(path)
     cache = restore_pool_cache(pool, vocab, stored)
     if cache is None:
         raise StageOrderError(
-            f"checkpoint {stem} holds no pool rows encoded from the pool "
+            f"checkpoint {path} holds no pool rows encoded from the pool "
             f"under {out}; run heronet rerank-train again")
     return params, cache
 
@@ -214,7 +210,7 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
     no step runs on weights a non-finite loss has spoiled, and an update
     the optimizer refuses (FloatingPointError) aborts the same way.  After
     each epoch the progress line is printed, the checkpoint saved, with
-    `pool` (PoolCache.stored) beside the parameters when given, and
+    `pool` (PoolCache.stored) beside the parameters when given, and then
     logs/<stage>.csv rewritten, `rows` first; with out None the epochs
     only train.
     """
@@ -239,7 +235,7 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
         _say(f"[{_STAGE_CMD[stage]}] epoch {epoch}/{epochs} {shown} "
              f"({dt:.1f}s)")
         save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step,
-                        pool)
+                        pool, epoch)
         _write_csv(Path(out) / "logs" / f"{stage}.csv",
                    ["epoch", "stage", *columns, "seconds"], rows)
     return {c: float(v) for c, v in zip(columns, values)}

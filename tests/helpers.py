@@ -103,7 +103,7 @@ def strip_pool_rows(out, cfg: TrainConfig):
     """Save the rerank checkpoint under `out` again without its pool rows."""
     params, manifest = load_checkpoint(out / "ckpt_rerank")
     save_checkpoint(out / "ckpt_rerank", params, "rerank", cfg,
-                    manifest["step"])
+                    manifest["step"], epoch=manifest["epoch"])
 
 
 def swap_pool_queries(out):

@@ -17,6 +17,12 @@ from heronet.config import TrainConfig
 from heronet.model import ModelConfig, init_params
 
 
+def split(path):
+    """(manifest, blob) of a checkpoint file: its first line, the rest."""
+    head, _, blob = path.read_bytes().partition(b"\n")
+    return json.loads(head), blob
+
+
 @pytest.fixture
 def small_params():
     cfg = ModelConfig(vocab_size=20, d_model=8, n_heads=2, d_ff=16,
@@ -36,7 +42,8 @@ def pool():
 class TestRoundTrip:
     def test_exact_weights(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=12)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=12,
+                        epoch=3)
         loaded, manifest = load_checkpoint(stem)
         assert set(loaded) == set(small_params)
         for name in small_params:
@@ -44,6 +51,7 @@ class TestRoundTrip:
             assert np.array_equal(loaded[name].data, small_params[name].data)
         assert manifest["stage"] == "warmup"
         assert manifest["step"] == 12
+        assert manifest["epoch"] == 3
         assert manifest["seed"] == TrainConfig().seed
         assert manifest["config"]["m"] == 20
 
@@ -53,10 +61,7 @@ class TestRoundTrip:
         save_checkpoint(a, small_params, "warmup", TrainConfig(), step=0)
         loaded, _ = load_checkpoint(a)
         save_checkpoint(b, loaded, "warmup", TrainConfig(), step=0)
-        assert (tmp_path / "a.bin").read_bytes() == \
-               (tmp_path / "b.bin").read_bytes()
-        assert (tmp_path / "a.json").read_bytes() == \
-               (tmp_path / "b.json").read_bytes()
+        assert a.read_bytes() == b.read_bytes()
 
     def test_float64_params_become_float32(self, tmp_path):
         params = {"w": Tensor(np.array([1.0, 2.5], dtype=np.float64))}
@@ -71,9 +76,9 @@ class TestManifest:
     def test_offsets_contiguous(self, small_params, pool, tmp_path):
         """The parameters, then any pool rows, fill the blob in order."""
         for stem, rows in ((tmp_path / "ck", None), (tmp_path / "pk", pool)):
-            jp, bp = save_checkpoint(stem, small_params, "rerank",
-                                     TrainConfig(), step=3, pool=rows)
-            manifest = json.loads(open(jp).read())
+            save_checkpoint(stem, small_params, "rerank", TrainConfig(),
+                            step=3, pool=rows)
+            manifest, blob = split(stem)
             entries = manifest["tensors"]
             if rows is None:
                 assert "pool" not in manifest
@@ -87,12 +92,25 @@ class TestManifest:
                 assert entry["bytes"] == want
                 pos += entry["bytes"]
             assert pos == manifest["blob_bytes"]
-            assert pos == len(open(bp, "rb").read())
+            assert pos == len(blob)
+
+    def test_one_file_compact_header(self, small_params, tmp_path):
+        """One file at exactly the given path: a line of compact JSON with
+        sorted keys, then the blob."""
+        for name in ("ck", "ck.json", "ck.bin"):
+            save_checkpoint(tmp_path / name, small_params, "warmup",
+                            TrainConfig(), 0)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["ck", "ck.bin", "ck.json"]
+        manifest, blob = split(tmp_path / "ck")
+        head = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+        assert (tmp_path / "ck").read_bytes() == head.encode() + b"\n" + blob
+        assert len(blob) == manifest["blob_bytes"]
 
     def test_names_sorted(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        jp, _ = save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
-        names = [t["name"] for t in json.loads(open(jp).read())["tensors"]]
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        names = [t["name"] for t in split(stem)[0]["tensors"]]
         assert names == sorted(names)
 
     def test_stage_probe(self, small_params, tmp_path):
@@ -127,20 +145,20 @@ class TestPoolRows:
                         0, pool=pool)
         save_checkpoint(tmp_path / "b", small_params, "rerank", TrainConfig(),
                         0)
-        with_rows = (tmp_path / "a.bin").read_bytes()
-        without = (tmp_path / "b.bin").read_bytes()
+        a, with_rows = split(tmp_path / "a")
+        b, without = split(tmp_path / "b")
         assert with_rows.startswith(without) and with_rows != without
-        assert json.loads((tmp_path / "a.json").read_text())["tensors"] == \
-            json.loads((tmp_path / "b.json").read_text())["tensors"]
+        assert a["tensors"] == b["tensors"]
 
     def test_flipped_row_byte_fails_hash(self, small_params, pool, tmp_path):
         stem = tmp_path / "ck"
-        jp, bp = save_checkpoint(stem, small_params, "rerank", TrainConfig(),
-                                 0, pool=pool)
-        at = json.loads(open(jp).read())["pool"]["rows"][-1]["offset"]
-        raw = bytearray(open(bp, "rb").read())
-        raw[at] ^= 0x01
-        open(bp, "wb").write(bytes(raw))
+        save_checkpoint(stem, small_params, "rerank", TrainConfig(), 0,
+                        pool=pool)
+        manifest, _ = split(stem)
+        at = manifest["pool"]["rows"][-1]["offset"]
+        raw = bytearray(stem.read_bytes())
+        raw[raw.index(b"\n") + 1 + at] ^= 0x01
+        stem.write_bytes(bytes(raw))
         for read in (load_checkpoint, read_checkpoint):
             with pytest.raises(ValueError, match="hash"):
                 read(stem)
@@ -149,20 +167,24 @@ class TestPoolRows:
 class TestErrors:
     def test_truncated_blob_rejected(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        _, bp = save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
-        raw = open(bp, "rb").read()
-        open(bp, "wb").write(raw[:-4])
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        stem.write_bytes(stem.read_bytes()[:-4])
         with pytest.raises(ValueError, match="blob length"):
             load_checkpoint(stem)
 
-    def test_manifest_without_hash_rejected(self, small_params, tmp_path):
+    def test_header_not_a_manifest_rejected(self, small_params, tmp_path):
+        """A first line that is not a manifest: empty, not JSON, not an
+        object, or a manifest without its blob hash."""
         stem = tmp_path / "ck"
-        jp, _ = save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
-        manifest = json.loads(open(jp).read())
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        manifest, blob = split(stem)
         del manifest["blob_sha256"]
-        open(jp, "w").write(json.dumps(manifest))
-        with pytest.raises(ValueError, match="no blob hash"):
-            load_checkpoint(stem)
+        for head in (b"", b"\x00\xff not json", b"[1, 2]",
+                     json.dumps(manifest).encode()):
+            stem.write_bytes(head + b"\n" + blob)
+            for read in (load_checkpoint, checkpoint_stage):
+                with pytest.raises(ValueError, match="checkpoint manifest"):
+                    read(stem)
 
     def test_missing_files_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -170,48 +192,24 @@ class TestErrors:
 
 
 class TestCrashSafety:
-    """A kill at any instant of a save never loads mismatched files."""
-
-    @staticmethod
-    def _killed_at(monkeypatch, suffix):
-        real_replace = os.replace
-
-        def replace(src, dst):
-            if os.fspath(dst).endswith(suffix):
-                raise KeyboardInterrupt  # the process dies here
-            real_replace(src, dst)
-
-        monkeypatch.setattr(os, "replace", replace)
-
-    def test_kill_between_moves_is_detected(self, small_params, tmp_path,
-                                            monkeypatch):
-        stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=1)
-        newer = {n: Tensor(t.data + 1.0) for n, t in small_params.items()}
-        self._killed_at(monkeypatch, ".json")
-        with pytest.raises(KeyboardInterrupt):
-            save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
-        monkeypatch.undo()
-        # the step-2 blob sits next to the step-1 manifest, same size
-        manifest = json.loads((tmp_path / "ck.json").read_text())
-        assert manifest["step"] == 1
-        assert manifest["blob_bytes"] == (tmp_path / "ck.bin").stat().st_size
-        with pytest.raises(ValueError, match="hash"):
-            load_checkpoint(stem)
-        save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
-        loaded, manifest = load_checkpoint(stem)
-        assert manifest["step"] == 2
-        assert np.array_equal(loaded["out.w"].data, newer["out.w"].data)
+    """A kill at any instant of a save leaves a whole checkpoint."""
 
     def test_kill_before_moves_keeps_previous(self, small_params, tmp_path,
                                               monkeypatch):
         stem = tmp_path / "ck"
         save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=1)
         newer = {n: Tensor(t.data + 1.0) for n, t in small_params.items()}
-        self._killed_at(monkeypatch, ".bin")
+        moves = []
+
+        def replace(src, dst):
+            moves.append(dst)
+            raise KeyboardInterrupt  # the process dies here
+
+        monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(KeyboardInterrupt):
             save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
         monkeypatch.undo()
+        assert moves == [stem]
         loaded, manifest = load_checkpoint(stem)
         assert manifest["step"] == 1
         assert np.array_equal(loaded["out.w"].data,
@@ -224,5 +222,5 @@ class TestCrashSafety:
         first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=4)
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        assert sorted(first) == ["ck.bin", "ck.json"]
+        assert sorted(first) == ["ck"]
         assert first == second

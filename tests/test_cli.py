@@ -1,5 +1,7 @@
 """End-to-end command line behavior via subprocess."""
 
+import csv
+import hashlib
 import json
 import os
 import shutil
@@ -47,10 +49,18 @@ seed = 5
 """
 
 
-def run_cli(*args, stdin=""):
+def run_cli(*args, stdin="", env=None):
     return subprocess.run([sys.executable, "-m", "heronet.cli", *args],
                           input=stdin, capture_output=True, text=True,
-                          timeout=300, env=_ENV)
+                          timeout=300, env={**_ENV, **(env or {})})
+
+
+def run_chain(cfg_path, out, env=None):
+    for stage in ("gen-data", "warmup", "pretrain-retrieval", "adv-train",
+                  "rerank-train"):
+        res = run_cli(stage, "--config", str(cfg_path), "--out", str(out),
+                      env=env)
+        assert res.returncode == 0, f"{stage} failed: {res.stderr}"
 
 
 @pytest.fixture(scope="module")
@@ -63,10 +73,7 @@ def cfg_path(tmp_path_factory):
 @pytest.fixture(scope="module")
 def trained(cfg_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("cli_run")
-    for stage in ("gen-data", "warmup", "pretrain-retrieval", "adv-train",
-                  "rerank-train"):
-        res = run_cli(stage, "--config", str(cfg_path), "--out", str(out))
-        assert res.returncode == 0, f"{stage} failed: {res.stderr}"
+    run_chain(cfg_path, out)
     return out
 
 
@@ -120,6 +127,19 @@ class TestStageOrder:
                       str(tmp_path))
         assert res.returncode == 3
         assert "stage error" in res.stderr
+        # a warm-up checkpoint in the old two-file layout reads as none
+        assert run_cli("gen-data", "--config", str(cfg_path), "--out",
+                       str(tmp_path)).returncode == 0
+        blob = bytes(8)
+        (tmp_path / "ckpt_warmup.bin").write_bytes(blob)
+        (tmp_path / "ckpt_warmup.json").write_text(json.dumps(
+            {"stage": "warmup", "step": 1, "tensors": [],
+             "blob_bytes": len(blob),
+             "blob_sha256": hashlib.sha256(blob).hexdigest()}, indent=2))
+        res = run_cli("pretrain-retrieval", "--config", str(cfg_path),
+                      "--out", str(tmp_path))
+        assert res.returncode == 3
+        assert "run warmup first" in res.stderr
 
     @pytest.mark.parametrize("damage", ["strip_rows", "edit_pool"])
     def test_stale_pool_rows_exit_3(self, cfg_path, trained, tmp_path,
@@ -213,3 +233,32 @@ class TestRun:
                       str(trained), stdin="check the flight status\n")
         assert res.returncode == 0
         assert "response:" in res.stdout
+
+
+class TestDeterminism:
+    def test_second_chain_is_byte_identical(self, cfg_path, trained,
+                                            tmp_path):
+        """The same chain again, started with two BLAS threads asked for,
+        writes byte-identical checkpoints and the same loss logs but for
+        their wall-clock column."""
+        run_chain(cfg_path, tmp_path, env={"OPENBLAS_NUM_THREADS": "2"})
+        ckpts = sorted(p.name for p in trained.glob("ckpt_*"))
+        assert ckpts == ["ckpt_adversarial", "ckpt_rerank",
+                         "ckpt_retrieval", "ckpt_warmup"]
+        assert sorted(p.name for p in tmp_path.glob("ckpt_*")) == ckpts
+        for name in ckpts:
+            assert (tmp_path / name).read_bytes() == \
+                (trained / name).read_bytes(), name
+        logs = sorted(p.name for p in (trained / "logs").iterdir())
+        assert logs == sorted(p.name for p in (tmp_path / "logs").iterdir())
+        for name in logs:
+            assert _without_seconds(tmp_path / "logs" / name) == \
+                _without_seconds(trained / "logs" / name), name
+
+
+def _without_seconds(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    keep = [i for i, col in enumerate(rows[0]) if col != "seconds"]
+    assert len(keep) == len(rows[0]) - 1
+    return [[row[i] for i in keep] for row in rows]

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import shutil
 from dataclasses import replace
 from pathlib import Path
@@ -110,6 +111,7 @@ class TestStageChain:
                               ("rerank", cfg.rerank_epochs)):
             _, manifest = load_checkpoint(run_dir / f"ckpt_{stage}")
             assert manifest["step"] == epochs * batches, stage
+            assert manifest["epoch"] == epochs, stage
 
     def test_rerank_leaves_encoder_untouched(self, run_dir):
         before, _ = load_checkpoint(run_dir / "ckpt_adversarial")
@@ -302,9 +304,7 @@ class TestStageOrder:
 
     def test_mislabeled_checkpoint_is_rejected(self, cfg, run_dir, tmp_path):
         stage_gen_data(cfg, tmp_path)
-        for ext in (".bin", ".json"):
-            shutil.copy(run_dir / f"ckpt_warmup{ext}",
-                        tmp_path / f"ckpt_retrieval{ext}")
+        shutil.copy(run_dir / "ckpt_warmup", tmp_path / "ckpt_retrieval")
         with pytest.raises(StageOrderError, match="warmup"):
             stage_adversarial(cfg, tmp_path)
 
@@ -348,7 +348,7 @@ class TestStageOrder:
 
         cfg = replace(cfg, adversarial_epochs=2)
         copy_run(run_dir, tmp_path,
-                 skip={"ckpt_adversarial.bin", "ckpt_adversarial.json"})
+                 skip={"ckpt_adversarial"})
         batches = -(-cfg.n_train // cfg.bs)
         real_load, real_backward = pipeline._load_stage, autodiff.backward
         held, calls = {}, []
@@ -374,6 +374,66 @@ class TestStageOrder:
         assert manifest["step"] == batches
         _, rows = read_log(tmp_path, "adversarial")
         assert [row[0] for row in rows] == ["1"]
+
+
+class TestKillAtEveryWrite:
+    def test_checkpoint_leads_the_log(self, cfg, tmp_path, monkeypatch):
+        """Warm-up killed at each of its file moves in turn leaves either
+        no checkpoint (at the first move) or one that loads and holds the
+        last or the new epoch, with the log's rows ending at that epoch or
+        the one before; pretrain-retrieval then runs, or names the stage
+        to run first."""
+        cfg = replace(cfg, warmup_epochs=3)
+        data = tmp_path / "data"
+        data.mkdir()
+        stage_gen_data(cfg, data)
+        batches = -(-cfg.n_train // cfg.bs)
+        real_replace = os.replace
+
+        def run_killed_at(out, at):
+            """Warm-up in a copy of data, os.replace failing at call `at`
+            (never when None); the number of moves it made."""
+            out.mkdir()
+            copy_run(data, out)
+            moves = []
+
+            def replace_(src, dst):
+                if len(moves) == at:
+                    raise KeyboardInterrupt  # the process dies here
+                moves.append(dst)
+                real_replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", replace_)
+            try:
+                stage_warmup(cfg, out)
+            except KeyboardInterrupt:
+                assert at is not None
+            finally:
+                monkeypatch.undo()
+            return len(moves)
+
+        total = run_killed_at(tmp_path / "whole", None)
+        assert total == 2 * cfg.warmup_epochs
+        for i in range(total):
+            out = tmp_path / f"killed{i}"
+            assert run_killed_at(out, i) == i
+            if i == 0:
+                assert checkpoint_stage(out / "ckpt_warmup") is None
+                with pytest.raises(StageOrderError, match="run warmup"):
+                    stage_retrieval(cfg, out)
+                continue
+            _, manifest = load_checkpoint(out / "ckpt_warmup")
+            # a kill at epoch e's checkpoint move keeps epoch e - 1, one at
+            # its log move keeps e
+            epoch = manifest["epoch"]
+            assert epoch == (i + 1) // 2
+            assert manifest["step"] == epoch * batches
+            logged = 0
+            if (out / "logs" / "warmup.csv").exists():
+                logged = int(read_log(out, "warmup")[1][-1][0])
+            assert logged == i // 2 and logged in (epoch, epoch - 1)
+            stage_retrieval(cfg, out)
+            assert checkpoint_stage(out / "ckpt_retrieval") == "retrieval"
 
 
 class TestEvaluate:
@@ -433,7 +493,7 @@ class TestEvaluate:
 class TestSweep:
     def test_matching_cell_reproduces_evaluate(self, cfg, run_dir):
         report = stage_evaluate(cfg, run_dir)
-        ckpt_bytes = (run_dir / "ckpt_rerank.bin").read_bytes()
+        ckpt_bytes = (run_dir / "ckpt_rerank").read_bytes()
         rows = stage_sweep(cfg, run_dir, [cfg.m], [cfg.n])
         assert len(rows) == 1
         m, n, *metrics = rows[0]
@@ -442,7 +502,7 @@ class TestSweep:
                                         "mrr", "acc", "hit@5", "hit@10",
                                         "hit@50")]
         assert metrics == expected
-        assert (run_dir / "ckpt_rerank.bin").read_bytes() == ckpt_bytes
+        assert (run_dir / "ckpt_rerank").read_bytes() == ckpt_bytes
 
     def test_grid_csv_shape(self, cfg, run_dir):
         stage_sweep(cfg, run_dir, [1, 2], [1])
