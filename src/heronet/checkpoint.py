@@ -28,6 +28,7 @@ written fails them on load instead of loading wrong weights.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -40,13 +41,19 @@ from .config import TrainConfig
 
 
 def write_atomic(path, data: bytes) -> None:
-    """Write data to a temporary name beside path, then move it there."""
+    """Write data to a temporary name beside path, then move it there; an
+    interruption, KeyboardInterrupt too, removes the temporary file."""
     tmp = f"{os.fspath(path)}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def _pack(arrays: dict, blob: bytearray) -> list:

@@ -10,9 +10,9 @@ so the policy cannot drift off the data distribution: fused = ce +
 alpha * pg.  Warm-up is pg_step with alpha 0: plain teacher-forced
 cross-entropy on gold responses.
 
-Knowledge splicing prepends nothing and appends the best retrieved
-response after a [SEP]; when the budget is tight the query always
-survives intact and the knowledge tail is cut.
+Knowledge splicing works on token ids: it appends the best retrieved
+response's ids, read from the PoolCache, after a [SEP]; when the budget
+is tight the query always survives intact and the knowledge tail is cut.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EOS_ID, BOS_ID, PAD_ID, Vocab, encode_text
+from .corpus import EOS_ID, BOS_ID, PAD_ID, SEP_ID, Vocab, encode_text
 from .model import (Hidden, ModelConfig, encode_mean_pool, decoder_logits,
                     sample_batch, tile_hidden)
 from .retrieval import PoolCache, retrieve_top_m_batch
@@ -126,43 +126,40 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
     return GenLossReport(float(ce.item()), pg_val, float(loss.item()))
 
 
-def splice_knowledge(query: str, knowledge: str | None,
-                     max_tokens: int) -> str:
-    """query [SEP] knowledge, trimmed to max_tokens from the knowledge tail.
+def splice_knowledge(query_ids: list, knowledge_ids: list | None,
+                     max_tokens: int) -> list:
+    """query [SEP] knowledge as token ids, trimmed to max_tokens from the
+    knowledge tail.
 
     The query always survives whole; when it alone fills the budget (or
-    no knowledge is given) it is returned unchanged.
+    no knowledge is given) a copy of it is returned.
     """
     if max_tokens < 1:
         raise ValueError("max_tokens must be positive")
-    if not knowledge:
-        return query
-    q = query.split()
-    budget = max_tokens - len(q) - 1  # one slot for the separator
-    if budget <= 0:
-        return query
-    return " ".join(q + ["[SEP]"] + knowledge.split()[:budget])
+    budget = max_tokens - len(query_ids) - 1  # one slot for the separator
+    if not knowledge_ids or budget <= 0:
+        return list(query_ids)
+    return [*query_ids, SEP_ID, *knowledge_ids[:budget]]
 
 
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
-                        query_texts: list, pool, cache: PoolCache, m: int,
-                        n: int, kg: bool, rngs=None,
-                        max_gen_len: int = 32) -> tuple:
+                        query_texts: list, cache: PoolCache, m: int, n: int,
+                        kg: bool, rngs=None, max_gen_len: int = 32) -> tuple:
     """Retrieve m candidates and decode n for each query of a chunk.
 
-    Returns (entries, pooled): one (generated, retrieved, src) entry per
-    query text, and the queries' (B, d_model) pooled rows from the shared
-    encoder, which retrieval ranks with and the re-ranker scores against.
-    This is the one place a chunk's queries are tokenized and encoded.
-    The chunk shares that encode, one retrieval call, one encoder pass
-    over its sources and one greedy decode.  With knowledge grounding on,
-    each query's top retrieved response is spliced onto it before
-    decoding.  The first generated candidate is greedy (deterministic);
-    the rest are temperature-1 samples drawn query by query, in order,
-    from rngs[i], so n > 1 requires rngs.  Queries sharing one stream pass
-    the same rng for each.  Retrieval recalls through the SQD encoder the
-    parameters hold (model.sqd_prefix); the generator always uses the
-    shared one.
+    Returns (entries, pooled): one (generated, retrieved pool ids, source
+    ids) entry per query text, and the queries' (B, d_model) pooled rows
+    from the shared encoder, which retrieval ranks with and the re-ranker
+    scores against.  This is the one place a chunk's queries are tokenized
+    and encoded.  The chunk shares that encode, one retrieval call, one
+    encoder pass over its sources and one greedy decode.  With knowledge
+    grounding on, each query's top retrieved response is spliced onto its
+    ids before decoding.  The first generated candidate is greedy
+    (deterministic); the rest are temperature-1 samples drawn query by
+    query, in order, from rngs[i], so n > 1 requires rngs.  Queries
+    sharing one stream pass the same rng for each.  Retrieval recalls
+    through the SQD encoder the parameters hold (model.sqd_prefix); the
+    generator always uses the shared one.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need at least one candidate source")
@@ -173,17 +170,16 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
         _, pooled = encode_mean_pool(params, cfg, q_ids)
     retrieved = [[] for _ in query_texts]
     if m >= 1:
-        retrieved = retrieve_top_m_batch(params, cfg, q_ids, pool, cache, m,
+        retrieved = retrieve_top_m_batch(params, cfg, q_ids, cache, m,
                                          main_pooled=pooled)
-    srcs = [splice_knowledge(q, r[0].response, cfg.max_seq_len)
-            if kg and r else q for q, r in zip(query_texts, retrieved)]
+    srcs = [splice_knowledge(q, cache.resp_ids[r[0]], cfg.max_seq_len)
+            if kg and r else q for q, r in zip(q_ids, retrieved)]
     generated = [[] for _ in query_texts]
     if n >= 1:
-        src_ids = [encode_text(s, vocab, cfg.max_seq_len) for s in srcs]
         with ad.no_grad():
-            hidden, _ = encode_mean_pool(params, cfg, src_ids)
+            hidden, _ = encode_mean_pool(params, cfg, srcs)
         greedy = sample_batch(params, cfg, hidden, max_len=max_gen_len)
-        for i, ids in enumerate(src_ids):
+        for i, ids in enumerate(srcs):
             generated[i].append(greedy[i])
             if n > 1:
                 row = Hidden(Tensor(hidden.states.data[i:i + 1, :len(ids)]),

@@ -14,7 +14,9 @@ row is that epoch or the one before, never a later one.  Its `step`
 counts the optimizer steps taken so far: epochs times batches per
 epoch.  The rerank checkpoint also carries the pool rows that
 rerank-train encoded with the frozen encoder; chat and evaluate read
-them and encode no pool entry, and chat reads no split file.
+them and encode no pool entry, and chat reads no split file.  Chat and
+evaluate answer through one function, rerank.serve, so the generation
+metrics and the rank-1 provenance mix score what chat serves.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -31,7 +33,6 @@ import math
 import sys
 import time
 import warnings
-import zlib
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -39,7 +40,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import seeds
-from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .checkpoint import (checkpoint_stage, load_checkpoint, read_checkpoint,
                          save_checkpoint, write_atomic)
@@ -49,14 +49,14 @@ from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      read_vocab, splice_context, validate_corpus, write_pairs,
                      write_pool, write_vocab)
 from .discriminator import disc_step, score_pairs
-from .generation import (generate_candidates, pg_step, sequence_ce,
-                         splice_knowledge, build_teacher_batch)
+from .generation import (pg_step, sequence_ce, splice_knowledge,
+                         build_teacher_batch)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
 from .model import (ModelConfig, add_retrieval_encoder, encode_mean_pool,
                     init_params, param_subset, params_fingerprint,
                     sample_batch, sqd_prefix, tile_hidden)
-from .rerank import build_candidate_set, rerank, rerank_train_epoch
+from .rerank import rerank_train_epoch, serve
 from .retrieval import (PoolCache, build_pool_cache, embed_pool,
                         mine_qrm_batch, mine_sqd_batch, pool_token_lists,
                         qrm_step, query_rows, restore_pool_cache,
@@ -412,15 +412,11 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                               cfg.bs):
             queries = [encode_text(p.query, vocab, mcfg.max_seq_len)
                        for p in chunk]
-            retrieved = retrieve_top_m_batch(params, mcfg, queries,
-                                             corpus.pool, cache, cfg.m)
-            src = []
-            for pair, cands in zip(chunk, retrieved):
-                text = splice_context(pair)
-                if kg and cands:
-                    text = splice_knowledge(text, cands[0].response,
-                                            mcfg.max_seq_len)
-                src.append(encode_text(text, vocab, mcfg.max_seq_len))
+            retrieved = retrieve_top_m_batch(params, mcfg, queries, cache,
+                                             cfg.m)
+            src = [splice_knowledge(ids, cache.resp_ids[r[0]],
+                                    mcfg.max_seq_len) if kg and r else ids
+                   for ids, r in zip(_src_ids(chunk, vocab, mcfg), retrieved)]
             resp = _resp_ids(chunk, vocab)
             # one encode with gradient: the rollouts read its values and
             # pg_step backpropagates through it
@@ -439,8 +435,8 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
             ce_l.append(rep.ce)
             pg_l.append(rep.pg)
             fused_l.append(rep.fused)
-            ret_negs = [list(cache.resp_ids[c.pool_id])
-                        for cands in retrieved for c in cands]
+            ret_negs = [list(cache.resp_ids[j]) for ids in retrieved
+                        for j in ids]
             d_l.append(_ensure_finite(
                 disc_step(params, mcfg, queries, resp, ret_negs, rolls,
                           cfg.delta1, cfg.delta2, cfg.reg_lambda, d_opt),
@@ -474,9 +470,8 @@ def _rerank_epoch(params, cfg, corpus, vocab, mcfg, cache: PoolCache):
 
     def epoch(rng):
         order = _shuffled(corpus.train, rng(seeds.RERANK, 0))
-        loss = rerank_train_epoch(params, mcfg, vocab, order, corpus.pool,
-                                  cache, bm25_r, cfg.m, cfg.n,
-                                  not cfg.no_kg, cfg.bs, opt,
+        loss = rerank_train_epoch(params, mcfg, vocab, order, cache, bm25_r,
+                                  cfg.m, cfg.n, not cfg.no_kg, cfg.bs, opt,
                                   rng(seeds.RERANK, 1), cfg.max_gen_len)
         if params_fingerprint(params, encoder_names) != before:
             raise RuntimeError("rerank training must leave the encoder frozen")
@@ -513,39 +508,29 @@ def evaluate_params(params, cache: PoolCache, cfg: TrainConfig, corpus,
             f"[1, pool size {corpus.pool.size}]")
     bm25_r = Bm25Index(cache.resp_ids)
     resp_to_id = {e.response: e.id for e in corpus.pool.entries}
-    kg = not cfg.no_kg
 
-    # -- candidates drawn a chunk at a time, each query with its own stream;
-    #    the chunk's bare queries are encoded once for the subset rank
-    drawn, q_rows, bare, chunk_rows = [], [], [], []
+    # -- what chat serves, a chunk at a time; the chunk's bare queries are
+    #    encoded once for the subset rank
+    served, bare, chunk_rows = [], [], []
     for lo in range(0, len(corpus.test), cfg.bs):
         chunk = corpus.test[lo:lo + cfg.bs]
-        got, pooled = generate_candidates(
-            params, mcfg, vocab, [splice_context(p) for p in chunk],
-            corpus.pool, cache, cfg.m, cfg.n, kg,
-            [np.random.default_rng([cfg.seed, seeds.EVAL, i, 1])
-             for i in range(lo, lo + len(chunk))], cfg.max_gen_len)
-        drawn += got
-        q_rows += [Tensor(row[None]) for row in pooled.data]
+        served += serve(params, mcfg, vocab,
+                        [splice_context(p) for p in chunk], cache, cfg.m,
+                        cfg.n, not cfg.no_kg, cfg.seed, cfg.max_gen_len)
         bare += [encode_text(p.query, vocab, mcfg.max_seq_len) for p in chunk]
         chunk_rows.append(query_rows(params, mcfg, bare[lo:], cache, None))
     dists, p_q = (np.concatenate(part) for part in zip(*chunk_rows))
     table = cache.projected(params, "qrm")
+    hyps = [decode_ids(ranked[0].tokens, vocab) for ranked in served]
+    first = [ranked[0].provenance for ranked in served]
+    trace = [{"query_id": i,
+              "candidates": [{"rank": r + 1, "score": c.score,
+                              "provenance": c.provenance}
+                             for r, c in enumerate(ranked)]}
+             for i, ranked in enumerate(served)]
 
-    hyps, refs, ranks, bm25_ranks, trace = [], [], [], [], []
+    ranks, bm25_ranks = [], []
     for i, pair in enumerate(corpus.test):
-        # -- generation through the full rerank path; candidate sets hold
-        #    m retrieved + n generated + exactly one truth entry
-        cands = build_candidate_set(mcfg, vocab, pair, drawn[i], cache, None,
-                                    cfg.m, include_truth=True)
-        ranked = rerank(params, mcfg, q_rows[i], cands, cache)
-        hyps.append(decode_ids(ranked[0].tokens, vocab))
-        refs.append(pair.response)
-        trace.append({"query_id": i,
-                      "candidates": [{"rank": r + 1, "score": c.score,
-                                      "provenance": c.provenance}
-                                     for r, c in enumerate(ranked)]})
-
         # -- retrieval rank over a fixed-size candidate subset
         truth_id = resp_to_id[pair.response]
         sub_rng = np.random.default_rng([cfg.seed, seeds.EVAL, i, 0])
@@ -561,10 +546,12 @@ def evaluate_params(params, cache: PoolCache, cfg: TrainConfig, corpus,
         bm25_ranks.append((list(subset[order]).index(truth_id) + 1,
                            cfg.eval_candidates))
 
-    gen = generation_report(hyps, refs)
+    gen = generation_report(hyps, [p.response for p in corpus.test])
     retr = retrieval_metrics(ranks)
     bm25_mrr = retrieval_metrics(bm25_ranks).mrr
-    report = {**gen.as_dict(), **retr.as_dict(), "bm25_mrr": bm25_mrr}
+    report = {**gen.as_dict(), **retr.as_dict(), "bm25_mrr": bm25_mrr,
+              "rank1_retrieved": first.count("retrieved") / len(first),
+              "rank1_generated": first.count("generated") / len(first)}
     if out is not None:
         out = Path(out)
         (out / "eval_report.json").write_text(report_json(report) + "\n",
@@ -652,14 +639,8 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
         if not text:
             emit("(empty query ignored)")
             continue
-        rng = np.random.default_rng([cfg.seed, seeds.CHAT,
-                                     zlib.crc32(text.encode())])
-        [drawn], q_row = generate_candidates(
-            params, mcfg, vocab, [text], pool, cache, cfg.m, cfg.n,
-            not cfg.no_kg, [rng], cfg.max_gen_len)
-        cands = build_candidate_set(mcfg, vocab, None, drawn, cache, None,
-                                    cfg.m)
-        ranked = rerank(params, mcfg, q_row, cands, cache)
+        [ranked] = serve(params, mcfg, vocab, [text], cache, cfg.m, cfg.n,
+                         not cfg.no_kg, cfg.seed, cfg.max_gen_len)
         k = min(cfg.k, len(ranked))
         emit(f"response: {decode_ids(ranked[0].tokens, vocab)}")
         emit(f"top {k} candidates:")

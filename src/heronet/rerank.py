@@ -1,39 +1,41 @@
 """Final candidate re-ranking with the trained matching head.
 
-At inference the pipeline pools m retrieved and n generated candidates,
-deduplicates them by exact token equality (a truth-tagged duplicate
-always wins the merged tag), scores each against the query with the
-matching head, and sorts by descending score with ties broken by
-original candidate position.  Evaluation sets add exactly one
-truth-tagged entry so ranking quality is measurable.
+Chat and evaluation serve through one function, serve: each text of a
+chunk gets m retrieved and n generated candidates, deduplicated by exact
+token equality, scored against the query with the matching head, and
+sorted by descending score, ties broken by original position.  Sampled
+extras come from a stream keyed on the text, so evaluation, a chunk at a
+time, scores exactly the answer chat serves, and adds no gold response.
 
-Chat, evaluation and re-rank training all work a chunk of queries at a
-time (chat's chunk is one line): one generate_candidates call tokenizes
-and encodes the chunk's queries, retrieves and decodes for all of them,
-and returns the queries' pooled rows beside each query's draw, which
-build_candidate_set turns into that query's set.  Sets are scored one
-way: encode_unique embeds each distinct candidate once, gradient-free,
-taking a pool response's raw row from the PoolCache; the sets' query
-rows are stacked on that table, and match_logit puts it through psi_m
-once and reads each candidate against its query.  Cached rows stand in
-for the encoder only while it is the one the cache was built from,
-which holds here: chat and evaluation change no parameters, and re-rank
-training moves the matching head alone.
+The chunk's draw is one generate_candidates call: it tokenizes and
+encodes the chunk's queries, retrieves pool ids and decodes for all of
+them, and returns the queries' pooled rows beside each query's draw,
+which build_candidate_set turns into that query's set.  Sets are scored
+one way: encode_unique embeds each distinct candidate once,
+gradient-free, taking a pool response's raw row from the PoolCache; the
+sets' query rows are stacked on that table, and match_logit puts it
+through psi_m once and reads each candidate against its query.  Cached
+rows stand in for the encoder only while it is the one the cache was
+built from, which holds here: chat and evaluation change no parameters,
+and re-rank training moves the matching head alone.
 
 Re-rank training freezes everything except the matching head: query and
 candidate rows are constants, so the optimizer can only move psi_m.
-Each training group is the inference-time candidate set widened with the
-m best BM25 responses as extra lexical negatives, plus the gold response
-labelled 1 against everyone else's 0; one optimizer step covers a chunk.
+Each training group is the served candidate set widened with the m best
+BM25 responses as extra lexical negatives, plus the gold response tagged
+truth and labelled 1 against everyone else's 0 (a truth-tagged duplicate
+always wins the merged tag); one optimizer step covers a chunk.
 """
 
 from __future__ import annotations
 
+import zlib
 from typing import NamedTuple
 
 import numpy as np
 
 from . import autodiff as ad
+from . import seeds
 from .autodiff import Tensor
 from .bm25 import Bm25Index
 from .corpus import Vocab, encode_text, splice_context
@@ -110,37 +112,56 @@ def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
 
 
 def build_candidate_set(cfg: ModelConfig, vocab: Vocab, pair, drawn,
-                        cache: PoolCache, bm25_r: Bm25Index | None, m: int,
-                        include_truth: bool = False) -> list:
+                        cache: PoolCache, bm25_r: Bm25Index | None,
+                        m: int) -> list:
     """One query's (token_list, provenance) candidates from its draw.
 
     drawn is the query's (generated, retrieved, src) entry from
     generate_candidates: its m retrieved pool responses come first, then
-    its n generated ones.  Passing a BM25 index widens the set with the m
-    best BM25 responses to the pair's query (training-time lexical
-    negatives); inference and evaluation pass None.  include_truth appends
-    the pair's gold response with the truth tag; deduplication later
-    guarantees it appears exactly once.  Only those two read pair, so
-    chat passes None.
+    its n generated ones.  Passing a BM25 index makes a re-rank training
+    group: the set is widened with the m best BM25 responses to the
+    pair's query as lexical negatives and the pair's gold response tagged
+    truth, which deduplication later keeps exactly once.  Only that reads
+    pair, so serving passes None for both.
     """
     generated, retrieved, _ = drawn
-    cands = [(list(cache.resp_ids[c.pool_id]), "retrieved")
-             for c in retrieved]
+    cands = [(list(cache.resp_ids[j]), "retrieved") for j in retrieved]
     cands += [(list(g), "generated") for g in generated]
-    if bm25_r is not None and m >= 1:
-        q_ids = encode_text(splice_context(pair), vocab, cfg.max_seq_len)
-        for j in bm25_r.top_k(q_ids, m):
-            cands.append((list(bm25_r.docs[j]), "bm25"))
-    if include_truth:
+    if bm25_r is not None:
+        if m >= 1:
+            q_ids = encode_text(splice_context(pair), vocab, cfg.max_seq_len)
+            cands += [(list(bm25_r.docs[j]), "bm25")
+                      for j in bm25_r.top_k(q_ids, m)]
         cands.append((encode_text(pair.response, vocab), "truth"))
     return cands
 
 
+def serve(params: dict, cfg: ModelConfig, vocab: Vocab, texts: list,
+          cache: PoolCache, m: int, n: int, kg: bool, seed: int,
+          max_gen_len: int = 32) -> list:
+    """Each text's ranked candidates, as chat answers it.
+
+    One generate_candidates call draws the chunk; text t's sampled extras
+    come from the stream [seed, CHAT, crc32(t)], so a text draws the same
+    candidates whatever chunk it arrives in.  Each text's set, its m
+    retrieved and n generated candidates, is re-ranked against its query
+    row.  Returns one list of RankedCandidate per text; its first entry is
+    the served answer.
+    """
+    rngs = [np.random.default_rng([seed, seeds.CHAT, zlib.crc32(t.encode())])
+            for t in texts]
+    drawn, q_rows = generate_candidates(params, cfg, vocab, texts, cache, m,
+                                        n, kg, rngs, max_gen_len)
+    return [rerank(params, cfg, Tensor(q_rows.data[i:i + 1]),
+                   build_candidate_set(cfg, vocab, None, entry, cache, None,
+                                       m), cache)
+            for i, entry in enumerate(drawn)]
+
+
 def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
-                       pairs: list, pool, cache: PoolCache,
-                       bm25_r: Bm25Index, m: int, n: int, kg: bool,
-                       batch_size: int, opt: ad.Adam, rng,
-                       max_gen_len: int = 32) -> float:
+                       pairs: list, cache: PoolCache, bm25_r: Bm25Index,
+                       m: int, n: int, kg: bool, batch_size: int,
+                       opt: ad.Adam, rng, max_gen_len: int = 32) -> float:
     """One BCE pass over the pairs; only the matching head moves.
 
     Candidates are drawn fresh each epoch (generation is sampled) and
@@ -156,12 +177,12 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
     for lo in range(0, len(pairs), batch_size):
         chunk = pairs[lo:lo + batch_size]
         drawn, q_rows = generate_candidates(
-            params, cfg, vocab, [splice_context(p) for p in chunk], pool,
-            cache, m, n, kg, [rng] * len(chunk), max_gen_len)
+            params, cfg, vocab, [splice_context(p) for p in chunk], cache, m,
+            n, kg, [rng] * len(chunk), max_gen_len)
         sets, labels = [], []
         for pair, entry in zip(chunk, drawn):
             merged = dedupe_candidates(build_candidate_set(
-                cfg, vocab, pair, entry, cache, bm25_r, m, include_truth=True))
+                cfg, vocab, pair, entry, cache, bm25_r, m))
             sets.append([c for c, _ in merged])
             labels.extend(1.0 if prov == "truth" else 0.0
                           for _, prov in merged)

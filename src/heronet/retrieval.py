@@ -36,7 +36,9 @@ recalled rows of the cache's psi_m table (match_projected).
 
 Two-stage inference, SQD recall then QRM rank, is two_stage_rank; the
 retriever runs it over the whole pool and evaluation over a subset, both
-on the rows query_rows makes for a batch of queries.
+on the rows query_rows makes for a batch of queries.  The retriever
+returns pool ids: a caller reads a retrieved response's token ids from
+the cache (PoolCache.resp_ids), never the pool's text.
 """
 
 from __future__ import annotations
@@ -397,19 +399,6 @@ def qrm_step(params: dict, cfg: ModelConfig, batch: MatchBatch,
 # Two-stage inference
 
 
-class RetrievedCandidate:
-    __slots__ = ("pool_id", "response", "score")
-
-    def __init__(self, pool_id: int, response: str, score: float):
-        self.pool_id = pool_id
-        self.response = response
-        self.score = score
-
-    def __repr__(self):
-        return (f"RetrievedCandidate(pool_id={self.pool_id}, "
-                f"score={self.score:.4f})")
-
-
 def query_rows(params: dict, cfg: ModelConfig, queries: list,
                cache: PoolCache, pooled: Tensor | None) -> tuple:
     """What two_stage_rank reads of a query batch, gradient-free.
@@ -457,12 +446,12 @@ def two_stage_rank(params: dict, dists: np.ndarray, p_q: np.ndarray,
 
 
 def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
-                         pool: CandidatePool, cache: PoolCache, m: int,
+                         cache: PoolCache, m: int,
                          main_pooled: Tensor | None = None) -> list:
     """Recall by SQD distance, rank the survivors by QRM score.
 
-    Each query gets the first m entries of two_stage_rank over the whole
-    pool, with their scores; m larger than the pool degrades to ranking
+    Each query gets the pool ids of the first m entries of two_stage_rank
+    over the whole cached pool; m larger than the pool degrades to ranking
     the whole pool.  Recall reads the queries through the SQD encoder and
     the cache's pool queries; the ranking reads them through the shared
     encoder and the cache's pool responses.  main_pooled is query_rows'
@@ -472,12 +461,7 @@ def retrieve_top_m_batch(params: dict, cfg: ModelConfig, queries: list,
         raise ValueError("m must be at least 1")
     dists, p_q = query_rows(params, cfg, queries, cache, main_pooled)
     table = cache.projected(params, "qrm")
-    ids = np.arange(pool.size)
-    results = []
-    for i in range(len(queries)):
-        ranked, scores = two_stage_rank(params, dists[i], p_q[i], table, ids,
-                                        m)
-        results.append([RetrievedCandidate(
-            int(j), pool.entries[int(j)].response, float(score))
-            for j, score in zip(ranked[:m], scores)])
-    return results
+    ids = np.arange(len(cache.resp_ids))
+    ranked = [two_stage_rank(params, dists[i], p_q[i], table, ids, m)[0]
+              for i in range(len(queries))]
+    return [r[:m].tolist() for r in ranked]

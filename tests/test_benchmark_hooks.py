@@ -4,9 +4,11 @@ perfbench/ wraps heronet functions by (module, attribute) name and counts
 a stage's pairs from the argument at a fixed position.  Renaming such a
 function or reordering its parameters would break the benchmark without
 failing any test of the package, so these tests read the hooks, without
-changing them, and check each one against heronet.  The pair counters are
-also run on a tiny stage call: a stage that reached its per-batch callee by
-any other name than the one the benchmark wraps would count no pairs.
+changing them, and check each one against heronet; the argument positions
+that the tracer's counters read are checked the same way.  The pair
+counters are also run on a tiny stage call: a stage that reached its
+per-batch callee by any other name than the one the benchmark wraps would
+count no pairs.
 """
 
 import importlib
@@ -52,6 +54,27 @@ def test_pair_counter_reads_the_named_parameter(tag):
     if arg is not None:
         pos, key = arg
         assert list(inspect.signature(callee).parameters)[pos] == key
+
+
+# (module, function, position, parameter) of every argument a tracer
+# counter reads by position; model.encode_mean_pool's reads its result only
+_COUNTED_ARGS = [
+    ("retrieval", "retrieve_top_m_batch", 2, "queries"),
+    ("model", "sample_batch", 2, "hidden"),
+    ("rerank", "dedupe_candidates", 0, "candidates"),
+]
+
+
+def test_counted_arguments_cover_the_tracer_counters():
+    listed = {f"{module}.{name}" for module, name, _, _ in _COUNTED_ARGS}
+    assert set(tracer._COUNTERS) - {"model.encode_mean_pool"} == listed
+
+
+@pytest.mark.parametrize("module, name, pos, key", _COUNTED_ARGS,
+                         ids=[f"{m}.{n}" for m, n, _, _ in _COUNTED_ARGS])
+def test_tracer_counter_reads_the_named_parameter(module, name, pos, key):
+    callee = getattr(_heronet(module), name)
+    assert list(inspect.signature(callee).parameters)[pos] == key
 
 
 @pytest.fixture(scope="module")

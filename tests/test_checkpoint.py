@@ -12,6 +12,7 @@ from heronet.checkpoint import (
     load_checkpoint,
     read_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 from heronet.config import TrainConfig
 from heronet.model import ModelConfig, init_params
@@ -214,6 +215,22 @@ class TestCrashSafety:
         assert manifest["step"] == 1
         assert np.array_equal(loaded["out.w"].data,
                               small_params["out.w"].data)
+
+    @pytest.mark.parametrize("step", ["fsync", "replace"])
+    def test_interrupted_write_removes_its_temp(self, tmp_path, monkeypatch,
+                                                step):
+        path = tmp_path / "log.csv"
+        write_atomic(path, b"old\n")
+
+        def die(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, step, die)
+        with pytest.raises(KeyboardInterrupt):
+            write_atomic(path, b"new\n")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
+        assert path.read_bytes() == b"old\n"
 
     def test_resave_byte_identical_and_leaves_no_temp(self, small_params,
                                                       tmp_path):

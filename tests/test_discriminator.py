@@ -37,9 +37,8 @@ def disc_batch(corpus, vocab, cfg, params, cache, b=4, m=3, n=2, seed=0):
         q = encode_text(pair.query, vocab, cfg.max_seq_len)
         queries.append(q)
         positives.append(encode_text(pair.response, vocab))
-        [cands] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache,
-                                       m)
-        retrieved += [encode_text(c.response, vocab) for c in cands]
+        [ids] = retrieve_top_m_batch(params, cfg, [q], cache, m)
+        retrieved += [list(cache.resp_ids[j]) for j in ids]
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, [q])
         generated += sample_batch(params, cfg, tile_hidden(hidden, n),
@@ -244,10 +243,9 @@ def test_alternating_adversarial_steps_stay_finite(small_world):
         rep = pg_step(local, cfg, src, resp, rolls, rewards, alpha=0.5,
                       opt=g_opt)
         assert np.isfinite([rep.ce, rep.pg, rep.fused]).all()
-        retrieved = [encode_text(c.response, vocab)
-                     for cands in retrieve_top_m_batch(local, cfg, src,
-                                                       corpus.pool, cache, 2)
-                     for c in cands]
+        retrieved = [list(cache.resp_ids[j])
+                     for ids in retrieve_top_m_batch(local, cfg, src, cache, 2)
+                     for j in ids]
         d_loss = disc_step(local, cfg, src, resp, retrieved, rolls,
                            0.5, 0.5, 1e-4, d_opt)
         assert np.isfinite(d_loss)

@@ -250,50 +250,61 @@ def test_pg_moves_probability_toward_rewarded_rollout(small_world):
 
 
 def test_splice_basic_join():
-    assert splice_knowledge("a b", "k1 k2", 16) == "a b [SEP] k1 k2"
+    assert splice_knowledge([10, 11], [20, 21], 16) == [10, 11, SEP_ID, 20, 21]
 
 
 def test_splice_without_knowledge_is_identity():
-    assert splice_knowledge("a b c", None, 16) == "a b c"
-    assert splice_knowledge("a b c", "", 16) == "a b c"
+    assert splice_knowledge([10, 11, 12], None, 16) == [10, 11, 12]
+    assert splice_knowledge([10, 11, 12], [], 16) == [10, 11, 12]
 
 
 def test_splice_cuts_knowledge_tail_keeps_query():
-    assert splice_knowledge("a b c", "k1 k2 k3 k4 k5", 6) == "a b c [SEP] k1 k2"
+    assert splice_knowledge([10, 11, 12], [20, 21, 22, 23, 24], 6) == \
+        [10, 11, 12, SEP_ID, 20, 21]
 
 
 def test_splice_query_filling_budget_unchanged():
-    assert splice_knowledge("a b c", "k1 k2", 3) == "a b c"
-    assert splice_knowledge("a b c", "k1 k2", 4) == "a b c"  # no room after SEP
-    assert splice_knowledge("a b c d e", "k1", 3) == "a b c d e"
+    assert splice_knowledge([10, 11, 12], [20, 21], 3) == [10, 11, 12]
+    # no room after SEP
+    assert splice_knowledge([10, 11, 12], [20, 21], 4) == [10, 11, 12]
+    assert splice_knowledge([10, 11, 12, 13, 14], [20], 3) == \
+        [10, 11, 12, 13, 14]
 
 
-def test_splice_separator_round_trips_through_vocab(small_world):
+def test_splice_equals_encoding_the_spliced_text(small_world):
+    # splicing ids gives the ids of the text "query [SEP] knowledge",
+    # cut at the same budget
     corpus, vocab, cfg, params, cache = small_world
-    text = splice_knowledge(corpus.train[0].query,
-                            corpus.pool.entries[0].response, 32)
-    ids = encode_text(text, vocab)
+    for pair, entry in zip(corpus.train[:5], corpus.pool.entries):
+        q, k = pair.query, entry.response
+        for budget in (4, 9, 32):
+            ids = splice_knowledge(encode_text(q, vocab, budget),
+                                   encode_text(k, vocab), budget)
+            text = " ".join([q, "[SEP]", k])
+            if len(q.split()) + 1 >= budget:
+                text = q
+            assert ids == encode_text(text, vocab, budget)
     assert SEP_ID in ids
 
 
 def test_splice_rejects_bad_budget():
     with pytest.raises(ValueError):
-        splice_knowledge("a", "k", 0)
+        splice_knowledge([10], [20], 0)
 
 
-_WORDS = st.lists(st.text("abc", min_size=1, max_size=3), max_size=8)
+_IDS = st.lists(st.integers(6, 40), max_size=8)
 
 
-@given(q=_WORDS, k=_WORDS, budget=st.integers(1, 20))
+@given(q=_IDS, k=_IDS, budget=st.integers(1, 20))
 def test_splice_keeps_query_whole_within_budget(q, k, budget):
-    out = splice_knowledge(" ".join(q), " ".join(k), budget).split()
+    out = splice_knowledge(q, k, budget)
     assert out[:len(q)] == q
     if out == q:
-        # nothing spliced: no knowledge, or no room for a word of it
+        # nothing spliced: no knowledge, or no room for a token of it
         assert not k or budget <= len(q) + 1
     else:
         assert len(out) == min(budget, len(q) + 1 + len(k))
-        assert out[len(q)] == "[SEP]"
+        assert out[len(q)] == SEP_ID
         assert out[len(q) + 1:] == k[:len(out) - len(q) - 1]
 
 
@@ -305,15 +316,17 @@ def test_generate_candidates_counts_and_sources(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
     [(gen, retr, src)], pooled = generate_candidates(
-        params, cfg, vocab, [q], corpus.pool, cache, m=4, n=3, kg=True,
+        params, cfg, vocab, [q], cache, m=4, n=3, kg=True,
         rngs=[np.random.default_rng(3)], max_gen_len=12)
     assert len(gen) == 3 and len(retr) == 4
-    assert "[SEP]" in src and src.startswith(q)
-    assert retr[0].response in src
+    # the source is the query's ids spliced with its top pool response's
+    q_ids = encode_text(q, vocab, cfg.max_seq_len)
+    assert SEP_ID in src
+    assert src == splice_knowledge(q_ids, cache.resp_ids[retr[0]],
+                                   cfg.max_seq_len)
     # the query's pooled row from the shared encoder comes back with it
     with ad.no_grad():
-        _, want = encode_mean_pool(params, cfg,
-                                   [encode_text(q, vocab, cfg.max_seq_len)])
+        _, want = encode_mean_pool(params, cfg, [q_ids])
     np.testing.assert_array_equal(pooled.data, want.data)
 
 
@@ -321,21 +334,19 @@ def test_generate_candidates_kg_off_uses_bare_query(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
     [(_, retr, src)], _ = generate_candidates(
-        params, cfg, vocab, [q], corpus.pool, cache, m=4, n=1, kg=False)
-    assert src == q
+        params, cfg, vocab, [q], cache, m=4, n=1, kg=False)
+    assert src == encode_text(q, vocab, cfg.max_seq_len)
     assert len(retr) == 4  # retrieval still runs for the rerank stage
 
 
 def test_generate_candidates_greedy_head_deterministic(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[1].query
-    [(g1, _, _)], _ = generate_candidates(params, cfg, vocab, [q],
-                                          corpus.pool, cache, m=2, n=3,
-                                          kg=True,
+    [(g1, _, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
+                                          m=2, n=3, kg=True,
                                           rngs=[np.random.default_rng(4)])
-    [(g2, _, _)], _ = generate_candidates(params, cfg, vocab, [q],
-                                          corpus.pool, cache, m=2, n=3,
-                                          kg=True,
+    [(g2, _, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
+                                          m=2, n=3, kg=True,
                                           rngs=[np.random.default_rng(5)])
     assert g1[0] == g2[0]  # greedy head ignores the rng
 
@@ -344,9 +355,10 @@ def test_generate_candidates_m_zero_skips_retrieval(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[2].query
     [(gen, retr, src)], pooled = generate_candidates(
-        params, cfg, vocab, [q], corpus.pool, cache, m=0, n=2, kg=True,
+        params, cfg, vocab, [q], cache, m=0, n=2, kg=True,
         rngs=[np.random.default_rng(6)])
-    assert retr == [] and src == q and len(gen) == 2
+    assert retr == [] and len(gen) == 2
+    assert src == encode_text(q, vocab, cfg.max_seq_len)
     # the re-ranker still needs the query's row
     assert pooled.data.shape == (1, cfg.d_model)
 
@@ -355,14 +367,14 @@ def test_generate_candidates_guards(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
     with pytest.raises(ValueError):
-        generate_candidates(params, cfg, vocab, [q], corpus.pool, cache,
-                            m=0, n=0, kg=False)
+        generate_candidates(params, cfg, vocab, [q], cache, m=0, n=0,
+                            kg=False)
     with pytest.raises(ValueError):
-        generate_candidates(params, cfg, vocab, [q], corpus.pool, cache,
-                            m=1, n=2, kg=False)  # n > 1 without rng
+        generate_candidates(params, cfg, vocab, [q], cache, m=1, n=2,
+                            kg=False)  # n > 1 without rng
     with pytest.raises(ValueError):
-        generate_candidates(params, cfg, vocab, [q, q], corpus.pool, cache,
-                            m=1, n=2, kg=False,
+        generate_candidates(params, cfg, vocab, [q, q], cache, m=1, n=2,
+                            kg=False,
                             rngs=[np.random.default_rng(0)])  # one short
 
 
@@ -379,15 +391,14 @@ def test_generate_candidates_chunk_equals_per_query(small_world, n, shared):
         return [np.random.default_rng([8, i]) for i in range(len(queries))]
 
     chunk, chunk_rows = generate_candidates(
-        params, cfg, vocab, queries, corpus.pool, cache, m=3, n=n, kg=True,
-        rngs=rngs(), max_gen_len=10)
+        params, cfg, vocab, queries, cache, m=3, n=n, kg=True, rngs=rngs(),
+        max_gen_len=10)
     one, one_rows = zip(*(generate_candidates(
-        params, cfg, vocab, [q], corpus.pool, cache, m=3, n=n, kg=True,
-        rngs=[rng], max_gen_len=10) for q, rng in zip(queries, rngs())))
+        params, cfg, vocab, [q], cache, m=3, n=n, kg=True, rngs=[rng],
+        max_gen_len=10) for q, rng in zip(queries, rngs())))
     assert len(chunk) == len(queries)
     for (g_c, r_c, s_c), [(g_1, r_1, s_1)] in zip(chunk, one):
-        assert g_c == g_1 and s_c == s_1
-        assert [c.pool_id for c in r_c] == [c.pool_id for c in r_1]
+        assert g_c == g_1 and s_c == s_1 and r_c == r_1
     np.testing.assert_allclose(
         chunk_rows.data, np.concatenate([r.data for r in one_rows]),
         rtol=1e-12, atol=1e-12)

@@ -15,6 +15,7 @@ from heronet import pipeline
 from heronet.checkpoint import (checkpoint_stage, load_checkpoint,
                                 read_checkpoint)
 from heronet.config import TrainConfig, parse_config
+from heronet.corpus import splice_context
 from heronet.generation import GenLossReport
 from heronet.model import params_fingerprint
 from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
@@ -417,6 +418,8 @@ class TestKillAtEveryWrite:
         for i in range(total):
             out = tmp_path / f"killed{i}"
             assert run_killed_at(out, i) == i
+            # the interrupted move removed its temporary file
+            assert not list(out.rglob("*.tmp"))
             if i == 0:
                 assert checkpoint_stage(out / "ckpt_warmup") is None
                 with pytest.raises(StageOrderError, match="run warmup"):
@@ -441,9 +444,14 @@ class TestEvaluate:
         report = stage_evaluate(cfg, run_dir)
         assert list(report) == ["bleu", "rouge_l", "meteor", "chrf", "mrr",
                                 "acc", "hit@5", "hit@10", "hit@50",
-                                "bm25_mrr"]
-        for key in ("mrr", "acc", "hit@5", "hit@10", "hit@50", "bm25_mrr"):
+                                "bm25_mrr", "rank1_retrieved",
+                                "rank1_generated"]
+        for key in ("mrr", "acc", "hit@5", "hit@10", "hit@50", "bm25_mrr",
+                    "rank1_retrieved", "rank1_generated"):
             assert 0.0 <= report[key] <= 1.0
+        # every served answer is retrieved or generated
+        assert report["rank1_retrieved"] + report["rank1_generated"] == \
+            pytest.approx(1.0)
         for key in ("bleu", "rouge_l", "chrf"):
             assert 0.0 <= report[key] <= 100.0
         assert 0.0 <= report["meteor"] <= 1.0
@@ -451,9 +459,10 @@ class TestEvaluate:
         assert on_disk == pytest.approx(report)
 
     def test_trace_records_sorted_candidates(self, cfg, run_dir):
-        stage_evaluate(cfg, run_dir)
+        report = stage_evaluate(cfg, run_dir)
         lines = (run_dir / "rerank_trace.jsonl").read_text().splitlines()
         assert len(lines) == cfg.n_eval
+        first = []
         for i, line in enumerate(lines):
             rec = json.loads(line)
             assert rec["query_id"] == i
@@ -462,10 +471,40 @@ class TestEvaluate:
                                                             len(cands) + 1))
             scores = [c["score"] for c in cands]
             assert scores == sorted(scores, reverse=True)
-            assert all(c["provenance"] in ("retrieved", "generated", "truth")
+            # the served set: no gold response is added
+            assert all(c["provenance"] in ("retrieved", "generated")
                        for c in cands)
-            # the gold response survives deduplication exactly once
-            assert sum(c["provenance"] == "truth" for c in cands) == 1
+            first.append(cands[0]["provenance"])
+        # the report's provenance mix counts the trace's rank-1 entries
+        assert report["rank1_retrieved"] == \
+            first.count("retrieved") / len(first)
+        assert report["rank1_generated"] == \
+            first.count("generated") / len(first)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_scores_what_chat_serves(self, cfg, run_dir, monkeypatch, n):
+        """The hypotheses evaluate scores are chat's response lines for
+        each test pair's source text."""
+        cfg = replace(cfg, n=n)
+        corpus, vocab, mcfg = load_world(cfg, run_dir)
+        params, cache = pipeline._load_served(run_dir, corpus.pool, vocab)
+        scored = []
+        real_report = pipeline.generation_report
+
+        def report_spy(hyps, refs):
+            scored.extend(hyps)
+            return real_report(hyps, refs)
+
+        monkeypatch.setattr(pipeline, "generation_report", report_spy)
+        pipeline.evaluate_params(params, cache, cfg, corpus, vocab, mcfg)
+        stdout = io.StringIO()
+        run_chat(cfg, run_dir, stdout=stdout, stdin=io.StringIO(
+            "".join(splice_context(p) + "\n" for p in corpus.test)))
+        served = [line[len("response: "):]
+                  for line in stdout.getvalue().splitlines()
+                  if line.startswith("response:")]
+        assert len(scored) == cfg.n_eval
+        assert scored == served
 
     @pytest.mark.parametrize("n", [1, 3])
     def test_chunk_size_changes_nothing(self, cfg, run_dir, tmp_path, n):
@@ -693,7 +732,7 @@ class TestChat:
         checkpoint."""
         from collections import Counter
 
-        from heronet import generation, model, retrieval
+        from heronet import generation, model, rerank, retrieval
         from heronet.corpus import encode_text
 
         events = []
@@ -705,14 +744,14 @@ class TestChat:
 
         for mod in (model, pipeline, generation, retrieval):
             monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)
-        real_generate = pipeline.generate_candidates
+        real_generate = rerank.generate_candidates
 
         def generate_spy(*args, **kwargs):
             drawn = real_generate(*args, **kwargs)
             events.append(("drawn", drawn))
             return drawn
 
-        monkeypatch.setattr(pipeline, "generate_candidates", generate_spy)
+        monkeypatch.setattr(rerank, "generate_candidates", generate_spy)
         queries = ["check the flight status", "book a table",
                    "where is my order", "cancel my booking please"]
 
@@ -734,9 +773,9 @@ class TestChat:
                     for row in got]
             [([(generated, retrieved, src)], _)] = [
                 got for kind, got in events[lo + 1:hi] if kind == "drawn"]
-            assert retrieved and src != query
             q_ids = tuple(encode_text(query, vocab, mcfg.max_seq_len))
-            want = [q_ids, tuple(encode_text(src, vocab, mcfg.max_seq_len))]
+            assert retrieved and tuple(src) != q_ids
+            want = [q_ids, tuple(src)]
             want += [g for g in dict.fromkeys(map(tuple, generated))
                      if g not in responses]
             assert Counter(rows) == Counter(want)

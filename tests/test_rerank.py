@@ -1,4 +1,6 @@
-"""Candidate deduplication, ranking, and rerank-training tests."""
+"""Candidate deduplication, ranking, serving, and rerank-training tests."""
+
+import zlib
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from heronet import autodiff as ad
+from heronet import seeds
 from heronet.bm25 import Bm25Index
 from heronet.corpus import (build_vocab, encode_text,
                             generate_synthetic_corpus, splice_context)
@@ -14,7 +17,7 @@ from heronet.generation import generate_candidates
 from heronet.model import (ModelConfig, encode_mean_pool, init_params,
                            param_subset, params_fingerprint)
 from heronet.rerank import (build_candidate_set, dedupe_candidates, rerank,
-                            rerank_train_epoch)
+                            rerank_train_epoch, serve)
 from heronet.retrieval import PoolCache, build_pool_cache, pool_token_lists
 
 from helpers import clone_params, psi_m_inputs
@@ -216,10 +219,9 @@ def drawn_set(small_world, pair, bm25_r, m, n, seed):
     """pair's candidate set, built from its own generate_candidates draw."""
     corpus, vocab, cfg, params, cache, _ = small_world
     [entry], _ = generate_candidates(
-        params, cfg, vocab, [splice_context(pair)], corpus.pool, cache, m, n,
-        True, [np.random.default_rng(seed)], max_gen_len=10)
-    return build_candidate_set(cfg, vocab, pair, entry, cache, bm25_r, m,
-                               include_truth=True)
+        params, cfg, vocab, [splice_context(pair)], cache, m, n, True,
+        [np.random.default_rng(seed)], max_gen_len=10)
+    return build_candidate_set(cfg, vocab, pair, entry, cache, bm25_r, m)
 
 
 def test_candidate_set_provenance_mix(small_world):
@@ -234,15 +236,12 @@ def test_candidate_set_provenance_mix(small_world):
 
 
 def test_candidate_set_without_bm25_block(small_world):
-    # inference and evaluation sets carry no lexical block: m retrieved
-    # plus n generated, with exactly one appended truth entry
+    # served sets carry no lexical block and no gold response: m retrieved
+    # plus n generated
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     cands = drawn_set(small_world, corpus.test[0], None, m=3, n=2, seed=0)
     provs = [p for _, p in cands]
-    assert len(cands) == 6
-    assert provs.count("retrieved") == 3
-    assert provs.count("generated") == 2
-    assert provs.count("truth") == 1
+    assert provs == ["retrieved"] * 3 + ["generated"] * 2
 
 
 def test_candidate_set_truth_survives_dedupe_once(small_world):
@@ -257,6 +256,42 @@ def test_candidate_set_truth_survives_dedupe_once(small_world):
 
 
 # ---------------------------------------------------------------------------
+# serving
+
+
+def test_serve_ranks_the_draw_from_the_text_keyed_stream(small_world):
+    # a text's sampled extras come from [seed, CHAT, crc32(text)], and its
+    # served set is its m retrieved and n generated candidates, re-ranked
+    corpus, vocab, cfg, params, cache, _ = small_world
+    text = splice_context(corpus.test[2])
+    [got] = serve(params, cfg, vocab, [text], cache, 3, 3, True, 17,
+                  max_gen_len=10)
+    rng = np.random.default_rng([17, seeds.CHAT, zlib.crc32(text.encode())])
+    [entry], q_row = generate_candidates(params, cfg, vocab, [text], cache,
+                                         3, 3, True, [rng], max_gen_len=10)
+    cands = build_candidate_set(cfg, vocab, None, entry, cache, None, 3)
+    assert got == rerank(params, cfg, q_row, cands, cache)
+    assert {c.provenance for c in got} <= {"retrieved", "generated"}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_serve_answers_a_text_alike_in_any_chunk(small_world, n):
+    corpus, vocab, cfg, params, cache, _ = small_world
+    texts = [splice_context(p) for p in corpus.test[:5]]
+    texts.append(texts[1])
+    chunk = serve(params, cfg, vocab, texts, cache, 2, n, True, 3,
+                  max_gen_len=10)
+    assert chunk[1] == chunk[-1]
+    for text, ranked in zip(texts, chunk):
+        [alone] = serve(params, cfg, vocab, [text], cache, 2, n, True, 3,
+                        max_gen_len=10)
+        assert [(c.tokens, c.provenance) for c in alone] == \
+            [(c.tokens, c.provenance) for c in ranked]
+        assert [c.score for c in alone] == pytest.approx(
+            [c.score for c in ranked], rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # training
 
 
@@ -266,10 +301,10 @@ def test_rerank_train_moves_only_matching_head(small_world):
     frozen = [k for k in local if not k.startswith("psi_m.")]
     before = params_fingerprint(local, frozen)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
-    loss = rerank_train_epoch(local, cfg, vocab, corpus.train[:6],
-                              corpus.pool, cache, bm25_r, m=3, n=1, kg=True,
-                              batch_size=3, opt=opt,
-                              rng=np.random.default_rng(2), max_gen_len=8)
+    loss = rerank_train_epoch(local, cfg, vocab, corpus.train[:6], cache,
+                              bm25_r, m=3, n=1, kg=True, batch_size=3,
+                              opt=opt, rng=np.random.default_rng(2),
+                              max_gen_len=8)
     assert np.isfinite(loss)
     assert params_fingerprint(local, frozen) == before
     assert params_fingerprint(local, ["psi_m.w_m"]) != \
@@ -281,10 +316,9 @@ def test_rerank_train_loss_decreases_over_epochs(small_world):
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-2)
     rng = np.random.default_rng(3)
-    losses = [rerank_train_epoch(local, cfg, vocab, corpus.train[:8],
-                                 corpus.pool, cache, bm25_r, m=3, n=1,
-                                 kg=True, batch_size=4, opt=opt, rng=rng,
-                                 max_gen_len=8)
+    losses = [rerank_train_epoch(local, cfg, vocab, corpus.train[:8], cache,
+                                 bm25_r, m=3, n=1, kg=True, batch_size=4,
+                                 opt=opt, rng=rng, max_gen_len=8)
               for _ in range(3)]
     assert losses[-1] < losses[0]
 
@@ -296,8 +330,8 @@ def test_rerank_train_deterministic_given_seed(small_world):
         local = clone_params(params)
         opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
         runs.append(rerank_train_epoch(local, cfg, vocab, corpus.train[:5],
-                                       corpus.pool, cache, bm25_r, m=2, n=2,
-                                       kg=True, batch_size=5, opt=opt,
+                                       cache, bm25_r, m=2, n=2, kg=True,
+                                       batch_size=5, opt=opt,
                                        rng=np.random.default_rng(4),
                                        max_gen_len=8))
     assert runs[0] == runs[1]
@@ -323,9 +357,9 @@ def test_rerank_train_assembles_each_pair_once(small_world, monkeypatch):
     monkeypatch.setattr(rr, "generate_candidates", counted_generate)
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
-    rerank_train_epoch(local, cfg, vocab, corpus.train[:7], corpus.pool,
-                       cache, bm25_r, m=2, n=2, kg=True, batch_size=3,
-                       opt=opt, rng=np.random.default_rng(5), max_gen_len=8)
+    rerank_train_epoch(local, cfg, vocab, corpus.train[:7], cache, bm25_r,
+                       m=2, n=2, kg=True, batch_size=3, opt=opt,
+                       rng=np.random.default_rng(5), max_gen_len=8)
     assert calls["build"] == 7
     assert calls["generate"] == [3, 3, 1]
 
@@ -368,7 +402,7 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
     pairs = corpus.train[:6] + corpus.train[:1]
-    rerank_train_epoch(local, cfg, vocab, pairs, corpus.pool, cache, bm25_r,
+    rerank_train_epoch(local, cfg, vocab, pairs, cache, bm25_r,
                        m=2, n=2, kg=True, batch_size=4, opt=opt,
                        rng=np.random.default_rng(5), max_gen_len=8)
     assert len(chunks) == 2

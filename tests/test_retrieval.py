@@ -431,15 +431,21 @@ def two_stage_oracle(params, cfg, vocab, query_ids, pool, cache, m,
 
 def test_retrieve_matches_exhaustive_oracle(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
+    table = cache.projected(params, "qrm")
     for pair in corpus.test[:4]:
         q = encode_text(pair.query, vocab)
-        [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=3)
+        [got] = retrieve_top_m_batch(params, cfg, [q], cache, m=3)
         want = two_stage_oracle(params, cfg, vocab, q, corpus.pool, cache,
                                 m=3)[:3]
-        assert [(c.pool_id, ) for c in got] == [(j, ) for j, _ in want]
-        for c, (j, s) in zip(got, want):
-            assert c.score == pytest.approx(s, rel=1e-9)
-            assert c.response == corpus.pool.entries[j].response
+        assert got == [j for j, _ in want]
+        # the whole-pool rank it reads scores the recalled ids as the
+        # oracle does
+        dists, p_q = query_rows(params, cfg, [q], cache, None)
+        ranked, scores = two_stage_rank(params, dists[0], p_q[0], table,
+                                        np.arange(corpus.pool.size), m=3)
+        assert ranked[:3].tolist() == got
+        assert scores[:3].tolist() == pytest.approx(
+            [s for _, s in want], rel=1e-9)
 
 
 def test_subset_rank_matches_oracle(small_world):
@@ -469,16 +475,19 @@ def test_retrieve_results_within_stage1_recall(small_world):
     m = 4
     dists = sqd_pool_distances(params, cfg, [q], cache)[0]
     stage1 = set(np.lexsort((np.arange(corpus.pool.size), dists))[:4 * m])
-    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=m)
-    assert {c.pool_id for c in got} <= stage1
+    [got] = retrieve_top_m_batch(params, cfg, [q], cache, m=m)
+    assert set(got) <= stage1
 
 
-def test_retrieve_scores_non_increasing(small_world):
+def test_two_stage_scores_non_increasing(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[2].query, vocab)
-    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=6)
-    scores = [c.score for c in got]
-    assert scores == sorted(scores, reverse=True)
+    dists, p_q = query_rows(params, cfg, [q], cache, None)
+    _, scores = two_stage_rank(params, dists[0], p_q[0],
+                               cache.projected(params, "qrm"),
+                               np.arange(corpus.pool.size), m=6)
+    assert len(scores) == 24
+    assert scores.tolist() == sorted(scores.tolist(), reverse=True)
 
 
 def test_retrieve_tied_scores_order_by_pool_id(small_world):
@@ -489,17 +498,22 @@ def test_retrieve_tied_scores_order_by_pool_id(small_world):
     m = 5
     dists = sqd_pool_distances(local, cfg, [q], cache)[0]
     stage1 = np.lexsort((np.arange(corpus.pool.size), dists))[:4 * m]
-    [got] = retrieve_top_m_batch(local, cfg, [q], corpus.pool, cache, m=m)
-    assert [c.pool_id for c in got] == sorted(stage1.tolist())[:m]
+    [got] = retrieve_top_m_batch(local, cfg, [q], cache, m=m)
+    assert got == sorted(stage1.tolist())[:m]
+    _, p_q = query_rows(local, cfg, [q], cache, None)
+    ranked, scores = two_stage_rank(local, dists, p_q[0],
+                                    cache.projected(local, "qrm"),
+                                    np.arange(corpus.pool.size), m)
+    assert scores.tolist() == [0.5] * (4 * m)
+    assert ranked[:4 * m].tolist() == sorted(stage1.tolist())
 
 
 def test_retrieve_oversized_m_returns_whole_pool(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[3].query, vocab)
-    [got] = retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache,
+    [got] = retrieve_top_m_batch(params, cfg, [q], cache,
                                  m=corpus.pool.size + 10)
-    assert len(got) == corpus.pool.size
-    assert sorted(c.pool_id for c in got) == list(range(corpus.pool.size))
+    assert sorted(got) == list(range(corpus.pool.size))
 
 
 @pytest.mark.parametrize("separate", [False, True])
@@ -529,18 +543,18 @@ def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
         return real(params, cfg, ids, mask, prefix)
 
     monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
-    got = retrieve_top_m_batch(local, cfg, qs, corpus.pool, cache, m=3)
+    got = retrieve_top_m_batch(local, cfg, qs, cache, m=3)
     assert calls == (["", prefix] if separate else [""])
     for i, row in enumerate(got):
         stage1 = np.lexsort((np.arange(corpus.pool.size), want[i]))[:12]
-        assert {c.pool_id for c in row} <= set(stage1.tolist())
+        assert set(row) <= set(stage1.tolist())
 
 
 def test_retrieve_rejects_bad_m(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     q = encode_text(corpus.test[0].query, vocab)
     with pytest.raises(ValueError):
-        retrieve_top_m_batch(params, cfg, [q], corpus.pool, cache, m=0)
+        retrieve_top_m_batch(params, cfg, [q], cache, m=0)
 
 
 # ---------------------------------------------------------------------------
