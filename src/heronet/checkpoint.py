@@ -1,23 +1,32 @@
 """Checkpoint serialization.
 
 A checkpoint is one file, at exactly the path its caller names.  Its
-first line is the manifest, compact JSON with sorted keys: tensor names,
-shapes and byte offsets, stage tag, config snapshot, seed, step, epoch,
-and the blob's length and sha256.  The blob follows the newline: every
-tensor as little-endian float32 in manifest order, offsets counted from
-the blob's first byte.  Saving the same parameters twice produces
-byte-identical files; loading restores bit-identical float32 weights.
+first line is the manifest, compact JSON with sorted keys: stage tag,
+config snapshot, seed, step, epoch, `vocab_sha256` (the sha256 of the
+vocab.json bytes the stage trained under), the tensor entries, and the
+blob's length and sha256.  The blob follows the newline.  Each entry
+gives an array's name, dtype, shape and byte offset, counted from the
+blob's first byte; the arrays follow one another in manifest order,
+float arrays as little-endian float32 (`<f4`), integer arrays as
+little-endian int32 (`<i4`).  Saving the same parameters twice produces
+byte-identical files; loading restores bit-identical arrays.
 
-A rerank checkpoint's blob holds the parameters, then the pool rows: the
-pooled encoder rows of every candidate-pool query and response, which
-rerank-train built from its frozen encoder (retrieval.PoolCache), stored
-so that chat and evaluate read them instead of encoding the pool again.
-Only rerank-train writes rows.  The manifest lists them under `pool`,
-apart from `tensors`, with `token_sha256`: the sha256 of the token id
-lists they were encoded from, every pool query and then every response
-in entry order (PoolCache.token_digest), so a reader can tell whether
-they belong to its pool.  `blob_sha256` covers the rows too.  The
-parameter section is laid out as in a checkpoint without rows.
+A rerank checkpoint is what chat and evaluate serve from.  Its blob
+holds the parameters, then the pool rows, then the pool's token ids.
+The rows are the pooled encoder rows of every candidate-pool query and
+response, which rerank-train built from its frozen encoder
+(retrieval.PoolCache).  The ids are the token id lists those rows were
+encoded from: per side, queries and responses, the lists concatenated
+into one int32 array (`query_ids`, `resp_ids`) beside their int32
+lengths (`query_lens`, `resp_lens`).  The manifest lists them under
+`pool`, apart from `tensors`: `rows`, `ids`, and `pool_sha256`, the
+sha256 of the pool.jsonl bytes rerank-train loaded, so that a reader
+can tell whether they belong to its pool without reading it.
+Only rerank-train writes a pool section.  `blob_sha256` covers the
+rows and ids too.  The parameter section is laid out as in a checkpoint
+without them.  A first line without `blob_sha256` or `vocab_sha256` is
+not a manifest this module reads; checkpoints made before manifests
+recorded the vocabulary are refused, not read another way.
 
 The file is written to a temporary name and moved into place with one
 os.replace, so a kill at any instant leaves the previous checkpoint or
@@ -56,36 +65,52 @@ def write_atomic(path, data: bytes) -> None:
         raise
 
 
+_DTYPES = {"<f4": np.float32, "<i4": np.int32}
+
+
 def _pack(arrays: dict, blob: bytearray) -> list:
-    """Append each array to blob as little-endian float32, in name order;
-    returns their manifest entries."""
+    """Append each array to blob in name order, integer arrays as
+    little-endian int32 and the rest as little-endian float32; returns
+    their manifest entries."""
     entries = []
     for name in sorted(arrays):
-        data = np.ascontiguousarray(arrays[name], dtype="<f4")
+        arr = np.asarray(arrays[name])
+        dtype = "<i4" if arr.dtype.kind in "iu" else "<f4"
+        data = np.ascontiguousarray(arr, dtype=dtype)
+        if dtype == "<i4" and not np.array_equal(data, arr):
+            raise ValueError(f"{name} holds values outside int32")
         raw = data.tobytes()
-        entries.append({"name": name, "shape": list(data.shape),
-                        "offset": len(blob), "bytes": len(raw)})
+        entries.append({"name": name, "dtype": dtype,
+                        "shape": list(data.shape), "offset": len(blob),
+                        "bytes": len(raw)})
         blob.extend(raw)
     return entries
 
 
 def _unpack(blob, entries: list) -> dict:
-    """The float32 arrays that manifest entries describe, by name."""
+    """The arrays that manifest entries describe, by name, each a native
+    float32 or int32 copy."""
     out = {}
     for entry in entries:
+        dtype = entry["dtype"]
+        if dtype not in _DTYPES:
+            raise ValueError(f"{entry['name']}: unknown dtype {dtype!r}")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count,
+        arr = np.frombuffer(blob, dtype=dtype, count=count,
                             offset=entry["offset"])
-        out[entry["name"]] = arr.reshape(shape).astype(np.float32, copy=True)
+        out[entry["name"]] = arr.reshape(shape).astype(_DTYPES[dtype],
+                                                       copy=True)
     return out
 
 
 def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
-                    step: int, pool: tuple | None = None,
+                    step: int, vocab_sha256: str, pool: tuple | None = None,
                     epoch: int = 0) -> None:
-    """Write params, after `epoch` completed epochs, and pool when given:
-    (token digest, rows by name), the rows stored after the parameters."""
+    """Write params, after `epoch` completed epochs, trained under the
+    vocab.json whose sha256 is vocab_sha256; and pool when given:
+    (pool.jsonl sha256, rows by name, token ids by name), stored after
+    the parameters, rows first."""
     blob = bytearray()
     manifest = {
         "stage": stage,
@@ -93,12 +118,14 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
         "step": int(step),
         "epoch": int(epoch),
         "config": asdict(config),
+        "vocab_sha256": vocab_sha256,
         "tensors": _pack({n: t.data for n, t in params.items()}, blob),
     }
     if pool is not None:
-        token_sha256, rows = pool
-        manifest["pool"] = {"token_sha256": token_sha256,
-                            "rows": _pack(rows, blob)}
+        pool_sha256, rows, ids = pool
+        manifest["pool"] = {"pool_sha256": pool_sha256,
+                            "rows": _pack(rows, blob),
+                            "ids": _pack(ids, blob)}
     manifest["blob_bytes"] = len(blob)
     manifest["blob_sha256"] = hashlib.sha256(blob).hexdigest()
     head = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
@@ -106,12 +133,14 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
 
 
 def _manifest(line: bytes, path) -> dict:
-    """The manifest on a checkpoint's first line."""
+    """The manifest on a checkpoint's first line; ValueError when the line
+    is not one, or lacks the blob hash or the vocabulary digest."""
     try:
         manifest = json.loads(line)
     except ValueError:
         manifest = None
-    if not isinstance(manifest, dict) or "blob_sha256" not in manifest:
+    if (not isinstance(manifest, dict) or "blob_sha256" not in manifest
+            or "vocab_sha256" not in manifest):
         raise ValueError(f"{path} does not start with a checkpoint manifest")
     return manifest
 
@@ -119,9 +148,10 @@ def _manifest(line: bytes, path) -> dict:
 def read_checkpoint(path) -> tuple:
     """Returns (params, manifest, pool); weights are float32 Tensors.
 
-    pool is what save_checkpoint was given, (token digest, rows by name)
-    with float32 rows, or None when the checkpoint carries no pool rows.
-    The file is read once, and the blob hashed and unpacked in place.
+    pool is what save_checkpoint was given, (pool.jsonl sha256, rows by
+    name, token ids by name) with float32 rows and int32 ids, or None
+    when the checkpoint carries no pool section.  The file is read once,
+    and the blob hashed and unpacked in place.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -137,12 +167,13 @@ def read_checkpoint(path) -> tuple:
               in _unpack(blob, manifest["tensors"]).items()}
     pool = manifest.get("pool")
     if pool is not None:
-        pool = (pool["token_sha256"], _unpack(blob, pool["rows"]))
+        pool = (pool["pool_sha256"], _unpack(blob, pool["rows"]),
+                _unpack(blob, pool["ids"]))
     return params, manifest, pool
 
 
 def load_checkpoint(path) -> tuple:
-    """Returns (params, manifest): read_checkpoint without the pool rows."""
+    """Returns (params, manifest): read_checkpoint without the pool."""
     params, manifest, _ = read_checkpoint(path)
     return params, manifest
 

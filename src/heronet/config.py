@@ -90,8 +90,8 @@ def validate_config(cfg: TrainConfig) -> None:
         fail("n", "must be >= 0")
     if cfg.m == 0 and cfg.n == 0:
         fail("m", "m and n cannot both be 0")
-    if not 1 <= cfg.k <= cfg.m + cfg.n + 1:
-        fail("k", f"must be in [1, m+n+1] = [1, {cfg.m + cfg.n + 1}]")
+    if not 1 <= cfg.k <= cfg.m + cfg.n:
+        fail("k", f"must be in [1, m+n] = [1, {cfg.m + cfg.n}]")
     if cfg.bs < 1:
         fail("bs", "must be >= 1")
     if cfg.max_seq_len < 8:

@@ -12,11 +12,21 @@ counts the epochs it holds, and after a non-finite loss or weight
 update (NumericalAbort) or a kill at any instant, the log's last epoch
 row is that epoch or the one before, never a later one.  Its `step`
 counts the optimizer steps taken so far: epochs times batches per
-epoch.  The rerank checkpoint also carries the pool rows that
-rerank-train encoded with the frozen encoder; chat and evaluate read
-them and encode no pool entry, and chat reads no split file.  Chat and
-evaluate answer through one function, rerank.serve, so the generation
-metrics and the rank-1 provenance mix score what chat serves.
+epoch.  Every checkpoint records the sha256 of the vocab.json it was
+trained under, and a stage, evaluate or chat that finds another
+vocab.json in the run directory refuses it (StageOrderError naming
+warmup), since its embeddings index the old vocabulary.
+
+The rerank checkpoint is what chat and evaluate serve from.  It
+carries the pool rows that rerank-train encoded with the frozen
+encoder, the pool's token ids they were encoded from, and the sha256
+of the pool.jsonl rerank-train loaded.  Chat and evaluate check that
+digest against pool.jsonl and build their pool cache from the stored
+rows and ids: they encode no pool entry and tokenize no pool text.
+Chat reads vocab.json and the rerank checkpoint, only hashes
+pool.jsonl, and opens no split file.  Chat and evaluate answer through
+one function, rerank.serve, so the generation metrics and the rank-1
+provenance mix score what chat serves.
 
 Determinism: every stochastic site owns a named rng stream (see seeds),
 wall-clock time is confined to the final CSV column, and loss values are
@@ -27,6 +37,7 @@ identical logs and byte-identical checkpoints.
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -159,10 +170,27 @@ def load_world(cfg: TrainConfig, out: Path):
     return corpus, vocab, mcfg
 
 
-def _stage_path(out: Path, stage: str) -> Path:
-    """The stage's checkpoint under out, once it is there with its tag."""
-    path = Path(out) / _CKPT[stage]
-    found = checkpoint_stage(path)
+def _file_sha256(path: Path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _stage_checkpoint(out: Path, stage: str, read) -> tuple:
+    """read(path), load_checkpoint or read_checkpoint, of the stage's
+    checkpoint under out, once it is there with its tag and records the
+    sha256 of out's vocab.json.
+
+    A checkpoint trained under another vocabulary (gen-data run again
+    with another seed) is refused: its embeddings index other tokens.  So
+    is one whose first line this version does not read as a manifest, as
+    a checkpoint made before checkpoints recorded their vocabulary.
+    """
+    out = Path(out)
+    path = out / _CKPT[stage]
+    try:
+        found = checkpoint_stage(path)
+    except ValueError as exc:
+        raise StageOrderError(
+            f"{exc}; run heronet {_STAGE_CMD[stage]} again") from exc
     if found is None:
         raise StageOrderError(
             f"no '{stage}' checkpoint under {out}; run {_STAGE_CMD[stage]} "
@@ -170,24 +198,30 @@ def _stage_path(out: Path, stage: str) -> Path:
     if found != stage:
         raise StageOrderError(
             f"checkpoint {path} holds stage {found!r}, expected {stage!r}")
-    return path
+    got = read(path)
+    if got[1]["vocab_sha256"] != _file_sha256(out / "vocab.json"):
+        raise StageOrderError(
+            f"checkpoint {path} was trained under another vocab.json than "
+            f"the one under {out}; run heronet warmup and the stages after "
+            "it again")
+    return got
 
 
 def _load_stage(out: Path, stage: str):
-    return load_checkpoint(_stage_path(out, stage))[0]
+    return _stage_checkpoint(out, stage, load_checkpoint)[0]
 
 
-def _load_served(out: Path, pool, vocab) -> tuple:
+def _load_served(out: Path) -> tuple:
     """(params, cache) of the rerank checkpoint, the cache made from the
-    pool rows rerank-train stored in it, with no encoder pass."""
-    path = _stage_path(out, "rerank")
-    params, _, stored = read_checkpoint(path)
-    cache = restore_pool_cache(pool, vocab, stored)
-    if cache is None:
+    pool rows and token ids rerank-train stored in it: no encoder pass,
+    and pool.jsonl is hashed, not read."""
+    params, _, pool = _stage_checkpoint(out, "rerank", read_checkpoint)
+    if pool is None or pool[0] != _file_sha256(Path(out) / "pool.jsonl"):
         raise StageOrderError(
-            f"checkpoint {path} holds no pool rows encoded from the pool "
-            f"under {out}; run heronet rerank-train again")
-    return params, cache
+            f"checkpoint {Path(out) / _CKPT['rerank']} holds no pool rows "
+            f"encoded from the pool under {out}; run heronet rerank-train "
+            "again")
+    return params, restore_pool_cache(*pool[1:])
 
 
 def _write_csv(path: Path, header: list, rows: list):
@@ -209,12 +243,15 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
     anything of that epoch is saved; bodies check each step's loss too, so
     no step runs on weights a non-finite loss has spoiled, and an update
     the optimizer refuses (FloatingPointError) aborts the same way.  After
-    each epoch the progress line is printed, the checkpoint saved, with
-    `pool` (PoolCache.stored) beside the parameters when given, and then
+    each epoch the progress line is printed, the checkpoint saved with
+    the sha256 of out's vocab.json and with `pool` (pool.jsonl's sha256,
+    then PoolCache.stored) beside the parameters when given, and then
     logs/<stage>.csv rewritten, `rows` first; with out None the epochs
     only train.
     """
     rows, step = list(rows), 0
+    vocab_sha256 = None if out is None else _file_sha256(
+        Path(out) / "vocab.json")
     for epoch in range(1, epochs + 1):
         def rng(stream, *extra):
             return np.random.default_rng([cfg.seed, stream, epoch, *extra])
@@ -235,7 +272,7 @@ def _run_epochs(cfg: TrainConfig, out, stage: str, params, columns: list,
         _say(f"[{_STAGE_CMD[stage]}] epoch {epoch}/{epochs} {shown} "
              f"({dt:.1f}s)")
         save_checkpoint(Path(out) / _CKPT[stage], params, stage, cfg, step,
-                        pool, epoch)
+                        vocab_sha256, pool, epoch)
         _write_csv(Path(out) / "logs" / f"{stage}.csv",
                    ["epoch", "stage", *columns, "seconds"], rows)
     return {c: float(v) for c, v in zip(columns, values)}
@@ -482,11 +519,13 @@ def _rerank_epoch(params, cfg, corpus, vocab, mcfg, cache: PoolCache):
 
 def stage_rerank_train(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
+    pool_sha256 = _file_sha256(Path(out) / "pool.jsonl")
     params = _load_stage(out, "adversarial")
     cache = build_pool_cache(params, mcfg, vocab, corpus.pool)
     epoch = _rerank_epoch(params, cfg, corpus, vocab, mcfg, cache)
     return _run_epochs(cfg, out, "rerank", params, ["bce"],
-                       cfg.rerank_epochs, epoch, pool=cache.stored())
+                       cfg.rerank_epochs, epoch,
+                       pool=(pool_sha256, *cache.stored()))
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +603,7 @@ def evaluate_params(params, cache: PoolCache, cfg: TrainConfig, corpus,
 
 def stage_evaluate(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
-    params, cache = _load_served(out, corpus.pool, vocab)
+    params, cache = _load_served(out)
     report = evaluate_params(params, cache, cfg, corpus, vocab, mcfg, out)
     _say(render_table(report, title="evaluation (test split)"))
     return report
@@ -589,7 +628,7 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
     rows = []
     for m in m_values:
         for n in n_values:
-            cell = replace(cfg, m=m, n=n, k=min(cfg.k, m + n + 1))
+            cell = replace(cfg, m=m, n=n, k=min(cfg.k, m + n))
             validate_config(cell)
             params = _load_stage(out, "adversarial")
             epoch = _rerank_epoch(params, cell, corpus, vocab, mcfg, cache)
@@ -614,12 +653,13 @@ def stage_sweep(cfg: TrainConfig, out, m_values=None, n_values=None) -> list:
 def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
     """Answer each stdin line from the rerank checkpoint until EOF.
 
-    Set-up reads pool.jsonl, the vocab.json gen-data wrote and the rerank
-    checkpoint, nothing else: no split file is opened and no token
-    counted.  The pool rows come from that checkpoint, where rerank-train
-    stored them with a digest of the pool's token ids, so set-up encodes
-    nothing; each line encodes only its query, its source and the
-    generated candidates that are not pool responses.
+    Set-up reads the vocab.json gen-data wrote and the rerank
+    checkpoint, and hashes pool.jsonl without parsing it: no split file
+    is opened, no token counted and no pool text tokenized.  The pool
+    rows and their token ids come from that checkpoint, where
+    rerank-train stored them with the sha256 of the pool.jsonl it
+    loaded, so set-up encodes nothing; each line encodes only its query,
+    its source and the generated candidates that are not pool responses.
     """
     stdin = stdin if stdin is not None else sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
@@ -630,8 +670,7 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
     out = Path(out)
     _require_data(out, ("pool.jsonl", "vocab.json"))
     vocab, mcfg = _load_vocab(cfg, out)
-    pool = read_pool(out / "pool.jsonl")
-    params, cache = _load_served(out, pool, vocab)
+    params, cache = _load_served(out)
     emit(f"[chat] ready; retrieving {cfg.m}, generating {cfg.n}, "
          f"showing top {cfg.k} (blank line is ignored, EOF exits)")
     for line in stdin:

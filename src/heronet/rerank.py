@@ -53,14 +53,16 @@ class RankedCandidate(NamedTuple):
 def dedupe_candidates(candidates: list) -> list:
     """Collapse exact-token duplicates, keeping first positions.
 
-    candidates is a list of (token_list, provenance) pairs.  A duplicate
-    carrying the "truth" tag promotes the kept entry to truth, so label
-    construction downstream never sees the gold response twice.
+    candidates is a list of (token_list, provenance) pairs.  A list is
+    keyed as it stands, so its tokens are Python ints, as every caller's
+    are.  A duplicate carrying the "truth" tag promotes the kept entry to
+    truth, so label construction downstream never sees the gold response
+    twice.
     """
     kept: dict = {}
     order = []
     for ids, prov in candidates:
-        key = tuple(int(t) for t in ids)
+        key = tuple(ids)
         if key in kept:
             if prov == "truth":
                 kept[key] = "truth"
@@ -149,7 +151,7 @@ def serve(params: dict, cfg: ModelConfig, vocab: Vocab, texts: list,
     the served answer.
     """
     rngs = [np.random.default_rng([seed, seeds.CHAT, zlib.crc32(t.encode())])
-            for t in texts]
+            for t in texts] if n > 1 else None
     drawn, q_rows = generate_candidates(params, cfg, vocab, texts, cache, m,
                                         n, kg, rngs, max_gen_len)
     return [rerank(params, cfg, Tensor(q_rows.data[i:i + 1]),

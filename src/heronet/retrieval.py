@@ -24,10 +24,11 @@ the cache also stands in for encoding a pool response again: re-ranking
 reads its rows.
 
 The encoder is frozen from rerank-train on, so the pool is encoded once
-for it: rerank-train builds the cache and stores its rows in the rerank
-checkpoint (PoolCache.stored), and chat and evaluate make their cache
-from those rows and the run directory's tokenized pool
-(restore_pool_cache) without an encoder pass.
+for it: rerank-train builds the cache and stores its rows, with the
+token ids they were encoded from, in the rerank checkpoint
+(PoolCache.stored).  Chat and evaluate make their cache from those
+stored rows and ids alone (restore_pool_cache): no encoder pass, and no
+pool text tokenized.
 
 The QRM head scores a table of rows, each distinct row through psi_m
 once, at index pairs (model.match_logit): qrm_step's table comes from
@@ -43,8 +44,6 @@ the cache (PoolCache.resp_ids), never the pool's text.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -68,11 +67,11 @@ class PoolCache:
     them (the retrieval stage's mining reads only the query side).
     The adversarial stage builds a cache each epoch (build_pool_cache),
     the retrieval stage one of query rows alone; rerank-train builds one
-    for the stage and stores its rows in its checkpoint (stored), and
-    chat and evaluate read them back (restore_pool_cache).  resp_row,
-    derived on construction, maps each response's token tuple to its row
-    of resp_emb (the first row when responses repeat).  projected() serves
-    the pool through an adapter.
+    for the stage and stores its rows and token lists in its checkpoint
+    (stored), and chat and evaluate read them back (restore_pool_cache).
+    resp_row, derived on construction, maps each response's token tuple
+    to its row of resp_emb (the first row when responses repeat).
+    projected() serves the pool through an adapter.
     """
 
     query_ids: list          # token id list per pool entry, entry order
@@ -86,18 +85,18 @@ class PoolCache:
             self.resp_row.setdefault(tuple(ids), i)
         self._tables: dict = {}  # task -> (adapter arrays, table)
 
-    def token_digest(self) -> str:
-        """sha256 of the token ids the rows stand for, queries then
-        responses, in entry order."""
-        text = json.dumps([self.query_ids, self.resp_ids],
-                          separators=(",", ":"))
-        return hashlib.sha256(text.encode("ascii")).hexdigest()
-
     def stored(self) -> tuple:
-        """(token digest, rows by name): what a rerank checkpoint keeps of
-        the cache (checkpoint.save_checkpoint's pool)."""
-        return self.token_digest(), {"query_emb": self.query_emb,
-                                     "resp_emb": self.resp_emb}
+        """(rows by name, token ids by name): what a rerank checkpoint
+        keeps of the cache (checkpoint.save_checkpoint's pool).  Each
+        side's id lists are kept concatenated, beside their lengths."""
+        ids = {}
+        for side, lists in (("query", self.query_ids),
+                            ("resp", self.resp_ids)):
+            ids[f"{side}_ids"] = np.array([t for seq in lists for t in seq],
+                                          dtype=np.int32)
+            ids[f"{side}_lens"] = np.array([len(seq) for seq in lists],
+                                           dtype=np.int32)
+        return {"query_emb": self.query_emb, "resp_emb": self.resp_emb}, ids
 
     def projected(self, params: dict, task: str) -> np.ndarray:
         """(P, d_proj) pool rows through the task's adapter, gradient-free.
@@ -154,18 +153,17 @@ def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
                      embed_pool(params, cfg, resp_ids))
 
 
-def restore_pool_cache(pool: CandidatePool, vocab: Vocab,
-                       stored: tuple | None) -> PoolCache | None:
-    """The PoolCache whose rows a checkpoint stored (PoolCache.stored),
-    over this pool's token lists; None when stored is None or its rows
-    were encoded from other token ids."""
-    if stored is None:
-        return None
-    token_digest, rows = stored
-    cache = PoolCache(pool_token_lists(pool, vocab, "query"),
-                      pool_token_lists(pool, vocab, "response"),
-                      rows["query_emb"], rows["resp_emb"])
-    return cache if cache.token_digest() == token_digest else None
+def restore_pool_cache(rows: dict, ids: dict) -> PoolCache:
+    """The PoolCache a checkpoint stored (PoolCache.stored): its rows over
+    the token id lists they were encoded from, split back out of each
+    side's concatenated ids by their lengths."""
+    def lists(side):
+        flat = ids[f"{side}_ids"].tolist()
+        ends = np.cumsum(ids[f"{side}_lens"]).tolist()
+        return [flat[lo:hi] for lo, hi in zip([0, *ends], ends)]
+
+    return PoolCache(lists("query"), lists("resp"), rows["query_emb"],
+                     rows["resp_emb"])
 
 
 def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,

@@ -103,7 +103,8 @@ def strip_pool_rows(out, cfg: TrainConfig):
     """Save the rerank checkpoint under `out` again without its pool rows."""
     params, manifest = load_checkpoint(out / "ckpt_rerank")
     save_checkpoint(out / "ckpt_rerank", params, "rerank", cfg,
-                    manifest["step"], epoch=manifest["epoch"])
+                    manifest["step"], manifest["vocab_sha256"],
+                    epoch=manifest["epoch"])
 
 
 def swap_pool_queries(out):

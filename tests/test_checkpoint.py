@@ -31,19 +31,27 @@ def small_params():
     return init_params(cfg, seed=3)
 
 
+VOCAB = "cd" * 32  # a vocab.json sha256, as the pipeline records it
+
+
 @pytest.fixture
 def pool():
-    """(token digest, rows) as PoolCache.stored gives them."""
+    """(pool.jsonl sha256, rows, token ids): a pool section as
+    pipeline.stage_rerank_train passes it, from PoolCache.stored."""
     rng = np.random.default_rng(0)
-    return "ab" * 32, {
-        name: rng.standard_normal((5, 8)).astype(np.float32)
-        for name in ("query_emb", "resp_emb")}
+    rows = {name: rng.standard_normal((5, 8)).astype(np.float32)
+            for name in ("query_emb", "resp_emb")}
+    ids = {"query_ids": np.array([7, 8, 9, 10], dtype=np.int32),
+           "query_lens": np.array([1, 1, 2, 0, 0], dtype=np.int32),
+           "resp_ids": np.arange(3, 14, dtype=np.int32),
+           "resp_lens": np.array([3, 2, 2, 2, 2], dtype=np.int32)}
+    return "ab" * 32, rows, ids
 
 
 class TestRoundTrip:
     def test_exact_weights(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=12,
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 12, VOCAB,
                         epoch=3)
         loaded, manifest = load_checkpoint(stem)
         assert set(loaded) == set(small_params)
@@ -59,15 +67,15 @@ class TestRoundTrip:
     def test_save_load_save_byte_identical(self, small_params, tmp_path):
         a = tmp_path / "a"
         b = tmp_path / "b"
-        save_checkpoint(a, small_params, "warmup", TrainConfig(), step=0)
+        save_checkpoint(a, small_params, "warmup", TrainConfig(), 0, VOCAB)
         loaded, _ = load_checkpoint(a)
-        save_checkpoint(b, loaded, "warmup", TrainConfig(), step=0)
+        save_checkpoint(b, loaded, "warmup", TrainConfig(), 0, VOCAB)
         assert a.read_bytes() == b.read_bytes()
 
     def test_float64_params_become_float32(self, tmp_path):
         params = {"w": Tensor(np.array([1.0, 2.5], dtype=np.float64))}
         stem = tmp_path / "f"
-        save_checkpoint(stem, params, "warmup", TrainConfig(), step=0)
+        save_checkpoint(stem, params, "warmup", TrainConfig(), 0, VOCAB)
         loaded, _ = load_checkpoint(stem)
         assert loaded["w"].data.dtype == np.float32
         assert loaded["w"].data.tolist() == [1.0, 2.5]
@@ -78,15 +86,19 @@ class TestManifest:
         """The parameters, then any pool rows, fill the blob in order."""
         for stem, rows in ((tmp_path / "ck", None), (tmp_path / "pk", pool)):
             save_checkpoint(stem, small_params, "rerank", TrainConfig(),
-                            step=3, pool=rows)
+                            3, VOCAB, pool=rows)
             manifest, blob = split(stem)
             entries = manifest["tensors"]
             if rows is None:
                 assert "pool" not in manifest
             else:
-                entries = entries + manifest["pool"]["rows"]
+                entries = (entries + manifest["pool"]["rows"]
+                           + manifest["pool"]["ids"])
+                assert [e["dtype"] for e in manifest["pool"]["ids"]] == \
+                    ["<i4"] * 4
             pos = 0
             for entry in entries:
+                assert entry["dtype"] in ("<f4", "<i4")
                 assert entry["offset"] == pos
                 want = (int(np.prod(entry["shape"])) * 4 if entry["shape"]
                         else 4)
@@ -100,7 +112,7 @@ class TestManifest:
         sorted keys, then the blob."""
         for name in ("ck", "ck.json", "ck.bin"):
             save_checkpoint(tmp_path / name, small_params, "warmup",
-                            TrainConfig(), 0)
+                            TrainConfig(), 0, VOCAB)
         assert sorted(p.name for p in tmp_path.iterdir()) == \
             ["ck", "ck.bin", "ck.json"]
         manifest, blob = split(tmp_path / "ck")
@@ -110,78 +122,111 @@ class TestManifest:
 
     def test_names_sorted(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0, VOCAB)
         names = [t["name"] for t in split(stem)[0]["tensors"]]
         assert names == sorted(names)
 
     def test_stage_probe(self, small_params, tmp_path):
         stem = tmp_path / "ck"
         assert checkpoint_stage(stem) is None
-        save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0)
+        save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0,
+                        VOCAB)
         assert checkpoint_stage(stem) == "adversarial"
 
 
 class TestPoolRows:
     def test_round_trip(self, small_params, pool, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "rerank", TrainConfig(), step=2,
+        save_checkpoint(stem, small_params, "rerank", TrainConfig(), 2, VOCAB,
                         pool=pool)
-        params, manifest, (digest, rows) = read_checkpoint(stem)
-        assert digest == pool[0]
-        assert manifest["pool"]["token_sha256"] == pool[0]
-        assert sorted(rows) == sorted(pool[1])
-        for name, want in pool[1].items():
-            assert rows[name].dtype == np.float32
-            assert rows[name].tobytes() == want.tobytes()
+        params, manifest, (digest, rows, ids) = read_checkpoint(stem)
+        assert digest == manifest["pool"]["pool_sha256"] == pool[0]
+        assert manifest["vocab_sha256"] == VOCAB
+        for got, sent, dtype in ((rows, pool[1], np.float32),
+                                 (ids, pool[2], np.int32)):
+            assert sorted(got) == sorted(sent)
+            for name, want in sent.items():
+                assert got[name].dtype == dtype
+                assert got[name].tobytes() == want.tobytes()
         loaded, _ = load_checkpoint(stem)
         assert set(loaded) == set(params) == set(small_params)
 
+    def test_int32_entries_round_trip_bit_exactly(self, small_params,
+                                                  tmp_path):
+        """Integer arrays of any integer dtype are stored as int32 and read
+        back bit for bit, the extremes and negative values too; one that
+        int32 cannot hold is refused, not wrapped."""
+        edge = np.array([[0, -1, 2**31 - 1], [-2**31, 12345, 7]])
+        ids = {"a": edge.astype(np.int64), "b": np.arange(5, dtype=np.uint8),
+               "c": np.zeros(0, dtype=np.int32)}
+        stem = tmp_path / "ck"
+        save_checkpoint(stem, small_params, "rerank", TrainConfig(), 0,
+                        VOCAB, pool=("ab" * 32, {}, ids))
+        _, manifest, (_, _, back) = read_checkpoint(stem)
+        assert [e["dtype"] for e in manifest["pool"]["ids"]] == ["<i4"] * 3
+        for name, want in ids.items():
+            assert back[name].dtype == np.int32
+            assert back[name].shape == want.shape
+            assert back[name].tobytes() == want.astype("<i4").tobytes()
+        assert back["a"].tolist() == edge.tolist()
+        with pytest.raises(ValueError, match="int32"):
+            save_checkpoint(stem, small_params, "rerank", TrainConfig(), 0,
+                            VOCAB, pool=("ab" * 32, {},
+                                         {"a": np.array([2**31])}))
+
     def test_without_rows_reads_none(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0)
+        save_checkpoint(stem, small_params, "adversarial", TrainConfig(), 0,
+                        VOCAB)
         assert read_checkpoint(stem)[2] is None
 
     def test_parameter_section_unchanged(self, small_params, pool, tmp_path):
         save_checkpoint(tmp_path / "a", small_params, "rerank", TrainConfig(),
-                        0, pool=pool)
+                        0, VOCAB, pool=pool)
         save_checkpoint(tmp_path / "b", small_params, "rerank", TrainConfig(),
-                        0)
+                        0, VOCAB)
         a, with_rows = split(tmp_path / "a")
         b, without = split(tmp_path / "b")
         assert with_rows.startswith(without) and with_rows != without
         assert a["tensors"] == b["tensors"]
 
     def test_flipped_row_byte_fails_hash(self, small_params, pool, tmp_path):
+        """A flipped byte among the pool rows, or among the token ids,
+        fails the blob hash."""
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "rerank", TrainConfig(), 0,
-                        pool=pool)
-        manifest, _ = split(stem)
-        at = manifest["pool"]["rows"][-1]["offset"]
-        raw = bytearray(stem.read_bytes())
-        raw[raw.index(b"\n") + 1 + at] ^= 0x01
-        stem.write_bytes(bytes(raw))
-        for read in (load_checkpoint, read_checkpoint):
-            with pytest.raises(ValueError, match="hash"):
-                read(stem)
+        for section in ("rows", "ids"):
+            save_checkpoint(stem, small_params, "rerank", TrainConfig(), 0,
+                            VOCAB, pool=pool)
+            manifest, _ = split(stem)
+            at = manifest["pool"][section][-1]["offset"]
+            raw = bytearray(stem.read_bytes())
+            raw[raw.index(b"\n") + 1 + at] ^= 0x01
+            stem.write_bytes(bytes(raw))
+            for read in (load_checkpoint, read_checkpoint):
+                with pytest.raises(ValueError, match="hash"):
+                    read(stem)
 
 
 class TestErrors:
     def test_truncated_blob_rejected(self, small_params, tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0, VOCAB)
         stem.write_bytes(stem.read_bytes()[:-4])
         with pytest.raises(ValueError, match="blob length"):
             load_checkpoint(stem)
 
     def test_header_not_a_manifest_rejected(self, small_params, tmp_path):
         """A first line that is not a manifest: empty, not JSON, not an
-        object, or a manifest without its blob hash."""
+        object, or a manifest without its blob hash or without the
+        vocabulary digest, as manifests made before it was recorded."""
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0, VOCAB)
         manifest, blob = split(stem)
-        del manifest["blob_sha256"]
-        for head in (b"", b"\x00\xff not json", b"[1, 2]",
-                     json.dumps(manifest).encode()):
+        heads = [b"", b"\x00\xff not json", b"[1, 2]"]
+        for key in ("blob_sha256", "vocab_sha256"):
+            heads.append(json.dumps({k: v for k, v in manifest.items()
+                                     if k != key}).encode())
+        for head in heads:
             stem.write_bytes(head + b"\n" + blob)
             for read in (load_checkpoint, checkpoint_stage):
                 with pytest.raises(ValueError, match="checkpoint manifest"):
@@ -198,7 +243,7 @@ class TestCrashSafety:
     def test_kill_before_moves_keeps_previous(self, small_params, tmp_path,
                                               monkeypatch):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=1)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 1, VOCAB)
         newer = {n: Tensor(t.data + 1.0) for n, t in small_params.items()}
         moves = []
 
@@ -208,7 +253,7 @@ class TestCrashSafety:
 
         monkeypatch.setattr(os, "replace", replace)
         with pytest.raises(KeyboardInterrupt):
-            save_checkpoint(stem, newer, "warmup", TrainConfig(), step=2)
+            save_checkpoint(stem, newer, "warmup", TrainConfig(), 2, VOCAB)
         monkeypatch.undo()
         assert moves == [stem]
         loaded, manifest = load_checkpoint(stem)
@@ -235,9 +280,9 @@ class TestCrashSafety:
     def test_resave_byte_identical_and_leaves_no_temp(self, small_params,
                                                       tmp_path):
         stem = tmp_path / "ck"
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=4)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 4, VOCAB)
         first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        save_checkpoint(stem, small_params, "warmup", TrainConfig(), step=4)
+        save_checkpoint(stem, small_params, "warmup", TrainConfig(), 4, VOCAB)
         second = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
         assert sorted(first) == ["ck"]
         assert first == second

@@ -160,6 +160,43 @@ class TestStageOrder:
             assert "heronet rerank-train" in res.stderr
 
 
+    def test_checkpoints_of_another_vocabulary_exit_3(self, cfg_path,
+                                                      trained, tmp_path):
+        """gen-data run again with another seed over a trained run writes
+        another vocab.json; the next training stage refuses the checkpoints
+        trained under the old one and names warmup."""
+        for item in trained.iterdir():
+            if item.is_file():
+                shutil.copy(item, tmp_path / item.name)
+        res = run_cli("gen-data", "--config", str(cfg_path), "--out",
+                      str(tmp_path), "--seed", "6")
+        assert res.returncode == 0, res.stderr
+        assert (tmp_path / "vocab.json").read_bytes() != \
+            (trained / "vocab.json").read_bytes()
+        res = run_cli("adv-train", "--config", str(cfg_path), "--out",
+                      str(tmp_path))
+        assert res.returncode == 3
+        assert "heronet warmup" in res.stderr
+
+    def test_manifest_without_vocab_digest_exits_3(self, cfg_path, trained,
+                                                   tmp_path):
+        """A rerank checkpoint whose manifest records no vocabulary digest,
+        as those made before manifests recorded it, is refused, not read
+        another way: chat and evaluate name rerank-train."""
+        for item in trained.iterdir():
+            if item.is_file():
+                shutil.copy(item, tmp_path / item.name)
+        path = tmp_path / "ckpt_rerank"
+        head, _, blob = path.read_bytes().partition(b"\n")
+        manifest = json.loads(head)
+        del manifest["vocab_sha256"]
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        for cmd, stdin in (("evaluate", ""), ("chat", "hi\n")):
+            res = run_cli(cmd, "--config", str(cfg_path), "--out",
+                          str(tmp_path), stdin=stdin)
+            assert res.returncode == 3, cmd
+            assert "heronet rerank-train" in res.stderr
+
     @pytest.mark.parametrize("damage", ["no_vocab", "other_size"])
     def test_missing_or_resized_vocab_exits_3(self, cfg_path, trained,
                                               tmp_path, damage):

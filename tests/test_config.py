@@ -76,9 +76,9 @@ class TestInvariants:
 
     def test_k_bounded_by_candidates(self, tmp_path):
         with pytest.raises(ConfigError, match="^k:"):
-            parse_config(write(tmp_path, "m = 2\nn = 1\nk = 5\n"))
-        cfg = parse_config(write(tmp_path, "m = 2\nn = 1\nk = 4\n"))
-        assert cfg.k == 4  # k = m + n + 1 allowed
+            parse_config(write(tmp_path, "m = 2\nn = 1\nk = 4\n"))
+        cfg = parse_config(write(tmp_path, "m = 2\nn = 1\nk = 3\n"))
+        assert cfg.k == 3  # k = m + n, a whole served set, allowed
 
     def test_rates_positive(self, tmp_path):
         with pytest.raises(ConfigError, match="d_lr"):
@@ -127,7 +127,7 @@ def valid_configs(draw):
         n = 1
     n_heads, max_seq_len, pool_size = ints(1, 8), ints(8, 512), ints(2, 5000)
     return TrainConfig(
-        m=m, n=n, k=ints(1, m + n + 1), bs=ints(1, 512),
+        m=m, n=n, k=ints(1, m + n), bs=ints(1, 512),
         max_seq_len=max_seq_len, vocab_size=ints(7, 10**5),
         d_model=n_heads * ints(1, 64), n_heads=n_heads, d_ff=ints(1, 4096),
         n_layers=ints(1, 24), d_proj=ints(2, 512),

@@ -1,6 +1,7 @@
 """Stage chain, logs, reports, sweep, and chat behavior on a tiny run."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -23,7 +24,8 @@ from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
                               stage_evaluate, stage_gen_data,
                               stage_rerank_train, stage_retrieval,
                               stage_sweep, stage_warmup)
-from heronet.retrieval import build_pool_cache, pool_token_lists
+from heronet.retrieval import (PoolCache, build_pool_cache, pool_token_lists,
+                               restore_pool_cache)
 
 from helpers import strip_pool_rows, swap_pool_queries, tiny_config
 
@@ -487,7 +489,7 @@ class TestEvaluate:
         each test pair's source text."""
         cfg = replace(cfg, n=n)
         corpus, vocab, mcfg = load_world(cfg, run_dir)
-        params, cache = pipeline._load_served(run_dir, corpus.pool, vocab)
+        params, cache = pipeline._load_served(run_dir)
         scored = []
         real_report = pipeline.generation_report
 
@@ -512,7 +514,7 @@ class TestEvaluate:
         # set must not depend on it, nor, with n > 1, the sampled extras
         # that each query draws from its own stream
         corpus, vocab, mcfg = load_world(cfg, run_dir)
-        params, cache = pipeline._load_served(run_dir, corpus.pool, vocab)
+        params, cache = pipeline._load_served(run_dir)
         got = []
         for bs in (1, 4):
             out = tmp_path / f"bs{bs}"
@@ -597,19 +599,66 @@ def chain(request):
 
 
 class TestStoredPoolRows:
-    """rerank-train stores the pool rows of its frozen encoder in its
-    checkpoint; evaluate and chat read them instead of encoding the pool."""
+    """rerank-train stores the pool rows of its frozen encoder, and the
+    token ids they were encoded from, in its checkpoint; evaluate and chat
+    read them instead of encoding or tokenizing the pool."""
 
     def test_rows_equal_a_fresh_build(self, chain):
+        """The stored rows, and the token ids they were encoded from, are
+        those a fresh build over the tokenized pool makes; the stored
+        digest is pool.jsonl's."""
         cfg, out = chain
         corpus, vocab, mcfg = load_world(cfg, out)
-        params, _, (digest, rows) = read_checkpoint(out / "ckpt_rerank")
+        params, _, (digest, rows, ids) = read_checkpoint(out / "ckpt_rerank")
         built = build_pool_cache(params, mcfg, vocab, corpus.pool)
-        assert digest == built.token_digest()
+        assert digest == hashlib.sha256(
+            (out / "pool.jsonl").read_bytes()).hexdigest()
+        assert all(a.dtype == np.int32 for a in ids.values())
+        stored = restore_pool_cache(rows, ids)
+        assert stored.query_ids == built.query_ids
+        assert stored.resp_ids == built.resp_ids
         for name in ("query_emb", "resp_emb"):
             want = getattr(built, name)
             assert rows[name].dtype == want.dtype == np.float32
             assert rows[name].tobytes() == want.tobytes()
+
+    def test_chat_set_up_reads_no_pool_text(self, chain, monkeypatch):
+        """Chat set-up neither parses pool.jsonl nor tokenizes a text, and
+        chat answers as it does from a cache over the tokenized pool."""
+        from heronet import corpus as corpus_mod
+        from heronet import generation, rerank, retrieval
+
+        cfg, out = chain
+        lines = "check the flight status\n\nbook a table\nwhere is my order\n"
+
+        def load_tokenized(out):
+            corpus, vocab, _ = load_world(cfg, out)
+            params, _, (_, rows, _) = read_checkpoint(out / "ckpt_rerank")
+            return params, PoolCache(
+                pool_token_lists(corpus.pool, vocab, "query"),
+                pool_token_lists(corpus.pool, vocab, "response"),
+                rows["query_emb"], rows["resp_emb"])
+
+        said = []
+        for load in (load_tokenized, pipeline._load_served):
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, "_load_served", load)
+                stdout = io.StringIO()
+                run_chat(cfg, out, stdin=io.StringIO(lines), stdout=stdout)
+                said.append(stdout.getvalue())
+        assert said[0] == said[1]
+        calls = []
+        for mod in (corpus_mod, pipeline, retrieval, generation, rerank):
+            for name in ("read_pool", "encode_text"):
+                if hasattr(mod, name):
+                    def spy(*args, _name=name, _real=getattr(mod, name),
+                            **kwargs):
+                        calls.append(_name)
+                        return _real(*args, **kwargs)
+                    monkeypatch.setattr(mod, name, spy)
+        # no input lines, so every call would be the set-up's
+        run_chat(cfg, out, stdin=io.StringIO(""), stdout=io.StringIO())
+        assert calls == []
 
     def test_evaluate_encodes_no_pool_entry(self, chain, monkeypatch):
         """Evaluate encodes its test queries, sources and generated
@@ -650,6 +699,23 @@ class TestStoredPoolRows:
         stage_rerank_train(cfg, tmp_path)
         assert run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
                         stdout=io.StringIO()) == 0
+
+    def test_rewritten_vocab_is_a_stage_error(self, cfg, run_dir, tmp_path):
+        """A vocab.json rewritten after rerank-train, here with two tokens
+        trading ids, no longer indexes the trained embeddings: evaluate
+        and chat refuse the checkpoint and send the user back to warmup."""
+        from heronet.corpus import Vocab, read_vocab, write_vocab
+
+        copy_run(run_dir, tmp_path)
+        vocab, max_size = read_vocab(tmp_path / "vocab.json")
+        tokens = list(vocab.id_to_token)
+        tokens[-1], tokens[-2] = tokens[-2], tokens[-1]
+        write_vocab(tmp_path / "vocab.json", Vocab(tokens), max_size)
+        with pytest.raises(StageOrderError, match="heronet warmup"):
+            stage_evaluate(cfg, tmp_path)
+        with pytest.raises(StageOrderError, match="heronet warmup"):
+            run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
+                     stdout=io.StringIO())
 
 
 class TestAblations:
