@@ -408,52 +408,20 @@ def _sum_rows_into(out: np.ndarray, ids: np.ndarray, g: np.ndarray) -> None:
 
 
 def getitem(a: Tensor, key) -> Tensor:
-    """a[key].  A 1-D integer array key picks rows along axis 0, and
-    backward sums the gradients of repeated rows group by group."""
+    """a[key].  An integer array key of any shape picks rows of axis 0
+    (an embedding lookup is one), and backward sums the gradients of
+    repeated rows group by group."""
     data = a.data[key]
     shape, dtype = a.data.shape, a.data.dtype
-    by_rows = (isinstance(key, np.ndarray) and key.ndim == 1
-               and key.dtype.kind in "iu")
+    by_rows = isinstance(key, np.ndarray) and key.dtype.kind in "iu"
 
     def bw(g):
         out = np.zeros(shape, dtype=dtype)
         if by_rows:
-            _sum_rows_into(out, key % shape[0], g)
+            _sum_rows_into(out, key.ravel() % shape[0],
+                           g.reshape((-1,) + shape[1:]))
         else:
             np.add.at(out, key, g)
-        return (out,)
-
-    return _make(data, (a,), bw)
-
-
-def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
-    """Row lookup: table (V, d), integer ids of any shape -> ids.shape + (d,)."""
-    ids = np.asarray(ids)
-    data = table.data[ids]
-    shape, dtype = table.data.shape, table.data.dtype
-
-    def bw(g):
-        out = np.zeros(shape, dtype=dtype)
-        _sum_rows_into(out, ids.ravel(), g.reshape(-1, shape[-1]))
-        return (out,)
-
-    return _make(data, (table,), bw)
-
-
-def gather_last(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Pick a[..., idx] per row: a (..., V), idx (...) ints -> (...).
-
-    Each row picks one entry, so backward writes each gradient into its
-    own place; nothing is accumulated.
-    """
-    idx = np.asarray(idx)
-    data = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-    shape, dtype = a.data.shape, a.data.dtype
-
-    def bw(g):
-        out = np.zeros(shape, dtype=dtype)
-        flat = out.reshape(-1, shape[-1])
-        flat[np.arange(flat.shape[0]), idx.ravel()] = g.ravel()
         return (out,)
 
     return _make(data, (a,), bw)
@@ -586,19 +554,30 @@ def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
     return _make(out.reshape(b_sz, t_q, d), (q, k, v), bw)
 
 
-def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    """Log-softmax along `axis`; each step writes into an existing buffer,
-    so a call allocates its output and the exp kept for backward, no more."""
-    data = a.data - a.data.max(axis=axis, keepdims=True)
-    soft = np.exp(data)
-    data -= np.log(soft.sum(axis=axis, keepdims=True))
-    np.exp(data, out=soft)
+def target_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
+    """log softmax(logits)[..., target]: logits (..., V), integer targets
+    (...) -> (...).
+
+    Forward keeps only the softmax for backward, whose gradient
+    g * (onehot(target) - softmax) is written into one (..., V) array.
+    """
+    idx = np.asarray(targets)[..., None]
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    soft = np.exp(logp)
+    logp -= np.log(soft.sum(axis=-1, keepdims=True))
+    data = np.take_along_axis(logp, idx, axis=-1)[..., 0]
+    np.exp(logp, out=soft)
 
     def bw(g):
-        ga = soft * g.sum(axis=axis, keepdims=True)
-        return (np.subtract(g, ga, out=ga),)
+        # g + 0.0 turns a -0.0 gradient into +0.0, as a row sum would, and
+        # 0.0 - grad, unlike -grad, leaves +0.0 off target where grad is 0
+        grad = soft * (g + 0.0)[..., None]
+        at = g[..., None] - np.take_along_axis(grad, idx, axis=-1)
+        np.subtract(0.0, grad, out=grad)
+        np.put_along_axis(grad, idx, at, axis=-1)
+        return (grad,)
 
-    return _make(data, (a,), bw)
+    return _make(data, (logits,), bw)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -164,3 +164,15 @@ def parse_config(path) -> TrainConfig:
     validate_config(cfg)
     return cfg
 
+
+def render_config(cfg: TrainConfig) -> str:
+    """key = value lines that parse_config reads back to the same values."""
+    out = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, bool):
+            v = "true" if v else "false"
+        elif isinstance(v, float):
+            v = repr(v)
+        out.append(f"{f.name} = {v}")
+    return "\n".join(out) + "\n"

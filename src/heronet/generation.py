@@ -24,9 +24,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import EOS_ID, BOS_ID, PAD_ID, SEP_ID, Vocab, encode_text
+from .corpus import EOS_ID, BOS_ID, SEP_ID, Vocab, encode_text
 from .model import (Hidden, ModelConfig, encode_mean_pool, decoder_logits,
-                    sample_batch, tile_hidden)
+                    pad_batch, sample_batch, tile_hidden)
 from .retrieval import PoolCache, retrieve_top_m_batch
 
 
@@ -50,34 +50,29 @@ def build_teacher_batch(responses: list, cfg: ModelConfig,
 
     Row i decodes [BOS] + r_i and predicts r_i + [EOS]; with append_eos
     off the targets are the sequences exactly as given (used to score
-    sampled rollouts, whose final token may or may not be EOS).
+    sampled rollouts, whose final token may or may not be EOS).  The mask
+    is targets != PAD: no response holds PAD, nor does any rollout.
     """
     if not responses:
         raise ValueError("empty batch")
-    rows = []
+    dec_in, targets = [], []
     for r in responses:
         r = list(r)[: cfg.max_seq_len - 1]
         if not r:
             raise ValueError("cannot teacher-force an empty sequence")
         tgt = r + [EOS_ID] if append_eos else r
-        rows.append(([BOS_ID] + tgt[:-1], tgt))
-    width = max(len(t) for _, t in rows)
-    dec_in = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-    targets = np.full((len(rows), width), PAD_ID, dtype=np.int64)
-    tgt_mask = np.zeros((len(rows), width))
-    for i, (d, t) in enumerate(rows):
-        dec_in[i, : len(d)] = d
-        targets[i, : len(t)] = t
-        tgt_mask[i, : len(t)] = 1.0
-    return TeacherBatch(dec_in, targets, tgt_mask)
+        dec_in.append([BOS_ID] + tgt[:-1])
+        targets.append(tgt)
+    targets, tgt_mask = pad_batch(targets)
+    return TeacherBatch(pad_batch(dec_in)[0], targets, tgt_mask)
 
 
 def sequence_ce(params: dict, cfg: ModelConfig, hidden: Hidden,
                 tb: TeacherBatch) -> Tensor:
-    """Per-sequence cross-entropy: -sum_t log p(target_t), one per row."""
+    """Per-sequence cross-entropy: -sum_t log p(target_t), one per row,
+    from one target_log_prob node; warm-up, validation and pg_step share it."""
     logits = decoder_logits(params, cfg, hidden, tb.dec_in, tb.tgt_mask)
-    logp = ad.log_softmax(logits)
-    tok = ad.gather_last(logp, tb.targets)
+    tok = ad.target_log_prob(logits, tb.targets)
     return ad.neg(ad.tsum(tok * tb.tgt_mask.astype(tok.data.dtype), axis=1))
 
 
@@ -110,11 +105,9 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
                              "per source")
         if rewards is None or len(rewards) != len(rollouts):
             raise ValueError("rewards must align with rollouts")
-        owner = np.repeat(np.arange(b), len(rollouts) // b)
         adv = np.asarray(rewards, dtype=np.float64)
         adv = adv - adv.mean()
-        roll_hidden = Hidden(ad.getitem(hidden.states, owner),
-                             hidden.mask[owner])
+        roll_hidden = tile_hidden(hidden, len(rollouts) // b)
         roll_tb = build_teacher_batch(rollouts, cfg, append_eos=False)
         logp = ad.neg(sequence_ce(params, cfg, roll_hidden, roll_tb))
         pg = ad.neg(ad.tmean(logp * adv.astype(logp.data.dtype)))

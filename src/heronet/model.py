@@ -255,8 +255,8 @@ def _embed(params, table_name, pos_name, ids, max_seq_len, offset=0,
     else:
         tok_ids = ids.reshape(-1)[pack.rows]
         pos_ids = offset + pack.rows % ids.shape[1]
-    tok = ad.embedding(params[table_name], tok_ids)
-    pos = ad.embedding(params[pos_name], pos_ids)
+    tok = ad.getitem(params[table_name], tok_ids)
+    pos = ad.getitem(params[pos_name], pos_ids)
     return tok + pos
 
 
@@ -281,9 +281,11 @@ def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
 
 def encode_mean_pool(params: dict, cfg: ModelConfig, ids, mask=None,
                      prefix: str = ""):
-    """Run the encoder; return hidden rows and the masked-mean embedding."""
+    """Run the encoder; return hidden rows and the masked-mean embedding.
+    Id lists are cut to max_seq_len and padded."""
     if isinstance(ids, list):
-        ids, mask = pad_batch([ids] if ids and isinstance(ids[0], int) else ids)
+        seqs = [ids] if ids and isinstance(ids[0], int) else ids
+        ids, mask = pad_batch([s[: cfg.max_seq_len] for s in seqs])
     ids = np.asarray(ids, dtype=np.int64)
     if mask is None:
         mask = (ids != PAD_ID).astype(np.float64)
@@ -558,23 +560,15 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, rng=None,
                 hidden = Hidden(Tensor(hidden.states.data[going]),
                                 hidden.mask[going])
             fresh = tok[:, None]
-    out = []
-    for row in prefix[:, 1:]:
-        seq = []
-        for t in row:
-            seq.append(int(t))
-            if t == EOS_ID:
-                break
-        while seq and seq[-1] == PAD_ID:
-            seq.pop()
-        out.append(seq)
-    return out
+    rows = prefix[:, 1:].tolist()
+    return [r[: r.index(EOS_ID) + 1] if EOS_ID in r else r for r in rows]
 
 
 def tile_hidden(hidden: Hidden, n: int) -> Hidden:
-    """Repeat every row of a Hidden n times, copies adjacent (detached)."""
-    states = Tensor(np.repeat(hidden.states.data, n, axis=0))
-    return Hidden(states, np.repeat(hidden.mask, n, axis=0))
+    """Repeat every row of a Hidden n times, copies adjacent.  The gradient
+    of the copies reaches the rows they repeat."""
+    owner = np.repeat(np.arange(hidden.states.data.shape[0]), n)
+    return Hidden(ad.getitem(hidden.states, owner), hidden.mask[owner])
 
 
 def params_fingerprint(params: dict, names=None) -> bytes:

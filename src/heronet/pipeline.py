@@ -44,7 +44,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import fields, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ from . import seeds
 from .bm25 import Bm25Index
 from .checkpoint import (checkpoint_stage, load_checkpoint, read_checkpoint,
                          save_checkpoint, write_atomic)
-from .config import TrainConfig, validate_config
+from .config import TrainConfig, render_config, validate_config
 from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      generate_synthetic_corpus, read_pairs, read_pool,
                      read_vocab, splice_context, validate_corpus, write_pairs,
@@ -93,19 +93,6 @@ _DATA_FILES = ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl",
 
 # ---------------------------------------------------------------------------
 # shared plumbing
-
-
-def render_config(cfg: TrainConfig) -> str:
-    """key = value lines that parse_config reads back to the same values."""
-    out = []
-    for f in fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            v = "true" if v else "false"
-        elif isinstance(v, float):
-            v = repr(v)
-        out.append(f"{f.name} = {v}")
-    return "\n".join(out) + "\n"
 
 
 def model_config(cfg: TrainConfig, vocab: Vocab) -> ModelConfig:

@@ -74,6 +74,33 @@ def bm25_score(index, query: list, doc_id: int) -> float:
     return float(total)
 
 
+def log_softmax_then_gather(logits: Tensor, targets) -> Tensor:
+    """Each position's log-softmax at its target, built as two tape nodes:
+    a log-softmax over the last axis, then a pick of the target entry.
+    The reference ad.target_log_prob equals bit for bit."""
+    logp = logits.data - logits.data.max(axis=-1, keepdims=True)
+    soft = np.exp(logp)
+    logp -= np.log(soft.sum(axis=-1, keepdims=True))
+    np.exp(logp, out=soft)
+
+    def log_softmax_bw(g):
+        ga = soft * g.sum(axis=-1, keepdims=True)
+        return (np.subtract(g, ga, out=ga),)
+
+    full = ad._make(logp, (logits,), log_softmax_bw)
+    idx = np.asarray(targets)
+    shape, dtype = logp.shape, logp.dtype
+
+    def gather_bw(g):
+        out = np.zeros(shape, dtype=dtype)
+        flat = out.reshape(-1, shape[-1])
+        flat[np.arange(flat.shape[0]), idx.ravel()] = g.ravel()
+        return (out,)
+
+    picked = np.take_along_axis(logp, idx[..., None], axis=-1)[..., 0]
+    return ad._make(picked, (full,), gather_bw)
+
+
 def pair_match_logit(params: dict, e_q: Tensor, e_r: Tensor) -> Tensor:
     """Reference matching logits of aligned (N, d_model) pooled rows, pair
     by pair: each side through psi_m, then w_m over concat(p_q, p_r,

@@ -9,7 +9,7 @@ import pytest
 
 from heronet import autodiff as ad
 
-from helpers import tape_nodes
+from helpers import log_softmax_then_gather, tape_nodes
 
 
 def numeric_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -157,18 +157,6 @@ class TestFused:
 
         np.testing.assert_allclose(t.grad, numeric_grad(f, x.copy()), atol=1e-7)
 
-    def test_log_softmax(self):
-        x = RNG.normal(size=(3, 4))
-        t = ad.Tensor(x.copy(), requires_grad=True)
-        w = RNG.normal(size=(3, 4))
-        ad.backward((ad.log_softmax(t) * ad.Tensor(w)).sum())
-
-        def f(a):
-            s = a - a.max(axis=-1, keepdims=True)
-            return ((s - np.log(np.exp(s).sum(axis=-1, keepdims=True))) * w).sum()
-
-        np.testing.assert_allclose(t.grad, numeric_grad(f, x.copy()), atol=1e-7)
-
     def test_layer_norm_all_inputs(self):
         x = RNG.normal(size=(4, 6))
         g = RNG.normal(size=(6,))
@@ -214,28 +202,41 @@ class TestFused:
         np.testing.assert_allclose(ta.grad, na, atol=1e-6)
 
 
+class TestTargetLogProb:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_log_softmax_then_gather_bit_for_bit(self, dtype):
+        """Value and logits gradient equal the two-node composition in
+        every bit, sign bits included, also on rows whose upstream
+        gradient is +0.0 or -0.0, as sequence_ce's masked positions get."""
+        rng = np.random.default_rng(6)
+        logits = (rng.normal(size=(4, 16, 301)) * 4).astype(dtype)
+        targets = rng.integers(0, 301, size=(4, 16))
+        mask = (rng.random(size=(4, 16)) < 0.7).astype(dtype)
+        w = rng.normal(size=(4, 16)).astype(dtype)
+        runs = []
+        for build in (ad.target_log_prob, log_softmax_then_gather):
+            t = ad.Tensor(logits.copy(), requires_grad=True)
+            out = build(t, targets)
+            ad.backward(ad.tsum(out * ad.Tensor(w * mask)))
+            runs.append((out.data, t.grad))
+        g = w * mask
+        assert {True, False} == set(np.signbit(g[g == 0]))
+        for fused, plain in zip(*runs):
+            assert fused.dtype == plain.dtype == dtype
+            assert fused.tobytes() == plain.tobytes()
+
+
 class TestGatherEmbedding:
     def test_embedding_accumulates_repeats(self):
+        """An embedding lookup is getitem with a 2-D integer key."""
         table = ad.Tensor(RNG.normal(size=(7, 3)), requires_grad=True)
-        ids = np.array([[1, 1, 4], [0, 1, 6]])
         w = RNG.normal(size=(2, 3, 3))
-        ad.backward((ad.embedding(table, ids) * ad.Tensor(w)).sum())
+        ad.backward((ad.getitem(table, _IDS) * ad.Tensor(w)).sum())
         expected = np.zeros((7, 3))
         for r in range(2):
             for c in range(3):
-                expected[ids[r, c]] += w[r, c]
+                expected[_IDS[r, c]] += w[r, c]
         np.testing.assert_allclose(table.grad, expected, atol=1e-12)
-
-    def test_gather_last(self):
-        x = RNG.normal(size=(2, 3, 5))
-        idx = RNG.integers(0, 5, size=(2, 3))
-        t = ad.Tensor(x.copy(), requires_grad=True)
-        ad.backward(ad.gather_last(t, idx).sum())
-        expected = np.zeros_like(x)
-        for i in range(2):
-            for j in range(3):
-                expected[i, j, idx[i, j]] = 1.0
-        np.testing.assert_allclose(t.grad, expected, atol=1e-12)
 
     def test_getitem_row_key_accumulates_repeats(self):
         rng = np.random.default_rng(3)
@@ -257,7 +258,7 @@ class TestGatherEmbedding:
         g = rng.normal(size=(300, 20, 8)).astype(np.float32)
         table = ad.Tensor(np.zeros((64, 8), dtype=np.float32),
                           requires_grad=True)
-        ad.backward((ad.embedding(table, ids) * ad.Tensor(g)).sum())
+        ad.backward((ad.getitem(table, ids) * ad.Tensor(g)).sum())
         expected = np.zeros((64, 8), dtype=np.float32)
         np.add.at(expected, ids.ravel(), g.reshape(-1, 8))
         np.testing.assert_allclose(table.grad, expected, rtol=1e-5,
@@ -475,16 +476,14 @@ GRADCHECKS = {
     "reshape": (lambda a: ad.reshape(a, (4, 3)), [CASE_RNG.normal(size=(2, 6))]),
     "concat": (lambda a, b: ad.concat([a, b], axis=1),
                [CASE_RNG.normal(size=(2, 3)), CASE_RNG.normal(size=(2, 2))]),
-    "getitem": (lambda a: a[1:, ::2], [CASE_RNG.normal(size=(3, 4))]),
-    "embedding": (lambda t: ad.embedding(t, _IDS), [CASE_RNG.normal(size=(7, 3))]),
-    "gather_last": (lambda a: ad.gather_last(a, _LAST),
-                    [CASE_RNG.normal(size=(2, 3, 5))]),
+    "getitem": (lambda t: ad.getitem(t, _IDS), [CASE_RNG.normal(size=(7, 3))]),
     "gather_rows": (lambda a: ad.gather_rows(a, _GRID_ROWS),
                     [CASE_RNG.normal(size=(2, 3, 4))]),
     "scatter_rows": (lambda a: ad.scatter_rows(a, _GRID_ROWS, (2, 3)),
                      [CASE_RNG.normal(size=(5, 4))]),
     "softmax": (ad.softmax, [CASE_RNG.normal(size=(3, 5))]),
-    "log_softmax": (ad.log_softmax, [CASE_RNG.normal(size=(3, 5))]),
+    "target_log_prob": (lambda a: ad.target_log_prob(a, _LAST),
+                        [CASE_RNG.normal(size=(2, 3, 5))]),
     "attention": (lambda q, k, v: ad.attention(
         q, k, v, 2, np.array([[1.0, 1, 1, 1], [1, 1, 1, 0]]), causal=True),
         [CASE_RNG.normal(size=(2, 3, 4)), CASE_RNG.normal(size=(2, 4, 4)),

@@ -271,6 +271,24 @@ class TestRun:
         assert res.returncode == 0
         assert "response:" in res.stdout
 
+    def test_texts_longer_than_max_seq_len_are_cut(self, tmp_path):
+        """At max_seq_len = 12 many pool and training texts are longer;
+        each is cut where it is encoded, so every stage, evaluate and a
+        chat line exit 0."""
+        path = tmp_path / "short.cfg"
+        path.write_text(TINY.replace("max_seq_len = 32", "max_seq_len = 12")
+                        .replace("max_gen_len = 12", "max_gen_len = 8"),
+                        encoding="utf-8")
+        out = tmp_path / "run"
+        run_chain(path, out)
+        res = run_cli("evaluate", "--config", str(path), "--out", str(out))
+        assert res.returncode == 0, res.stderr
+        line = "please check the status of my flight to the city " * 2
+        res = run_cli("chat", "--config", str(path), "--out", str(out),
+                      stdin=line + "\n")
+        assert res.returncode == 0, res.stderr
+        assert "response:" in res.stdout
+
 
 class TestDeterminism:
     def test_second_chain_is_byte_identical(self, cfg_path, trained,

@@ -8,9 +8,9 @@ from heronet.config import (
     ConfigError,
     TrainConfig,
     parse_config,
+    render_config,
     validate_config,
 )
-from heronet.pipeline import render_config
 
 
 def write(tmp_path, text):

@@ -15,7 +15,7 @@ from heronet.corpus import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, build_vocab,
 from heronet.generation import (GenLossReport, build_teacher_batch,
                                 generate_candidates, pg_step, sequence_ce,
                                 splice_knowledge)
-from heronet.model import (ModelConfig, encode_mean_pool, init_params,
+from heronet.model import (Hidden, ModelConfig, encode_mean_pool, init_params,
                            param_subset, params_fingerprint, sample_batch,
                            tile_hidden)
 from heronet.retrieval import build_pool_cache
@@ -155,6 +155,16 @@ def test_rollouts_terminate_within_max_len(small_world):
     for seq in outs:
         assert len(seq) <= 20 and (seq[-1] == EOS_ID or len(seq) == 20)
         assert PAD_ID not in seq and BOS_ID not in seq
+
+
+def test_tiled_copies_pass_their_gradient_to_the_rows_they_repeat():
+    rng = np.random.default_rng(2)
+    states = Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+    w = rng.normal(size=(6, 4, 3))
+    tiled = tile_hidden(Hidden(states, np.ones((2, 4))), 3)
+    ad.backward(ad.tsum(tiled.states * Tensor(w)))
+    np.testing.assert_allclose(states.grad, w.reshape(2, 3, 4, 3).sum(axis=1),
+                               rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,17 @@ class TestGuards:
         with pytest.raises(ValueError, match="max_seq_len"):
             encode_mean_pool(params, CFG, ids)
 
+    def test_long_id_lists_are_cut(self, toy):
+        """Id lists are cut to max_seq_len, where an array that long is
+        refused."""
+        params, _ = toy
+        long = list(range(6, 9 + CFG.max_seq_len))
+        h, e = encode_mean_pool(params, CFG, [long, [7, 8]])
+        h_cut, e_cut = encode_mean_pool(params, CFG,
+                                        [long[:CFG.max_seq_len], [7, 8]])
+        np.testing.assert_array_equal(h.states.data, h_cut.states.data)
+        np.testing.assert_array_equal(e.data, e_cut.data)
+
     def test_prefix_must_start_with_bos(self, toy):
         params, _ = toy
         hidden, _ = encode_mean_pool(params, CFG, np.array([[3]]))

@@ -15,12 +15,12 @@ import pytest
 from heronet import pipeline
 from heronet.checkpoint import (checkpoint_stage, load_checkpoint,
                                 read_checkpoint)
-from heronet.config import TrainConfig, parse_config
+from heronet.config import TrainConfig, parse_config, render_config
 from heronet.corpus import splice_context
 from heronet.generation import GenLossReport
 from heronet.model import params_fingerprint
 from heronet.pipeline import (NumericalAbort, StageOrderError, load_world,
-                              render_config, run_chat, stage_adversarial,
+                              run_chat, stage_adversarial,
                               stage_evaluate, stage_gen_data,
                               stage_rerank_train, stage_retrieval,
                               stage_sweep, stage_warmup)
