@@ -83,51 +83,33 @@ class Tensor:
         self.requires_grad = requires_grad
         self._node = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self):
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
 
     # -- operator sugar ----------------------------------------------------
+    # a - b records add(a, -b) and -a records mul(a, -1): IEEE subtraction
+    # is addition of the negation and negation is exact, so the value and
+    # both gradients equal a subtraction's bit for bit
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
-        return sub(self, other)
+        return add(self, -as_tensor(other, like=self))
 
     def __rsub__(self, other):
-        return sub(as_tensor(other, like=self), self)
+        return add(as_tensor(other, like=self), -self)
 
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
-
     def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return mul(self, -1.0)
 
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
 
     def reshape(self, *shape):
         return reshape(self, shape if len(shape) > 1 else shape[0])
@@ -217,18 +199,6 @@ def add(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def sub(a, b) -> Tensor:
-    a = as_tensor(a)
-    b = as_tensor(b, like=a)
-    data = a.data - b.data
-    sa, sb = a.data.shape, b.data.shape
-
-    def bw(g):
-        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
-
-    return _make(data, (a, b), bw)
-
-
 def mul(a, b) -> Tensor:
     a = as_tensor(a)
     b = as_tensor(b, like=a)
@@ -241,63 +211,32 @@ def mul(a, b) -> Tensor:
     return _make(data, (a, b), bw)
 
 
-def neg(a: Tensor) -> Tensor:
-    def bw(g):
-        return (-g,)
-
-    return _make(-a.data, (a,), bw)
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b with numpy broadcasting.
-
-    A stack of rows times a 2-D weight, (..., k) @ (k, n), runs as one
-    (rows, k) @ (k, n) GEMM both ways; the weight gradient is then a
-    single a2.T @ g2 rather than a per-row stack summed afterwards.  A
-    mismatched k falls through to numpy, which raises.
-    """
-    av, bv = a.data, b.data
-    if bv.ndim == 2 and av.ndim >= 3 and av.shape[-1] == bv.shape[0]:
-        k, n = bv.shape
-        a_shape, a2 = av.shape, av.reshape(-1, k)
-        data = (a2 @ bv).reshape(a_shape[:-1] + (n,))
-
-        def bw_flat(g):
-            g2 = g.reshape(-1, n)
-            return (g2 @ bv.T).reshape(a_shape), a2.T @ g2
-
-        return _make(data, (a, b), bw_flat)
-
-    data = av @ bv
-
-    def bw(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        gb = np.swapaxes(av, -1, -2) @ g
-        if ga.shape != av.shape:
-            ga = _unbroadcast(ga, av.shape)
-        if gb.shape != bv.shape:
-            gb = _unbroadcast(gb, bv.shape)
-        return ga, gb
-
-    return _make(data, (a, b), bw)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b: a (..., k) stack of rows, a (k, n) weight and an (n,) bias.
+def matmul(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w, plus b when given: a (..., k) stack of rows, a (k, n) weight
+    and an (n,) bias.
 
     One node: forward is one (rows, k) @ (k, n) GEMM plus the bias, and
     backward is one GEMM each for x and w and a single row sum for b.
     """
     wd, x_shape = w.data, x.data.shape
     k, n = wd.shape
+    if x_shape[-1] != k:
+        raise ValueError(f"matmul of (..., {x_shape[-1]}) rows by a "
+                         f"({k}, {n}) weight")
     x2 = x.data.reshape(-1, k)
-    data = (x2 @ wd + b.data).reshape(x_shape[:-1] + (n,))
+    data = x2 @ wd
+    parents = (x, w)
+    if b is not None:
+        data += b.data
+        parents += (b,)
+    biased = b is not None
 
     def bw(g):
         g2 = g.reshape(-1, n)
-        return (g2 @ wd.T).reshape(x_shape), x2.T @ g2, g2.sum(axis=0)
+        gx, gw = (g2 @ wd.T).reshape(x_shape), x2.T @ g2
+        return (gx, gw, g2.sum(axis=0)) if biased else (gx, gw)
 
-    return _make(data, (x, w, b), bw)
+    return _make(data.reshape(x_shape[:-1] + (n,)), parents, bw)
 
 
 def square(a: Tensor) -> Tensor:
@@ -394,11 +333,15 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 def _sum_rows_into(out: np.ndarray, ids: np.ndarray, g: np.ndarray) -> None:
     """out[i] = sum of the rows g[j] with ids[j] == i, for every id present.
 
-    A stable sort groups equal ids in their original order and one
-    np.add.reduceat sums each group, so repeats cost no per-element
-    scatter.
+    Strictly increasing ids, as packed grid rows are, are each written
+    once.  Otherwise a stable sort groups equal ids in their original
+    order and one np.add.reduceat sums each group, so repeats cost no
+    per-element scatter.
     """
     if ids.size == 0:
+        return
+    if (ids[1:] > ids[:-1]).all():
+        out[ids] = g
         return
     order = np.argsort(ids, kind="stable")
     ids_sorted = ids[order]
@@ -427,29 +370,11 @@ def getitem(a: Tensor, key) -> Tensor:
     return _make(data, (a,), bw)
 
 
-def gather_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Take grid positions off a (B, T, d) grid: -> (len(rows), d).
-
-    rows are distinct flat indices into the B * T positions.  Backward
-    is scatter_rows of the gradient onto a zero grid.
-    """
-    shape = a.data.shape
-    d = shape[-1]
-    data = a.data.reshape(-1, d)[rows]
-
-    def bw(g):
-        out = np.zeros(shape, dtype=g.dtype)
-        out.reshape(-1, d)[rows] = g
-        return (out,)
-
-    return _make(data, (a,), bw)
-
-
 def scatter_rows(a: Tensor, rows: np.ndarray, lead: tuple) -> Tensor:
     """Place the (R, d) rows of `a` at grid positions: -> lead + (d,).
 
     rows are R distinct flat indices into the lead = (B, T) positions;
-    every other position is exactly 0.  Backward is gather_rows of the
+    every other position is exactly 0.  Backward takes those rows of the
     gradient.
     """
     d = a.data.shape[-1]

@@ -73,7 +73,7 @@ def sequence_ce(params: dict, cfg: ModelConfig, hidden: Hidden,
     from one target_log_prob node; warm-up, validation and pg_step share it."""
     logits = decoder_logits(params, cfg, hidden, tb.dec_in, tb.tgt_mask)
     tok = ad.target_log_prob(logits, tb.targets)
-    return ad.neg(ad.tsum(tok * tb.tgt_mask.astype(tok.data.dtype), axis=1))
+    return -ad.tsum(tok * tb.tgt_mask.astype(tok.data.dtype), axis=1)
 
 
 def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
@@ -109,8 +109,8 @@ def pg_step(params: dict, cfg: ModelConfig, src_ids: list, responses: list,
         adv = adv - adv.mean()
         roll_hidden = tile_hidden(hidden, len(rollouts) // b)
         roll_tb = build_teacher_batch(rollouts, cfg, append_eos=False)
-        logp = ad.neg(sequence_ce(params, cfg, roll_hidden, roll_tb))
-        pg = ad.neg(ad.tmean(logp * adv.astype(logp.data.dtype)))
+        logp = -sequence_ce(params, cfg, roll_hidden, roll_tb)
+        pg = -ad.tmean(logp * adv.astype(logp.data.dtype))
         loss = ce + pg * alpha
         pg_val = float(pg.item())
     opt.zero_grad()

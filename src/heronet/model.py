@@ -208,7 +208,9 @@ def _to_grid(x, pack):
 
 def _off_grid(x, pack):
     """The real rows (R, d) of a (B, T, d) grid."""
-    return x if pack is None else ad.gather_rows(x, pack.rows)
+    if pack is None:
+        return x
+    return ad.getitem(ad.reshape(x, (-1, x.data.shape[-1])), pack.rows)
 
 
 def _project_kv(params, base, x_kv, pack=None):
@@ -236,8 +238,8 @@ def _attend(params, base, x_q, k, v, n_heads, kv_mask, pack=None,
 
 
 def _feed_forward(params, base, x):
-    h = ad.relu(ad.linear(x, params[f"{base}.w1"], params[f"{base}.b1"]))
-    return ad.linear(h, params[f"{base}.w2"], params[f"{base}.b2"])
+    h = ad.relu(ad.matmul(x, params[f"{base}.w1"], params[f"{base}.b1"]))
+    return ad.matmul(h, params[f"{base}.w2"], params[f"{base}.b2"])
 
 
 def _ln(params, base, x):
@@ -369,7 +371,7 @@ def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
     w, b, g, beta = adapter_params(params, task)
     if e.data.shape[-1] != w.data.shape[0]:
         raise ValueError("embedding dimension does not match adapter")
-    return ad.layer_norm(ad.linear(e, w, b), g, beta, eps=LN_EPS)
+    return ad.layer_norm(ad.matmul(e, w, b), g, beta, eps=LN_EPS)
 
 
 def match_projected(params: dict, proj: Tensor, q_idx, r_idx) -> Tensor:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from heronet import autodiff as ad
+from heronet.model import _off_grid, _Packing
 
 from helpers import log_softmax_then_gather, tape_nodes
 
@@ -85,18 +86,6 @@ class TestElementwise:
 
 
 class TestShapes:
-    def test_matmul_batched(self):
-        a = RNG.normal(size=(2, 3, 4))
-        b = RNG.normal(size=(2, 4, 5))
-        ta = ad.Tensor(a.copy(), requires_grad=True)
-        tb = ad.Tensor(b.copy(), requires_grad=True)
-        w = RNG.normal(size=(2, 3, 5))
-        ad.backward((ad.matmul(ta, tb) * ad.Tensor(w)).sum())
-        na = numeric_grad(lambda x: ((x @ b) * w).sum(), a.copy())
-        nb = numeric_grad(lambda x: ((a @ x) * w).sum(), b.copy())
-        np.testing.assert_allclose(ta.grad, na, atol=1e-7)
-        np.testing.assert_allclose(tb.grad, nb, atol=1e-7)
-
     def test_matmul_broadcast_weight(self):
         a = RNG.normal(size=(2, 3, 4))
         w = RNG.normal(size=(4, 5))
@@ -137,7 +126,9 @@ class TestShapes:
 
     def test_sum_mean_axis(self):
         x = RNG.normal(size=(3, 4))
-        for red in (lambda t: t.sum(), lambda t: t.mean(), lambda t: t.sum(axis=1).mean(), lambda t: t.mean(axis=0, keepdims=True).sum()):
+        for red in (lambda t: t.sum(), lambda t: ad.tmean(t),
+                    lambda t: ad.tmean(t.sum(axis=1)),
+                    lambda t: ad.tmean(t, axis=0, keepdims=True).sum()):
             t = ad.Tensor(x.copy(), requires_grad=True)
             ad.backward(red(t))
             num = numeric_grad(lambda a: red(ad.Tensor(a)).data, x.copy())
@@ -275,7 +266,8 @@ class TestGridRows:
         assert grid.data.shape == (3, 4, 3)
         assert (grid.data[mask == 0] == 0).all()
         np.testing.assert_array_equal(grid.data[mask == 1], packed)
-        np.testing.assert_array_equal(ad.gather_rows(grid, rows).data, packed)
+        back = _off_grid(grid, _Packing(rows, mask.shape))
+        np.testing.assert_array_equal(back.data, packed)
 
 
 class TestMachinery:
@@ -334,8 +326,8 @@ class TestMachinery:
 
 
 def unfused_attention(q, k, v, n_heads, kv_mask, causal):
-    """Multi-head attention composed from the elementwise, reduction and
-    matmul primitives, one head at a time: the reference for ad.attention."""
+    """Multi-head attention composed from the elementwise and reduction
+    primitives, one head at a time: the reference for ad.attention."""
     b_sz, t_q, d = q.data.shape
     t_k = k.data.shape[1]
     dh = d // n_heads
@@ -348,8 +340,10 @@ def unfused_attention(q, k, v, n_heads, kv_mask, causal):
         qh = ad.reshape(q[:, :, cols], (b_sz, t_q, 1, dh))
         kh = ad.reshape(k[:, :, cols], (b_sz, 1, t_k, dh))
         scores = ad.tsum(qh * kh, axis=-1) * (1.0 / math.sqrt(dh))
-        attn = ad.softmax(scores + ad.Tensor(bias))
-        heads.append(ad.matmul(attn, v[:, :, cols]))
+        attn = ad.reshape(ad.softmax(scores + ad.Tensor(bias)),
+                          (b_sz, t_q, t_k, 1))
+        vh = ad.reshape(v[:, :, cols], (b_sz, 1, t_k, dh))
+        heads.append(ad.tsum(attn * vh, axis=2))
     return ad.concat(heads, axis=-1)
 
 
@@ -427,13 +421,79 @@ class TestAttention:
 class TestLinear:
     @pytest.mark.parametrize("lead", [(3,), (2, 3)])
     def test_gradcheck(self, lead):
+        """x @ w + b is one matmul node with the bias as its third input."""
         x = RNG.normal(size=lead + (4,))
         w = RNG.normal(size=(4, 5))
         b = RNG.normal(size=(5,))
-        out = gradcheck(ad.linear, [x, w, b])
+        out = gradcheck(ad.matmul, [x, w, b])
         np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-12,
                                    atol=1e-12)
-        assert primitives_in(out) == {"linear"}
+        assert primitives_in(out) == {"matmul"}
+
+
+def _signed_zeros(rng, shape):
+    """float32 normals whose first row holds +0.0 and -0.0 alternately."""
+    x = rng.normal(size=shape).astype(np.float32)
+    x[0] = np.where(np.arange(shape[-1]) % 2, np.float32(-0.0),
+                    np.float32(0.0))
+    return x
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float32).view(np.uint32)
+
+
+class TestFoldsBitForBit:
+    """The folded operations give numpy's float32 results in every bit,
+    signs of zero included."""
+
+    def test_direct_row_sums_equal_the_sort_path(self):
+        rng = np.random.default_rng(8)
+        ids = np.sort(rng.choice(40, size=17, replace=False))
+        g = _signed_zeros(rng, (17, 6))
+        direct = np.zeros((40, 6), dtype=np.float32)
+        ad._sum_rows_into(direct, ids, g)
+        # the same rows in shuffled order are not increasing, so they are
+        # sorted and summed group by group
+        order = rng.permutation(17)
+        assert not (np.diff(ids[order]) > 0).all()
+        sorted_ = np.zeros((40, 6), dtype=np.float32)
+        ad._sum_rows_into(sorted_, ids[order], g[order])
+        np.testing.assert_array_equal(_bits(direct), _bits(sorted_))
+        np.testing.assert_array_equal(_bits(direct[ids]), _bits(g))
+
+    @pytest.mark.parametrize("c", [1.5, -0.0])
+    def test_sub_and_neg_equal_numpy(self, c):
+        rng = np.random.default_rng(9)
+        a = _signed_zeros(rng, (3, 4))
+        b = _signed_zeros(rng, (3, 4))
+        b[0] = b[0, ::-1]  # every pairing of signed zeros in row 0
+        w = _signed_zeros(rng, (3, 4))
+        for build, want, grads in (
+                (lambda x, y: x - y, a - b, (w, -w)),
+                (lambda x, y: c - x, np.float32(c) - a, (-w, None)),
+                (lambda x, y: -x, -a, (-w, None))):
+            ta = ad.Tensor(a.copy(), requires_grad=True)
+            tb = ad.Tensor(b.copy(), requires_grad=True)
+            out = build(ta, tb)
+            assert out.data.dtype == np.float32
+            np.testing.assert_array_equal(_bits(out.data), _bits(want))
+            ad.backward(ad.tsum(out * ad.Tensor(w)))
+            for t, g in zip((ta, tb), grads):
+                if g is None:
+                    assert t.grad is None
+                else:
+                    np.testing.assert_array_equal(_bits(t.grad), _bits(g))
+
+    @pytest.mark.parametrize("lead", [(5,), (2, 3)])
+    def test_matmul_with_bias_equals_numpy(self, lead):
+        rng = np.random.default_rng(10)
+        x = rng.normal(size=lead + (4,)).astype(np.float32)
+        w = rng.normal(size=(4, 5)).astype(np.float32)
+        b = _signed_zeros(rng, (1, 5))[0]
+        out = ad.matmul(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b))
+        want = (x.reshape(-1, 4) @ w + b).reshape(lead + (5,))
+        np.testing.assert_array_equal(_bits(out.data), _bits(want))
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +518,9 @@ _GRID_ROWS = np.array([0, 1, 2, 4, 5])  # real positions of a (2, 3) grid
 # primitive -> (a function of float64 leaf tensors using it, the leaves)
 GRADCHECKS = {
     "add": (ad.add, [CASE_RNG.normal(size=(3, 4)), CASE_RNG.normal(size=(4,))]),
-    "sub": (ad.sub, [CASE_RNG.normal(size=(3, 1)), CASE_RNG.normal(size=(3, 4))]),
     "mul": (ad.mul, [CASE_RNG.normal(size=(3, 4)), CASE_RNG.normal(size=(3, 1))]),
-    "neg": (ad.neg, [CASE_RNG.normal(size=(3, 4))]),
     "matmul": (ad.matmul, [CASE_RNG.normal(size=(2, 3, 4)),
                            CASE_RNG.normal(size=(4, 5))]),
-    "linear": (ad.linear, [CASE_RNG.normal(size=(2, 3, 4)),
-                           CASE_RNG.normal(size=(4, 5)), CASE_RNG.normal(size=(5,))]),
     "square": (ad.square, [CASE_RNG.normal(size=(3, 4))]),
     "absolute": (ad.absolute, [_away_from_zero(3, 4)]),
     "relu": (ad.relu, [_away_from_zero(3, 4)]),
@@ -477,8 +533,6 @@ GRADCHECKS = {
     "concat": (lambda a, b: ad.concat([a, b], axis=1),
                [CASE_RNG.normal(size=(2, 3)), CASE_RNG.normal(size=(2, 2))]),
     "getitem": (lambda a: a[1:, ::2], [CASE_RNG.normal(size=(3, 4))]),
-    "gather_rows": (lambda a: ad.gather_rows(a, _GRID_ROWS),
-                    [CASE_RNG.normal(size=(2, 3, 4))]),
     "scatter_rows": (lambda a: ad.scatter_rows(a, _GRID_ROWS, (2, 3)),
                      [CASE_RNG.normal(size=(5, 4))]),
     "softmax": (ad.softmax, [CASE_RNG.normal(size=(3, 5))]),
@@ -508,6 +562,17 @@ FOLDED = {
     "log_softmax": ("target_log_prob", lambda a: ad.target_log_prob(
         ad.getitem(a, np.repeat(np.arange(3), 5).reshape(3, 5)),
         np.tile(np.arange(5), (3, 1))), [CASE_RNG.normal(size=(3, 5))]),
+    "linear": ("matmul", ad.matmul, [CASE_RNG.normal(size=(2, 3, 4)),
+                                     CASE_RNG.normal(size=(4, 5)),
+                                     CASE_RNG.normal(size=(5,))]),
+    # a - b is add(a, -b), and -a is mul(a, -1)
+    "sub": ("add", lambda a, b: a - b,
+            [CASE_RNG.normal(size=(3, 1)), CASE_RNG.normal(size=(3, 4))]),
+    "neg": ("mul", lambda a: -a, [CASE_RNG.normal(size=(3, 4))]),
+    # packed rows taken off a (2, 3) grid, the way the encoder does
+    "gather_rows": ("getitem",
+                    lambda a: _off_grid(a, _Packing(_GRID_ROWS, (2, 3))),
+                    [CASE_RNG.normal(size=(2, 3, 4))]),
 }
 
 # every module-level function of autodiff that calls _make
@@ -519,8 +584,12 @@ TAPE_PRIMITIVES = sorted(
 
 class TestEveryPrimitive:
     def test_every_tape_primitive_has_a_gradcheck(self):
-        assert {"attention", "linear", "matmul", "layer_norm"} <= set(
-            TAPE_PRIMITIVES)
+        assert TAPE_PRIMITIVES == [
+            "absolute", "add", "attention", "concat", "euclidean", "getitem",
+            "layer_norm", "matmul", "mul", "relu", "reshape", "scatter_rows",
+            "sigmoid", "softmax", "softplus", "square", "target_log_prob",
+            "tmean", "tsum"]
+        assert not {"linear", "sub", "neg", "gather_rows"} & set(vars(ad))
         missing = sorted(set(TAPE_PRIMITIVES) - set(GRADCHECKS))
         stale = sorted(set(GRADCHECKS) - set(TAPE_PRIMITIVES))
         assert not missing, f"tape primitives without a gradcheck: {missing}"

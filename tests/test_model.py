@@ -132,17 +132,18 @@ class TestForwardOracle:
         lengths = [5, 2, 3]
         seqs = [list(range(4, 4 + n)) for n in lengths]
         seen = []
-        real_linear = ad.linear
+        real_matmul = ad.matmul
 
-        def spy(x, w, b):
-            seen.append(x.data.shape[0])
-            return real_linear(x, w, b)
+        def spy(x, w, b=None):
+            seen.append(x.data.shape[:-1])
+            return real_matmul(x, w, b)
 
-        monkeypatch.setattr(ad, "linear", spy)
+        monkeypatch.setattr(ad, "matmul", spy)
         hidden, _ = encode_mean_pool(params, CFG, seqs)
         assert hidden.states.data.shape[:2] == (3, 5)
-        # two feed-forward linears per layer, each on the real rows only
-        assert seen == [sum(lengths)] * (2 * CFG.n_layers)
+        # per layer the query, key, value and output projections and the
+        # two feed-forward products, each on the packed real rows only
+        assert seen == [(sum(lengths),)] * (6 * CFG.n_layers)
         assert (hidden.states.data[hidden.mask == 0] == 0).all()
 
     def test_mean_pool_matches_column_means(self, toy):
@@ -372,9 +373,9 @@ class TestTapeMemory:
         nodes = tape_nodes(self._loss(params))
         ops = [n for n in nodes if n._backward is not None]
         names = {n._backward.__qualname__.split(".")[0] for n in ops}
-        # the packed path ran: rows of different lengths went on and off
-        # the grid
-        assert {"gather_rows", "scatter_rows", "attention"} <= names
+        # the packed path ran: rows of different lengths went onto the grid
+        # and back off it, as getitem of the reshaped grid
+        assert {"scatter_rows", "reshape", "getitem", "attention"} <= names
         for node in ops:
             for cell in node._backward.__closure__ or ():
                 held = [v for v in _captured(cell.cell_contents)
@@ -519,7 +520,7 @@ class TestMatchScore:
 
         def grads(score):
             for t in [rows] + [params[n] for n in names]:
-                t.zero_grad()
+                t.grad = None
             ad.backward(ad.tsum(score * weights))
             return [rows.grad.copy()] + [params[n].grad.copy()
                                          for n in names]
