@@ -8,6 +8,7 @@ note the full-scale values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 
@@ -84,6 +85,11 @@ def validate_config(cfg: TrainConfig) -> None:
     def fail(field, msg):
         raise ConfigError(f"{field}: {msg}")
 
+    # every comparison with nan is false, so no bound below would catch it
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            fail(f.name, "must be finite")
     if cfg.m < 0:
         fail("m", "must be >= 0")
     if cfg.n < 0:

@@ -5,7 +5,11 @@ several query paraphrases and several response wordings, plus slot fillers
 shared across templates.  Pairs generated from the same template with the
 same slot values form a paraphrase cluster.  Cluster ids stay out of the
 JSONL records, which keep the fixed schemas below; gen-data lists them in a
-clusters.json sidecar instead.
+clusters.json sidecar instead, which every stage but chat requires:
+  {"train": [3, 0, ...], "valid": [...], "test": [...], "pool": [...]}
+one integer id per record, in file order.  Each query wording and each
+response wording belongs to one cluster, so an entry that repeats an
+anchor's text is in its cluster too.
 
 JSONL schemas:
   dialogue pair   {"context": [...], "query": "...", "response": "..."}
@@ -419,11 +423,10 @@ def encode_text(text: str, vocab: Vocab, max_len: int | None = None) -> list[int
     return ids[:max_len] if max_len is not None else ids
 
 
-def decode_ids(ids, vocab: Vocab, keep_special: bool = False) -> str:
+def decode_ids(ids, vocab: Vocab) -> str:
+    """The tokens of ids joined by spaces, reserved entries left out."""
     toks = [vocab.id_to_token[int(i)] for i in ids]
-    if not keep_special:
-        toks = [t for t in toks if t not in RESERVED]
-    return " ".join(toks)
+    return " ".join(t for t in toks if t not in RESERVED)
 
 
 def splice_context(pair: DialoguePair) -> str:

@@ -175,15 +175,15 @@ def param_subset(params: dict, stage: str) -> dict:
     raise ValueError(f"unknown stage {stage!r}")
 
 
-def pad_batch(seqs: list, pad: int = PAD_ID):
-    """Stack ragged id lists into (ids, mask) with right padding."""
+def pad_batch(seqs: list):
+    """Stack ragged id lists into (ids, mask) with right PAD padding."""
     if not seqs:
         raise ValueError("empty batch")
     width = max(len(s) for s in seqs)
-    ids = np.full((len(seqs), width), pad, dtype=np.int64)
+    ids = np.full((len(seqs), width), PAD_ID, dtype=np.int64)
     for i, s in enumerate(seqs):
         ids[i, : len(s)] = s
-    mask = (ids != pad).astype(np.float64)
+    mask = (ids != PAD_ID).astype(np.float64)
     return ids, mask
 
 
@@ -281,16 +281,11 @@ def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
     return _to_grid(_ln(params, f"{prefix}enc.ln_f", x), pack)
 
 
-def encode_mean_pool(params: dict, cfg: ModelConfig, ids, mask=None,
+def encode_mean_pool(params: dict, cfg: ModelConfig, seqs: list,
                      prefix: str = ""):
-    """Run the encoder; return hidden rows and the masked-mean embedding.
-    Id lists are cut to max_seq_len and padded."""
-    if isinstance(ids, list):
-        seqs = [ids] if ids and isinstance(ids[0], int) else ids
-        ids, mask = pad_batch([s[: cfg.max_seq_len] for s in seqs])
-    ids = np.asarray(ids, dtype=np.int64)
-    if mask is None:
-        mask = (ids != PAD_ID).astype(np.float64)
+    """Run the encoder over a list of id lists, each cut to max_seq_len
+    and padded; return hidden rows and the masked-mean embedding."""
+    ids, mask = pad_batch([s[: cfg.max_seq_len] for s in seqs])
     counts = mask.sum(axis=-1)
     if np.any(counts == 0):
         raise ValueError("all-PAD row cannot be pooled")

@@ -4,7 +4,9 @@ Stages form a strict chain -- gen-data, warmup, pretrain-retrieval,
 adv-train, rerank-train -- each consuming the previous stage's checkpoint
 and leaving its own plus a CSV loss log.  gen-data builds the vocabulary
 and writes it to vocab.json; every later stage, evaluate, sweep and chat
-read it from there.  Running a stage out of order raises StageOrderError.
+read it from there.  Every later stage, evaluate and sweep also read
+the cluster ids gen-data writes to clusters.json; chat does not.
+Running a stage out of order raises StageOrderError.
 Every training stage runs its epochs through one loop, `_run_epochs`,
 which after each epoch saves the checkpoint and then rewrites the log,
 each file with one atomic move.  The checkpoint leads: its `epoch`
@@ -43,7 +45,6 @@ import json
 import math
 import sys
 import time
-import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -88,7 +89,7 @@ _STAGE_CMD = {"warmup": "warmup", "retrieval": "pretrain-retrieval",
               "adversarial": "adv-train", "rerank": "rerank-train"}
 
 _DATA_FILES = ("train.jsonl", "valid.jsonl", "test.jsonl", "pool.jsonl",
-               "vocab.json")
+               "clusters.json", "vocab.json")
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,8 @@ def load_world(cfg: TrainConfig, out: Path):
     """Corpus, vocabulary, and model shape from the gen-data artifacts.
 
     The vocabulary is the one gen-data wrote to vocab.json; nothing here
-    counts tokens.  Cluster ids come from the clusters.json sidecar;
-    without it every record keeps cluster_id None.
+    counts tokens.  Every record takes its cluster id from clusters.json,
+    which must map each split to one integer id per record.
     """
     out = Path(out)
     _require_data(out, _DATA_FILES)
@@ -146,14 +147,20 @@ def load_world(cfg: TrainConfig, out: Path):
                     pool=read_pool(out / "pool.jsonl"))
     validate_corpus(corpus)
     sidecar = out / "clusters.json"
-    if sidecar.exists():
-        ids = json.loads(sidecar.read_text(encoding="utf-8"))
-        for split, records in _records(corpus).items():
-            if len(ids.get(split, ())) != len(records):
-                raise ValueError(f"{sidecar} does not list one cluster id "
-                                 f"per {split} record ({len(records)})")
-            for rec, cid in zip(records, ids[split]):
-                rec.cluster_id = cid
+    ids = json.loads(sidecar.read_text(encoding="utf-8"))
+    if not isinstance(ids, dict):
+        raise ValueError(f"{sidecar} is not a JSON object of cluster id "
+                         "lists by split")
+    for split, records in _records(corpus).items():
+        got = ids.get(split)
+        if not isinstance(got, list) or len(got) != len(records):
+            raise ValueError(f"{sidecar} does not list one cluster id per "
+                             f"{split} record ({len(records)})")
+        for rec, cid in zip(records, got):
+            if type(cid) is not int:
+                raise ValueError(f"{sidecar} holds {cid!r} among the {split} "
+                                 "ids, not an integer cluster id")
+            rec.cluster_id = cid
     return corpus, vocab, mcfg
 
 
@@ -377,16 +384,13 @@ def stage_warmup(cfg: TrainConfig, out) -> dict:
 
 def stage_retrieval(cfg: TrainConfig, out) -> dict:
     corpus, vocab, mcfg = load_world(cfg, out)
-    if any(p.cluster_id is None for p in corpus.train):
-        warnings.warn(f"no cluster ids in {Path(out) / 'clusters.json'}; "
-                      "mining proceeds without paraphrase-cluster exclusion",
-                      stacklevel=2)
     params = _load_stage(out, "warmup")
     if cfg.no_multi_learning:
         add_retrieval_encoder(params, mcfg, cfg.seed)
     query_ids = pool_token_lists(corpus.pool, vocab, "query")
     resp_ids = pool_token_lists(corpus.pool, vocab, "response")
     bm25_q = Bm25Index(query_ids)
+    pool_clusters = np.array([e.cluster_id for e in corpus.pool.entries])
     opt_sqd = ad.Adam(param_subset(params, "sqd"), cfg.retrieval_lr)
     opt_qrm = ad.Adam(param_subset(params, "qrm"), cfg.retrieval_lr)
 
@@ -399,15 +403,17 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
         sqd_losses, qrm_losses = [], []
         for chunk in _batches(_shuffled(corpus.train, rng(seeds.EPOCH)),
                               cfg.bs):
-            tri = mine_sqd_batch([p.query for p in chunk], corpus.pool,
-                                 vocab, bm25_q, cfg.m, aug_rng,
-                                 cfg.word_dropout,
-                                 clusters=[p.cluster_id for p in chunk])
+            # a pool entry of an anchor's paraphrase cluster answers it,
+            # so neither miner may label it negative
+            twins = pool_clusters == np.array(
+                [p.cluster_id for p in chunk])[:, None]
+            tri = mine_sqd_batch([p.query for p in chunk], vocab, bm25_q,
+                                 cfg.m, aug_rng, cfg.word_dropout, twins)
             sqd_losses.append(_ensure_finite(
                 sqd_step(params, mcfg, tri, cfg.sqd_margin, opt_sqd),
                 "retrieval"))
-            mb = mine_qrm_batch(chunk, params, mcfg, vocab, corpus.pool,
-                                cache, cfg.m)
+            mb = mine_qrm_batch(chunk, params, mcfg, vocab, cache, cfg.m,
+                                twins)
             qrm_losses.append(_ensure_finite(
                 qrm_step(params, mcfg, mb, opt_qrm), "retrieval"))
         return len(sqd_losses), [np.mean(sqd_losses), np.mean(qrm_losses)]

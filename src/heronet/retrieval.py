@@ -5,7 +5,10 @@ where paraphrased queries sit close together; it is trained with a triplet
 hinge over BM25-mined hard negatives.  The QRM head learns a matching
 score between a query and a candidate response; it is trained with binary
 cross-entropy over groups built from the SQD head's own nearest
-neighbours, so the two tasks feed each other.  In the single-task
+neighbours, so the two tasks feed each other.  Neither miner labels a
+paraphrase twin of its anchor (a pool entry of the anchor's cluster)
+negative: both read one (B, P) twin mask, which the retrieval stage
+makes from the cluster ids in clusters.json.  In the single-task
 ablation the SQD head has an encoder of its own; the parameter store
 says which (model.sqd_prefix), so nothing here takes it as an argument.
 
@@ -226,43 +229,33 @@ def augment_query(ids: list, rng, rate: float) -> list:
     return out
 
 
-def mine_sqd_batch(queries: list, pool: CandidatePool, vocab: Vocab,
-                   bm25_q: Bm25Index, m: int, rng,
-                   word_dropout: float = 0.15,
-                   clusters: list | None = None) -> TripletBatch:
+def mine_sqd_batch(queries: list, vocab: Vocab, bm25_q: Bm25Index, m: int,
+                   rng, word_dropout: float,
+                   twins: np.ndarray) -> TripletBatch:
     """Build a triplet batch: BM25 hard negatives, augmented positives.
 
     Negatives for an anchor are the m pool queries BM25 ranks closest to
-    it, excluding entries whose query text equals the anchor exactly
-    (those are the anchor itself, not contrastive signal).  When cluster
-    ids accompany the anchors, pool entries from the same paraphrase
-    cluster are excluded too: a paraphrase is the retrieval target, so
-    labelling it negative would train the metric against its own task.
-    m larger than the pool truncates with a warning.
+    it, leaving out its paraphrase twins: twins[i, j] is true when pool
+    entry j lies in query i's cluster.  A twin is the retrieval target
+    (an entry with the anchor's own wording is one), so labelling it
+    negative would train the metric against its own task.  m larger
+    than the pool truncates with a warning.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
-    if m > pool.size:
-        warnings.warn(f"m={m} exceeds pool size {pool.size}; truncating",
+    if m > bm25_q.n_docs:
+        warnings.warn(f"m={m} exceeds pool size {bm25_q.n_docs}; truncating",
                       stacklevel=2)
-    if clusters is not None and len(clusters) != len(queries):
-        raise ValueError("clusters must align one-to-one with queries")
-    dup_ids: dict = {}
-    for e in pool.entries:
-        dup_ids.setdefault(e.query, []).append(e.id)
-    by_cluster: dict = {}
-    for e in pool.entries:
-        if e.cluster_id is not None:
-            by_cluster.setdefault(e.cluster_id, []).append(e.id)
+    if twins.shape != (len(queries), bm25_q.n_docs):
+        raise ValueError("twins must hold one row per query and one column "
+                         "per pool entry")
     anchors, positives, negatives = [], [], []
-    for i, text in enumerate(queries):
+    for text, row in zip(queries, twins):
         ids = encode_text(text, vocab)
         anchors.append(ids)
         positives.append(augment_query(ids, rng, word_dropout))
-        exclude = list(dup_ids.get(text, []))
-        if clusters is not None and clusters[i] is not None:
-            exclude += by_cluster.get(clusters[i], [])
-        neg_pool_ids = bm25_q.top_k(ids, m, exclude=exclude or None)
+        neg_pool_ids = bm25_q.top_k(ids, m,
+                                    exclude=np.flatnonzero(row).tolist())
         negatives.append([list(bm25_q.docs[j]) for j in neg_pool_ids])
     return TripletBatch(anchors, positives, negatives)
 
@@ -315,41 +308,33 @@ class MatchBatch:
 
 
 def mine_qrm_batch(pairs: list, params: dict, cfg: ModelConfig, vocab: Vocab,
-                   pool: CandidatePool, cache: PoolCache,
-                   m: int) -> MatchBatch:
+                   cache: PoolCache, m: int, twins: np.ndarray) -> MatchBatch:
     """Group per anchor: the true pair plus 2m mismatched pairs.
 
     The m nearest pool queries under the current SQD metric supply both
     negative kinds: their responses paired with the anchor query, and
-    their queries paired with the anchor's true response.  Pool entries
-    whose response text equals the anchor's are excluded so no negative
-    is accidentally true, and entries from the anchor's paraphrase
-    cluster are excluded when ids are present on both sides: their
-    responses answer the anchor correctly, so labelling them 0 would
-    contradict the positive label and train the head toward a constant.
-    Mining is deterministic given the parameters; distance ties break on
-    ascending pool id.
+    their queries paired with the anchor's true response.  The anchor's
+    paraphrase twins (twins[i, j] true when pool entry j lies in pair
+    i's cluster) are left out, the entry holding its true response among
+    them: a twin's response answers the anchor correctly, so labelling it
+    0 would contradict the positive label and train the head toward a
+    constant.  Mining is deterministic given the parameters; distance
+    ties break on ascending pool id.
     """
     if m < 1:
         raise ValueError("m must be at least 1")
+    if twins.shape != (len(pairs), len(cache.query_ids)):
+        raise ValueError("twins must hold one row per pair and one column "
+                         "per pool entry")
     anchor_q = [encode_text(p.query, vocab) for p in pairs]
     dists = sqd_pool_distances(params, cfg, anchor_q, cache)
     # nearest first, ties on ascending pool id
     orders = np.argsort(dists, axis=1, kind="stable")
-    text_code: dict = {}
-    pool_resp = np.array([text_code.setdefault(e.response, len(text_code))
-                          for e in pool.entries], dtype=np.int64)
-    clustered = np.array([e.cluster_id is not None for e in pool.entries])
-    pool_cluster = np.array([e.cluster_id if e.cluster_id is not None else 0
-                             for e in pool.entries], dtype=np.int64)
     queries, responses, labels, groups = [], [], [], []
     for i, pair in enumerate(pairs):
         r_true = encode_text(pair.response, vocab)
-        keep = pool_resp != text_code.get(pair.response, -1)
-        if pair.cluster_id is not None:
-            keep &= ~(clustered & (pool_cluster == pair.cluster_id))
         order = orders[i]
-        near = order[keep[order]][:m]
+        near = order[~twins[i, order]][:m]
         queries.append(anchor_q[i])
         responses.append(r_true)
         labels.append(1.0)

@@ -1,5 +1,7 @@
 """Config parsing, defaults, and invariant enforcement."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +85,14 @@ class TestInvariants:
     def test_rates_positive(self, tmp_path):
         with pytest.raises(ConfigError, match="d_lr"):
             parse_config(write(tmp_path, "d_lr = 0\n"))
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(TrainConfig)
+                                      if f.type in (float, "float")])
+    def test_non_finite_float_rejected(self, tmp_path, name):
+        # nan fails every comparison, so a bound alone would let it through
+        for value in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"^{name}: must be finite"):
+                parse_config(write(tmp_path, f"{name} = {value}\n"))
 
     def test_dropout_range(self, tmp_path):
         with pytest.raises(ConfigError, match="word_dropout"):

@@ -120,9 +120,8 @@ class TestForwardOracle:
         # real positions match the oracle; pad rows are never computed
         # and come back exactly 0
         params, p = toy
-        ids = np.array([[7, 8, 9, PAD_ID]])
-        hidden, pooled = encode_mean_pool(params, CFG, ids)
-        want = o_encode(p, CFG, ids[0], hidden.mask[0])
+        hidden, pooled = encode_mean_pool(params, CFG, [[7, 8, 9, PAD_ID]])
+        want = o_encode(p, CFG, np.array([7, 8, 9, PAD_ID]), hidden.mask[0])
         assert np.allclose(hidden.states.data[0, :3], want[:3], atol=1e-8,
                            rtol=0)
         assert (hidden.states.data[0, 3] == 0).all()
@@ -148,21 +147,19 @@ class TestForwardOracle:
 
     def test_mean_pool_matches_column_means(self, toy):
         params, p = toy
-        ids = np.array([[7, 8, 9, PAD_ID], [4, 5, PAD_ID, PAD_ID]])
-        hidden, pooled = encode_mean_pool(params, CFG, ids)
+        hidden, pooled = encode_mean_pool(params, CFG, [[7, 8, 9], [4, 5]])
         for r, n_real in ((0, 3), (1, 2)):
             want = hidden.states.data[r, :n_real].mean(axis=0)
             assert np.allclose(pooled.data[r], want, atol=1e-12)
 
     def test_single_token_pool_is_hidden_row(self, toy):
         params, _ = toy
-        hidden, pooled = encode_mean_pool(params, CFG, np.array([[9]]))
+        hidden, pooled = encode_mean_pool(params, CFG, [[9]])
         assert np.allclose(pooled.data[0], hidden.states.data[0, 0], atol=0)
 
     def test_decode_next_matches_oracle(self, toy):
         params, p = toy
-        ids = np.array([[7, 8, 9, PAD_ID]])
-        hidden, _ = encode_mean_pool(params, CFG, ids)
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9, PAD_ID]])
         prefix = [BOS_ID, 10, 11]
         probs = decode_next(params, CFG, hidden, prefix)
         want = o_decode_probs(p, CFG, hidden.states.data[0], hidden.mask[0],
@@ -187,7 +184,7 @@ class TestForwardOracle:
 
     def test_decode_next_sums_to_one(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[3, 4]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[3, 4]])
         probs = decode_next(params, CFG, hidden, [BOS_ID, 6])
         assert abs(probs.sum() - 1.0) < 1e-9
         assert (probs > 0).all()
@@ -196,16 +193,16 @@ class TestForwardOracle:
         params, _ = toy
         zeroed = clone_params(params)
         zeroed["out.w"].data[:] = 0.0
-        hidden, _ = encode_mean_pool(zeroed, CFG, np.array([[3, 4]]))
+        hidden, _ = encode_mean_pool(zeroed, CFG, [[3, 4]])
         probs = decode_next(zeroed, CFG, hidden, [BOS_ID])
         assert np.allclose(probs, 1.0 / CFG.vocab_size, atol=1e-12)
 
     def test_pad_invariance_of_real_rows(self, toy):
         # extra padding must not change hidden rows of real tokens
         params, _ = toy
-        h1, e1 = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
+        h1, e1 = encode_mean_pool(params, CFG, [[7, 8, 9]])
         h2, e2 = encode_mean_pool(params, CFG,
-                                  np.array([[7, 8, 9, PAD_ID, PAD_ID]]))
+                                  [[7, 8, 9, PAD_ID, PAD_ID]])
         assert np.allclose(h1.states.data[0], h2.states.data[0, :3], atol=1e-9)
         assert np.allclose(e1.data, e2.data, atol=1e-9)
 
@@ -214,17 +211,18 @@ class TestGuards:
     def test_all_pad_rejected(self, toy):
         params, _ = toy
         with pytest.raises(ValueError, match="all-PAD"):
-            encode_mean_pool(params, CFG, np.array([[PAD_ID, PAD_ID]]))
+            encode_mean_pool(params, CFG, [[PAD_ID, PAD_ID]])
 
     def test_long_input_rejected(self, toy):
+        # the encoder cuts its id lists; the decoder refuses a longer grid
         params, _ = toy
-        ids = np.full((1, CFG.max_seq_len + 1), 5)
+        hidden, _ = encode_mean_pool(params, CFG, [[3]])
+        dec = np.full((1, CFG.max_seq_len + 1), 5)
         with pytest.raises(ValueError, match="max_seq_len"):
-            encode_mean_pool(params, CFG, ids)
+            decoder_logits(params, CFG, hidden, dec)
 
     def test_long_id_lists_are_cut(self, toy):
-        """Id lists are cut to max_seq_len, where an array that long is
-        refused."""
+        """Id lists are cut to max_seq_len."""
         params, _ = toy
         long = list(range(6, 9 + CFG.max_seq_len))
         h, e = encode_mean_pool(params, CFG, [long, [7, 8]])
@@ -235,13 +233,13 @@ class TestGuards:
 
     def test_prefix_must_start_with_bos(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[3]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[3]])
         with pytest.raises(ValueError, match="BOS"):
             decode_next(params, CFG, hidden, [7, 8])
 
     def test_overlong_prefix_rejected(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[3]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[3]])
         with pytest.raises(ValueError):
             decode_next(params, CFG, hidden, [BOS_ID] + [5] * CFG.max_seq_len)
 
@@ -312,9 +310,9 @@ class TestEncodeUnique:
         calls = []
         real = model.encode_mean_pool
 
-        def spy(params, cfg, ids, mask=None, prefix=""):
-            hidden, pooled = real(params, cfg, ids, mask, prefix)
-            calls.append(([list(s) for s in ids], hidden.mask.shape[1]))
+        def spy(params, cfg, seqs, prefix=""):
+            hidden, pooled = real(params, cfg, seqs, prefix)
+            calls.append(([list(s) for s in seqs], hidden.mask.shape[1]))
             return hidden, pooled
 
         monkeypatch.setattr(model, "encode_mean_pool", spy)
@@ -537,14 +535,14 @@ class TestMatchScore:
 class TestSampling:
     def test_greedy_deterministic(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9]])
         [a] = sample_batch(params, CFG, hidden, max_len=8)
         [b] = sample_batch(params, CFG, hidden, max_len=8)
         assert a == b
 
     def test_seeded_sampling_reproducible(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9]])
         [a] = sample_batch(params, CFG, hidden,
                            rng=np.random.default_rng(42), max_len=8)
         [b] = sample_batch(params, CFG, hidden,
@@ -553,7 +551,7 @@ class TestSampling:
 
     def test_distinct_seeds_vary(self, toy):
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9]])
         outs = {tuple(sample_batch(params, CFG, hidden,
                                    rng=np.random.default_rng(s), max_len=8)[0])
                 for s in range(20)}
@@ -561,8 +559,7 @@ class TestSampling:
 
     def test_ends_at_eos_or_cap(self, toy):
         params, _ = toy
-        ids = np.array([[5, 6], [9, 3]])
-        hidden, _ = encode_mean_pool(params, CFG, ids)
+        hidden, _ = encode_mean_pool(params, CFG, [[5, 6], [9, 3]])
         for seq in sample_batch(params, CFG, hidden,
                                 rng=np.random.default_rng(0), max_len=6):
             if EOS_ID in seq:
@@ -574,7 +571,7 @@ class TestSampling:
         from scipy import stats
 
         params, _ = toy
-        hidden, _ = encode_mean_pool(params, CFG, np.array([[7, 8, 9]]))
+        hidden, _ = encode_mean_pool(params, CFG, [[7, 8, 9]])
         probs = decode_next(params, CFG, hidden, [BOS_ID]).copy()
         probs[[PAD_ID, BOS_ID]] = 0.0  # never sampled
         probs /= probs.sum()
@@ -607,8 +604,9 @@ class TestCachedDecoding:
         for t in params.values():
             t.data += rng.normal(0, 0.5, t.data.shape).astype(np.float32)
         params["out.w"].data[:, EOS_ID] *= 3
-        ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20]])
-        hidden, _ = encode_mean_pool(params, CFG, ids, mask)
+        hidden, _ = encode_mean_pool(params, CFG,
+                                     [[5, 6, 7, 8, 9], [9, 3], [4, 11, 12],
+                                      [20]])
         seqs = sample_batch(params, CFG, hidden, max_len=CFG.max_seq_len + 3)
         # the decoder input sample_batch built: finished rows carry PAD
         width = max(len(s) for s in seqs)
@@ -676,9 +674,9 @@ class TestCachedDecoding:
         for t in params.values():
             t.data += rng.normal(0, 0.5, t.data.shape)
         params["out.w"].data[:, EOS_ID] *= 4
-        ids, mask = pad_batch([[5, 6, 7, 8, 9], [9, 3], [4, 11, 12], [20],
-                               [7, 7], [13, 14, 15, 16]])
-        hidden, _ = encode_mean_pool(params, CFG, ids, mask)
+        hidden, _ = encode_mean_pool(params, CFG,
+                                     [[5, 6, 7, 8, 9], [9, 3], [4, 11, 12],
+                                      [20], [7, 7], [13, 14, 15, 16]])
         widths = []
         real = model.decode_step
 
@@ -763,7 +761,7 @@ class TestParamStore:
         # the shared-encoder stages never touch the ablation copy
         assert not any(n.startswith("sqd_enc.") for n in
                        param_subset(params, "generator"))
-        ids = np.array([[7, 8, 9]])
+        ids = [[7, 8, 9]]
         h_main, _ = encode_mean_pool(params, CFG, ids)
         h_abl, _ = encode_mean_pool(params, CFG, ids, prefix="sqd_enc.")
         assert not np.allclose(h_main.states.data, h_abl.states.data)

@@ -149,9 +149,9 @@ def spy_pool_encodes(monkeypatch) -> tuple:
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    def encode_spy(params, cfg, ids, mask=None, prefix=""):
-        encoded.extend(tuple(s) for s in ids)
-        return real_encode(params, cfg, ids, mask, prefix)
+    def encode_spy(params, cfg, seqs, prefix=""):
+        encoded.extend(tuple(s) for s in seqs)
+        return real_encode(params, cfg, seqs, prefix)
 
     for mod in (pipeline, retrieval):
         monkeypatch.setattr(mod, "build_pool_cache", build_spy)
@@ -239,19 +239,39 @@ class TestClusterSidecar:
         assert [e.cluster_id for e in corpus.pool.entries] == \
             [e.cluster_id for e in mem.pool.entries]
 
-    def test_missing_sidecar_warns(self, cfg, run_dir, tmp_path):
-        copy_run(run_dir, tmp_path, skip={"clusters.json"})
-        corpus, _, _ = load_world(cfg, tmp_path)
-        assert all(p.cluster_id is None for p in corpus.all_pairs())
-        assert all(e.cluster_id is None for e in corpus.pool.entries)
-        with pytest.warns(UserWarning, match="paraphrase-cluster") as got:
-            stage_retrieval(cfg, tmp_path)
-        assert len(got) == 1
+    def test_missing_sidecar_is_a_stage_error(self, cfg, run_dir, tmp_path):
+        """Every stage after gen-data, evaluate and sweep send the user
+        back to gen-data (exit 3) without clusters.json; chat needs none."""
+        from heronet import cli
 
-    def test_mismatched_sidecar_is_rejected(self, cfg, run_dir, tmp_path):
+        copy_run(run_dir, tmp_path, skip={"clusters.json"})
+        for stage in (stage_warmup, stage_retrieval, stage_adversarial,
+                      stage_rerank_train, stage_evaluate, stage_sweep):
+            with pytest.raises(StageOrderError,
+                               match="clusters.json.*heronet gen-data"):
+                stage(cfg, tmp_path)
+        (tmp_path / "run.cfg").write_text(render_config(cfg), encoding="utf-8")
+        assert cli.main(["evaluate", "--config", str(tmp_path / "run.cfg"),
+                         "--out", str(tmp_path)]) == 3
+        assert run_chat(cfg, tmp_path, stdin=io.StringIO("hi\n"),
+                        stdout=io.StringIO()) == 0
+
+    @pytest.mark.parametrize("damage", [
+        "short_pool", "missing_split", "not_an_object", "null_id",
+        "string_id", "float_id", "bool_id"])
+    def test_mismatched_sidecar_is_rejected(self, cfg, run_dir, tmp_path,
+                                            damage):
         copy_run(run_dir, tmp_path)
         ids = json.loads((tmp_path / "clusters.json").read_text())
-        ids["pool"].pop()
+        if damage == "short_pool":
+            ids["pool"].pop()
+        elif damage == "missing_split":
+            del ids["valid"]
+        elif damage == "not_an_object":
+            ids = ids["train"]
+        else:
+            ids["test"][1] = {"null_id": None, "string_id": "3",
+                              "float_id": 3.0, "bool_id": True}[damage]
         (tmp_path / "clusters.json").write_text(json.dumps(ids))
         with pytest.raises(ValueError, match="clusters.json"):
             load_world(cfg, tmp_path)
@@ -268,10 +288,10 @@ class TestRetrievalStage:
         frozen = set()
         real_encode = model.encode_mean_pool
 
-        def encode_spy(params, cfg, ids, mask=None, prefix=""):
-            hidden, pooled = real_encode(params, cfg, ids, mask, prefix)
+        def encode_spy(params, cfg, seqs, prefix=""):
+            hidden, pooled = real_encode(params, cfg, seqs, prefix)
             if not pooled.requires_grad:
-                frozen.update(tuple(s) for s in ids)
+                frozen.update(tuple(s) for s in seqs)
             return hidden, pooled
 
         for mod in (model, retrieval):
@@ -762,9 +782,9 @@ class TestAblations:
         encoded, sources = [], []
         real_encode, real_step = model.encode_mean_pool, pipeline.pg_step
 
-        def encode_spy(params, cfg, ids, mask=None, prefix=""):
-            encoded.append(tuple(tuple(s) for s in ids))
-            return real_encode(params, cfg, ids, mask, prefix)
+        def encode_spy(params, cfg, seqs, prefix=""):
+            encoded.append(tuple(tuple(s) for s in seqs))
+            return real_encode(params, cfg, seqs, prefix)
 
         def step_spy(params, cfg, src_ids, *args, **kwargs):
             sources.append(tuple(tuple(s) for s in src_ids))
@@ -804,9 +824,9 @@ class TestChat:
         events = []
         real_encode = model.encode_mean_pool
 
-        def encode_spy(params, cfg, ids, mask=None, prefix=""):
-            events.append(("rows", [tuple(s) for s in ids]))
-            return real_encode(params, cfg, ids, mask, prefix)
+        def encode_spy(params, cfg, seqs, prefix=""):
+            events.append(("rows", [tuple(s) for s in seqs]))
+            return real_encode(params, cfg, seqs, prefix)
 
         for mod in (model, pipeline, generation, retrieval):
             monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)

@@ -1,7 +1,6 @@
 """Retrieval training and two-stage inference tests."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +8,7 @@ import pytest
 from heronet import autodiff as ad
 from heronet.autodiff import Tensor
 from heronet.bm25 import Bm25Index
-from heronet.corpus import (RESERVED, CandidatePool, PoolEntry, Vocab,
-                            build_vocab, encode_text,
-                            generate_synthetic_corpus)
+from heronet.corpus import build_vocab, encode_text, generate_synthetic_corpus
 from heronet.model import (ModelConfig, adapter_apply, add_retrieval_encoder,
                            encode_mean_pool, init_params, param_subset)
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
@@ -38,6 +35,17 @@ def small_world():
 
 def logit(p):
     return math.log(p / (1.0 - p))
+
+
+def twins_of(records, pool):
+    """The (len(records), pool size) twin mask the retrieval stage builds:
+    true where a pool entry shares the record's paraphrase cluster."""
+    clusters = np.array([r.cluster_id for r in records])
+    return np.array([e.cluster_id for e in pool.entries]) == clusters[:, None]
+
+
+def no_twins(n, pool):
+    return np.zeros((n, pool.size), dtype=bool)
 
 
 # ---------------------------------------------------------------------------
@@ -97,35 +105,40 @@ def test_augment_rejects_bad_rate():
 def test_mine_sqd_negatives_match_bm25_oracle(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(4)
-    queries = [p.query for p in corpus.train[:6]]
-    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=3, rng=rng,
-                           word_dropout=0.0)
-    for text, anchor, negs in zip(queries, batch.anchors, batch.negatives):
-        assert anchor == encode_text(text, vocab)
-        dup = [e.id for e in corpus.pool.entries if e.query == text]
-        want = bm25_q.top_k(anchor, 3, exclude=dup)
+    pairs = corpus.train[:6]
+    queries = [p.query for p in pairs]
+    batch = mine_sqd_batch(queries, vocab, bm25_q, 3, rng, 0.0,
+                           twins_of(pairs, corpus.pool))
+    for pair, anchor, negs in zip(pairs, batch.anchors, batch.negatives):
+        assert anchor == encode_text(pair.query, vocab)
+        twins = [e.id for e in corpus.pool.entries
+                 if e.cluster_id == pair.cluster_id]
+        want = bm25_q.top_k(anchor, 3, exclude=twins)
         assert negs == [bm25_q.docs[j] for j in want]
 
 
 def test_mine_sqd_rate_zero_positive_equals_anchor(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(5)
-    queries = [p.query for p in corpus.train[:4]]
-    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=2, rng=rng,
-                           word_dropout=0.0)
+    pairs = corpus.train[:4]
+    batch = mine_sqd_batch([p.query for p in pairs], vocab, bm25_q, 2, rng,
+                           0.0, twins_of(pairs, corpus.pool))
     assert batch.positives == batch.anchors
 
 
-def test_mine_sqd_excludes_exact_duplicate_queries(small_world):
+def test_mine_sqd_excludes_every_twin_of_the_anchor(small_world):
+    # the anchor is a pool entry's own wording: that entry and the rest of
+    # its cluster are twins, and every other entry is mined
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(6)
     entry = corpus.pool.entries[0]
-    batch = mine_sqd_batch([entry.query], corpus.pool, vocab, bm25_q,
-                           m=corpus.pool.size, rng=rng, word_dropout=0.0)
-    own = encode_text(entry.query, vocab)
-    dup_ids = {e.id for e in corpus.pool.entries if e.query == entry.query}
-    assert len(batch.negatives[0]) == corpus.pool.size - len(dup_ids)
-    assert own not in batch.negatives[0]
+    twins = twins_of([entry], corpus.pool)
+    batch = mine_sqd_batch([entry.query], vocab, bm25_q, corpus.pool.size,
+                           rng, 0.0, twins)
+    twin_q = [bm25_q.docs[j] for j in np.flatnonzero(twins[0])]
+    assert encode_text(entry.query, vocab) in twin_q
+    assert len(batch.negatives[0]) == corpus.pool.size - len(twin_q)
+    assert all(neg not in twin_q for neg in batch.negatives[0])
 
 
 def test_mine_sqd_cluster_ids_exclude_paraphrase_twins(small_world):
@@ -137,42 +150,45 @@ def test_mine_sqd_cluster_ids_exclude_paraphrase_twins(small_world):
         twins = [bm25_q.docs[e.id] for e in corpus.pool.entries
                  if e.cluster_id == pair.cluster_id]
         assert twins  # every test pair has a paraphrase entry in the pool
-        plain = mine_sqd_batch([pair.query], corpus.pool, vocab, bm25_q,
-                               m=5, rng=rng, word_dropout=0.0)
+        plain = mine_sqd_batch([pair.query], vocab, bm25_q, 5, rng, 0.0,
+                               no_twins(1, corpus.pool))
         if any(neg in twins for neg in plain.negatives[0]):
             hit = (pair, twins)
             break
     assert hit is not None
     pair, twins = hit
-    batch = mine_sqd_batch([pair.query], corpus.pool, vocab, bm25_q, m=5,
-                           rng=rng, word_dropout=0.0,
-                           clusters=[pair.cluster_id])
+    batch = mine_sqd_batch([pair.query], vocab, bm25_q, 5, rng, 0.0,
+                           twins_of([pair], corpus.pool))
     assert all(neg not in twins for neg in batch.negatives[0])
     assert len(batch.negatives[0]) == 5  # ranks refill from further out
 
 
-def test_mine_sqd_rejects_misaligned_clusters(small_world):
+def test_mine_sqd_rejects_a_misshapen_twin_mask(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(41)
-    with pytest.raises(ValueError, match="one-to-one"):
-        mine_sqd_batch([corpus.train[0].query], corpus.pool, vocab, bm25_q,
-                       m=2, rng=rng, clusters=[1, 2])
+    size = corpus.pool.size
+    for shape in ((2, size), (1, size - 1), (size,)):
+        with pytest.raises(ValueError, match="one row per query"):
+            mine_sqd_batch([corpus.train[0].query], vocab, bm25_q, 2, rng,
+                           0.0, np.zeros(shape, dtype=bool))
 
 
 def test_mine_sqd_oversized_m_warns(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     rng = np.random.default_rng(7)
     with pytest.warns(UserWarning, match="pool size"):
-        mine_sqd_batch([corpus.train[0].query], corpus.pool, vocab, bm25_q,
-                       m=corpus.pool.size + 5, rng=rng)
+        mine_sqd_batch([corpus.train[0].query], vocab, bm25_q,
+                       corpus.pool.size + 5, rng, 0.15,
+                       twins_of(corpus.train[:1], corpus.pool))
 
 
 def test_sqd_step_decreases_loss_on_fixed_batch(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     local = clone_params(params)
     rng = np.random.default_rng(8)
-    queries = [p.query for p in corpus.train[:8]]
-    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=4, rng=rng)
+    pairs = corpus.train[:8]
+    batch = mine_sqd_batch([p.query for p in pairs], vocab, bm25_q, 4, rng,
+                           0.15, twins_of(pairs, corpus.pool))
     opt = ad.Adam(param_subset(local, "sqd"), lr=1e-3)
     losses = [sqd_step(local, cfg, batch, margin=1.0, opt=opt)
               for _ in range(6)]
@@ -188,8 +204,9 @@ def test_sqd_step_matches_per_triplet_hinge(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     local = clone_params(params)
     rng = np.random.default_rng(10)
-    queries = [p.query for p in corpus.train[:5]] + [corpus.train[0].query]
-    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=3, rng=rng)
+    pairs = corpus.train[:5] + corpus.train[:1]
+    batch = mine_sqd_batch([p.query for p in pairs], vocab, bm25_q, 3, rng,
+                           0.15, twins_of(pairs, corpus.pool))
     margin = 3.0
 
     def proj(seq):
@@ -217,14 +234,15 @@ def test_sqd_step_encodes_each_distinct_sequence_once(small_world,
     rows = []
     encode = model.encode_mean_pool
 
-    def spy(params, cfg, ids, mask=None, prefix=""):
-        rows.extend(tuple(s) for s in ids)
-        return encode(params, cfg, ids, mask, prefix)
+    def spy(params, cfg, seqs, prefix=""):
+        rows.extend(tuple(s) for s in seqs)
+        return encode(params, cfg, seqs, prefix)
 
     monkeypatch.setattr(model, "encode_mean_pool", spy)
-    queries = [p.query for p in corpus.train[:4]] + [corpus.train[0].query]
-    batch = mine_sqd_batch(queries, corpus.pool, vocab, bm25_q, m=4,
-                           rng=np.random.default_rng(8), word_dropout=0.0)
+    pairs = corpus.train[:4] + corpus.train[:1]
+    batch = mine_sqd_batch([p.query for p in pairs], vocab, bm25_q, 4,
+                           np.random.default_rng(8), 0.0,
+                           twins_of(pairs, corpus.pool))
     offered = batch.anchors + batch.positives + [
         n for g in batch.negatives for n in g]
     sqd_step(clone_params(params), cfg, batch, margin=1.0,
@@ -242,8 +260,8 @@ def test_sqd_step_touches_only_encoder_and_sqd_adapter(small_world):
               if n.startswith(("dec.", "out.", "psi_m."))]
     before = params_fingerprint(local, frozen)
     rng = np.random.default_rng(9)
-    batch = mine_sqd_batch([corpus.train[0].query], corpus.pool, vocab,
-                           bm25_q, m=3, rng=rng)
+    batch = mine_sqd_batch([corpus.train[0].query], vocab, bm25_q, 3, rng,
+                           0.15, twins_of(corpus.train[:1], corpus.pool))
     opt = ad.Adam(param_subset(local, "sqd"), lr=1e-2)
     sqd_step(local, cfg, batch, margin=1.0, opt=opt)
     assert params_fingerprint(local, frozen) == before
@@ -258,7 +276,8 @@ def test_sqd_step_touches_only_encoder_and_sqd_adapter(small_world):
 def test_mine_qrm_group_shape(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     pairs = corpus.train[:3]
-    batch = mine_qrm_batch(pairs, params, cfg, vocab, corpus.pool, cache, m=2)
+    batch = mine_qrm_batch(pairs, params, cfg, vocab, cache, 2,
+                           twins_of(pairs, corpus.pool))
     assert len(batch.queries) == 3 * 5  # 1 positive + 2m negatives per anchor
     for g in range(3):
         sel = batch.groups == g
@@ -271,7 +290,8 @@ def test_mine_qrm_negatives_follow_sqd_distance_oracle(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     pair = corpus.train[0]
     m = 4
-    batch = mine_qrm_batch([pair], params, cfg, vocab, corpus.pool, cache, m=m)
+    batch = mine_qrm_batch([pair], params, cfg, vocab, cache, m,
+                           twins_of([pair], corpus.pool))
     anchor = encode_text(pair.query, vocab)
     dists = sqd_pool_distances(params, cfg, [anchor], cache)[0]
     order = np.lexsort((np.arange(corpus.pool.size), dists))
@@ -292,8 +312,8 @@ def test_mine_qrm_excludes_pool_entry_holding_truth(small_world):
     anchor = encode_text(pair.query, vocab)
     owners = [e for e in corpus.pool.entries if e.response == pair.response]
     assert owners  # protocol guarantee: truth present in the pool
-    batch = mine_qrm_batch([pair], params, cfg, vocab, corpus.pool, cache,
-                           m=corpus.pool.size - 1)
+    batch = mine_qrm_batch([pair], params, cfg, vocab, cache,
+                           corpus.pool.size - 1, twins_of([pair], corpus.pool))
     negs = list(zip(batch.queries[1:], batch.responses[1:]))
     # the owning entry's response never pairs with the anchor query...
     assert (anchor, truth) not in [(q, r) for q, r in negs]
@@ -308,8 +328,8 @@ def test_mine_qrm_excludes_paraphrase_cluster_of_anchor(small_world):
     twins = [j for j, e in enumerate(corpus.pool.entries)
              if e.cluster_id == pair.cluster_id]
     assert twins  # every test pair has a paraphrase entry in the pool
-    batch = mine_qrm_batch([pair], params, cfg, vocab, corpus.pool, cache,
-                           m=corpus.pool.size - 1)
+    batch = mine_qrm_batch([pair], params, cfg, vocab, cache,
+                           corpus.pool.size - 1, twins_of([pair], corpus.pool))
     twin_resp = [list(cache.resp_ids[j]) for j in twins]
     twin_q = [list(cache.query_ids[j]) for j in twins]
     # layout per anchor: positive, then m (anchor, near-resp) pairs, then
@@ -319,33 +339,15 @@ def test_mine_qrm_excludes_paraphrase_cluster_of_anchor(small_world):
     assert all(q not in twin_q for q in batch.queries[1 + n_near:])
 
 
-def test_mine_qrm_without_cluster_ids_keeps_old_behavior(small_world):
-    corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from dataclasses import replace as dc_replace
-    pair = dc_replace(corpus.test[1], cluster_id=None)
-    twins = [j for j, e in enumerate(corpus.pool.entries)
-             if e.cluster_id == corpus.test[1].cluster_id
-             and e.response != pair.response]
-    assert twins  # this pair has cluster mates beyond the truth entry
-    batch = mine_qrm_batch([pair], params, cfg, vocab, corpus.pool, cache,
-                           m=corpus.pool.size - 1)
-    twin_q = [list(cache.query_ids[j]) for j in twins]
-    assert any(q in twin_q for q in batch.queries[1:])
-
-
 def test_mine_qrm_matches_per_anchor_scan(small_world):
-    # the masked picks equal a scan of the pool in distance order, for
-    # anchors with and without cluster ids, against a pool where some
-    # entries carry none (those never match an anchor's cluster)
+    # the masked picks equal a scan of the pool in distance order that
+    # skips the anchor's cluster and any entry holding its true response
     corpus, vocab, cfg, params, cache, bm25_q = small_world
-    from dataclasses import replace as dc_replace
-    from heronet.corpus import CandidatePool
-    pool = CandidatePool([dc_replace(e, cluster_id=None) if e.id % 3 == 0
-                          else e for e in corpus.pool.entries])
-    pairs = (corpus.test[:6] + corpus.train[:6]
-             + [dc_replace(corpus.test[1], cluster_id=None)])
+    pool = corpus.pool
+    pairs = corpus.test[:6] + corpus.train[:6]
     m = pool.size - 1
-    batch = mine_qrm_batch(pairs, params, cfg, vocab, pool, cache, m=m)
+    batch = mine_qrm_batch(pairs, params, cfg, vocab, cache, m,
+                           twins_of(pairs, pool))
     anchors = [encode_text(p.query, vocab) for p in pairs]
     dists = sqd_pool_distances(params, cfg, anchors, cache)
     at = 0
@@ -353,8 +355,7 @@ def test_mine_qrm_matches_per_anchor_scan(small_world):
         order = np.lexsort((np.arange(pool.size), dists[i]))
         near = [j for j in order
                 if pool.entries[j].response != pair.response
-                and (pair.cluster_id is None
-                     or pool.entries[j].cluster_id != pair.cluster_id)][:m]
+                and pool.entries[j].cluster_id != pair.cluster_id][:m]
         k = len(near)
         assert batch.responses[at + 1:at + 1 + k] == [
             list(cache.resp_ids[j]) for j in near]
@@ -364,11 +365,19 @@ def test_mine_qrm_matches_per_anchor_scan(small_world):
     assert at == len(batch.queries)
 
 
+def test_mine_qrm_rejects_a_misshapen_twin_mask(small_world):
+    corpus, vocab, cfg, params, cache, bm25_q = small_world
+    with pytest.raises(ValueError, match="one row per pair"):
+        mine_qrm_batch(corpus.train[:2], params, cfg, vocab, cache, 2,
+                       no_twins(1, corpus.pool))
+
+
 def test_mine_qrm_deterministic(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     pairs = corpus.train[:2]
-    a = mine_qrm_batch(pairs, params, cfg, vocab, corpus.pool, cache, m=3)
-    b = mine_qrm_batch(pairs, params, cfg, vocab, corpus.pool, cache, m=3)
+    twins = twins_of(pairs, corpus.pool)
+    a = mine_qrm_batch(pairs, params, cfg, vocab, cache, 3, twins)
+    b = mine_qrm_batch(pairs, params, cfg, vocab, cache, 3, twins)
     assert a.queries == b.queries and a.responses == b.responses
     assert np.array_equal(a.labels, b.labels)
 
@@ -376,8 +385,8 @@ def test_mine_qrm_deterministic(small_world):
 def test_qrm_step_decreases_loss_on_fixed_batch(small_world):
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     local = clone_params(params)
-    batch = mine_qrm_batch(corpus.train[:6], local, cfg, vocab, corpus.pool,
-                           cache, m=3)
+    batch = mine_qrm_batch(corpus.train[:6], local, cfg, vocab, cache, 3,
+                           twins_of(corpus.train[:6], corpus.pool))
     opt = ad.Adam(param_subset(local, "qrm"), lr=1e-3)
     losses = [qrm_step(local, cfg, batch, opt) for _ in range(6)]
     assert all(np.isfinite(losses))
@@ -388,8 +397,8 @@ def test_qrm_step_matches_direct_bce(small_world):
     """The deduplicated gather must score exactly like naive per-pair encoding."""
     corpus, vocab, cfg, params, cache, bm25_q = small_world
     local = clone_params(params)
-    batch = mine_qrm_batch(corpus.train[:2], local, cfg, vocab, corpus.pool,
-                           cache, m=2)
+    batch = mine_qrm_batch(corpus.train[:2], local, cfg, vocab, cache, 2,
+                           twins_of(corpus.train[:2], corpus.pool))
     with ad.no_grad():
         zs = []
         for q, r in zip(batch.queries, batch.responses):
@@ -538,9 +547,9 @@ def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
     calls = []
     real = retrieval.encode_mean_pool
 
-    def spy(params, cfg, ids, mask=None, prefix=""):
+    def spy(params, cfg, seqs, prefix=""):
         calls.append(prefix)
-        return real(params, cfg, ids, mask, prefix)
+        return real(params, cfg, seqs, prefix)
 
     monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
     got = retrieve_top_m_batch(local, cfg, qs, cache, m=3)
@@ -579,9 +588,9 @@ def _spy_pool_encodes(monkeypatch, params, cfg, vocab, pool):
     seen = {}
     real = model.encode_mean_pool
 
-    def spy(params, cfg, ids, mask=None, prefix=""):
-        seen.setdefault(prefix, []).extend(tuple(s) for s in ids)
-        return real(params, cfg, ids, mask, prefix)
+    def spy(params, cfg, seqs, prefix=""):
+        seen.setdefault(prefix, []).extend(tuple(s) for s in seqs)
+        return real(params, cfg, seqs, prefix)
 
     for mod in (model, retrieval):
         monkeypatch.setattr(mod, "encode_mean_pool", spy)
