@@ -108,12 +108,6 @@ class Tensor:
     def __neg__(self):
         return mul(self, -1.0)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
     def __getitem__(self, key):
         return getitem(self, key)
 
@@ -403,12 +397,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def _attention_bias(kv_mask, causal: bool, t_q: int, t_k: int, dtype):
     """Additive -1e9 score bias for padded keys and future positions.
 
-    None when nothing is masked: an all-ones kv_mask and a causal block
-    whose t_q = 1 query is the last key position (every cached decode
-    step) both leave every score as it is.
+    None when nothing is masked: a kv_mask that is None or all ones, and
+    a causal block whose t_q = 1 query is the last key position (every
+    cached decode step), both leave every score as it is.
     """
     bias = None
-    if not kv_mask.all():
+    if kv_mask is not None and not kv_mask.all():
         bias = ((1.0 - kv_mask.astype(dtype))[:, None, None, :]
                 * np.asarray(-1e9, dtype=dtype))
     if causal and t_q > 1:
@@ -419,15 +413,16 @@ def _attention_bias(kv_mask, causal: bool, t_q: int, t_k: int, dtype):
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int,
-              kv_mask: np.ndarray, causal: bool = False) -> Tensor:
+              kv_mask: np.ndarray | None, causal: bool = False) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     q is (B, Tq, d); k and v are (B, Tk, d), with d split evenly into
     n_heads heads.  kv_mask (B, Tk) holds 1 for keys to attend to and 0
-    for padding.  Under `causal` the Tq queries are the last Tq of the Tk
-    key positions, so each sees its own position and the ones before it.
-    Returns the heads' contexts merged back to (B, Tq, d).  Backward
-    keeps only the attention weights besides the inputs.
+    for padding; None means every key is real.  Under `causal` the Tq
+    queries are the last Tq of the Tk key positions, so each sees its own
+    position and the ones before it.  Returns the heads' contexts merged
+    back to (B, Tq, d).  Backward keeps only the attention weights besides
+    the inputs.
 
     The weights are held key-major, as (Tk, B, H, Tq): the score GEMM
     writes k @ q^T straight into that layout, so the softmax max and sum,

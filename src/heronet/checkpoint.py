@@ -160,7 +160,7 @@ def read_checkpoint(path) -> tuple:
     blob = memoryview(raw)[end:]
     if len(blob) != manifest["blob_bytes"]:
         raise ValueError(f"blob length {len(blob)} does not match manifest "
-                         f"{manifest['blob_bytes']}")
+                         f"{manifest['blob_bytes']} at {path}")
     if hashlib.sha256(blob).hexdigest() != manifest["blob_sha256"]:
         raise ValueError(f"blob hash does not match manifest at {path}")
     params = {name: Tensor(arr, requires_grad=True) for name, arr

@@ -5,8 +5,9 @@ pretrain-retrieval, adv-train, rerank-train -- followed by evaluate,
 sweep, and chat.  Every subcommand shares the same flags; ablation
 switches given on the command line are OR-ed onto the config file.
 
-Exit codes: 0 success, 2 bad config, 3 stage run out of order,
-4 training aborted on a non-finite loss or update.
+Exit codes: 0 success; 2 bad config or flag; 3 stage run out of order,
+or a run artifact that does not read back; 4 training aborted on a
+non-finite loss or update.
 
 Importing this module pins BLAS to one thread before numpy loads, as
 the benchmark does: the order of the float sums in a matrix product
@@ -24,7 +25,8 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from . import pipeline  # noqa: E402
-from .config import ConfigError, TrainConfig, parse_config  # noqa: E402
+from .config import (ConfigError, TrainConfig, parse_config,  # noqa: E402
+                     validate_config)
 from .pipeline import NumericalAbort, StageOrderError  # noqa: E402
 
 
@@ -52,6 +54,14 @@ _STAGE_HELP = [
 ]
 
 
+_EXIT_CODES = """\
+exit codes:
+  0  success
+  2  bad config or flag
+  3  stage run out of order, or a run artifact that does not read back
+  4  training aborted on a non-finite loss or update"""
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH",
@@ -71,7 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "retrieval")
     parser = argparse.ArgumentParser(
         prog="heronet",
-        description="hybrid retrieval-generation dialogue pipeline")
+        description="hybrid retrieval-generation dialogue pipeline",
+        epilog=_EXIT_CODES,
+        formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, blurb in _STAGE_HELP:
         cmd = sub.add_parser(name, parents=[common], help=blurb)
@@ -95,6 +107,7 @@ def _load_cfg(args) -> TrainConfig:
         cfg.no_reward = True
     if args.no_multi_learning:
         cfg.no_multi_learning = True
+    validate_config(cfg)
     return cfg
 
 

@@ -90,6 +90,8 @@ def validate_config(cfg: TrainConfig) -> None:
         value = getattr(cfg, f.name)
         if isinstance(value, float) and not math.isfinite(value):
             fail(f.name, "must be finite")
+    if cfg.seed < 0:
+        fail("seed", "must be >= 0")
     if cfg.m < 0:
         fail("m", "must be >= 0")
     if cfg.n < 0:

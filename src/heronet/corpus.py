@@ -19,6 +19,9 @@ The vocabulary is built once, by gen-data, and written as vocab.json:
   {"vocab_size": 512, "tokens": ["[PAD]", "[UNK]", ...]}
 where vocab_size is the max_size build_vocab was given and tokens lists
 the entries in id order, the reserved entries first.
+
+read_pairs, read_pool and read_vocab raise ValueError naming the file for
+a record that is not JSON, lacks a key, or holds a value of another type.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -402,11 +406,33 @@ def write_vocab(path, vocab: Vocab, max_size: int) -> None:
                             ensure_ascii=False) + "\n")
 
 
+def _json_object(raw: bytes, fields: dict, where: str) -> dict:
+    """raw parsed as a JSON object that holds each key of fields with a
+    value of exactly that type; ValueError naming `where` otherwise."""
+    try:
+        rec = json.loads(raw)
+    except ValueError:
+        rec = None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    for key, kind in fields.items():
+        if type(rec.get(key)) is not kind:
+            raise ValueError(f"{where} has no {key!r} of type {kind.__name__}")
+    return rec
+
+
+def _json_lines(path, fields: dict) -> list[dict]:
+    """The JSON object on each non-blank line of path (_json_object)."""
+    lines = Path(path).read_bytes().split(b"\n")
+    return [_json_object(line, fields, f"{path} line {n}")
+            for n, line in enumerate(lines, 1) if line.strip()]
+
+
 def read_vocab(path) -> tuple[Vocab, int]:
     """(vocabulary, the max_size it was built with) from a vocab.json."""
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
-    tokens, max_size = rec["tokens"], int(rec["vocab_size"])
+    rec = _json_object(Path(path).read_bytes(),
+                       {"tokens": list, "vocab_size": int}, str(path))
+    tokens, max_size = rec["tokens"], rec["vocab_size"]
     if (tuple(tokens[:len(RESERVED)]) != RESERVED or len(tokens) > max_size
             or len(set(tokens)) != len(tokens)
             or not all(isinstance(t, str) for t in tokens)):
@@ -472,14 +498,11 @@ def write_pairs(path, pairs) -> None:
 
 
 def read_pairs(path) -> list[DialoguePair]:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                pairs.append(DialoguePair(list(rec["context"]), rec["query"],
-                                          rec["response"]))
-    return pairs
+    recs = _json_lines(path, {"context": list, "query": str, "response": str})
+    if not all(isinstance(t, str) for rec in recs for t in rec["context"]):
+        raise ValueError(f"{path} holds a context turn that is not a string")
+    return [DialoguePair(rec["context"], rec["query"], rec["response"])
+            for rec in recs]
 
 
 def write_pool(path, pool: CandidatePool) -> None:
@@ -490,14 +513,10 @@ def write_pool(path, pool: CandidatePool) -> None:
 
 
 def read_pool(path) -> CandidatePool:
-    entries = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                rec = json.loads(line)
-                entries.append(PoolEntry(int(rec["id"]), rec["query"], rec["response"]))
+    entries = [PoolEntry(rec["id"], rec["query"], rec["response"]) for rec
+               in _json_lines(path, {"id": int, "query": str, "response": str})]
     entries.sort(key=lambda e: e.id)
     ids = [e.id for e in entries]
     if ids != list(range(len(ids))):
-        raise ValueError("pool file ids are not dense")
+        raise ValueError(f"{path} ids are not dense")
     return CandidatePool(entries)

@@ -8,7 +8,9 @@ log-probability is weighted by its advantage over the batch-mean
 reward.  The fused objective keeps the teacher-forced cross-entropy term
 so the policy cannot drift off the data distribution: fused = ce +
 alpha * pg.  Warm-up is pg_step with alpha 0: plain teacher-forced
-cross-entropy on gold responses.
+cross-entropy on gold responses.  Rollouts and candidates are decoded by
+model.sample_batch, whose DecodeCache keeps the sources' cross-attention
+K/V beside their mask, so no decode step reads the encoder output again.
 
 Knowledge splicing works on token ids: it appends the best retrieved
 response's ids, read from the PoolCache, after a [SEP]; when the budget
@@ -151,7 +153,7 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
     (deterministic); the rest are temperature-1 samples drawn query by
     query, in order, from rngs[i], so n > 1 requires rngs.  Queries
     sharing one stream pass the same rng for each.  Retrieval recalls
-    through the SQD encoder the parameters hold (model.sqd_prefix); the
+    through the SQD encoder the parameters hold (model.sqd_encoder); the
     generator always uses the shared one.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):

@@ -15,8 +15,8 @@ Naming scheme:
 
 An optional second retrieval encoder (for the single-task ablation) lives
 under the prefix "sqd_enc." with its own embedding and position tables.
-The store alone says which encoder serves SQD: when the sqd_enc. keys are
-present it is that one (sqd_prefix), otherwise the shared encoder.
+sqd_encoder alone reads the store for it: it returns the store, or that
+encoder's tensors under the shared names, which every encoder function reads.
 
 Padded batches pay only for their real tokens.  The encoder and the
 teacher-forced decoder run the embeddings, every layer norm, the Q/K/V/O
@@ -26,6 +26,9 @@ projections, the feed-forward layers and the residual adds on packed
 it, so the pad rows of Hidden.states are exactly 0.  A batch without
 padding, such as one chat line or a cached decode step, runs on the grid
 throughout.
+
+A DecodeCache holds all an incremental decode reuses, the source mask
+among it, so a cached step reads no encoder output.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ _INIT_STREAM = seeds.INIT
 _ABLATION_INIT_STREAM = seeds.ABLATION_INIT
 
 LN_EPS = 1e-5
+_SQD = "sqd_enc."  # name prefix of the single-task ablation's encoder
 
 
 @dataclass
@@ -85,12 +89,12 @@ def _ones(shape, dtype):
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
 
-def _init_encoder_stack(params, cfg, rng, dtype, prefix=""):
+def _init_encoder_stack(cfg, rng, dtype) -> dict:
     d, f = cfg.d_model, cfg.d_ff
-    params[f"{prefix}embed.tok"] = _param(rng, (cfg.vocab_size, d), dtype)
-    params[f"{prefix}enc.pos"] = _param(rng, (cfg.max_seq_len, d), dtype)
+    params = {"embed.tok": _param(rng, (cfg.vocab_size, d), dtype),
+              "enc.pos": _param(rng, (cfg.max_seq_len, d), dtype)}
     for i in range(cfg.n_layers):
-        base = f"{prefix}enc.{i}"
+        base = f"enc.{i}"
         params[f"{base}.ln1.g"] = _ones((d,), dtype)
         params[f"{base}.ln1.b"] = _zeros((d,), dtype)
         for w in ("wq", "wk", "wv", "wo"):
@@ -101,16 +105,16 @@ def _init_encoder_stack(params, cfg, rng, dtype, prefix=""):
         params[f"{base}.ff.b1"] = _zeros((f,), dtype)
         params[f"{base}.ff.w2"] = _param(rng, (f, d), dtype)
         params[f"{base}.ff.b2"] = _zeros((d,), dtype)
-    params[f"{prefix}enc.ln_f.g"] = _ones((d,), dtype)
-    params[f"{prefix}enc.ln_f.b"] = _zeros((d,), dtype)
+    params["enc.ln_f.g"] = _ones((d,), dtype)
+    params["enc.ln_f.b"] = _zeros((d,), dtype)
+    return params
 
 
 def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict:
     """Fresh parameter store; weights N(0, 0.02), norms at identity."""
     rng = np.random.default_rng([seed, _INIT_STREAM])
     d, f, p = cfg.d_model, cfg.d_ff, cfg.d_proj
-    params: dict = {}
-    _init_encoder_stack(params, cfg, rng, dtype)
+    params = _init_encoder_stack(cfg, rng, dtype)
     params["dec.pos"] = _param(rng, (cfg.max_seq_len, d), dtype)
     for i in range(cfg.n_layers):
         base = f"dec.{i}"
@@ -144,27 +148,31 @@ def add_retrieval_encoder(params: dict, cfg: ModelConfig, seed: int) -> None:
     """Attach a fresh independent encoder for the single-task ablation."""
     rng = np.random.default_rng([seed, _ABLATION_INIT_STREAM])
     dtype = params["embed.tok"].data.dtype
-    _init_encoder_stack(params, cfg, rng, dtype, prefix="sqd_enc.")
+    params.update((_SQD + n, t)
+                  for n, t in _init_encoder_stack(cfg, rng, dtype).items())
 
 
-def sqd_prefix(params: dict) -> str:
-    """Name prefix of the encoder that serves SQD: "sqd_enc." or ""."""
-    return "sqd_enc." if "sqd_enc.embed.tok" in params else ""
+def sqd_encoder(params: dict) -> dict:
+    """The encoder that serves SQD under the shared names: the store, or
+    a view of the ablation's sqd_enc. tensors (the same Tensor objects)."""
+    if f"{_SQD}embed.tok" not in params:
+        return params
+    return {n[len(_SQD):]: t for n, t in params.items() if n.startswith(_SQD)}
 
 
 def param_subset(params: dict, stage: str) -> dict:
     """Trainable tensors for one optimization stage.
 
     generator (warm-up and adversarial): the whole encoder-decoder.  sqd:
-    the SQD encoder (sqd_prefix) plus psi_d.  qrm/disc: the shared encoder
+    the SQD encoder (sqd_encoder) plus psi_d.  qrm/disc: the shared encoder
     plus psi_m.  rerank: psi_m alone.
     """
     if stage == "generator":
         pick = ("embed.", "enc.", "dec.", "out.")
         return {n: t for n, t in params.items()
-                if n.startswith(pick) and not n.startswith("sqd_enc.")}
+                if n.startswith(pick) and not n.startswith(_SQD)}
     if stage == "sqd":
-        prefix = sqd_prefix(params)
+        prefix = "" if sqd_encoder(params) is params else _SQD
         pick = (f"{prefix}embed.", f"{prefix}enc.", "psi_d.")
         return {n: t for n, t in params.items() if n.startswith(pick)}
     if stage in ("qrm", "disc"):
@@ -196,9 +204,8 @@ class _Packing(NamedTuple):
 
 def _packing(mask: np.ndarray) -> _Packing | None:
     """The real positions of a (B, T) mask; None when none is padding."""
-    if mask.all():
-        return None
-    return _Packing(np.flatnonzero(mask.reshape(-1)), mask.shape)
+    return None if mask.all() else _Packing(np.flatnonzero(mask.reshape(-1)),
+                                            mask.shape)
 
 
 def _to_grid(x, pack):
@@ -208,9 +215,8 @@ def _to_grid(x, pack):
 
 def _off_grid(x, pack):
     """The real rows (R, d) of a (B, T, d) grid."""
-    if pack is None:
-        return x
-    return ad.getitem(ad.reshape(x, (-1, x.data.shape[-1])), pack.rows)
+    return x if pack is None else ad.getitem(
+        ad.reshape(x, (-1, x.data.shape[-1])), pack.rows)
 
 
 def _project_kv(params, base, x_kv, pack=None):
@@ -262,35 +268,33 @@ def _embed(params, table_name, pos_name, ids, max_seq_len, offset=0,
     return tok + pos
 
 
-def _encode(params, ids, mask, n_heads, n_layers, max_seq_len, prefix=""):
+def _encode(params, ids, mask, n_heads, n_layers, max_seq_len):
     """Encoder output (B, T, d); pad rows are exactly 0.
 
     The position-wise layers run on packed rows of the real tokens only;
     the queries, keys and values go onto the grid for attention.
     """
     pack = _packing(mask)
-    x = _embed(params, f"{prefix}embed.tok", f"{prefix}enc.pos", ids,
-               max_seq_len, pack=pack)
+    x = _embed(params, "embed.tok", "enc.pos", ids, max_seq_len, pack=pack)
     for i in range(n_layers):
-        base = f"{prefix}enc.{i}"
+        base = f"enc.{i}"
         normed = _ln(params, f"{base}.ln1", x)
         k, v = _project_kv(params, f"{base}.attn", normed, pack)
         x = x + _attend(params, f"{base}.attn", normed, k, v, n_heads, mask,
                         pack)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln2", x))
-    return _to_grid(_ln(params, f"{prefix}enc.ln_f", x), pack)
+    return _to_grid(_ln(params, "enc.ln_f", x), pack)
 
 
-def encode_mean_pool(params: dict, cfg: ModelConfig, seqs: list,
-                     prefix: str = ""):
-    """Run the encoder over a list of id lists, each cut to max_seq_len
-    and padded; return hidden rows and the masked-mean embedding."""
+def encode_mean_pool(params: dict, cfg: ModelConfig, seqs: list):
+    """Run the encoder (the store's, or sqd_encoder's view) over a list of
+    id lists, each cut to max_seq_len and padded; return hidden rows and
+    the masked-mean embedding."""
     ids, mask = pad_batch([s[: cfg.max_seq_len] for s in seqs])
     counts = mask.sum(axis=-1)
     if np.any(counts == 0):
         raise ValueError("all-PAD row cannot be pooled")
-    h = _encode(params, ids, mask, cfg.n_heads, cfg.n_layers, cfg.max_seq_len,
-                prefix)
+    h = _encode(params, ids, mask, cfg.n_heads, cfg.n_layers, cfg.max_seq_len)
     dt = h.data.dtype
     weights = (mask / counts[:, None]).astype(dt)
     pooled = ad.tsum(h * weights[:, :, None], axis=1)
@@ -304,8 +308,7 @@ _BUCKET_MIN_ROWS = 64
 _N_BUCKETS = 4
 
 
-def encode_unique(params: dict, cfg: ModelConfig, groups: list,
-                  prefix: str = "", cache=None):
+def encode_unique(params: dict, cfg: ModelConfig, groups: list, cache=None):
     """Encode each distinct sequence of `groups` once; pooled rows only.
 
     groups is a list of lists of token sequences.  The distinct ones are
@@ -339,8 +342,7 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list,
         for bucket in np.array_split(np.asarray(order, dtype=np.int64),
                                      n_buckets):
             _, pooled = encode_mean_pool(params, cfg,
-                                         [list(table[i]) for i in bucket],
-                                         prefix=prefix)
+                                         [list(table[i]) for i in bucket])
             parts.append(pooled)
     if hits:
         parts.append(Tensor(cache.resp_emb[[cached[table[i]] for i in hits]]))
@@ -393,19 +395,20 @@ def match_logit(params: dict, rows: Tensor, q_idx, r_idx) -> Tensor:
 
 
 class DecodeCache:
-    """Keys and values an incremental decode reuses at every step.
+    """What an incremental decode reuses at every step.
 
-    The cross-attention K/V of the encoder states are projected once.  Each
-    layer's self-attention K/V live in preallocated (B, max_seq_len,
-    d_model) buffers, heads unsplit: new positions are written in place
-    along axis 1, and attention reads a view of the filled part.  The
-    buffers hold plain arrays, so the cache is for inference only: run it
-    under no_grad.
+    The cross-attention K/V of the encoder states are projected once and
+    kept beside the source mask.  Each layer's self-attention K/V live in
+    preallocated (B, max_seq_len, d_model) buffers, heads unsplit: new
+    positions are written in place along axis 1, and attention reads a
+    view of the filled part.  The buffers hold plain arrays, so the cache
+    is for inference only: run it under no_grad.
     """
 
     def __init__(self, params: dict, cfg: ModelConfig, hidden: Hidden):
         self.cross = [_project_kv(params, f"dec.{i}.cross", hidden.states)
                       for i in range(cfg.n_layers)]
+        self.mask = hidden.mask
         states = hidden.states.data
         shape = (states.shape[0], cfg.max_seq_len, cfg.d_model)
         self.past = [(np.empty(shape, dtype=states.dtype),
@@ -422,13 +425,14 @@ class DecodeCache:
         return Tensor(k_buf[:, :end]), Tensor(v_buf[:, :end])
 
     def keep_rows(self, rows: np.ndarray) -> None:
-        """Keep only the given batch rows of every cached K/V.
+        """Keep only the given batch rows of the source mask and the K/V.
 
         The self-attention buffers are compacted in place and sliced to
         the rows kept; only their filled positions are copied.
         """
         self.cross = [tuple(Tensor(t.data[rows]) for t in kv)
                       for kv in self.cross]
+        self.mask = self.mask[rows]
 
         def sub(buf):
             kept = buf[rows, :self.length]
@@ -437,24 +441,25 @@ class DecodeCache:
         self.past = [(sub(k_buf), sub(v_buf)) for k_buf, v_buf in self.past]
 
 
-def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
+def _decode_states(params, cfg, hidden: Hidden | None, dec_ids, dec_mask,
                    cache: DecodeCache | None = None):
     """Decoder output rows (B, T, d) for dec_ids.
 
-    With a cache, dec_ids continue the positions it already holds: their
-    self-attention K/V join the cached ones, the cached cross-attention
-    K/V are reused, and dec_mask spans the cached positions too.  Without
-    one (teacher forcing), the position-wise layers run on packed rows of
-    the real positions of dec_mask, the cross-attention K/V are projected
-    from the real source rows only, and the pad rows of the result are 0.
+    With a cache (hidden and dec_mask None), dec_ids continue its
+    positions: their self-attention K/V join the cached ones, no key is
+    padding, and its cross-attention K/V and source mask are reused.
+    Without one (teacher forcing), the position-wise layers run on packed
+    rows of the real positions of dec_mask, the cross-attention K/V are
+    projected from the real source rows only, and pad rows come out 0.
     """
-    offset = 0 if cache is None else cache.length
-    pack = None if cache is not None else _packing(dec_mask)
+    if cache is None:
+        offset, pack, src_mask = 0, _packing(dec_mask), hidden.mask
+        src_pack = _packing(src_mask)
+        src = _off_grid(hidden.states, src_pack)
+    else:
+        offset, pack, src_mask = cache.length, None, cache.mask
     x = _embed(params, "embed.tok", "dec.pos", dec_ids, cfg.max_seq_len,
                offset, pack)
-    if cache is None:
-        src_pack = _packing(hidden.mask)
-        src = _off_grid(hidden.states, src_pack)
     for i in range(cfg.n_layers):
         base = f"dec.{i}"
         normed = _ln(params, f"{base}.ln1", x)
@@ -468,15 +473,15 @@ def _decode_states(params, cfg, hidden: Hidden, dec_ids, dec_mask,
         x = x + _attend(params, f"{base}.self", normed, k, v, cfg.n_heads,
                         dec_mask, pack, causal=True)
         x = x + _attend(params, f"{base}.cross", _ln(params, f"{base}.ln2", x),
-                        cross_k, cross_v, cfg.n_heads, hidden.mask, pack)
+                        cross_k, cross_v, cfg.n_heads, src_mask, pack)
         x = x + _feed_forward(params, f"{base}.ff", _ln(params, f"{base}.ln3", x))
     if cache is not None:
         cache.length += dec_ids.shape[1]
     return _to_grid(_ln(params, "dec.ln_f", x), pack)
 
 
-def decode_step(params: dict, cfg: ModelConfig, hidden: Hidden,
-                cache: DecodeCache, new_ids) -> np.ndarray:
+def decode_step(params: dict, cfg: ModelConfig, cache: DecodeCache,
+                new_ids) -> np.ndarray:
     """Next-token logits (B, vocab) after feeding new_ids (B, t).
 
     The ids continue the positions the cache holds, which they join.  Only
@@ -484,19 +489,16 @@ def decode_step(params: dict, cfg: ModelConfig, hidden: Hidden,
     it under no_grad.
     """
     new_ids = np.asarray(new_ids, dtype=np.int64)
-    b_sz, t = new_ids.shape
-    mask = np.ones((b_sz, cache.length + t), dtype=np.float64)
-    x = _decode_states(params, cfg, hidden, new_ids, mask, cache)
+    x = _decode_states(params, cfg, None, new_ids, None, cache)
     return ad.matmul(x[:, -1], params["out.w"]).data
 
 
 def decoder_logits(params: dict, cfg: ModelConfig, hidden: Hidden, dec_ids,
-                   dec_mask=None) -> Tensor:
-    """Teacher-forced logits (B, T, vocab) for decoder input ids."""
-    dec_ids = np.asarray(dec_ids, dtype=np.int64)
-    if dec_mask is None:
-        dec_mask = np.ones(dec_ids.shape, dtype=np.float64)
-    x = _decode_states(params, cfg, hidden, dec_ids, dec_mask)
+                   dec_mask: np.ndarray) -> Tensor:
+    """Teacher-forced logits (B, T, vocab) for decoder input ids; dec_mask
+    (B, T) is 1.0 on the real positions."""
+    x = _decode_states(params, cfg, hidden,
+                       np.asarray(dec_ids, dtype=np.int64), dec_mask)
     return ad.matmul(x, params["out.w"])
 
 
@@ -528,8 +530,7 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, rng=None,
         for _ in range(max_len):
             if done.all():
                 break
-            last = decode_step(params, cfg, hidden, cache, fresh)
-            last = last.astype(np.float64)
+            last = decode_step(params, cfg, cache, fresh).astype(np.float64)
             last[:, PAD_ID] = -np.inf
             last[:, BOS_ID] = -np.inf
             if rng is None:
@@ -554,8 +555,6 @@ def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, rng=None,
             if not going.all():
                 live, tok = live[going], tok[going]
                 cache.keep_rows(going)
-                hidden = Hidden(Tensor(hidden.states.data[going]),
-                                hidden.mask[going])
             fresh = tok[:, None]
     rows = prefix[:, 1:].tolist()
     return [r[: r.index(EOS_ID) + 1] if EOS_ID in r else r for r in rows]

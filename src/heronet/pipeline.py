@@ -6,7 +6,10 @@ and leaving its own plus a CSV loss log.  gen-data builds the vocabulary
 and writes it to vocab.json; every later stage, evaluate, sweep and chat
 read it from there.  Every later stage, evaluate and sweep also read
 the cluster ids gen-data writes to clusters.json; chat does not.
-Running a stage out of order raises StageOrderError.
+Running a stage out of order raises StageOrderError, and so does a run
+artifact that does not read back (bad JSON, a missing key, a wrong type,
+a checkpoint blob that fails its hash): the error names the file and the
+command that writes it again.
 Every training stage runs its epochs through one loop, `_run_epochs`,
 which after each epoch saves the checkpoint and then rewrites the log,
 each file with one atomic move.  The checkpoint leads: its `epoch`
@@ -38,6 +41,7 @@ identical logs and byte-identical checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -67,7 +71,7 @@ from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
 from .model import (ModelConfig, add_retrieval_encoder, encode_mean_pool,
                     init_params, param_subset, params_fingerprint,
-                    sample_batch, sqd_prefix, tile_hidden)
+                    sample_batch, sqd_encoder, tile_hidden)
 from .rerank import rerank_train_epoch, serve
 from .retrieval import (PoolCache, build_pool_cache, embed_pool,
                         mine_qrm_batch, mine_sqd_batch, pool_token_lists,
@@ -116,14 +120,26 @@ def _require_data(out: Path, names) -> None:
                               "run heronet gen-data first")
 
 
+@contextlib.contextmanager
+def _rewritten_by(command: str):
+    """Turn a ValueError of reading a run artifact, which names the file,
+    into a StageOrderError naming the command that writes it again."""
+    try:
+        yield
+    except ValueError as exc:
+        raise StageOrderError(f"{exc}; run heronet {command} again") from exc
+
+
 def _load_vocab(cfg: TrainConfig, out: Path) -> tuple:
     """(vocabulary, model shape) from the vocab.json gen-data wrote.
 
-    A vocabulary built with another vocab_size than cfg's is a stage
-    error: gen-data, run again with this config, rebuilds it.
+    A vocabulary built with another vocab_size than cfg's, or a file that
+    does not read as one, is a stage error: gen-data, run again with this
+    config, rebuilds it.
     """
     path = out / "vocab.json"
-    vocab, built_with = read_vocab(path)
+    with _rewritten_by("gen-data"):
+        vocab, built_with = read_vocab(path)
     if built_with != cfg.vocab_size:
         raise StageOrderError(
             f"{path} was built with vocab_size={built_with}, the config "
@@ -136,31 +152,36 @@ def load_world(cfg: TrainConfig, out: Path):
 
     The vocabulary is the one gen-data wrote to vocab.json; nothing here
     counts tokens.  Every record takes its cluster id from clusters.json,
-    which must map each split to one integer id per record.
+    which must map each split to one integer id per record.  A file that
+    does not read back is a stage error naming gen-data.
     """
     out = Path(out)
     _require_data(out, _DATA_FILES)
     vocab, mcfg = _load_vocab(cfg, out)
-    corpus = Corpus(train=read_pairs(out / "train.jsonl"),
-                    valid=read_pairs(out / "valid.jsonl"),
-                    test=read_pairs(out / "test.jsonl"),
-                    pool=read_pool(out / "pool.jsonl"))
-    validate_corpus(corpus)
     sidecar = out / "clusters.json"
-    ids = json.loads(sidecar.read_text(encoding="utf-8"))
-    if not isinstance(ids, dict):
-        raise ValueError(f"{sidecar} is not a JSON object of cluster id "
-                         "lists by split")
-    for split, records in _records(corpus).items():
-        got = ids.get(split)
-        if not isinstance(got, list) or len(got) != len(records):
-            raise ValueError(f"{sidecar} does not list one cluster id per "
-                             f"{split} record ({len(records)})")
-        for rec, cid in zip(records, got):
-            if type(cid) is not int:
-                raise ValueError(f"{sidecar} holds {cid!r} among the {split} "
-                                 "ids, not an integer cluster id")
-            rec.cluster_id = cid
+    with _rewritten_by("gen-data"):
+        corpus = Corpus(train=read_pairs(out / "train.jsonl"),
+                        valid=read_pairs(out / "valid.jsonl"),
+                        test=read_pairs(out / "test.jsonl"),
+                        pool=read_pool(out / "pool.jsonl"))
+        validate_corpus(corpus)
+        try:
+            ids = json.loads(sidecar.read_bytes())
+        except ValueError:
+            ids = None
+        if not isinstance(ids, dict):
+            raise ValueError(f"{sidecar} is not a JSON object of cluster id "
+                             "lists by split")
+        for split, records in _records(corpus).items():
+            got = ids.get(split)
+            if not isinstance(got, list) or len(got) != len(records):
+                raise ValueError(f"{sidecar} does not list one cluster id "
+                                 f"per {split} record ({len(records)})")
+            for rec, cid in zip(records, got):
+                if type(cid) is not int:
+                    raise ValueError(f"{sidecar} holds {cid!r} among the "
+                                     f"{split} ids, not an integer cluster id")
+                rec.cluster_id = cid
     return corpus, vocab, mcfg
 
 
@@ -176,15 +197,13 @@ def _stage_checkpoint(out: Path, stage: str, read) -> tuple:
     A checkpoint trained under another vocabulary (gen-data run again
     with another seed) is refused: its embeddings index other tokens.  So
     is one whose first line this version does not read as a manifest, as
-    a checkpoint made before checkpoints recorded their vocabulary.
+    a checkpoint made before checkpoints recorded their vocabulary, and
+    one whose blob does not match its manifest.
     """
     out = Path(out)
     path = out / _CKPT[stage]
-    try:
+    with _rewritten_by(_STAGE_CMD[stage]):
         found = checkpoint_stage(path)
-    except ValueError as exc:
-        raise StageOrderError(
-            f"{exc}; run heronet {_STAGE_CMD[stage]} again") from exc
     if found is None:
         raise StageOrderError(
             f"no '{stage}' checkpoint under {out}; run {_STAGE_CMD[stage]} "
@@ -192,7 +211,8 @@ def _stage_checkpoint(out: Path, stage: str, read) -> tuple:
     if found != stage:
         raise StageOrderError(
             f"checkpoint {path} holds stage {found!r}, expected {stage!r}")
-    got = read(path)
+    with _rewritten_by(_STAGE_CMD[stage]):
+        got = read(path)
     if got[1]["vocab_sha256"] != _file_sha256(out / "vocab.json"):
         raise StageOrderError(
             f"checkpoint {path} was trained under another vocab.json than "
@@ -397,8 +417,8 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
     def epoch(rng):
         # mining reads the pool's SQD query rows and token lists only
         cache = PoolCache(query_ids, resp_ids,
-                          embed_pool(params, mcfg, query_ids,
-                                     sqd_prefix(params)), None)
+                          embed_pool(sqd_encoder(params), mcfg, query_ids),
+                          None)
         aug_rng = rng(seeds.SQD_MINE)
         sqd_losses, qrm_losses = [], []
         for chunk in _batches(_shuffled(corpus.train, rng(seeds.EPOCH)),

@@ -10,7 +10,8 @@ paraphrase twin of its anchor (a pool entry of the anchor's cluster)
 negative: both read one (B, P) twin mask, which the retrieval stage
 makes from the cluster ids in clusters.json.  In the single-task
 ablation the SQD head has an encoder of its own; the parameter store
-says which (model.sqd_prefix), so nothing here takes it as an argument.
+says which, and model.sqd_encoder returns it as a dict under the shared
+encoder's names, which the SQD paths hand to the encoder functions.
 
 Candidate-pool embeddings are expensive to recompute, so they are built
 once per epoch into a PoolCache and treated as constants: queries from
@@ -58,7 +59,7 @@ from .bm25 import Bm25Index
 from .corpus import CandidatePool, Vocab, encode_text
 from .model import (ModelConfig, adapter_apply, adapter_params,
                     encode_mean_pool, encode_unique, match_logit,
-                    match_projected, sqd_prefix)
+                    match_projected, sqd_encoder)
 
 
 @dataclass
@@ -127,15 +128,15 @@ def pool_token_lists(pool: CandidatePool, vocab: Vocab, field: str) -> list:
     return [encode_text(t, vocab) for t in texts]
 
 
-def embed_pool(params: dict, cfg: ModelConfig, seqs: list,
-               prefix: str = "") -> np.ndarray:
+def embed_pool(params: dict, cfg: ModelConfig, seqs: list) -> np.ndarray:
     """(len(seqs), d_model) pooled rows under no_grad, in seqs' order.
 
-    The rows go through encode_unique, so a sequence the list repeats is
-    encoded once, and are gathered back into order.
+    params is the store or sqd_encoder's view.  The rows go through
+    encode_unique, so a sequence the list repeats is encoded once, and are
+    gathered back into order.
     """
     with ad.no_grad():
-        pooled, [idx] = encode_unique(params, cfg, [seqs], prefix=prefix)
+        pooled, [idx] = encode_unique(params, cfg, [seqs])
     return pooled.data[idx]
 
 
@@ -152,7 +153,7 @@ def build_pool_cache(params: dict, cfg: ModelConfig, vocab: Vocab,
     query_ids = pool_token_lists(pool, vocab, "query")
     resp_ids = pool_token_lists(pool, vocab, "response")
     return PoolCache(query_ids, resp_ids,
-                     embed_pool(params, cfg, query_ids, sqd_prefix(params)),
+                     embed_pool(sqd_encoder(params), cfg, query_ids),
                      embed_pool(params, cfg, resp_ids))
 
 
@@ -179,12 +180,11 @@ def sqd_pool_distances(params: dict, cfg: ModelConfig, query_batch: list,
     SQD head shares that encoder; a separate SQD encoder always encodes
     the batch itself.
     """
-    prefix = sqd_prefix(params)
+    encoder = sqd_encoder(params)
     with ad.no_grad():
         pooled = main_pooled
-        if pooled is None or prefix:
-            _, pooled = encode_mean_pool(params, cfg, query_batch,
-                                         prefix=prefix)
+        if pooled is None or encoder is not params:
+            _, pooled = encode_mean_pool(encoder, cfg, query_batch)
         q = adapter_apply(params, "sqd", pooled).data
     p = cache.projected(params, "sqd")
     # a row per query: the (B, P, d) differences at once would be a large
@@ -276,8 +276,7 @@ def sqd_step(params: dict, cfg: ModelConfig, batch: TripletBatch,
     owner = np.concatenate([np.full(len(g), i, dtype=np.int64)
                             for i, g in enumerate(batch.negatives)])
     pooled, (ai, pi, ni) = encode_unique(
-        params, cfg, [batch.anchors, batch.positives, flat_negs],
-        prefix=sqd_prefix(params))
+        sqd_encoder(params), cfg, [batch.anchors, batch.positives, flat_negs])
     proj = adapter_apply(params, "sqd", pooled)
     d_pos = ad.euclidean(ad.getitem(proj, ai), ad.getitem(proj, pi))  # (B,)
     d_neg = ad.euclidean(ad.getitem(proj, ai[owner]),

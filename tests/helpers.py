@@ -52,7 +52,8 @@ def decode_next(params: dict, cfg, hidden, prefix: list) -> np.ndarray:
         raise ValueError("decoder prefix exceeds max_seq_len")
     with ad.no_grad():
         logits = decoder_logits(params, cfg, hidden,
-                                np.asarray([prefix], dtype=np.int64))
+                                np.asarray([prefix], dtype=np.int64),
+                                np.ones((1, len(prefix))))
         return ad.softmax(logits).data[0, -1]
 
 

@@ -60,7 +60,7 @@ class TestElementwise:
     def test_add_broadcast(self):
         a = ad.Tensor(RNG.normal(size=(3, 4)), requires_grad=True)
         b = ad.Tensor(RNG.normal(size=(4,)), requires_grad=True)
-        ad.backward((ad.add(a, b) * ad.Tensor(RNG.normal(size=(3, 4)))).sum())
+        ad.backward(ad.tsum(ad.add(a, b) * ad.Tensor(RNG.normal(size=(3, 4)))))
         assert a.grad.shape == (3, 4)
         assert b.grad.shape == (4,)
 
@@ -81,7 +81,7 @@ class TestElementwise:
 
     def test_relu_subgradient_zero_at_kink(self):
         t = ad.Tensor(np.zeros(3), requires_grad=True)
-        ad.backward(ad.relu(t).sum())
+        ad.backward(ad.tsum(ad.relu(t)))
         np.testing.assert_array_equal(t.grad, np.zeros(3))
 
 
@@ -90,7 +90,7 @@ class TestShapes:
         a = RNG.normal(size=(2, 3, 4))
         w = RNG.normal(size=(4, 5))
         tw = ad.Tensor(w.copy(), requires_grad=True)
-        ad.backward(ad.matmul(ad.Tensor(a), tw).sum())
+        ad.backward(ad.tsum(ad.matmul(ad.Tensor(a), tw)))
         nw = numeric_grad(lambda x: (a @ x).sum(), w.copy())
         np.testing.assert_allclose(tw.grad, nw, atol=1e-7)
 
@@ -105,7 +105,7 @@ class TestShapes:
         tb = ad.Tensor(b.copy(), requires_grad=True)
         out = ad.matmul(ta, tb)
         np.testing.assert_allclose(out.data, a @ b, rtol=1e-12, atol=1e-12)
-        ad.backward((out * ad.Tensor(w)).sum())
+        ad.backward(ad.tsum(out * ad.Tensor(w)))
         na = numeric_grad(lambda x: ((x @ b) * w).sum(), a.copy())
         nb = numeric_grad(lambda x: ((a @ x) * w).sum(), b.copy())
         assert ta.grad.shape == a.shape and tb.grad.shape == b.shape
@@ -119,16 +119,17 @@ class TestShapes:
     def test_reshape_concat_getitem(self):
         x = RNG.normal(size=(2, 6))
         t = ad.Tensor(x.copy(), requires_grad=True)
-        y = ad.concat([t.reshape(3, 4), ad.Tensor(np.ones((3, 1)))], axis=1)
-        ad.backward((y[:, :3] * 2.0).sum())
+        y = ad.concat([ad.reshape(t, (3, 4)), ad.Tensor(np.ones((3, 1)))],
+                      axis=1)
+        ad.backward(ad.tsum(y[:, :3] * 2.0))
         num = numeric_grad(lambda a: (np.concatenate([a.reshape(3, 4), np.ones((3, 1))], axis=1)[:, :3] * 2.0).sum(), x.copy())
         np.testing.assert_allclose(t.grad, num, atol=1e-7)
 
     def test_sum_mean_axis(self):
         x = RNG.normal(size=(3, 4))
-        for red in (lambda t: t.sum(), lambda t: ad.tmean(t),
-                    lambda t: ad.tmean(t.sum(axis=1)),
-                    lambda t: ad.tmean(t, axis=0, keepdims=True).sum()):
+        for red in (lambda t: ad.tsum(t), lambda t: ad.tmean(t),
+                    lambda t: ad.tmean(ad.tsum(t, axis=1)),
+                    lambda t: ad.tsum(ad.tmean(t, axis=0, keepdims=True))):
             t = ad.Tensor(x.copy(), requires_grad=True)
             ad.backward(red(t))
             num = numeric_grad(lambda a: red(ad.Tensor(a)).data, x.copy())
@@ -140,7 +141,7 @@ class TestFused:
         x = RNG.normal(size=(2, 5))
         t = ad.Tensor(x.copy(), requires_grad=True)
         w = RNG.normal(size=(2, 5))
-        ad.backward((ad.softmax(t) * ad.Tensor(w)).sum())
+        ad.backward(ad.tsum(ad.softmax(t) * ad.Tensor(w)))
 
         def f(a):
             e = np.exp(a - a.max(axis=-1, keepdims=True))
@@ -163,7 +164,7 @@ class TestFused:
         tx = ad.Tensor(x.copy(), requires_grad=True)
         tg = ad.Tensor(g.copy(), requires_grad=True)
         tb = ad.Tensor(b.copy(), requires_grad=True)
-        ad.backward((ad.layer_norm(tx, tg, tb, eps) * ad.Tensor(w)).sum())
+        ad.backward(ad.tsum(ad.layer_norm(tx, tg, tb, eps) * ad.Tensor(w)))
         np.testing.assert_allclose(tx.grad, numeric_grad(lambda a: (ref(a, g, b) * w).sum(), x.copy()), atol=1e-6)
         np.testing.assert_allclose(tg.grad, numeric_grad(lambda a: (ref(x, a, b) * w).sum(), g.copy()), atol=1e-6)
         np.testing.assert_allclose(tb.grad, numeric_grad(lambda a: (ref(x, g, a) * w).sum(), b.copy()), atol=1e-6)
@@ -173,14 +174,14 @@ class TestFused:
         b = RNG.normal(size=(3, 4))
         ta = ad.Tensor(a.copy(), requires_grad=True)
         tb = ad.Tensor(b.copy(), requires_grad=True)
-        ad.backward(ad.euclidean(ta, tb).sum())
+        ad.backward(ad.tsum(ad.euclidean(ta, tb)))
         na = numeric_grad(lambda x: np.sqrt(((x - b) ** 2).sum(axis=-1)).sum(), a.copy())
         np.testing.assert_allclose(ta.grad, na, atol=1e-6)
         np.testing.assert_allclose(tb.grad, -na, atol=1e-6)
 
         same = ad.Tensor(a.copy(), requires_grad=True)
         d = ad.euclidean(same, ad.Tensor(a.copy()))
-        ad.backward(d.sum())
+        ad.backward(ad.tsum(d))
         assert np.all(np.isfinite(same.grad))
         np.testing.assert_array_equal(same.grad, np.zeros_like(a))
 
@@ -188,7 +189,7 @@ class TestFused:
         a = RNG.normal(size=(3, 1, 4))
         b = RNG.normal(size=(1, 5, 4))
         ta = ad.Tensor(a.copy(), requires_grad=True)
-        ad.backward(ad.euclidean(ta, ad.Tensor(b)).sum())
+        ad.backward(ad.tsum(ad.euclidean(ta, ad.Tensor(b))))
         na = numeric_grad(lambda x: np.sqrt(((x - b) ** 2).sum(axis=-1)).sum(), a.copy())
         np.testing.assert_allclose(ta.grad, na, atol=1e-6)
 
@@ -222,7 +223,7 @@ class TestGatherEmbedding:
         """An embedding lookup is getitem with a 2-D integer key."""
         table = ad.Tensor(RNG.normal(size=(7, 3)), requires_grad=True)
         w = RNG.normal(size=(2, 3, 3))
-        ad.backward((ad.getitem(table, _IDS) * ad.Tensor(w)).sum())
+        ad.backward(ad.tsum(ad.getitem(table, _IDS) * ad.Tensor(w)))
         expected = np.zeros((7, 3))
         for r in range(2):
             for c in range(3):
@@ -235,7 +236,7 @@ class TestGatherEmbedding:
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(6, 3))
         t = ad.Tensor(x.copy(), requires_grad=True)
-        ad.backward((ad.getitem(t, key) * ad.Tensor(w)).sum())
+        ad.backward(ad.tsum(ad.getitem(t, key) * ad.Tensor(w)))
         expected = np.zeros_like(x)
         np.add.at(expected, key, w)
         np.testing.assert_allclose(t.grad, expected, rtol=0, atol=1e-12)
@@ -249,7 +250,7 @@ class TestGatherEmbedding:
         g = rng.normal(size=(300, 20, 8)).astype(np.float32)
         table = ad.Tensor(np.zeros((64, 8), dtype=np.float32),
                           requires_grad=True)
-        ad.backward((ad.getitem(table, ids) * ad.Tensor(g)).sum())
+        ad.backward(ad.tsum(ad.getitem(table, ids) * ad.Tensor(g)))
         expected = np.zeros((64, 8), dtype=np.float32)
         np.add.at(expected, ids.ravel(), g.reshape(-1, 8))
         np.testing.assert_allclose(table.grad, expected, rtol=1e-5,
@@ -274,7 +275,7 @@ class TestMachinery:
     def test_no_grad_blocks_graph(self):
         t = ad.Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            out = (t * 2.0).sum()
+            out = ad.tsum(t * 2.0)
         assert not out.requires_grad
 
     def test_reused_node_accumulates(self):
@@ -307,7 +308,7 @@ class TestMachinery:
             opt = ad.Adam({"p": p}, lr=0.1)
             for _ in range(5):
                 opt.zero_grad()
-                ad.backward(ad.square(p).sum())
+                ad.backward(ad.tsum(ad.square(p)))
                 opt.step()
             return p.data.copy()
 

@@ -105,6 +105,21 @@ class TestParsing:
         res = run_cli("sweep", "--m-values", "two", "--out", str(tmp_path))
         assert res.returncode == 2
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_negative_seed_exits_2(self, cfg_path, tmp_path, where):
+        """A negative seed, given by --seed or in the config file, is a
+        config error, not numpy's traceback, and gen-data writes nothing."""
+        config, flags = cfg_path, ["--seed", "-1"]
+        if where == "file":
+            config = tmp_path / "neg.cfg"
+            config.write_text(TINY.replace("seed = 5", "seed = -5"))
+            flags = []
+        res = run_cli("gen-data", "--config", str(config), "--out",
+                      str(tmp_path / "run"), *flags)
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == ["config error: seed: must be >= 0"]
+        assert not (tmp_path / "run").exists()
+
     def test_seed_flag_overrides_config(self, cfg_path, tmp_path):
         res = run_cli("gen-data", "--config", str(cfg_path), "--out",
                       str(tmp_path), "--seed", "9")
@@ -219,6 +234,36 @@ class TestStageOrder:
                           stdin=stdin)
             assert res.returncode == 3, cmd
             assert "heronet gen-data" in res.stderr
+
+    @pytest.mark.parametrize("damage", ["clusters", "vocab", "blob"])
+    def test_unreadable_artifact_exits_3(self, cfg_path, trained, tmp_path,
+                                         damage):
+        """A run artifact that does not read back ends in one stage error
+        line naming the file and the command that writes it, not a
+        traceback."""
+        for item in trained.iterdir():
+            if item.is_file():
+                shutil.copy(item, tmp_path / item.name)
+        if damage == "clusters":
+            name, cmd, fix = "clusters.json", "evaluate", "gen-data"
+            (tmp_path / name).write_text("[1, 2]\n")
+        elif damage == "vocab":
+            name, cmd, fix = "vocab.json", "chat", "gen-data"
+            rec = json.loads((tmp_path / name).read_text())
+            del rec["tokens"]
+            (tmp_path / name).write_text(json.dumps(rec))
+        else:
+            name, cmd, fix = "ckpt_rerank", "chat", "rerank-train"
+            raw = bytearray((tmp_path / name).read_bytes())
+            raw[-1] ^= 0xFF
+            (tmp_path / name).write_bytes(bytes(raw))
+        res = run_cli(cmd, "--config", str(cfg_path), "--out", str(tmp_path),
+                      stdin="hi\n")
+        assert res.returncode == 3
+        assert "Traceback" not in res.stderr
+        [line] = res.stderr.splitlines()
+        assert line.startswith("stage error: ") and name in line
+        assert line.endswith(f"run heronet {fix} again")
 
 
 class TestBlasPin:

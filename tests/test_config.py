@@ -72,6 +72,12 @@ class TestInvariants:
         with pytest.raises(ConfigError, match="^m:"):
             parse_config(write(tmp_path, "m = -1\n"))
 
+    @pytest.mark.parametrize("seed", [-1, -5])
+    def test_negative_seed_names_field(self, tmp_path, seed):
+        # numpy's generators take no negative seed
+        with pytest.raises(ConfigError, match="^seed:"):
+            parse_config(write(tmp_path, f"seed = {seed}\n"))
+
     def test_m_and_n_not_both_zero(self, tmp_path):
         with pytest.raises(ConfigError, match="both"):
             parse_config(write(tmp_path, "m = 0\nn = 0\nk = 1\n"))

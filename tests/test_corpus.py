@@ -266,6 +266,26 @@ class TestJsonl:
         with pytest.raises(ValueError):
             read_pool(path)
 
+    @pytest.mark.parametrize("reader, line", [
+        (read_pairs, '{"context": [], "query": "q"'),            # bad JSON
+        (read_pairs, '["q", "r"]'),                               # no object
+        (read_pairs, '{"context": [], "query": "q"}'),            # no key
+        (read_pairs, '{"context": "c", "query": "q", "response": "r"}'),
+        (read_pairs, '{"context": [3], "query": "q", "response": "r"}'),
+        (read_pool, '{"id": "0", "query": "q", "response": "r"}'),
+        (read_pool, '{"id": 0, "query": "q", "response": null}'),
+        (read_vocab, '{"vocab_size": 10}'),
+        (read_vocab, '{"vocab_size": "10", "tokens": []}'),
+        (read_vocab, '\xff'),
+    ])
+    def test_readers_name_the_file(self, tmp_path, reader, line):
+        """A record that is not JSON, lacks a key or holds another type is
+        a ValueError that names the file."""
+        path = tmp_path / "artifact.json"
+        path.write_bytes(line.encode("latin-1") + b"\n")
+        with pytest.raises(ValueError, match="artifact.json"):
+            reader(path)
+
     def test_pool_reorders_by_id(self, tmp_path):
         path = tmp_path / "swap.jsonl"
         lines = [json.dumps({"id": i, "query": "q", "response": f"r {i}"})

@@ -28,7 +28,7 @@ from heronet.model import (
     param_subset,
     params_fingerprint,
     sample_batch,
-    sqd_prefix,
+    sqd_encoder,
 )
 from heronet.retrieval import qrm_bce
 
@@ -177,7 +177,8 @@ class TestForwardOracle:
         for r, n in ((0, 4), (1, 2)):
             row = Hidden(Tensor(hidden.states.data[r:r + 1]),
                          hidden.mask[r:r + 1])
-            want = decoder_logits(params, CFG, row, dec[r:r + 1, :n]).data
+            want = decoder_logits(params, CFG, row, dec[r:r + 1, :n],
+                                  np.ones((1, n))).data
             np.testing.assert_allclose(got[r, :n], want[0], rtol=0,
                                        atol=1e-10)
         assert (got[1, 2:] == 0).all()
@@ -219,7 +220,7 @@ class TestGuards:
         hidden, _ = encode_mean_pool(params, CFG, [[3]])
         dec = np.full((1, CFG.max_seq_len + 1), 5)
         with pytest.raises(ValueError, match="max_seq_len"):
-            decoder_logits(params, CFG, hidden, dec)
+            decoder_logits(params, CFG, hidden, dec, np.ones(dec.shape))
 
     def test_long_id_lists_are_cut(self, toy):
         """Id lists are cut to max_seq_len."""
@@ -270,7 +271,7 @@ class TestEncodeUnique:
                                       "sqd_enc"])
     def test_matches_one_padded_batch(self, case):
         params = init_params(CFG, seed=5, dtype=np.float64)
-        prefix = ""
+        enc, prefix = params, ""
         rng = np.random.default_rng(31)
         if case == "duplicates":
             base = _rand_seqs(rng, 6)
@@ -282,14 +283,14 @@ class TestEncodeUnique:
             groups = [base[:50] + base[:10], base[40:] + base[60:70]]
         if case == "sqd_enc":
             add_retrieval_encoder(params, CFG, seed=5)
-            prefix = "sqd_enc."
+            enc, prefix = sqd_encoder(params), "sqd_enc."
         flat = [s for g in groups for s in g]
         weights = rng.normal(size=(len(flat), CFG.d_model))
 
-        _, ref = encode_mean_pool(params, CFG, flat, prefix=prefix)
+        _, ref = encode_mean_pool(enc, CFG, flat)
         want_grads = self._grads(params, ad.tsum(ref * Tensor(weights)))
 
-        pooled, idx = encode_unique(params, CFG, groups, prefix=prefix)
+        pooled, idx = encode_unique(enc, CFG, groups)
         assert len(idx) == len(groups)
         assert pooled.data.shape[0] == len({tuple(s) for s in flat})
         got = ad.getitem(pooled, np.concatenate(idx))
@@ -310,8 +311,8 @@ class TestEncodeUnique:
         calls = []
         real = model.encode_mean_pool
 
-        def spy(params, cfg, seqs, prefix=""):
-            hidden, pooled = real(params, cfg, seqs, prefix)
+        def spy(params, cfg, seqs):
+            hidden, pooled = real(params, cfg, seqs)
             calls.append(([list(s) for s in seqs], hidden.mask.shape[1]))
             return hidden, pooled
 
@@ -615,7 +616,9 @@ class TestCachedDecoding:
         for r, s in enumerate(seqs):
             dec[r, 1:1 + len(s)] = s
         with ad.no_grad():
-            tf = decoder_logits(params, CFG, hidden, dec).data
+            # a cached decode reads every fed position, PAD too
+            tf = decoder_logits(params, CFG, hidden, dec,
+                                np.ones(dec.shape)).data
         return params, hidden, seqs, dec, tf
 
     def test_rows_finish_early_and_at_cap(self, decoded):
@@ -636,7 +639,7 @@ class TestCachedDecoding:
         params, hidden, _, dec, tf = decoded
         with ad.no_grad():
             cache = DecodeCache(params, CFG, hidden)
-            steps = [decode_step(params, CFG, hidden, cache, dec[:, j:j + 1])
+            steps = [decode_step(params, CFG, cache, dec[:, j:j + 1])
                      for j in range(dec.shape[1])]
         assert cache.length == dec.shape[1] == CFG.max_seq_len
         for j, logits in enumerate(steps):
@@ -650,13 +653,13 @@ class TestCachedDecoding:
         with ad.no_grad():
             cache = DecodeCache(params, CFG, hidden)
             buffers = [kv for layer in cache.past for kv in layer]
-            decode_step(params, CFG, hidden, cache, dec[:, :3])
-            decode_step(params, CFG, hidden, cache, dec[:, 3:4])
+            decode_step(params, CFG, cache, dec[:, :3])
+            decode_step(params, CFG, cache, dec[:, 3:4])
             cache.keep_rows(keep)
-            kept = Hidden(Tensor(hidden.states.data[keep]), hidden.mask[keep])
-            steps = [decode_step(params, CFG, kept, cache, dec[keep, j:j + 1])
+            steps = [decode_step(params, CFG, cache, dec[keep, j:j + 1])
                      for j in range(4, dec.shape[1])]
         assert cache.length == dec.shape[1]
+        np.testing.assert_array_equal(cache.mask, hidden.mask[keep])
         assert all(np.shares_memory(kv, buf) for kv, buf in
                    zip((kv for layer in cache.past for kv in layer), buffers))
         for j, logits in zip(range(4, dec.shape[1]), steps):
@@ -680,9 +683,9 @@ class TestCachedDecoding:
         widths = []
         real = model.decode_step
 
-        def spy(params, cfg, hidden, cache, new_ids):
+        def spy(params, cfg, cache, new_ids):
             widths.append(len(new_ids))
-            return real(params, cfg, hidden, cache, new_ids)
+            return real(params, cfg, cache, new_ids)
 
         monkeypatch.setattr(model, "decode_step", spy)
         seqs = sample_batch(params, CFG, hidden,
@@ -698,7 +701,9 @@ class TestCachedDecoding:
         for r, seq in enumerate(seqs):
             dec[r, 1:1 + len(seq)] = seq
         with ad.no_grad():
-            tf = decoder_logits(params, CFG, hidden, dec).data
+            # PAD follows EOS, so no position read below attends to it
+            tf = decoder_logits(params, CFG, hidden, dec,
+                                np.ones(dec.shape)).data
         replay = np.random.default_rng(1)
         for j in range(len(widths)):
             u = replay.random(len(seqs))
@@ -735,7 +740,7 @@ class TestParamStore:
         gen = param_subset(params, "generator")
         assert not any(n.startswith("psi_") for n in gen)
         assert "out.w" in gen and "embed.tok" in gen
-        assert sqd_prefix(params) == ""
+        assert sqd_encoder(params) is params
         sqd = param_subset(params, "sqd")
         assert "psi_d.w" in sqd and "psi_m.w" not in sqd
         assert "embed.tok" in sqd and "dec.pos" not in sqd
@@ -752,7 +757,10 @@ class TestParamStore:
         assert "sqd_enc.embed.tok" in params
         assert not np.array_equal(params["sqd_enc.embed.tok"].data,
                                   params["embed.tok"].data)
-        assert sqd_prefix(params) == "sqd_enc."
+        view = sqd_encoder(params)
+        assert set(view) == {n[len("sqd_enc."):] for n in params
+                             if n.startswith("sqd_enc.")}
+        assert view["embed.tok"] is params["sqd_enc.embed.tok"]
         sqd = param_subset(params, "sqd")
         assert all(n.startswith(("sqd_enc.", "psi_d.")) for n in sqd)
         assert "sqd_enc.embed.tok" in sqd
@@ -763,7 +771,7 @@ class TestParamStore:
                        param_subset(params, "generator"))
         ids = [[7, 8, 9]]
         h_main, _ = encode_mean_pool(params, CFG, ids)
-        h_abl, _ = encode_mean_pool(params, CFG, ids, prefix="sqd_enc.")
+        h_abl, _ = encode_mean_pool(view, CFG, ids)
         assert not np.allclose(h_main.states.data, h_abl.states.data)
 
     def test_pad_batch(self):

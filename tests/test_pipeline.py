@@ -149,9 +149,9 @@ def spy_pool_encodes(monkeypatch) -> tuple:
         builds.append(args)
         return real_build(*args, **kwargs)
 
-    def encode_spy(params, cfg, seqs, prefix=""):
+    def encode_spy(params, cfg, seqs):
         encoded.extend(tuple(s) for s in seqs)
-        return real_encode(params, cfg, seqs, prefix)
+        return real_encode(params, cfg, seqs)
 
     for mod in (pipeline, retrieval):
         monkeypatch.setattr(mod, "build_pool_cache", build_spy)
@@ -273,7 +273,8 @@ class TestClusterSidecar:
             ids["test"][1] = {"null_id": None, "string_id": "3",
                               "float_id": 3.0, "bool_id": True}[damage]
         (tmp_path / "clusters.json").write_text(json.dumps(ids))
-        with pytest.raises(ValueError, match="clusters.json"):
+        with pytest.raises(StageOrderError,
+                           match="clusters.json.*heronet gen-data again"):
             load_world(cfg, tmp_path)
 
 
@@ -288,8 +289,8 @@ class TestRetrievalStage:
         frozen = set()
         real_encode = model.encode_mean_pool
 
-        def encode_spy(params, cfg, seqs, prefix=""):
-            hidden, pooled = real_encode(params, cfg, seqs, prefix)
+        def encode_spy(params, cfg, seqs):
+            hidden, pooled = real_encode(params, cfg, seqs)
             if not pooled.requires_grad:
                 frozen.update(tuple(s) for s in seqs)
             return hidden, pooled
@@ -782,9 +783,9 @@ class TestAblations:
         encoded, sources = [], []
         real_encode, real_step = model.encode_mean_pool, pipeline.pg_step
 
-        def encode_spy(params, cfg, seqs, prefix=""):
+        def encode_spy(params, cfg, seqs):
             encoded.append(tuple(tuple(s) for s in seqs))
-            return real_encode(params, cfg, seqs, prefix)
+            return real_encode(params, cfg, seqs)
 
         def step_spy(params, cfg, src_ids, *args, **kwargs):
             sources.append(tuple(tuple(s) for s in src_ids))
@@ -824,9 +825,9 @@ class TestChat:
         events = []
         real_encode = model.encode_mean_pool
 
-        def encode_spy(params, cfg, seqs, prefix=""):
+        def encode_spy(params, cfg, seqs):
             events.append(("rows", [tuple(s) for s in seqs]))
-            return real_encode(params, cfg, seqs, prefix)
+            return real_encode(params, cfg, seqs)
 
         for mod in (model, pipeline, generation, retrieval):
             monkeypatch.setattr(mod, "encode_mean_pool", encode_spy)

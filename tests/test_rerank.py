@@ -196,9 +196,9 @@ def test_rerank_encodes_only_sequences_outside_pool(small_world,
     calls = []
     real = model.encode_mean_pool
 
-    def spy(params, cfg, seqs, prefix=""):
+    def spy(params, cfg, seqs):
         calls.append([tuple(s) for s in seqs])
-        return real(params, cfg, seqs, prefix)
+        return real(params, cfg, seqs)
 
     q_row = pooled(params, cfg, encode_text(corpus.test[3].query, vocab))
     monkeypatch.setattr(model, "encode_mean_pool", spy)
@@ -384,16 +384,16 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
                        "rows": None})
         return generate(params, cfg, vocab, query_texts, *args, **kwargs)
 
-    def spy_encode(params, cfg, seqs, prefix=""):
+    def spy_encode(params, cfg, seqs):
         chunk = chunks[-1]
         chunk["all_rows"].extend(tuple(s) for s in seqs)
         if chunk["rows"] is not None:
             chunk["rows"].extend(tuple(s) for s in seqs)
-        return encode(params, cfg, seqs, prefix)
+        return encode(params, cfg, seqs)
 
-    def spy_unique(params, cfg, groups, prefix="", cache=None):
+    def spy_unique(params, cfg, groups, cache=None):
         chunks[-1].update(groups=groups, rows=[], cache=cache)
-        return encode_unique(params, cfg, groups, prefix, cache)
+        return encode_unique(params, cfg, groups, cache)
 
     for mod in (model, generation, retrieval):
         monkeypatch.setattr(mod, "encode_mean_pool", spy_encode)

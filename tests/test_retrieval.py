@@ -10,7 +10,8 @@ from heronet.autodiff import Tensor
 from heronet.bm25 import Bm25Index
 from heronet.corpus import build_vocab, encode_text, generate_synthetic_corpus
 from heronet.model import (ModelConfig, adapter_apply, add_retrieval_encoder,
-                           encode_mean_pool, init_params, param_subset)
+                           encode_mean_pool, init_params, param_subset,
+                           sqd_encoder)
 from heronet.retrieval import (MatchBatch, PoolCache, augment_query,
                                build_pool_cache, mine_qrm_batch,
                                mine_sqd_batch, pool_token_lists, qrm_bce,
@@ -234,9 +235,9 @@ def test_sqd_step_encodes_each_distinct_sequence_once(small_world,
     rows = []
     encode = model.encode_mean_pool
 
-    def spy(params, cfg, seqs, prefix=""):
+    def spy(params, cfg, seqs):
         rows.extend(tuple(s) for s in seqs)
-        return encode(params, cfg, seqs, prefix)
+        return encode(params, cfg, seqs)
 
     monkeypatch.setattr(model, "encode_mean_pool", spy)
     pairs = corpus.train[:4] + corpus.train[:1]
@@ -547,9 +548,9 @@ def test_retrieve_encodes_query_batch_once_per_encoder(small_world,
     calls = []
     real = retrieval.encode_mean_pool
 
-    def spy(params, cfg, seqs, prefix=""):
-        calls.append(prefix)
-        return real(params, cfg, seqs, prefix)
+    def spy(enc, cfg, seqs):
+        calls.append("" if enc is local else "sqd_enc.")
+        return real(enc, cfg, seqs)
 
     monkeypatch.setattr(retrieval, "encode_mean_pool", spy)
     got = retrieve_top_m_batch(local, cfg, qs, cache, m=3)
@@ -581,16 +582,18 @@ def test_pool_cache_matches_fresh_encoding(small_world):
 
 
 def _spy_pool_encodes(monkeypatch, params, cfg, vocab, pool):
-    """The cache built from params, and the sequences each encoder prefix
-    was sent while building it, in call order."""
+    """The cache built from params, and the sequences each encoder was
+    sent while building it, in call order, keyed by its name prefix: ""
+    for the store, "sqd_enc." for model.sqd_encoder's view."""
     from heronet import model, retrieval
 
     seen = {}
     real = model.encode_mean_pool
 
-    def spy(params, cfg, seqs, prefix=""):
+    def spy(enc, cfg, seqs):
+        prefix = "" if enc is params else "sqd_enc."
         seen.setdefault(prefix, []).extend(tuple(s) for s in seqs)
-        return real(params, cfg, seqs, prefix)
+        return real(enc, cfg, seqs)
 
     for mod in (model, retrieval):
         monkeypatch.setattr(mod, "encode_mean_pool", spy)
@@ -626,8 +629,8 @@ def test_pool_cache_reads_queries_through_the_sqd_encoder(small_world,
         "sqd_enc.": sorted({tuple(ids) for ids in cache.query_ids}),
         "": sorted({tuple(ids) for ids in cache.resp_ids})}
     with ad.no_grad():
-        _, pooled = encode_mean_pool(local, cfg, cache.query_ids,
-                                     prefix="sqd_enc.")
+        _, pooled = encode_mean_pool(sqd_encoder(local), cfg,
+                                     cache.query_ids)
     assert np.allclose(cache.query_emb, pooled.data, atol=1e-12)
 
 
