@@ -24,9 +24,10 @@ sha256 of the pool.jsonl bytes rerank-train loaded, so that a reader
 can tell whether they belong to its pool without reading it.
 Only rerank-train writes a pool section.  `blob_sha256` covers the
 rows and ids too.  The parameter section is laid out as in a checkpoint
-without them.  A first line without `blob_sha256` or `vocab_sha256` is
-not a manifest this module reads; checkpoints made before manifests
-recorded the vocabulary are refused, not read another way.
+without them.  A first line without `stage`, `tensors`, `blob_bytes`,
+`blob_sha256` or `vocab_sha256` is not a manifest this module reads;
+checkpoints made before manifests recorded the vocabulary are refused,
+not read another way.
 
 The file is written to a temporary name and moved into place with one
 os.replace, so a kill at any instant leaves the previous checkpoint or
@@ -132,15 +133,19 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
     write_atomic(path, head.encode("utf-8") + b"\n" + blob)
 
 
+# every manifest key a reader indexes
+_REQUIRED = ("stage", "tensors", "blob_bytes", "blob_sha256", "vocab_sha256")
+
+
 def _manifest(line: bytes, path) -> dict:
     """The manifest on a checkpoint's first line; ValueError when the line
-    is not one, or lacks the blob hash or the vocabulary digest."""
+    is not one, or lacks a key its readers index (_REQUIRED)."""
     try:
         manifest = json.loads(line)
     except ValueError:
         manifest = None
-    if (not isinstance(manifest, dict) or "blob_sha256" not in manifest
-            or "vocab_sha256" not in manifest):
+    if not isinstance(manifest, dict) or not all(k in manifest
+                                                 for k in _REQUIRED):
         raise ValueError(f"{path} does not start with a checkpoint manifest")
     return manifest
 

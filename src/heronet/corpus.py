@@ -442,10 +442,14 @@ def read_vocab(path) -> tuple[Vocab, int]:
 
 
 def encode_text(text: str, vocab: Vocab, max_len: int | None = None) -> list[int]:
+    """Token ids of the whitespace-split text; a token outside the
+    vocabulary is [UNK], and so is a literal [PAD], since PAD_ID marks
+    padding wherever ids are batched."""
     tokens = text.split()
     if not tokens:
         raise ValueError("cannot encode empty text")
-    ids = [vocab.token_to_id.get(t, UNK_ID) for t in tokens]
+    # PAD_ID is 0, the one falsy id
+    ids = [vocab.token_to_id.get(t, UNK_ID) or UNK_ID for t in tokens]
     return ids[:max_len] if max_len is not None else ids
 
 

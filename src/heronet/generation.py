@@ -137,24 +137,31 @@ def splice_knowledge(query_ids: list, knowledge_ids: list | None,
     return [*query_ids, SEP_ID, *knowledge_ids[:budget]]
 
 
+def knowledge_sources(src_ids: list, retrieved: list, cache: PoolCache,
+                      kg: bool, max_tokens: int) -> list:
+    """Each source spliced with its top retrieved pool response under
+    knowledge grounding (splice_knowledge), else as given."""
+    return [splice_knowledge(ids, cache.resp_ids[r[0]], max_tokens)
+            if kg and r else ids for ids, r in zip(src_ids, retrieved)]
+
+
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                         query_texts: list, cache: PoolCache, m: int, n: int,
                         kg: bool, rngs=None, max_gen_len: int = 32) -> tuple:
     """Retrieve m candidates and decode n for each query of a chunk.
 
-    Returns (entries, pooled): one (generated, retrieved pool ids, source
-    ids) entry per query text, and the queries' (B, d_model) pooled rows
-    from the shared encoder, which retrieval ranks with and the re-ranker
-    scores against.  This is the one place a chunk's queries are tokenized
-    and encoded.  The chunk shares that encode, one retrieval call, one
-    encoder pass over its sources and one greedy decode.  With knowledge
-    grounding on, each query's top retrieved response is spliced onto its
-    ids before decoding.  The first generated candidate is greedy
-    (deterministic); the rest are temperature-1 samples drawn query by
-    query, in order, from rngs[i], so n > 1 requires rngs.  Queries
-    sharing one stream pass the same rng for each.  Retrieval recalls
-    through the SQD encoder the parameters hold (model.sqd_encoder); the
-    generator always uses the shared one.
+    Returns (entries, pooled): one (generated, retrieved pool ids) entry
+    per query text, what build_candidate_set reads, and the queries'
+    (B, d_model) pooled rows from the shared encoder, which retrieval
+    ranks with and the re-ranker scores against.  This is the one place a
+    chunk's queries are tokenized and encoded.  The chunk shares that
+    encode, one retrieval call, one encoder pass over its sources
+    (knowledge_sources) and one greedy decode.  The first generated
+    candidate is greedy (deterministic); the rest are temperature-1
+    samples drawn query by query, in order, from rngs[i], so n > 1
+    requires rngs.  Queries sharing one stream pass the same rng for each.
+    Retrieval recalls through the SQD encoder the parameters hold
+    (model.sqd_encoder); the generator always uses the shared one.
     """
     if n < 0 or m < 0 or (n == 0 and m == 0):
         raise ValueError("need at least one candidate source")
@@ -167,8 +174,7 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
     if m >= 1:
         retrieved = retrieve_top_m_batch(params, cfg, q_ids, cache, m,
                                          main_pooled=pooled)
-    srcs = [splice_knowledge(q, cache.resp_ids[r[0]], cfg.max_seq_len)
-            if kg and r else q for q, r in zip(q_ids, retrieved)]
+    srcs = knowledge_sources(q_ids, retrieved, cache, kg, cfg.max_seq_len)
     generated = [[] for _ in query_texts]
     if n >= 1:
         with ad.no_grad():
@@ -182,4 +188,4 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                 generated[i].extend(sample_batch(
                     params, cfg, tile_hidden(row, n - 1), rng=rngs[i],
                     max_len=max_gen_len))
-    return list(zip(generated, retrieved, srcs)), pooled
+    return list(zip(generated, retrieved)), pooled

@@ -308,7 +308,7 @@ _BUCKET_MIN_ROWS = 64
 _N_BUCKETS = 4
 
 
-def encode_unique(params: dict, cfg: ModelConfig, groups: list, cache=None):
+def encode_unique(params: dict, cfg: ModelConfig, groups: list):
     """Encode each distinct sequence of `groups` once; pooled rows only.
 
     groups is a list of lists of token sequences.  The distinct ones are
@@ -316,14 +316,6 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list, cache=None):
     its own longest row.  Returns the (U, d_model) pooled table and, per
     group, an int index array into it, aligned with the group's
     sequences, so a caller gathers its rows with ad.getitem.
-
-    cache is an optional retrieval.PoolCache.  A distinct sequence that
-    is one of its pool responses takes that response's resp_emb row, as
-    a constant, and only the rest reach the encoder.  This holds only
-    while the cache was built from the current parameters of the same
-    encoder, so pass one where that encoder is frozen (re-ranking, in
-    training and at inference); a step that trains the encoder passes
-    none.
     """
     uniq: dict = {}
     for group in groups:
@@ -332,23 +324,14 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list, cache=None):
     table = list(uniq)
     if not table:
         raise ValueError("nothing to encode")
-    cached = {} if cache is None else cache.resp_row
-    hits = [i for i, seq in enumerate(table) if seq in cached]
-    order = sorted((i for i, seq in enumerate(table) if seq not in cached),
-                   key=lambda i: len(table[i]))
-    parts = []
-    if order:
-        n_buckets = 1 if len(order) < _BUCKET_MIN_ROWS else _N_BUCKETS
-        for bucket in np.array_split(np.asarray(order, dtype=np.int64),
-                                     n_buckets):
-            _, pooled = encode_mean_pool(params, cfg,
-                                         [list(table[i]) for i in bucket])
-            parts.append(pooled)
-    if hits:
-        parts.append(Tensor(cache.resp_emb[[cached[table[i]] for i in hits]]))
+    order = sorted(range(len(table)), key=lambda i: len(table[i]))
+    n_buckets = 1 if len(order) < _BUCKET_MIN_ROWS else _N_BUCKETS
+    parts = [encode_mean_pool(params, cfg, [list(table[i]) for i in bucket])[1]
+             for bucket in np.array_split(np.asarray(order, dtype=np.int64),
+                                          n_buckets)]
     pooled = parts[0] if len(parts) == 1 else ad.concat(parts, axis=0)
     row_of = np.empty(len(table), dtype=np.int64)
-    row_of[order + hits] = np.arange(len(table))
+    row_of[order] = np.arange(len(table))
     idx = [row_of[np.array([uniq[tuple(s)] for s in group], dtype=np.int64)]
            for group in groups]
     return pooled, idx

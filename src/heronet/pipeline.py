@@ -59,13 +59,14 @@ from . import seeds
 from .bm25 import Bm25Index
 from .checkpoint import (checkpoint_stage, load_checkpoint, read_checkpoint,
                          save_checkpoint, write_atomic)
-from .config import TrainConfig, render_config, validate_config
+from .config import (ConfigError, TrainConfig, render_config,
+                     validate_config)
 from .corpus import (Corpus, Vocab, build_vocab, decode_ids, encode_text,
                      generate_synthetic_corpus, read_pairs, read_pool,
                      read_vocab, splice_context, validate_corpus, write_pairs,
                      write_pool, write_vocab)
 from .discriminator import disc_step, score_pairs
-from .generation import (pg_step, sequence_ce, splice_knowledge,
+from .generation import (pg_step, sequence_ce, knowledge_sources,
                          build_teacher_batch)
 from .metrics import (generation_report, render_table, report_json,
                       retrieval_metrics)
@@ -111,6 +112,14 @@ def _records(corpus) -> dict:
     """Each split's records in file order, keyed as in clusters.json."""
     return {"train": corpus.train, "valid": corpus.valid,
             "test": corpus.test, "pool": corpus.pool.entries}
+
+
+def _require_retrieval(cfg: TrainConfig, command: str) -> None:
+    """A stage that retrieves m pool entries per query needs m >= 1;
+    rerank-train, sweep, evaluate and chat work with m = 0."""
+    if cfg.m < 1:
+        raise ConfigError(f"m: must be >= 1 for {command}, which retrieves "
+                          "m pool entries per query")
 
 
 def _require_data(out: Path, names) -> None:
@@ -403,6 +412,7 @@ def stage_warmup(cfg: TrainConfig, out) -> dict:
 
 
 def stage_retrieval(cfg: TrainConfig, out) -> dict:
+    _require_retrieval(cfg, "pretrain-retrieval")
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "warmup")
     if cfg.no_multi_learning:
@@ -447,6 +457,7 @@ def stage_retrieval(cfg: TrainConfig, out) -> dict:
 
 
 def stage_adversarial(cfg: TrainConfig, out) -> dict:
+    _require_retrieval(cfg, "adv-train")
     corpus, vocab, mcfg = load_world(cfg, out)
     params = _load_stage(out, "retrieval")
     alpha = 0.0 if cfg.no_reward else cfg.alpha
@@ -464,9 +475,8 @@ def stage_adversarial(cfg: TrainConfig, out) -> dict:
                        for p in chunk]
             retrieved = retrieve_top_m_batch(params, mcfg, queries, cache,
                                              cfg.m)
-            src = [splice_knowledge(ids, cache.resp_ids[r[0]],
-                                    mcfg.max_seq_len) if kg and r else ids
-                   for ids, r in zip(_src_ids(chunk, vocab, mcfg), retrieved)]
+            src = knowledge_sources(_src_ids(chunk, vocab, mcfg), retrieved,
+                                    cache, kg, mcfg.max_seq_len)
             resp = _resp_ids(chunk, vocab)
             # one encode with gradient: the rollouts read its values and
             # pg_step backpropagates through it

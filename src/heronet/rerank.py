@@ -11,13 +11,13 @@ The chunk's draw is one generate_candidates call: it tokenizes and
 encodes the chunk's queries, retrieves pool ids and decodes for all of
 them, and returns the queries' pooled rows beside each query's draw,
 which build_candidate_set turns into that query's set.  Sets are scored
-one way: encode_unique embeds each distinct candidate once,
-gradient-free, taking a pool response's raw row from the PoolCache; the
-sets' query rows are stacked on that table, and match_logit puts it
-through psi_m once and reads each candidate against its query.  Cached
-rows stand in for the encoder only while it is the one the cache was
-built from, which holds here: chat and evaluation change no parameters,
-and re-rank training moves the matching head alone.
+one way (_set_logits): a pool response takes its raw row from the
+PoolCache, encode_unique embeds each other distinct candidate once,
+gradient-free, and the query rows are stacked on those; match_logit puts
+the table through psi_m once.  No other module lets a cached row stand
+in for an encoder pass.  That is exact while the encoder is the one the
+cache was built from: chat and evaluation change no parameters, and
+re-rank training moves psi_m alone (pipeline._rerank_epoch checks it).
 
 Re-rank training freezes everything except the matching head: query and
 candidate rows are constants, so the optimizer can only move psi_m.
@@ -77,17 +77,27 @@ def _set_logits(params: dict, cfg: ModelConfig, query_rows: np.ndarray,
     """Matching logits of every set's candidates against its query.
 
     query_rows[i] is the pooled row of set i's query and sets[i] its list
-    of candidate token sequences.  Each distinct candidate of all the sets
-    is embedded once, gradient-free (encode_unique: pool responses from
-    cache), and psi_m projects the query rows and those once.  The logits
-    come flat, set after set; under autograd their gradient reaches psi_m
-    alone.
+    of candidate token sequences.  A pool response takes its cached row;
+    each other distinct candidate is encoded once, gradient-free
+    (encode_unique).  psi_m projects the query, encoded and cached rows,
+    stacked in that order, once.  The logits come flat, set after set;
+    under autograd their gradient reaches psi_m alone.
     """
-    with ad.no_grad():
-        pooled, idx = encode_unique(params, cfg, sets, cache=cache)
+    cands = [tuple(c) for s in sets for c in s]
+    distinct = list(dict.fromkeys(cands))
+    fresh = [c for c in distinct if c not in cache.resp_row]
+    held = [c for c in distinct if c in cache.resp_row]
+    rows, slot = [query_rows], {}
+    if fresh:
+        with ad.no_grad():
+            encoded, [idx] = encode_unique(params, cfg, [fresh])
+        rows.append(encoded.data)
+        slot = dict(zip(fresh, idx))
+    rows.append(cache.resp_emb[[cache.resp_row[c] for c in held]])
+    slot.update(zip(held, range(len(fresh), len(distinct))))
     owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
-    rows = Tensor(np.concatenate([query_rows, pooled.data]))
-    return match_logit(params, rows, owner, len(sets) + np.concatenate(idx))
+    return match_logit(params, Tensor(np.concatenate(rows)), owner,
+                       len(sets) + np.array([slot[c] for c in cands]))
 
 
 def rerank(params: dict, cfg: ModelConfig, query_pooled: Tensor,
@@ -118,7 +128,7 @@ def build_candidate_set(cfg: ModelConfig, vocab: Vocab, pair, drawn,
                         m: int) -> list:
     """One query's (token_list, provenance) candidates from its draw.
 
-    drawn is the query's (generated, retrieved, src) entry from
+    drawn is the query's (generated, retrieved) entry from
     generate_candidates: its m retrieved pool responses come first, then
     its n generated ones.  Passing a BM25 index makes a re-rank training
     group: the set is widened with the m best BM25 responses to the
@@ -126,7 +136,7 @@ def build_candidate_set(cfg: ModelConfig, vocab: Vocab, pair, drawn,
     truth, which deduplication later keeps exactly once.  Only that reads
     pair, so serving passes None for both.
     """
-    generated, retrieved, _ = drawn
+    generated, retrieved = drawn
     cands = [(list(cache.resp_ids[j]), "retrieved") for j in retrieved]
     cands += [(list(g), "generated") for g in generated]
     if bm25_r is not None:

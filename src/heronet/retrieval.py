@@ -25,7 +25,7 @@ adapter is seen on the next call, while chat and evaluation, which move
 nothing, project the pool once.  Queries are projected once per call
 and pool rows gathered from the tables.  While the encoder stays frozen,
 the cache also stands in for encoding a pool response again: re-ranking
-reads its rows.
+reads its rows (rerank._set_logits), and nothing else does.
 
 The encoder is frozen from rerank-train on, so the pool is encoded once
 for it: rerank-train builds the cache and stores its rows, with the

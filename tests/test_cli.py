@@ -120,6 +120,27 @@ class TestParsing:
         assert res.stderr.splitlines() == ["config error: seed: must be >= 0"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("cmd", ["pretrain-retrieval", "adv-train"])
+    def test_no_retrieval_exits_2_for_stages_that_retrieve(self, trained,
+                                                           tmp_path, cmd):
+        """m = 0 is a valid serving config, but the stages that mine or
+        retrieve m pool entries per query refuse it before reading the
+        run directory, which they leave as it was."""
+        for item in trained.iterdir():
+            if item.is_file():
+                shutil.copy(item, tmp_path / item.name)
+        before = {f.name: f.read_bytes() for f in tmp_path.iterdir()}
+        config = tmp_path / "m0.cfg"
+        config.write_text(TINY.replace("m = 2\n", "m = 0\n")
+                          .replace("k = 3\n", "k = 1\n"))
+        res = run_cli(cmd, "--config", str(config), "--out", str(tmp_path))
+        assert res.returncode == 2
+        assert res.stderr.splitlines() == [
+            f"config error: m: must be >= 1 for {cmd}, which retrieves m "
+            "pool entries per query"]
+        assert {f.name: f.read_bytes() for f in tmp_path.iterdir()
+                if f != config} == before
+
     def test_seed_flag_overrides_config(self, cfg_path, tmp_path):
         res = run_cli("gen-data", "--config", str(cfg_path), "--out",
                       str(tmp_path), "--seed", "9")
@@ -235,7 +256,8 @@ class TestStageOrder:
             assert res.returncode == 3, cmd
             assert "heronet gen-data" in res.stderr
 
-    @pytest.mark.parametrize("damage", ["clusters", "vocab", "blob"])
+    @pytest.mark.parametrize("damage", ["clusters", "vocab", "blob",
+                                        "manifest"])
     def test_unreadable_artifact_exits_3(self, cfg_path, trained, tmp_path,
                                          damage):
         """A run artifact that does not read back ends in one stage error
@@ -252,11 +274,18 @@ class TestStageOrder:
             rec = json.loads((tmp_path / name).read_text())
             del rec["tokens"]
             (tmp_path / name).write_text(json.dumps(rec))
-        else:
+        elif damage == "blob":
             name, cmd, fix = "ckpt_rerank", "chat", "rerank-train"
             raw = bytearray((tmp_path / name).read_bytes())
             raw[-1] ^= 0xFF
             (tmp_path / name).write_bytes(bytes(raw))
+        else:
+            name, cmd, fix = "ckpt_rerank", "chat", "rerank-train"
+            head, _, blob = (tmp_path / name).read_bytes().partition(b"\n")
+            manifest = json.loads(head)
+            del manifest["stage"]
+            (tmp_path / name).write_bytes(json.dumps(manifest).encode()
+                                          + b"\n" + blob)
         res = run_cli(cmd, "--config", str(cfg_path), "--out", str(tmp_path),
                       stdin="hi\n")
         assert res.returncode == 3
@@ -315,6 +344,14 @@ class TestRun:
                       str(trained), stdin="check the flight status\n")
         assert res.returncode == 0
         assert "response:" in res.stdout
+
+    def test_chat_answers_a_pad_line(self, cfg_path, trained):
+        """A line holding the literal [PAD] token is answered like any line
+        of unknown words, and the session goes on to the next one."""
+        res = run_cli("chat", "--config", str(cfg_path), "--out",
+                      str(trained), stdin="[PAD]\n[PAD] numpy\n")
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.count("response:") == 2
 
     def test_texts_longer_than_max_seq_len_are_cut(self, tmp_path):
         """At max_seq_len = 12 many pool and training texts are longer;

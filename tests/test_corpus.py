@@ -196,6 +196,16 @@ class TestTokenizer:
         assert ids[1] == UNK_ID
         assert ids[0] != UNK_ID
 
+    def test_never_returns_pad(self, desk):
+        # a literal [PAD] reads as unknown: PAD_ID would mask it as padding
+        vocab = build_vocab(desk)
+        every = encode_text(" ".join(vocab.id_to_token + ["zzzzunknown"]),
+                            vocab)
+        assert PAD_ID not in every and len(every) == vocab.size + 1
+        assert encode_text("[PAD]", vocab) == [UNK_ID]
+        assert encode_text("[PAD] numpy", vocab) == \
+            [UNK_ID, vocab.token_to_id["numpy"]]
+
     def test_truncation(self, desk):
         vocab = build_vocab(desk)
         long_text = " ".join(["install"] * 300)

@@ -13,8 +13,8 @@ from heronet.corpus import (BOS_ID, EOS_ID, PAD_ID, SEP_ID, build_vocab,
                             encode_text, generate_synthetic_corpus,
                             splice_context)
 from heronet.generation import (GenLossReport, build_teacher_batch,
-                                generate_candidates, pg_step, sequence_ce,
-                                splice_knowledge)
+                                generate_candidates, knowledge_sources,
+                                pg_step, sequence_ce, splice_knowledge)
 from heronet.model import (Hidden, ModelConfig, encode_mean_pool, init_params,
                            param_subset, params_fingerprint, sample_batch,
                            tile_hidden)
@@ -325,17 +325,21 @@ def test_splice_keeps_query_whole_within_budget(q, k, budget):
 def test_generate_candidates_counts_and_sources(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
-    [(gen, retr, src)], pooled = generate_candidates(
+    [(gen, retr)], pooled = generate_candidates(
         params, cfg, vocab, [q], cache, m=4, n=3, kg=True,
         rngs=[np.random.default_rng(3)], max_gen_len=12)
     assert len(gen) == 3 and len(retr) == 4
     # the source is the query's ids spliced with its top pool response's
     q_ids = encode_text(q, vocab, cfg.max_seq_len)
+    [src] = knowledge_sources([q_ids], [retr], cache, True, cfg.max_seq_len)
     assert SEP_ID in src
     assert src == splice_knowledge(q_ids, cache.resp_ids[retr[0]],
                                    cfg.max_seq_len)
-    # the query's pooled row from the shared encoder comes back with it
     with ad.no_grad():
+        # the greedy candidate is decoded from that source
+        hidden, _ = encode_mean_pool(params, cfg, [src])
+        assert gen[0] == sample_batch(params, cfg, hidden, max_len=12)[0]
+        # the query's pooled row from the shared encoder comes back with it
         _, want = encode_mean_pool(params, cfg, [q_ids])
     np.testing.assert_array_equal(pooled.data, want.data)
 
@@ -343,32 +347,40 @@ def test_generate_candidates_counts_and_sources(small_world):
 def test_generate_candidates_kg_off_uses_bare_query(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
-    [(_, retr, src)], _ = generate_candidates(
+    [(gen, retr)], _ = generate_candidates(
         params, cfg, vocab, [q], cache, m=4, n=1, kg=False)
-    assert src == encode_text(q, vocab, cfg.max_seq_len)
     assert len(retr) == 4  # retrieval still runs for the rerank stage
+    q_ids = encode_text(q, vocab, cfg.max_seq_len)
+    assert knowledge_sources([q_ids], [retr], cache, False,
+                             cfg.max_seq_len) == [q_ids]
+    with ad.no_grad():
+        hidden, _ = encode_mean_pool(params, cfg, [q_ids])
+        assert gen == sample_batch(params, cfg, hidden)
 
 
 def test_generate_candidates_greedy_head_deterministic(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[1].query
-    [(g1, _, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
-                                          m=2, n=3, kg=True,
-                                          rngs=[np.random.default_rng(4)])
-    [(g2, _, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
-                                          m=2, n=3, kg=True,
-                                          rngs=[np.random.default_rng(5)])
+    [(g1, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
+                                       m=2, n=3, kg=True,
+                                       rngs=[np.random.default_rng(4)])
+    [(g2, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
+                                       m=2, n=3, kg=True,
+                                       rngs=[np.random.default_rng(5)])
     assert g1[0] == g2[0]  # greedy head ignores the rng
 
 
 def test_generate_candidates_m_zero_skips_retrieval(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[2].query
-    [(gen, retr, src)], pooled = generate_candidates(
+    [(gen, retr)], pooled = generate_candidates(
         params, cfg, vocab, [q], cache, m=0, n=2, kg=True,
         rngs=[np.random.default_rng(6)])
     assert retr == [] and len(gen) == 2
-    assert src == encode_text(q, vocab, cfg.max_seq_len)
+    # nothing retrieved, nothing spliced
+    q_ids = encode_text(q, vocab, cfg.max_seq_len)
+    assert knowledge_sources([q_ids], [retr], cache, True,
+                             cfg.max_seq_len) == [q_ids]
     # the re-ranker still needs the query's row
     assert pooled.data.shape == (1, cfg.d_model)
 
@@ -407,8 +419,15 @@ def test_generate_candidates_chunk_equals_per_query(small_world, n, shared):
         params, cfg, vocab, [q], cache, m=3, n=n, kg=True, rngs=[rng],
         max_gen_len=10) for q, rng in zip(queries, rngs())))
     assert len(chunk) == len(queries)
-    for (g_c, r_c, s_c), [(g_1, r_1, s_1)] in zip(chunk, one):
-        assert g_c == g_1 and s_c == s_1 and r_c == r_1
+    for (g_c, r_c), [(g_1, r_1)] in zip(chunk, one):
+        assert g_c == g_1 and r_c == r_1
+    # each query's source is its own splice, whatever else the chunk holds
+    q_ids = [encode_text(q, vocab, cfg.max_seq_len) for q in queries]
+    retrieved = [r for _, r in chunk]
+    assert knowledge_sources(q_ids, retrieved, cache, True,
+                             cfg.max_seq_len) == [
+        splice_knowledge(q, cache.resp_ids[r[0]], cfg.max_seq_len)
+        for q, r in zip(q_ids, retrieved)]
     np.testing.assert_allclose(
         chunk_rows.data, np.concatenate([r.data for r in one_rows]),
         rtol=1e-12, atol=1e-12)

@@ -821,6 +821,7 @@ class TestChat:
 
         from heronet import generation, model, rerank, retrieval
         from heronet.corpus import encode_text
+        from heronet.generation import knowledge_sources
 
         events = []
         real_encode = model.encode_mean_pool
@@ -835,7 +836,7 @@ class TestChat:
 
         def generate_spy(*args, **kwargs):
             drawn = real_generate(*args, **kwargs)
-            events.append(("drawn", drawn))
+            events.append(("drawn", (drawn, args[4])))
             return drawn
 
         monkeypatch.setattr(rerank, "generate_candidates", generate_spy)
@@ -858,9 +859,11 @@ class TestChat:
             query = events[lo][1]
             rows = [row for kind, got in events[lo + 1:hi] if kind == "rows"
                     for row in got]
-            [([(generated, retrieved, src)], _)] = [
+            [(([(generated, retrieved)], _), cache)] = [
                 got for kind, got in events[lo + 1:hi] if kind == "drawn"]
             q_ids = tuple(encode_text(query, vocab, mcfg.max_seq_len))
+            [src] = knowledge_sources([list(q_ids)], [retrieved], cache, True,
+                                      mcfg.max_seq_len)
             assert retrieved and tuple(src) != q_ids
             want = [q_ids, tuple(src)]
             want += [g for g in dict.fromkeys(map(tuple, generated))

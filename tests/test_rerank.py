@@ -368,20 +368,20 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
         small_world, monkeypatch):
     # per chunk, each distinct query reaches the encoder exactly once (in
     # generate_candidates, whose rows the scoring reuses), and one
-    # encode_unique call, handed the pool cache, embeds the candidate sets:
-    # pool responses never reach the encoder and every other distinct
-    # candidate sequence of the chunk reaches it exactly once
+    # encode_unique call embeds the candidate sets: it receives no pool
+    # response, which takes its cached row, and every other distinct
+    # candidate sequence of the chunk exactly once
     from heronet import generation, model, retrieval
     from heronet import rerank as rr
 
     corpus, vocab, cfg, params, cache, bm25_r = small_world
     chunks = []
     encode, encode_unique = model.encode_mean_pool, rr.encode_unique
-    generate = rr.generate_candidates
+    generate, set_logits = rr.generate_candidates, rr._set_logits
 
     def spy_generate(params, cfg, vocab, query_texts, *args, **kwargs):
         chunks.append({"queries": query_texts, "all_rows": [],
-                       "rows": None})
+                       "rows": None, "groups": []})
         return generate(params, cfg, vocab, query_texts, *args, **kwargs)
 
     def spy_encode(params, cfg, seqs):
@@ -391,14 +391,20 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
             chunk["rows"].extend(tuple(s) for s in seqs)
         return encode(params, cfg, seqs)
 
-    def spy_unique(params, cfg, groups, cache=None):
-        chunks[-1].update(groups=groups, rows=[], cache=cache)
-        return encode_unique(params, cfg, groups, cache)
+    def spy_unique(params, cfg, groups):
+        chunks[-1]["groups"].append([tuple(s) for g in groups for s in g])
+        chunks[-1]["rows"] = []
+        return encode_unique(params, cfg, groups)
+
+    def spy_set_logits(params, cfg, query_rows, sets, cache):
+        chunks[-1].update(sets=sets, cache=cache)
+        return set_logits(params, cfg, query_rows, sets, cache)
 
     for mod in (model, generation, retrieval):
         monkeypatch.setattr(mod, "encode_mean_pool", spy_encode)
     monkeypatch.setattr(rr, "generate_candidates", spy_generate)
     monkeypatch.setattr(rr, "encode_unique", spy_unique)
+    monkeypatch.setattr(rr, "_set_logits", spy_set_logits)
     local = clone_params(params)
     opt = ad.Adam(param_subset(local, "rerank"), lr=1e-3)
     pairs = corpus.train[:6] + corpus.train[:1]
@@ -411,8 +417,40 @@ def test_rerank_train_encodes_each_distinct_sequence_once_per_chunk(
             q_ids = tuple(encode_text(q, vocab, cfg.max_seq_len))
             assert chunk["all_rows"].count(q_ids) == 1
         assert chunk["cache"] is cache
-        offered = {tuple(s) for g in chunk["groups"] for s in g}
+        offered = {tuple(s) for g in chunk["sets"] for s in g}
         in_pool = {s for s in offered if s in cache.resp_row}
         assert in_pool  # retrieved, BM25 and truth entries are pool responses
-        assert len(chunk["rows"]) == len(set(chunk["rows"]))
-        assert set(chunk["rows"]) == offered - in_pool
+        [handed] = chunk["groups"]
+        assert len(handed) == len(set(handed))
+        assert set(handed) == offered - in_pool
+        assert sorted(chunk["rows"]) == sorted(handed)
+
+
+def test_pool_rows_stand_in_for_encoding_every_candidate(small_world):
+    # float32, as trained and served: a chunk's logits with pool responses
+    # read from the cache equal those of encoding every distinct candidate
+    # of its sets from scratch
+    from heronet import rerank as rr
+    from heronet.model import encode_unique, match_logit
+
+    corpus, vocab, cfg, _, _, bm25_r = small_world
+    params = init_params(cfg, seed=11, dtype=np.float32)
+    cache = build_pool_cache(params, cfg, vocab, corpus.pool)
+    chunk = corpus.train[:4]
+    drawn, q_rows = generate_candidates(
+        params, cfg, vocab, [splice_context(p) for p in chunk], cache, 3, 2,
+        True, [np.random.default_rng(2)] * len(chunk), max_gen_len=10)
+    sets = [[c for c, _ in dedupe_candidates(build_candidate_set(
+        cfg, vocab, pair, entry, cache, bm25_r, 3))]
+        for pair, entry in zip(chunk, drawn)]
+    flat = {tuple(c) for s in sets for c in s}
+    assert {c for c in flat if c in cache.resp_row} not in (set(), flat)
+    with ad.no_grad():
+        got = rr._set_logits(params, cfg, q_rows.data, sets, cache).data
+        fresh, idx = encode_unique(params, cfg, sets)
+        owner = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+        want = match_logit(
+            params, ad.Tensor(np.concatenate([q_rows.data, fresh.data])),
+            owner, len(sets) + np.concatenate(idx)).data
+    assert got.dtype == want.dtype == np.float32
+    np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-6)
