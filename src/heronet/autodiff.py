@@ -566,16 +566,16 @@ def softplus(a: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
+# Adam's moment decay rates and denominator floor (Kingma & Ba, 2015)
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Adam over a named parameter dict; state keyed by parameter name."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -588,7 +588,7 @@ class Adam:
         """Update every parameter that has a gradient.  A non-finite update
         is not applied: it raises FloatingPointError naming the parameter."""
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = _BETA1, _BETA2
         bias1 = 1.0 - b1 ** self.t
         bias2 = 1.0 - b2 ** self.t
         with np.errstate(over="ignore", invalid="ignore"):
@@ -604,7 +604,7 @@ class Adam:
                 v += (1.0 - b2) * (g * g)
                 mhat = m / bias1
                 vhat = v / bias2
-                update = (self.lr * mhat / (np.sqrt(vhat) + self.eps)
+                update = (self.lr * mhat / (np.sqrt(vhat) + _EPS)
                           ).astype(p.data.dtype)
                 if not np.isfinite(update).all():
                     raise FloatingPointError(f"non-finite update to {name}")

@@ -12,15 +12,16 @@ from collections import Counter
 
 import numpy as np
 
+K1 = 1.2   # term-frequency saturation
+B = 0.75   # document-length normalization
+
 
 class Bm25Index:
-    def __init__(self, docs: list[list[int]], k1: float = 1.2, b: float = 0.75):
+    def __init__(self, docs: list[list[int]]):
         if not docs:
             raise ValueError("cannot index an empty document list")
         self.docs = [list(d) for d in docs]
         self.n_docs = len(docs)
-        self.k1 = float(k1)
-        self.b = float(b)
         self.doc_lens = np.array([len(d) for d in docs], dtype=np.float64)
         self.avgdl = float(self.doc_lens.mean())
         term_tfs = [Counter(d) for d in docs]
@@ -43,12 +44,12 @@ class Bm25Index:
     def scores(self, query: list[int]) -> np.ndarray:
         """BM25 score of the query against every document."""
         out = np.zeros(self.n_docs, dtype=np.float64)
-        norm = self.k1 * (1.0 - self.b + self.b * self.doc_lens / self.avgdl)
+        norm = K1 * (1.0 - B + B * self.doc_lens / self.avgdl)
         for t in query:
             if t not in self.postings:
                 continue
             ids, tfs = self.postings[t]
-            out[ids] += self.idf[t] * tfs * (self.k1 + 1.0) / (tfs + norm[ids])
+            out[ids] += self.idf[t] * tfs * (K1 + 1.0) / (tfs + norm[ids])
         return out
 
     def top_k(self, query: list[int], k: int, exclude=None) -> list[int]:

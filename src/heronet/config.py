@@ -2,7 +2,8 @@
 
 Config files are line-oriented `key = value` text.  `#` starts a comment,
 blank lines are skipped, unknown keys are rejected with their line number,
-and absent keys take the desk-scale defaults below.  The field comments
+a key given twice with both line numbers, and absent keys take the
+desk-scale defaults below.  The field comments
 note the full-scale values.
 """
 
@@ -155,6 +156,7 @@ def parse_config(path) -> TrainConfig:
         raise ConfigError(f"cannot read config file: {exc}") from None
     cfg = TrainConfig()
     types = {f.name: type(getattr(cfg, f.name)) for f in fields(cfg)}
+    first_at: dict = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -166,6 +168,10 @@ def parse_config(path) -> TrainConfig:
         key, value = key.strip(), value.strip()
         if key not in types:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        if key in first_at:
+            raise ConfigError(f"line {lineno}: {key!r} given again, first "
+                              f"at line {first_at[key]}")
+        first_at[key] = lineno
         if not value:
             raise ConfigError(f"line {lineno}: empty value for {key!r}")
         setattr(cfg, key, _coerce(key, value, types[key], lineno))

@@ -147,7 +147,7 @@ def knowledge_sources(src_ids: list, retrieved: list, cache: PoolCache,
 
 def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
                         query_texts: list, cache: PoolCache, m: int, n: int,
-                        kg: bool, rngs=None, max_gen_len: int = 32) -> tuple:
+                        kg: bool, max_gen_len: int, rngs=None) -> tuple:
     """Retrieve m candidates and decode n for each query of a chunk.
 
     Returns (entries, pooled): one (generated, retrieved pool ids) entry
@@ -179,13 +179,13 @@ def generate_candidates(params: dict, cfg: ModelConfig, vocab: Vocab,
     if n >= 1:
         with ad.no_grad():
             hidden, _ = encode_mean_pool(params, cfg, srcs)
-        greedy = sample_batch(params, cfg, hidden, max_len=max_gen_len)
+        greedy = sample_batch(params, cfg, hidden, max_gen_len)
         for i, ids in enumerate(srcs):
             generated[i].append(greedy[i])
             if n > 1:
                 row = Hidden(Tensor(hidden.states.data[i:i + 1, :len(ids)]),
                              hidden.mask[i:i + 1, :len(ids)])
                 generated[i].extend(sample_batch(
-                    params, cfg, tile_hidden(row, n - 1), rng=rngs[i],
-                    max_len=max_gen_len))
+                    params, cfg, tile_hidden(row, n - 1), max_gen_len,
+                    rng=rngs[i]))
     return list(zip(generated, retrieved)), pooled

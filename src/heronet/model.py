@@ -485,8 +485,8 @@ def decoder_logits(params: dict, cfg: ModelConfig, hidden: Hidden, dec_ids,
     return ad.matmul(x, params["out.w"])
 
 
-def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, rng=None,
-                 max_len: int = 32) -> list:
+def sample_batch(params: dict, cfg: ModelConfig, hidden: Hidden, max_len: int,
+                 rng=None) -> list:
     """Decode every row; returns id lists ending at EOS or cut at max_len.
 
     Without an rng each step picks the argmax (greedy).  With one, each

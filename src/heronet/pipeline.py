@@ -342,10 +342,16 @@ def stage_gen_data(cfg: TrainConfig, out) -> dict:
     last, vocab.json under `out`.
 
     The vocabulary is built here and nowhere else: every later stage,
-    evaluate, sweep and chat read it from vocab.json.
+    evaluate, sweep and chat read it from vocab.json.  An `out` that
+    cannot be made a directory (a file, or a path under one) is a config
+    error naming --out.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot make the run directory {out}: "
+                          f"{exc.strerror}") from None
     corpus = generate_synthetic_corpus(seed=cfg.seed, n_train=cfg.n_train,
                                        n_eval=cfg.n_eval,
                                        pool_size=cfg.pool_size)
@@ -683,8 +689,12 @@ def run_chat(cfg: TrainConfig, out, stdin=None, stdout=None) -> int:
     rerank-train stored them with the sha256 of the pool.jsonl it
     loaded, so set-up encodes nothing; each line encodes only its query,
     its source and the generated candidates that are not pool responses.
+    sys.stdin is read with errors="surrogateescape", so a line that is
+    not UTF-8 is answered: its stray bytes become lone surrogates.
     """
-    stdin = stdin if stdin is not None else sys.stdin
+    if stdin is None:
+        sys.stdin.reconfigure(errors="surrogateescape")
+        stdin = sys.stdin
     stdout = stdout if stdout is not None else sys.stdout
 
     def emit(line):

@@ -150,20 +150,23 @@ def build_candidate_set(cfg: ModelConfig, vocab: Vocab, pair, drawn,
 
 def serve(params: dict, cfg: ModelConfig, vocab: Vocab, texts: list,
           cache: PoolCache, m: int, n: int, kg: bool, seed: int,
-          max_gen_len: int = 32) -> list:
+          max_gen_len: int) -> list:
     """Each text's ranked candidates, as chat answers it.
 
     One generate_candidates call draws the chunk; text t's sampled extras
     come from the stream [seed, CHAT, crc32(t)], so a text draws the same
-    candidates whatever chunk it arrives in.  Each text's set, its m
+    candidates whatever chunk it arrives in.  crc32 reads t's UTF-8
+    bytes, with any lone surrogate that stood in for a byte that was not
+    UTF-8 turned back into that byte.  Each text's set, its m
     retrieved and n generated candidates, is re-ranked against its query
     row.  Returns one list of RankedCandidate per text; its first entry is
     the served answer.
     """
-    rngs = [np.random.default_rng([seed, seeds.CHAT, zlib.crc32(t.encode())])
-            for t in texts] if n > 1 else None
+    rngs = [np.random.default_rng(
+        [seed, seeds.CHAT, zlib.crc32(t.encode("utf-8", "surrogateescape"))])
+        for t in texts] if n > 1 else None
     drawn, q_rows = generate_candidates(params, cfg, vocab, texts, cache, m,
-                                        n, kg, rngs, max_gen_len)
+                                        n, kg, max_gen_len, rngs)
     return [rerank(params, cfg, Tensor(q_rows.data[i:i + 1]),
                    build_candidate_set(cfg, vocab, None, entry, cache, None,
                                        m), cache)
@@ -173,7 +176,7 @@ def serve(params: dict, cfg: ModelConfig, vocab: Vocab, texts: list,
 def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
                        pairs: list, cache: PoolCache, bm25_r: Bm25Index,
                        m: int, n: int, kg: bool, batch_size: int,
-                       opt: ad.Adam, rng, max_gen_len: int = 32) -> float:
+                       opt: ad.Adam, rng, max_gen_len: int) -> float:
     """One BCE pass over the pairs; only the matching head moves.
 
     Candidates are drawn fresh each epoch (generation is sampled) and
@@ -190,7 +193,7 @@ def rerank_train_epoch(params: dict, cfg: ModelConfig, vocab: Vocab,
         chunk = pairs[lo:lo + batch_size]
         drawn, q_rows = generate_candidates(
             params, cfg, vocab, [splice_context(p) for p in chunk], cache, m,
-            n, kg, [rng] * len(chunk), max_gen_len)
+            n, kg, max_gen_len, [rng] * len(chunk))
         sets, labels = [], []
         for pair, entry in zip(chunk, drawn):
             merged = dedupe_candidates(build_candidate_set(

@@ -6,6 +6,7 @@ import json
 import numpy as np
 
 from heronet import autodiff as ad
+from heronet import bm25
 from heronet.autodiff import Tensor
 from heronet.checkpoint import load_checkpoint, save_checkpoint
 from heronet.config import TrainConfig
@@ -61,8 +62,8 @@ def bm25_score(index, query: list, doc_id: int) -> float:
     """BM25 score of one document, summed term by term from the postings."""
     if not 0 <= doc_id < index.n_docs:
         raise IndexError(f"doc id {doc_id} out of range")
-    tf_norm = index.k1 * (1.0 - index.b
-                          + index.b * index.doc_lens[doc_id] / index.avgdl)
+    tf_norm = bm25.K1 * (1.0 - bm25.B
+                         + bm25.B * index.doc_lens[doc_id] / index.avgdl)
     total = 0.0
     for t in query:
         if t not in index.postings:
@@ -71,7 +72,7 @@ def bm25_score(index, query: list, doc_id: int) -> float:
         pos = np.nonzero(ids == doc_id)[0]
         if pos.size:
             tf = tfs[pos[0]]
-            total += index.idf[t] * tf * (index.k1 + 1.0) / (tf + tf_norm)
+            total += index.idf[t] * tf * (bm25.K1 + 1.0) / (tf + tf_norm)
     return float(total)
 
 

@@ -50,9 +50,12 @@ seed = 5
 
 
 def run_cli(*args, stdin="", env=None):
+    """The CLI's result; stdin given as bytes is fed, and the output read
+    back, as bytes."""
     return subprocess.run([sys.executable, "-m", "heronet.cli", *args],
-                          input=stdin, capture_output=True, text=True,
-                          timeout=300, env={**_ENV, **(env or {})})
+                          input=stdin, capture_output=True,
+                          text=not isinstance(stdin, bytes), timeout=300,
+                          env={**_ENV, **(env or {})})
 
 
 def run_chain(cfg_path, out, env=None):
@@ -119,6 +122,19 @@ class TestParsing:
         assert res.returncode == 2
         assert res.stderr.splitlines() == ["config error: seed: must be >= 0"]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("sub", ["", "sub"])
+    def test_gen_data_out_on_a_file_exits_2(self, cfg_path, tmp_path, sub):
+        """--out naming a file, or a path under one, is one config error
+        line naming --out, not a traceback."""
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        res = run_cli("gen-data", "--config", str(cfg_path), "--out",
+                      str(afile / sub))
+        assert res.returncode == 2
+        [line] = res.stderr.splitlines()
+        assert line.startswith("config error: --out: ")
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize("cmd", ["pretrain-retrieval", "adv-train"])
     def test_no_retrieval_exits_2_for_stages_that_retrieve(self, trained,
@@ -352,6 +368,20 @@ class TestRun:
                       str(trained), stdin="[PAD]\n[PAD] numpy\n")
         assert res.returncode == 0, res.stderr
         assert res.stdout.count("response:") == 2
+
+    @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+    def test_chat_answers_a_line_that_is_not_utf8(self, trained, tmp_path,
+                                                  errors):
+        """A line holding a byte that is not UTF-8 is answered, whatever
+        error handler the interpreter gives stdin; at n = 2 its sampled
+        candidate is drawn from the stream its bytes key."""
+        config = tmp_path / "n2.cfg"
+        config.write_text(TINY.replace("n = 1", "n = 2"), encoding="utf-8")
+        res = run_cli("chat", "--config", str(config), "--out", str(trained),
+                      stdin=b"hello \xff there\nsecond\n",
+                      env={"PYTHONIOENCODING": f"utf-8:{errors}"})
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.count(b"response:") == 2
 
     def test_texts_longer_than_max_seq_len_are_cut(self, tmp_path):
         """At max_seq_len = 12 many pool and training texts are longer;

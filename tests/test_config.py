@@ -46,6 +46,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match="line 2.*mystery"):
             parse_config(write(tmp_path, "m = 5\nmystery = 1\n"))
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        with pytest.raises(ConfigError, match="line 4: 'm' given again, "
+                                              "first at line 1"):
+            parse_config(write(tmp_path, "m = 3\nn = 1\n\nm = 4\n"))
+
     def test_malformed_line_names_line(self, tmp_path):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config(write(tmp_path, "just words\n"))

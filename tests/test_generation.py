@@ -348,24 +348,24 @@ def test_generate_candidates_kg_off_uses_bare_query(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[0].query
     [(gen, retr)], _ = generate_candidates(
-        params, cfg, vocab, [q], cache, m=4, n=1, kg=False)
+        params, cfg, vocab, [q], cache, m=4, n=1, kg=False, max_gen_len=12)
     assert len(retr) == 4  # retrieval still runs for the rerank stage
     q_ids = encode_text(q, vocab, cfg.max_seq_len)
     assert knowledge_sources([q_ids], [retr], cache, False,
                              cfg.max_seq_len) == [q_ids]
     with ad.no_grad():
         hidden, _ = encode_mean_pool(params, cfg, [q_ids])
-        assert gen == sample_batch(params, cfg, hidden)
+        assert gen == sample_batch(params, cfg, hidden, max_len=12)
 
 
 def test_generate_candidates_greedy_head_deterministic(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[1].query
     [(g1, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
-                                       m=2, n=3, kg=True,
+                                       m=2, n=3, kg=True, max_gen_len=12,
                                        rngs=[np.random.default_rng(4)])
     [(g2, _)], _ = generate_candidates(params, cfg, vocab, [q], cache,
-                                       m=2, n=3, kg=True,
+                                       m=2, n=3, kg=True, max_gen_len=12,
                                        rngs=[np.random.default_rng(5)])
     assert g1[0] == g2[0]  # greedy head ignores the rng
 
@@ -374,7 +374,7 @@ def test_generate_candidates_m_zero_skips_retrieval(small_world):
     corpus, vocab, cfg, params, cache = small_world
     q = corpus.test[2].query
     [(gen, retr)], pooled = generate_candidates(
-        params, cfg, vocab, [q], cache, m=0, n=2, kg=True,
+        params, cfg, vocab, [q], cache, m=0, n=2, kg=True, max_gen_len=12,
         rngs=[np.random.default_rng(6)])
     assert retr == [] and len(gen) == 2
     # nothing retrieved, nothing spliced
@@ -390,13 +390,13 @@ def test_generate_candidates_guards(small_world):
     q = corpus.test[0].query
     with pytest.raises(ValueError):
         generate_candidates(params, cfg, vocab, [q], cache, m=0, n=0,
-                            kg=False)
+                            kg=False, max_gen_len=12)
     with pytest.raises(ValueError):
         generate_candidates(params, cfg, vocab, [q], cache, m=1, n=2,
-                            kg=False)  # n > 1 without rng
+                            kg=False, max_gen_len=12)  # n > 1 without rng
     with pytest.raises(ValueError):
         generate_candidates(params, cfg, vocab, [q, q], cache, m=1, n=2,
-                            kg=False,
+                            kg=False, max_gen_len=12,
                             rngs=[np.random.default_rng(0)])  # one short
 
 

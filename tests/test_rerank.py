@@ -220,7 +220,7 @@ def drawn_set(small_world, pair, bm25_r, m, n, seed):
     corpus, vocab, cfg, params, cache, _ = small_world
     [entry], _ = generate_candidates(
         params, cfg, vocab, [splice_context(pair)], cache, m, n, True,
-        [np.random.default_rng(seed)], max_gen_len=10)
+        rngs=[np.random.default_rng(seed)], max_gen_len=10)
     return build_candidate_set(cfg, vocab, pair, entry, cache, bm25_r, m)
 
 
@@ -268,7 +268,8 @@ def test_serve_ranks_the_draw_from_the_text_keyed_stream(small_world):
                   max_gen_len=10)
     rng = np.random.default_rng([17, seeds.CHAT, zlib.crc32(text.encode())])
     [entry], q_row = generate_candidates(params, cfg, vocab, [text], cache,
-                                         3, 3, True, [rng], max_gen_len=10)
+                                         3, 3, True, rngs=[rng],
+                                         max_gen_len=10)
     cands = build_candidate_set(cfg, vocab, None, entry, cache, None, 3)
     assert got == rerank(params, cfg, q_row, cands, cache)
     assert {c.provenance for c in got} <= {"retrieved", "generated"}
@@ -439,7 +440,7 @@ def test_pool_rows_stand_in_for_encoding_every_candidate(small_world):
     chunk = corpus.train[:4]
     drawn, q_rows = generate_candidates(
         params, cfg, vocab, [splice_context(p) for p in chunk], cache, 3, 2,
-        True, [np.random.default_rng(2)] * len(chunk), max_gen_len=10)
+        True, rngs=[np.random.default_rng(2)] * len(chunk), max_gen_len=10)
     sets = [[c for c, _ in dedupe_candidates(build_candidate_set(
         cfg, vocab, pair, entry, cache, bm25_r, 3))]
         for pair, entry in zip(chunk, drawn)]
