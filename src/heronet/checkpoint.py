@@ -3,13 +3,18 @@
 A checkpoint is one file, at exactly the path its caller names.  Its
 first line is the manifest, compact JSON with sorted keys: stage tag,
 config snapshot, seed, step, epoch, `vocab_sha256` (the sha256 of the
-vocab.json bytes the stage trained under), the tensor entries, and the
-blob's length and sha256.  The blob follows the newline.  Each entry
+vocab.json bytes the stage trained under), `numpy` (the version of the
+numpy that wrote it), the tensor entries, and the blob's length and
+sha256.  The blob follows the newline.  Each entry
 gives an array's name, dtype, shape and byte offset, counted from the
 blob's first byte; the arrays follow one another in manifest order,
 float arrays as little-endian float32 (`<f4`), integer arrays as
 little-endian int32 (`<i4`).  Saving the same parameters twice produces
-byte-identical files; loading restores bit-identical arrays.
+byte-identical files; loading restores bit-identical arrays.  A stage
+run again with the same seed writes a byte-identical checkpoint only
+under one numpy build and one BLAS thread count, since both decide the
+order of the float sums in a matrix product: heronet.cli pins BLAS to
+one thread, and the manifest records the numpy version.
 
 A rerank checkpoint is what chat and evaluate serve from.  Its blob
 holds the parameters, then the pool rows, then the pool's token ids.
@@ -27,7 +32,8 @@ rows and ids too.  The parameter section is laid out as in a checkpoint
 without them.  A first line without `stage`, `tensors`, `blob_bytes`,
 `blob_sha256` or `vocab_sha256` is not a manifest this module reads;
 checkpoints made before manifests recorded the vocabulary are refused,
-not read another way.
+not read another way.  `numpy` is not required: checkpoints made before
+manifests recorded it still load.
 
 The file is written to a temporary name and moved into place with one
 os.replace, so a kill at any instant leaves the previous checkpoint or
@@ -120,6 +126,7 @@ def save_checkpoint(path, params: dict, stage: str, config: TrainConfig,
         "epoch": int(epoch),
         "config": asdict(config),
         "vocab_sha256": vocab_sha256,
+        "numpy": np.__version__,
         "tensors": _pack({n: t.data for n, t in params.items()}, blob),
     }
     if pool is not None:

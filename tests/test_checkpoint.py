@@ -120,6 +120,19 @@ class TestManifest:
         assert (tmp_path / "ck").read_bytes() == head.encode() + b"\n" + blob
         assert len(blob) == manifest["blob_bytes"]
 
+    def test_records_the_numpy_version(self, small_params, tmp_path):
+        """Only one numpy build writes a given checkpoint byte for byte,
+        so the manifest names the version that wrote it; one without the
+        key, as older checkpoints are, still loads."""
+        path = tmp_path / "ck"
+        save_checkpoint(path, small_params, "warmup", TrainConfig(), 1, VOCAB)
+        manifest, blob = split(path)
+        assert manifest["numpy"] == np.__version__
+        del manifest["numpy"]
+        path.write_bytes(json.dumps(manifest).encode() + b"\n" + blob)
+        loaded, _ = load_checkpoint(path)
+        assert set(loaded) == set(small_params)
+
     def test_names_sorted(self, small_params, tmp_path):
         stem = tmp_path / "ck"
         save_checkpoint(stem, small_params, "warmup", TrainConfig(), 0, VOCAB)
