@@ -500,8 +500,10 @@ def target_log_prob(logits: Tensor, targets: np.ndarray) -> Tensor:
     return _make(data, (logits,), bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift.
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize over the last axis, then scale, and shift by bias when
+    given.
 
     Means are taken as sum / d, which equals np.mean bit for bit and
     skips its per-call overhead.
@@ -512,8 +514,11 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
-    gd, bias_shape = gain.data, bias.data.shape
-    data = gd * xhat + bias.data
+    gd, parents, bias_shape = gain.data, (a, gain), None
+    data = gd * xhat
+    if bias is not None:
+        data = data + bias.data
+        parents, bias_shape = parents + (bias,), bias.data.shape
 
     def bw(g):
         dxhat = g * gd
@@ -524,11 +529,13 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         )
         lead = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=lead) if g.ndim > 1 else g * xhat
+        if bias_shape is None:
+            return dx, _unbroadcast(dgain, gd.shape)
         dbias = g.sum(axis=lead) if g.ndim > 1 else g
         return (dx, _unbroadcast(dgain, gd.shape),
                 _unbroadcast(dbias, bias_shape))
 
-    return _make(data, (a, gain, bias), bw)
+    return _make(data, parents, bw)
 
 
 def euclidean(a: Tensor, b: Tensor) -> Tensor:

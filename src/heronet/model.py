@@ -11,7 +11,11 @@ Naming scheme:
   enc.{i}.ff.w1/.b1/.w2/.b2  enc.ln_f.g/.b
   dec.{i}.ln1 dec.{i}.self.* dec.{i}.ln2 dec.{i}.cross.* dec.{i}.ln3
   dec.{i}.ff.*  dec.ln_f.g/.b  out.w
-  psi_d.w/.b/.ln.g/.ln.b  psi_m.w/.b/.ln.g/.ln.b/.w_m
+  psi_d.w/.b/.ln.g  psi_m.w/.b/.ln.g/.ln.b/.w_m
+
+psi_d's LayerNorm has no shift: psi_d only feeds Euclidean distances
+between two of its rows, where a shift added to both cancels, so one
+would get no gradient but round-off.
 
 An optional second retrieval encoder (for the single-task ablation) lives
 under the prefix "sqd_enc." with its own embedding and position tables.
@@ -139,7 +143,7 @@ def init_params(cfg: ModelConfig, seed: int, dtype=np.float32) -> dict:
         params[f"{name}.w"] = _param(rng, (d, p), dtype)
         params[f"{name}.b"] = _zeros((p,), dtype)
         params[f"{name}.ln.g"] = _ones((p,), dtype)
-        params[f"{name}.ln.b"] = _zeros((p,), dtype)
+    params["psi_m.ln.b"] = _zeros((p,), dtype)
     params["psi_m.w_m"] = _param(rng, (3 * p,), dtype)
     return params
 
@@ -337,21 +341,26 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list):
     return pooled, idx
 
 
+# task -> (adapter, the tensors it reads); psi_d's LayerNorm has no shift
+_ADAPTERS = {"sqd": ("psi_d", ("w", "b", "ln.g")),
+             "qrm": ("psi_m", ("w", "b", "ln.g", "ln.b"))}
+
+
 def adapter_params(params: dict, task: str) -> tuple:
-    """The tensors adapter_apply reads for a task: (w, b, ln.g, ln.b)."""
-    name = {"sqd": "psi_d", "qrm": "psi_m"}.get(task)
-    if name is None:
+    """The tensors adapter_apply reads for a task: (w, b, ln.g) of psi_d,
+    (w, b, ln.g, ln.b) of psi_m."""
+    if task not in _ADAPTERS:
         raise ValueError(f"unknown adapter task {task!r}")
-    return tuple(params[f"{name}.{part}"]
-                 for part in ("w", "b", "ln.g", "ln.b"))
+    name, parts = _ADAPTERS[task]
+    return tuple(params[f"{name}.{part}"] for part in parts)
 
 
 def adapter_apply(params: dict, task: str, e: Tensor) -> Tensor:
     """Affine projection plus LayerNorm of the task's adapter."""
-    w, b, g, beta = adapter_params(params, task)
+    w, b, *norm = adapter_params(params, task)
     if e.data.shape[-1] != w.data.shape[0]:
         raise ValueError("embedding dimension does not match adapter")
-    return ad.layer_norm(ad.matmul(e, w, b), g, beta, eps=LN_EPS)
+    return ad.layer_norm(ad.matmul(e, w, b), *norm, eps=LN_EPS)
 
 
 def match_projected(params: dict, proj: Tensor, q_idx, r_idx) -> Tensor:

@@ -169,6 +169,23 @@ class TestFused:
         np.testing.assert_allclose(tg.grad, numeric_grad(lambda a: (ref(x, a, b) * w).sum(), g.copy()), atol=1e-6)
         np.testing.assert_allclose(tb.grad, numeric_grad(lambda a: (ref(x, g, a) * w).sum(), b.copy()), atol=1e-6)
 
+    def test_layer_norm_without_bias_is_a_zero_shift(self):
+        """Without a bias, layer_norm gives what a zero bias gives, in
+        float32 as trained, forward and backward."""
+        rng = np.random.default_rng(11)
+        x, g, w = (rng.normal(size=s).astype(np.float32)
+                   for s in ((4, 6), (6,), (4, 6)))
+        runs = []
+        for bias in (None, ad.Tensor(np.zeros(6, dtype=np.float32),
+                                     requires_grad=True)):
+            tx = ad.Tensor(x.copy(), requires_grad=True)
+            tg = ad.Tensor(g.copy(), requires_grad=True)
+            out = ad.layer_norm(tx, tg, bias)
+            ad.backward(ad.tsum(out * ad.Tensor(w)))
+            runs.append((out.data, tx.grad, tg.grad))
+        for got, want in zip(*runs):
+            np.testing.assert_array_equal(got, want)
+
     def test_euclidean_gradient_and_zero_subgradient(self):
         a = RNG.normal(size=(3, 4))
         b = RNG.normal(size=(3, 4))
@@ -550,8 +567,9 @@ GRADCHECKS = {
                                  CASE_RNG.normal(size=(1, 5, 4))]),
 }
 
-# operations that left the tape, checked through the primitive that now
-# records them: name -> (that primitive, a function of the leaves, the leaves)
+# operations that left the tape, and primitives called without an optional
+# argument, checked through the primitive that records them: name -> (that
+# primitive, a function of the leaves, the leaves)
 FOLDED = {
     "embedding": ("getitem", lambda t: ad.getitem(t, _IDS),
                   [CASE_RNG.normal(size=(7, 3))]),
@@ -566,6 +584,10 @@ FOLDED = {
     "linear": ("matmul", ad.matmul, [CASE_RNG.normal(size=(2, 3, 4)),
                                      CASE_RNG.normal(size=(4, 5)),
                                      CASE_RNG.normal(size=(5,))]),
+    # psi_d's LayerNorm: a gain and no shift
+    "layer_norm_without_bias": ("layer_norm", ad.layer_norm,
+                                [CASE_RNG.normal(size=(4, 6)),
+                                 CASE_RNG.normal(size=(6,))]),
     # a - b is add(a, -b), and -a is mul(a, -1)
     "sub": ("add", lambda a, b: a - b,
             [CASE_RNG.normal(size=(3, 1)), CASE_RNG.normal(size=(3, 4))]),

@@ -398,12 +398,14 @@ class TestTapeMemory:
 
 class TestAdapters:
     def test_affine_ln_oracle(self, toy):
+        # psi_d's LayerNorm scales and does not shift
         params, p = toy
+        assert "psi_d.ln.b" not in params
         rng = np.random.default_rng(2)
         e = Tensor(rng.normal(size=(3, CFG.d_model)))
         out = adapter_apply(params, "sqd", e)
         z = e.data @ p["psi_d.w"] + p["psi_d.b"]
-        want = o_ln(z, p["psi_d.ln.g"], p["psi_d.ln.b"])
+        want = o_ln(z, p["psi_d.ln.g"], 0.0)
         assert np.allclose(out.data, want, atol=1e-10)
 
     def test_shift_invariance(self, toy):
