@@ -5,11 +5,11 @@ first line is the manifest, compact JSON with sorted keys: stage tag,
 config snapshot, seed, step, epoch, `vocab_sha256` (the sha256 of the
 vocab.json bytes the stage trained under), `numpy` (the version of the
 numpy that wrote it), the tensor entries, and the blob's length and
-sha256.  The blob follows the newline.  Each entry
-gives an array's name, dtype, shape and byte offset, counted from the
-blob's first byte; the arrays follow one another in manifest order,
-float arrays as little-endian float32 (`<f4`), integer arrays as
-little-endian int32 (`<i4`).  Saving the same parameters twice produces
+sha256.  The blob follows the newline.  Each entry gives an array's
+name, dtype, shape and byte offset, counted from the blob's first byte;
+the arrays follow one another in manifest order, float arrays as
+little-endian float32 (`<f4`), integer arrays as little-endian int32
+(`<i4`).  Saving the same parameters twice produces
 byte-identical files; loading restores bit-identical arrays.  A stage
 run again with the same seed writes a byte-identical checkpoint only
 under one numpy build and one BLAS thread count, since both decide the

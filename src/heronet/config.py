@@ -3,8 +3,7 @@
 Config files are line-oriented `key = value` text.  `#` starts a comment,
 blank lines are skipped, unknown keys are rejected with their line number,
 a key given twice with both line numbers, and absent keys take the
-desk-scale defaults below.  The field comments
-note the full-scale values.
+desk-scale defaults below.  The field comments note the full-scale values.
 """
 
 from __future__ import annotations

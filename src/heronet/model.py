@@ -341,7 +341,7 @@ def encode_unique(params: dict, cfg: ModelConfig, groups: list):
     return pooled, idx
 
 
-# task -> (adapter, the tensors it reads); psi_d's LayerNorm has no shift
+# task -> (adapter, the tensors it reads)
 _ADAPTERS = {"sqd": ("psi_d", ("w", "b", "ln.g")),
              "qrm": ("psi_m", ("w", "b", "ln.g", "ln.b"))}
 

@@ -156,11 +156,10 @@ def serve(params: dict, cfg: ModelConfig, vocab: Vocab, texts: list,
     One generate_candidates call draws the chunk; text t's sampled extras
     come from the stream [seed, CHAT, crc32(t)], so a text draws the same
     candidates whatever chunk it arrives in.  crc32 reads t's UTF-8
-    bytes, with any lone surrogate that stood in for a byte that was not
-    UTF-8 turned back into that byte.  Each text's set, its m
-    retrieved and n generated candidates, is re-ranked against its query
-    row.  Returns one list of RankedCandidate per text; its first entry is
-    the served answer.
+    bytes, where a lone surrogate that stood in for a stray input byte is
+    that byte again.  Each text's set, its m retrieved and n generated
+    candidates, is re-ranked against its query row.  Returns one list of
+    RankedCandidate per text; its first entry is the served answer.
     """
     rngs = [np.random.default_rng(
         [seed, seeds.CHAT, zlib.crc32(t.encode("utf-8", "surrogateescape"))])

@@ -70,12 +70,11 @@ def peak_grads(cfg, out, monkeypatch) -> dict:
 
 @pytest.mark.parametrize("no_multi_learning", [False, True],
                          ids=["shared", "ablation"])
-def test_every_held_tensor_gets_a_gradient(tmp_path, monkeypatch, capsys,
+def test_every_held_tensor_gets_a_gradient(tmp_path, monkeypatch,
                                            no_multi_learning):
     cfg = tiny_config()
     cfg.no_multi_learning = no_multi_learning
     peaks = peak_grads(cfg, tmp_path, monkeypatch)
-    capsys.readouterr()  # the stages' progress lines
     assert {key.split("/")[0] for key in peaks} == set(STAGES)
     assert any(key.startswith("retrieval/0/sqd_enc.") for key in peaks) == \
         no_multi_learning
