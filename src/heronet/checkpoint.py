@@ -9,12 +9,12 @@ sha256.  The blob follows the newline.  Each entry gives an array's
 name, dtype, shape and byte offset, counted from the blob's first byte;
 the arrays follow one another in manifest order, float arrays as
 little-endian float32 (`<f4`), integer arrays as little-endian int32
-(`<i4`).  Saving the same parameters twice produces
-byte-identical files; loading restores bit-identical arrays.  A stage
-run again with the same seed writes a byte-identical checkpoint only
-under one numpy build and one BLAS thread count, since both decide the
-order of the float sums in a matrix product: heronet.cli pins BLAS to
-one thread, and the manifest records the numpy version.
+(`<i4`).  Saving the same parameters twice produces byte-identical
+files; loading restores bit-identical arrays.  A stage run again with
+the same seed writes a byte-identical checkpoint only under one numpy
+build and one BLAS thread count, since both decide the order of the
+float sums in a matrix product: heronet.cli pins BLAS to one thread,
+and the manifest records the numpy version.
 
 A rerank checkpoint is what chat and evaluate serve from.  Its blob
 holds the parameters, then the pool rows, then the pool's token ids.

@@ -123,7 +123,7 @@ class TestParsing:
         assert res.stderr.splitlines() == ["config error: seed: must be >= 0"]
         assert not (tmp_path / "run").exists()
 
-    @pytest.mark.parametrize("sub", ["", "sub"])
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under_a_file"])
     def test_gen_data_out_on_a_file_exits_2(self, cfg_path, tmp_path, sub):
         """--out naming a file, or a path under one, is one config error
         line naming --out, not a traceback."""

@@ -79,4 +79,4 @@ def test_every_held_tensor_gets_a_gradient(tmp_path, monkeypatch,
     assert any(key.startswith("retrieval/0/sqd_enc.") for key in peaks) == \
         no_multi_learning
     dead = {key: peak for key, peak in peaks.items() if peak <= FLOOR}
-    assert dead == {}
+    assert dead == {}, f"largest |grad| at most {FLOOR}: {dead}"
